@@ -4,133 +4,43 @@ The package closes the loop between a battery/drag energy model, tightened
 state-of-charge barriers, a learned switching controller and benchmark
 strategies, all driven by a fixed-step mission harness with CSV exports and a
 CLI (``solarasv run|compare|barriers``).
+
+The names below are the mission-level API; the lower-level pieces (solar
+profiles, barrier envelopes, control laws, the planner) are imported from
+their submodules.
 """
 
-from .barrier import (
-    BarrierEnvelope,
-    build_envelope,
-    energy_deficit,
-    energy_surplus,
-    lower_barrier,
-    upper_barrier,
-    write_envelope_csv,
-)
-from .benchmark import (
-    MpcConfig,
-    MpcController,
-    constrained_constant_controller,
-    energy_balance_velocity,
-    mpc_controller,
-)
-from .config import load_compare_configs, load_sim_config, parse_kv_file
-from .controller import (
-    Costate,
-    IlcState,
-    ViolationAccumulator,
-    accumulate_violation,
-    buffered_control,
-    buffered_velocity_array,
-    costate_from_velocity,
-    ilc_daily_update,
-    ilc_rate_update,
-    stationarity_residual,
-    switching_control,
-    validate_buffer,
-    velocity_from_costate,
-)
+from .benchmark import MpcConfig
+from .config import load_compare_configs, load_sim_config
 from .harness import (
-    ComparisonResult,
     ConfigError,
     FileSource,
     IdealizedSource,
     IlcSettings,
-    IterationRecord,
     SimConfig,
     SimResult,
-    StrategyRow,
-    build_input_profile,
-    build_mission_envelope,
     compare_strategies,
-    daily_cumulative_distance,
     export_comparison,
     export_traces,
-    nominal_day_profile,
     run_mission,
 )
-from .solar import (
-    IdealizedSolarParams,
-    SolarProfile,
-    idealized_irradiance,
-    idealized_irradiance_array,
-    integrate_power,
-    load_profile,
-    sample,
-    sample_array,
-    tabulate_idealized,
-    tabulate_seasonal,
-)
-from .vessel import SocState, VesselParams, power_draw, step_soc
+from .vessel import VesselParams
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarrierEnvelope",
-    "ComparisonResult",
     "ConfigError",
-    "Costate",
     "FileSource",
-    "IdealizedSolarParams",
     "IdealizedSource",
     "IlcSettings",
-    "IlcState",
-    "IterationRecord",
     "MpcConfig",
-    "MpcController",
     "SimConfig",
     "SimResult",
-    "SocState",
-    "SolarProfile",
-    "StrategyRow",
     "VesselParams",
-    "ViolationAccumulator",
-    "accumulate_violation",
-    "buffered_control",
-    "buffered_velocity_array",
-    "build_envelope",
-    "build_input_profile",
-    "build_mission_envelope",
     "compare_strategies",
-    "constrained_constant_controller",
-    "costate_from_velocity",
-    "daily_cumulative_distance",
-    "energy_balance_velocity",
-    "energy_deficit",
-    "energy_surplus",
     "export_comparison",
     "export_traces",
-    "idealized_irradiance",
-    "idealized_irradiance_array",
-    "ilc_daily_update",
-    "ilc_rate_update",
-    "integrate_power",
     "load_compare_configs",
-    "load_profile",
     "load_sim_config",
-    "lower_barrier",
-    "mpc_controller",
-    "nominal_day_profile",
-    "parse_kv_file",
-    "power_draw",
     "run_mission",
-    "sample",
-    "sample_array",
-    "stationarity_residual",
-    "step_soc",
-    "switching_control",
-    "tabulate_idealized",
-    "tabulate_seasonal",
-    "upper_barrier",
-    "validate_buffer",
-    "velocity_from_costate",
-    "write_envelope_csv",
 ]

@@ -161,12 +161,6 @@ class BarrierEnvelope:
             hi = np.concatenate([hi, [self.upper[0]]])
         return np.interp(t, xp, lo), np.interp(t, xp, hi)
 
-    def lower_at(self, t: float) -> float:
-        return float(self.bounds_arrays(np.asarray([t]))[0][0])
-
-    def upper_at(self, t: float) -> float:
-        return float(self.bounds_arrays(np.asarray([t]))[1][0])
-
 
 def build_envelope(
     profile: SolarProfile,

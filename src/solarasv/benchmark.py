@@ -40,13 +40,11 @@ u_min otherwise).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .barrier import BarrierEnvelope
-from .controller import _switching_velocity
 from .solar import SolarProfile, integrate_power, sample_array
 from .vessel import VesselParams
 
@@ -73,21 +71,6 @@ def energy_balance_velocity(
     return min(max(u, params.u_min), params.u_max)
 
 
-def constrained_constant_controller(
-    u_const: float, env: BarrierEnvelope, params: VesselParams
-) -> Callable[[float, float], float]:
-    """Constant velocity passed through the hard switching law."""
-    if not params.u_min <= u_const <= params.u_max:
-        raise ValueError("u_const outside vessel velocity limits")
-
-    def control(b: float, t: float) -> float:
-        return _switching_velocity(
-            b, env.lower_at(t), env.upper_at(t), u_const, params.u_min, params.u_max
-        )
-
-    return control
-
-
 @dataclass(frozen=True)
 class MpcConfig:
     """Receding-horizon planner knobs.
@@ -105,12 +88,12 @@ class MpcConfig:
     replan_interval: int = 1
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError("horizon must be > 0")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be finite and > 0")
         if self.soc_grid < 2 or self.u_grid < 2:
             raise ValueError("soc_grid and u_grid must be >= 2")
-        if self.terminal_reward_slope < 0:
-            raise ValueError("terminal_reward_slope must be >= 0")
+        if not 0 <= self.terminal_reward_slope < math.inf:
+            raise ValueError("terminal_reward_slope must be finite and >= 0")
         if self.replan_interval < 1:
             raise ValueError("replan_interval must be >= 1")
 
@@ -227,14 +210,3 @@ class MpcController:
             self._queue = [float(u) for u in actions]
         return self._queue.pop(0)
 
-
-def mpc_controller(
-    cfg: MpcConfig,
-    forecast: SolarProfile,
-    env: BarrierEnvelope,
-    params: VesselParams,
-    dt: float,
-    t_end: float | None = None,
-) -> MpcController:
-    """Factory matching the other strategy constructors."""
-    return MpcController(cfg, forecast, env, params, dt, t_end)

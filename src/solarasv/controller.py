@@ -8,34 +8,34 @@ velocity is constant and dual to a constant (negative) costate:
 
 which is exactly the stationary point of the control Hamiltonian: the
 stationarity residual -1 - 3 * k_m * p1 * u^2 vanishes at u*. At the bounds
-the control saturates:
+the control saturates (:func:`_switching_velocity`):
 
     u = u_max   if b >= b_u(t)     (burn: avoid curtailing charge)
     u = u_min   if b <= b_l(t)     (hold: protect the feasible future)
     u = u*      otherwise
 
-The buffered variant linearly blends between the saturated and interior
-commands over a band of width delta Wh inside each bound, which removes
-chattering and makes the commanded velocity continuous in b.
+The buffered variant (:func:`_buffered_velocity`) linearly blends between the
+saturated and interior commands over a band of width delta Wh inside each
+bound, which removes chattering and makes the commanded velocity continuous
+in b.
 
 The interior velocity itself is learned across daily cycles instead of being
-solved from a forecast:
+solved from a forecast (:class:`IlcPolicy`):
 
-* once per cycle (terminal SOC b_tf, target b_des):
+* once per cycle (measured terminal SOC b_tf, target b_des):
       u_hat <- u_hat + k_p * (b_tf - b_des)
 * each step, a rate correction against the previous cycle's SOC trace:
       u_cmd(t) = u_hat + k_d * (b(t) - b_prev(t))
   applied to the cycle-frozen u_hat (corrections do not compound).
 
-Both updates project onto [u_min, u_max]. A violation accumulator integrates
-the squared excursion outside the envelope; it stays near zero (one-step
-integration error) for any run that respects the barriers.
+Both updates project onto [u_min, u_max]. The harness's step loop calls these
+laws with the measured SOC; they are the only implementations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,17 +45,13 @@ from .vessel import VesselParams
 
 @dataclass(frozen=True)
 class Costate:
-    """Adjoint state of the distance-maximization Hamiltonian.
+    """Battery-SOC adjoint of the distance-maximization Hamiltonian.
 
-    p1 is the battery-SOC costate; it must be negative (stored energy has
-    positive value, the Hamiltonian sign convention makes the adjoint
-    negative). p2 is the adjoint of the violation accumulator; its dynamics
-    are identically zero, so it is carried as a constant diagnostic and plays
-    no role in the control law.
+    p1 must be negative (stored energy has positive value, the Hamiltonian
+    sign convention makes the adjoint negative).
     """
 
     p1: float
-    p2: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.p1 < 0:
@@ -87,20 +83,12 @@ def stationarity_residual(u: float, costate: Costate, params: VesselParams) -> f
 def _switching_velocity(
     b: float, b_l: float, b_u: float, u_hat: float, u_min: float, u_max: float
 ) -> float:
+    """Hard three-branch switching law; the upper branch wins at b_l == b_u."""
     if b >= b_u:
         return u_max
     if b <= b_l:
         return u_min
     return u_hat
-
-
-def switching_control(
-    b: float, t: float, env: BarrierEnvelope, u_hat: float, params: VesselParams
-) -> float:
-    """Hard three-branch switching law at time ``t``."""
-    return _switching_velocity(
-        b, env.lower_at(t), env.upper_at(t), u_hat, params.u_min, params.u_max
-    )
 
 
 def _buffered_velocity(
@@ -112,6 +100,12 @@ def _buffered_velocity(
     u_min: float,
     u_max: float,
 ) -> float:
+    """Switching law with linear blending bands of width ``delta`` Wh.
+
+    Continuous in b: equals u_min at b_l, u_star at b_l + delta, u_star at
+    b_u - delta and u_max at b_u. The caller must ensure delta > 0 and that
+    the bands fit (see :func:`validate_buffer`).
+    """
     if b <= b_l:
         return u_min
     if b >= b_u:
@@ -139,159 +133,87 @@ def validate_buffer(env: BarrierEnvelope, delta: float) -> None:
         )
 
 
-def buffered_control(
-    b: float,
-    t: float,
-    env: BarrierEnvelope,
-    u_star: float,
-    delta: float,
-    params: VesselParams,
-) -> float:
-    """Switching law with linear blending bands of width ``delta`` Wh.
-
-    Continuous in b: equals u_min at b_l, u_star at b_l + delta, u_star at
-    b_u - delta and u_max at b_u. The caller must ensure the bands fit
-    (see :func:`validate_buffer`).
-    """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    return _buffered_velocity(
-        b, env.lower_at(t), env.upper_at(t), u_star, delta, params.u_min, params.u_max
-    )
-
-
-def buffered_velocity_array(
-    b: np.ndarray,
-    b_l: float,
-    b_u: float,
-    u_star: float,
-    delta: float,
-    params: VesselParams,
-) -> np.ndarray:
-    """Vectorized :func:`buffered_control` at fixed bounds.
-
-    Element-for-element identical to the scalar path (same arithmetic), used
-    by dense continuity sweeps.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    b = np.asarray(b, dtype=float)
-    w_l = (b - b_l) / delta
-    w_u = (b_u - b) / delta
-    out = np.full_like(b, u_star)
-    lower_band = (b > b_l) & (w_l < 1.0)
-    upper_band = (b < b_u) & (w_u < 1.0) & ~lower_band
-    out[lower_band] = w_l[lower_band] * u_star + (1.0 - w_l[lower_band]) * params.u_min
-    out[upper_band] = w_u[upper_band] * u_star + (1.0 - w_u[upper_band]) * params.u_max
-    out[b <= b_l] = params.u_min
-    out[b >= b_u] = params.u_max
-    return out
-
-
 # ---------------------------------------------------------------------------
 # iterative learning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IlcState:
-    """Learned-velocity estimator state across daily cycles.
+class IlcPolicy:
+    """The learned-velocity controller as the step loop runs it.
+
+    :meth:`velocity` is called once per step with the measured SOC: it stores
+    the measurement in the running cycle's trace, applies the rate correction
+    against the previous cycle's trace and passes the result through the
+    buffered law. :meth:`end_cycle` is called once per cycle with the
+    measured cycle-end SOC and applies the proportional update.
 
     u_hat: current interior velocity estimate, m/s (within vessel limits).
-    k_p: per-cycle proportional gain, (m/s)/Wh.
-    k_d: intra-cycle rate gain, (m/s)/Wh.
-    b_des: terminal-SOC target for the running cycle, Wh.
-    prev_soc_trace: SOC trace of the previous cycle (one entry per step),
-        None until the first cycle completes.
+    b_des: terminal-SOC target of the running cycle, Wh. With
+        ``retarget=True`` it moves to each cycle's measured terminal SOC.
+    prev_soc: the previous cycle's measured SOC per step, None during the
+        first cycle.
     iteration: completed cycles.
     """
 
-    u_hat: float
-    k_p: float
-    k_d: float
-    b_des: float
-    prev_soc_trace: np.ndarray | None = None
-    iteration: int = 0
-
-
-def ilc_daily_update(
-    state: IlcState,
-    b_tf: float,
-    params: VesselParams,
-    day_trace: np.ndarray | None = None,
-    b_des_next: float | None = None,
-) -> IlcState:
-    """Close one cycle: proportional update on the terminal-SOC error.
-
-    ``day_trace`` is the completed cycle's SOC trace and becomes
-    prev_soc_trace for the next cycle (None keeps the old trace).
-    ``b_des_next`` retargets the next cycle (None keeps b_des).
-    """
-    u = state.u_hat + state.k_p * (b_tf - state.b_des)
-    u = min(max(u, params.u_min), params.u_max)
-    trace = state.prev_soc_trace if day_trace is None else np.asarray(day_trace, float)
-    return replace(
-        state,
-        u_hat=u,
-        prev_soc_trace=trace,
-        iteration=state.iteration + 1,
-        b_des=state.b_des if b_des_next is None else b_des_next,
+    __slots__ = (
+        "cycle_steps", "k_p", "k_d", "delta", "u_min", "u_max", "retarget",
+        "u_hat", "b_des", "prev_soc", "cycle_soc", "iteration",
     )
 
+    def __init__(
+        self,
+        params: VesselParams,
+        cycle_steps: int,
+        u_init: float,
+        k_p: float,
+        k_d: float,
+        delta: float,
+        b_des: float,
+        retarget: bool,
+    ) -> None:
+        if cycle_steps < 1:
+            raise ValueError("cycle_steps must be >= 1")
+        if delta <= 0:
+            raise ValueError("delta must be > 0")
+        self.cycle_steps = cycle_steps
+        self.k_p = k_p
+        self.k_d = k_d
+        self.delta = delta
+        self.u_min = params.u_min
+        self.u_max = params.u_max
+        self.retarget = retarget
+        self.u_hat = float(u_init)
+        self.b_des = float(b_des)
+        self.prev_soc: list[float] | None = None
+        self.cycle_soc = [0.0] * cycle_steps
+        self.iteration = 0
 
-def ilc_rate_update(
-    state: IlcState, b_now: float, t_index: int, params: VesselParams
-) -> float:
-    """Rate-corrected interior velocity for step ``t_index`` of the cycle.
+    def velocity(self, b: float, b_l: float, b_u: float, step: int) -> float:
+        """Commanded velocity at mission step ``step`` from the measured SOC."""
+        j = step % self.cycle_steps
+        self.cycle_soc[j] = b
+        prev = self.prev_soc
+        if prev is None:
+            u_star = self.u_hat
+        else:
+            u_star = self.u_hat + self.k_d * (b - prev[j])
+            if u_star < self.u_min:
+                u_star = self.u_min
+            elif u_star > self.u_max:
+                u_star = self.u_max
+        return _buffered_velocity(
+            b, b_l, b_u, u_star, self.delta, self.u_min, self.u_max
+        )
 
-    Compares the current SOC with the previous cycle's SOC at the same
-    within-cycle step. During iteration 0 (no previous trace) the estimate is
-    returned unmodified. The correction is applied to the cycle-frozen
-    u_hat, so successive corrections do not compound.
-    """
-    if state.prev_soc_trace is None:
-        u = state.u_hat
-    else:
-        if not 0 <= t_index < state.prev_soc_trace.size:
-            raise ValueError(
-                f"t_index {t_index} outside previous trace of length "
-                f"{state.prev_soc_trace.size}"
-            )
-        u = state.u_hat + state.k_d * (b_now - float(state.prev_soc_trace[t_index]))
-    return min(max(u, params.u_min), params.u_max)
-
-
-# ---------------------------------------------------------------------------
-# violation bookkeeping
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ViolationAccumulator:
-    """Integrated squared envelope excursion, Wh^2 * s."""
-
-    x2: float = 0.0
-
-
-def _violation_rate(b: float, b_l: float, b_u: float) -> float:
-    if b < b_l:
-        d = b_l - b
-        return d * d
-    if b > b_u:
-        d = b - b_u
-        return d * d
-    return 0.0
-
-
-def accumulate_violation(
-    acc: ViolationAccumulator,
-    b: float,
-    env: BarrierEnvelope,
-    t: float,
-    dt: float,
-) -> ViolationAccumulator:
-    """Add one step of squared-excursion penalty outside the envelope."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    rate = _violation_rate(b, env.lower_at(t), env.upper_at(t))
-    if rate == 0.0:
-        return acc
-    return ViolationAccumulator(x2=acc.x2 + rate * dt)
+    def end_cycle(self, b_tf: float) -> None:
+        """Close one cycle: proportional update on the terminal-SOC error."""
+        u = self.u_hat + self.k_p * (b_tf - self.b_des)
+        if u < self.u_min:
+            u = self.u_min
+        elif u > self.u_max:
+            u = self.u_max
+        self.u_hat = u
+        self.prev_soc = self.cycle_soc
+        self.cycle_soc = [0.0] * self.cycle_steps
+        if self.retarget:
+            self.b_des = b_tf
+        self.iteration += 1

@@ -1,5 +1,13 @@
 """Closed-loop mission harness: configuration, stepping loop, CSV exports.
 
+Every strategy runs through one step loop, :func:`simulate`. Each step it
+hands the measured SOC and the envelope bounds to the strategy's
+:class:`Policy`, then applies the forward-Euler step, the clamp ledgers and
+the violation integral. :func:`build_policy` maps a config onto a policy:
+the learned controller (:class:`~solarasv.controller.IlcPolicy`, which also
+gets an end-of-cycle hook), the switching law around the energy-balance
+constant, the bare constant, or the receding-horizon planner.
+
 Conventions
 -----------
 * The mission clock starts at t = 0 (local midnight) and advances in fixed
@@ -13,9 +21,9 @@ Conventions
   every 86400 s of mission time.
 * distance = sum(velocity_trace) * dt exactly (the discretized path length).
 * The controller sees the measured SOC (true SOC plus optional seeded
-  Gaussian noise); the battery and the violation accumulator use the true
-  SOC. Identical config and seed reproduce the simulation payload
-  bit-for-bit.
+  Gaussian noise), including the cycle-end SOC the learner updates from;
+  the battery and the violation integral use the true SOC. Identical
+  config and seed reproduce the simulation payload bit-for-bit.
 * Energy bookkeeping is audited: terminal = initial + sum((p_in - draw) *
   dt/3600) + floor_added - curtailed, where the last two are the clamp
   ledgers in Wh.
@@ -23,16 +31,22 @@ Conventions
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .barrier import BarrierEnvelope, build_envelope
-from .benchmark import MpcConfig, energy_balance_velocity, mpc_controller
-from .controller import costate_from_velocity, validate_buffer
+from .benchmark import MpcConfig, MpcController, energy_balance_velocity
+from .controller import (
+    IlcPolicy,
+    _switching_velocity,
+    costate_from_velocity,
+    validate_buffer,
+)
 from .solar import (
     IdealizedSolarParams,
     SolarProfile,
@@ -101,13 +115,19 @@ class SimConfig:
 
     def validate(self) -> list[str]:
         """Collect every validation failure as a 'field: problem' string."""
-        errors: list[str] = []
+        errors = list(
+            dict.fromkeys(
+                f"{key}: must be finite"
+                for key, value in self._numeric_fields()
+                if not math.isfinite(value)
+            )
+        )
         p = self.vessel
         if self.dt <= 0:
             errors.append("sim.dt: must be > 0")
         if self.mission_length <= 0:
             errors.append("sim.mission_length: must be > 0")
-        elif self.dt > 0:
+        elif self.dt > 0 and math.isfinite(self.mission_length):
             steps = self.mission_length / self.dt
             if abs(steps - round(steps)) > 1e-9:
                 errors.append(
@@ -152,6 +172,32 @@ class SimConfig:
         else:
             errors.append("solar.source: unrecognized source type")
         return errors
+
+    def _numeric_fields(self) -> list[tuple[str, float]]:
+        """(config key, value) of every number validate() checks."""
+        ilc = self.ilc
+        out = [
+            ("sim.dt", self.dt),
+            ("sim.mission_length", self.mission_length),
+            ("sim.initial_soc", self.initial_soc),
+            ("sim.noise_std", self.noise_std),
+            ("controller.k_p", ilc.k_p),
+            ("controller.k_d", ilc.k_d),
+            ("controller.delta", ilc.delta),
+            ("controller.u_init", ilc.u_init),
+        ]
+        if ilc.b_des is not None:
+            out.append(("controller.b_des", ilc.b_des))
+        s = self.solar
+        if isinstance(s, IdealizedSource):
+            out += [("solar.d0", s.d0), ("solar.d1", s.d1), ("solar.period", s.period)]
+            for days in (s.d0_by_day, s.d1_by_day):
+                out += [("solar.table", v) for v in days or ()]
+        elif isinstance(s, FileSource):
+            out.append(("solar.scale", s.scale))
+            if s.period is not None:
+                out.append(("solar.period", s.period))
+        return out
 
 
 class IterationRecord(NamedTuple):
@@ -221,6 +267,149 @@ def build_mission_envelope(cfg: SimConfig, profile: SolarProfile) -> BarrierEnve
     return build_envelope(nominal, cfg.vessel, grid, mode="periodic-day")
 
 
+class Policy(NamedTuple):
+    """A strategy as the step loop (:func:`simulate`) runs it.
+
+    control(b_meas, b_l, b_u, step) -> velocity is called once per step with
+    the measured SOC and the envelope bounds at the step start. When
+    end_cycle is set, it is called after every ``cycle_steps`` steps with the
+    measured and the true cycle-end SOC and returns the cycle's record.
+    """
+
+    strategy: str
+    control: Callable[[float, float, float, int], float]
+    cycle_steps: int = 0
+    end_cycle: Callable[[float, float], IterationRecord] | None = None
+
+
+def build_policy(
+    cfg: SimConfig, profile: SolarProfile, env: BarrierEnvelope, times: np.ndarray
+) -> Policy:
+    """The configured strategy's control law, ready for :func:`simulate`."""
+    p = cfg.vessel
+    if cfg.strategy == "ilc":
+        s = cfg.ilc
+        validate_buffer(env, s.delta)
+        learner = IlcPolicy(
+            p,
+            cycle_steps=int(round(DAY_S / cfg.dt)),
+            u_init=s.u_init,
+            k_p=s.k_p,
+            k_d=s.k_d,
+            delta=s.delta,
+            b_des=cfg.initial_soc if s.b_des is None else s.b_des,
+            retarget=s.b_des is None,
+        )
+
+        def end_cycle(b_meas: float, b: float) -> IterationRecord:
+            learner.end_cycle(b_meas)
+            u_hat = learner.u_hat
+            p1 = costate_from_velocity(u_hat, p).p1 if u_hat > 0 else float("nan")
+            return IterationRecord(learner.iteration, u_hat, p1, b)
+
+        return Policy(cfg.strategy, learner.velocity, learner.cycle_steps, end_cycle)
+
+    if cfg.strategy == "mpc":
+        planner = MpcController(
+            cfg.mpc, profile, env, p, cfg.dt, t_end=cfg.mission_length
+        )
+        return Policy(cfg.strategy, lambda b, b_l, b_u, i: planner(b, times[i]))
+
+    u_const = energy_balance_velocity(profile, cfg.mission_length, p)
+    if cfg.strategy == "constant-constrained":
+        u_min, u_max = p.u_min, p.u_max
+
+        def switched(b: float, b_l: float, b_u: float, i: int) -> float:
+            return _switching_velocity(b, b_l, b_u, u_const, u_min, u_max)
+
+        return Policy(cfg.strategy, switched)
+    return Policy(cfg.strategy, lambda b, b_l, b_u, i: u_const)
+
+
+def simulate(
+    policy: Policy,
+    p_in: Sequence[float],
+    lower: Sequence[float],
+    upper: Sequence[float],
+    initial_soc: float,
+    params: VesselParams,
+    dt: float,
+    noise: Sequence[float] | None = None,
+) -> SimResult:
+    """Step the battery under ``policy``: the one forward-Euler loop.
+
+    p_in, lower and upper hold one value per step, taken at the step start.
+    noise, if given, holds one value more: noise[i] is added to the SOC the
+    controller sees at the start of step i, and noise[i + 1] to the
+    cycle-end SOC handed to end_cycle after step i (so the last cycle-end
+    measurement uses noise[n]). The battery, the clamp ledgers and the
+    violation integral use the true SOC. wall_time covers this call only.
+    """
+    wall0 = time.perf_counter()
+    n = len(p_in)
+    control = policy.control
+    end_cycle = policy.end_cycle
+    cycle = policy.cycle_steps
+    next_end = cycle - 1 if end_cycle is not None else n
+    k_h, k_m = params.k_h, params.k_m
+    b_min, b_max = params.b_min, params.b_max
+    dtf = dt / 3600.0
+    vel = [0.0] * n
+    soc = [0.0] * n
+    b = float(initial_soc)
+    x2 = 0.0
+    sum_u = 0.0
+    curtailed = 0.0
+    floor_added = 0.0
+    failed = False
+    per_iter: list[IterationRecord] = []
+    for i in range(n):
+        b_l = lower[i]
+        b_u = upper[i]
+        u = control(b + noise[i] if noise is not None else b, b_l, b_u, i)
+        # violation measured on the true SOC at the step start
+        if b < b_l:
+            d = b_l - b
+            x2 += d * d * dt
+        elif b > b_u:
+            d = b - b_u
+            x2 += d * d * dt
+        raw = b + (p_in[i] - k_h - k_m * u * u * u) * dtf
+        if raw < b_min:
+            floor_added += b_min - raw
+            raw = b_min
+            failed = True
+        elif raw > b_max:
+            curtailed += raw - b_max
+            raw = b_max
+        vel[i] = u
+        sum_u += u
+        b = raw
+        soc[i] = b
+        if i == next_end:
+            next_end += cycle
+            per_iter.append(
+                end_cycle(b + noise[i + 1] if noise is not None else b, b)
+            )
+
+    return SimResult(
+        strategy=policy.strategy,
+        dt=dt,
+        initial_soc=float(initial_soc),
+        soc_trace=np.asarray(soc),
+        velocity_trace=np.asarray(vel),
+        p_in_trace=np.asarray(p_in),
+        distance=sum_u * dt,
+        terminal_soc=b,
+        violation=x2,
+        per_iteration=per_iter,
+        wall_time=time.perf_counter() - wall0,
+        curtailed_wh=curtailed,
+        floor_added_wh=floor_added,
+        battery_failed=failed,
+    )
+
+
 def run_mission(cfg: SimConfig) -> SimResult:
     """Simulate one mission under the configured strategy."""
     errors = cfg.validate()
@@ -236,194 +425,25 @@ def run_mission(cfg: SimConfig) -> SimResult:
         )
     env = build_mission_envelope(cfg, profile)
 
-    p = cfg.vessel
     dt = float(cfg.dt)
-    dtf = dt / 3600.0
     n = int(round(cfg.mission_length / dt))
     times = np.arange(n) * dt
-    p_list = sample_array(profile, times).tolist()
-    bl_arr, bu_arr = env.bounds_arrays(times)
-    bl_list = bl_arr.tolist()
-    bu_list = bu_arr.tolist()
-    noise_list = None
+    lower, upper = env.bounds_arrays(times)
+    noise = None
     if cfg.noise_std > 0:
         rng = np.random.default_rng(cfg.rng_seed)
-        noise_list = rng.normal(0.0, cfg.noise_std, n).tolist()
-
-    vel = [0.0] * n
-    soc = [0.0] * n
-    k_h, k_m = p.k_h, p.k_m
-    b_min, b_max = p.b_min, p.b_max
-    u_min, u_max = p.u_min, p.u_max
-    b = float(cfg.initial_soc)
-    x2 = 0.0
-    sum_u = 0.0
-    curtailed = 0.0
-    floor_added = 0.0
-    failed = False
-    per_iter: list[IterationRecord] = []
-
-    if cfg.strategy == "ilc":
-        validate_buffer(env, cfg.ilc.delta)
-        spd = int(round(DAY_S / dt))
-        k_p, k_d, delta = cfg.ilc.k_p, cfg.ilc.k_d, cfg.ilc.delta
-        fixed_target = cfg.ilc.b_des
-        b_des = float(fixed_target) if fixed_target is not None else b
-        u_hat = float(cfg.ilc.u_init)
-        prev: list[float] | None = None
-        day_buf = [0.0] * spd
-        iteration = 0
-        for i in range(n):
-            p_in = p_list[i]
-            b_l = bl_list[i]
-            b_u = bu_list[i]
-            meas = b + noise_list[i] if noise_list is not None else b
-            j = i % spd
-            day_buf[j] = meas
-            if prev is None:
-                u_star = u_hat
-            else:
-                u_star = u_hat + k_d * (meas - prev[j])
-                if u_star < u_min:
-                    u_star = u_min
-                elif u_star > u_max:
-                    u_star = u_max
-            # buffered switching law on the measured SOC
-            if meas <= b_l:
-                u = u_min
-            elif meas >= b_u:
-                u = u_max
-            else:
-                gap_l = meas - b_l
-                if gap_l < delta:
-                    w = gap_l / delta
-                    u = w * u_star + (1.0 - w) * u_min
-                else:
-                    gap_u = b_u - meas
-                    if gap_u < delta:
-                        w = gap_u / delta
-                        u = w * u_star + (1.0 - w) * u_max
-                    else:
-                        u = u_star
-            # violation measured on the true SOC at the step start
-            if b < b_l:
-                d = b_l - b
-                x2 += d * d * dt
-            elif b > b_u:
-                d = b - b_u
-                x2 += d * d * dt
-            raw = b + (p_in - k_h - k_m * u * u * u) * dtf
-            if raw < b_min:
-                floor_added += b_min - raw
-                raw = b_min
-                failed = True
-            elif raw > b_max:
-                curtailed += raw - b_max
-                raw = b_max
-            vel[i] = u
-            sum_u += u
-            b = raw
-            soc[i] = b
-            if j == spd - 1:
-                iteration += 1
-                u_hat += k_p * (b - b_des)
-                if u_hat < u_min:
-                    u_hat = u_min
-                elif u_hat > u_max:
-                    u_hat = u_max
-                prev = day_buf
-                day_buf = [0.0] * spd
-                if fixed_target is None:
-                    b_des = b
-                p1 = (
-                    costate_from_velocity(u_hat, p).p1
-                    if u_hat > 0
-                    else float("nan")
-                )
-                per_iter.append(IterationRecord(iteration, u_hat, p1, b))
-    elif cfg.strategy in ("constant-unconstrained", "constant-constrained"):
-        u_const = energy_balance_velocity(profile, cfg.mission_length, p)
-        constrained = cfg.strategy == "constant-constrained"
-        for i in range(n):
-            p_in = p_list[i]
-            b_l = bl_list[i]
-            b_u = bu_list[i]
-            if constrained:
-                meas = b + noise_list[i] if noise_list is not None else b
-                if meas >= b_u:
-                    u = u_max
-                elif meas <= b_l:
-                    u = u_min
-                else:
-                    u = u_const
-            else:
-                u = u_const
-            if b < b_l:
-                d = b_l - b
-                x2 += d * d * dt
-            elif b > b_u:
-                d = b - b_u
-                x2 += d * d * dt
-            raw = b + (p_in - k_h - k_m * u * u * u) * dtf
-            if raw < b_min:
-                floor_added += b_min - raw
-                raw = b_min
-                failed = True
-            elif raw > b_max:
-                curtailed += raw - b_max
-                raw = b_max
-            vel[i] = u
-            sum_u += u
-            b = raw
-            soc[i] = b
-    elif cfg.strategy == "mpc":
-        controller = mpc_controller(
-            cfg.mpc, profile, env, p, dt, t_end=cfg.mission_length
-        )
-        for i in range(n):
-            p_in = p_list[i]
-            b_l = bl_list[i]
-            b_u = bu_list[i]
-            meas = b + noise_list[i] if noise_list is not None else b
-            u = controller(meas, times[i])
-            if b < b_l:
-                d = b_l - b
-                x2 += d * d * dt
-            elif b > b_u:
-                d = b - b_u
-                x2 += d * d * dt
-            raw = b + (p_in - k_h - k_m * u * u * u) * dtf
-            if raw < b_min:
-                floor_added += b_min - raw
-                raw = b_min
-                failed = True
-            elif raw > b_max:
-                curtailed += raw - b_max
-                raw = b_max
-            vel[i] = u
-            sum_u += u
-            b = raw
-            soc[i] = b
-    else:  # pragma: no cover - validate() rejects unknown strategies
-        raise ConfigError(f"sim.strategy: unknown strategy {cfg.strategy!r}")
-
-    wall = time.perf_counter() - wall0
-    return SimResult(
-        strategy=cfg.strategy,
-        dt=dt,
-        initial_soc=float(cfg.initial_soc),
-        soc_trace=np.asarray(soc),
-        velocity_trace=np.asarray(vel),
-        p_in_trace=np.asarray(p_list),
-        distance=sum_u * dt,
-        terminal_soc=b,
-        violation=x2,
-        per_iteration=per_iter,
-        wall_time=wall,
-        curtailed_wh=curtailed,
-        floor_added_wh=floor_added,
-        battery_failed=failed,
+        noise = rng.normal(0.0, cfg.noise_std, n + 1).tolist()
+    result = simulate(
+        build_policy(cfg, profile, env, times),
+        sample_array(profile, times).tolist(),
+        lower.tolist(),
+        upper.tolist(),
+        cfg.initial_soc,
+        cfg.vessel,
+        dt,
+        noise,
     )
+    return replace(result, wall_time=time.perf_counter() - wall0)
 
 
 # ---------------------------------------------------------------------------

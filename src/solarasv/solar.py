@@ -85,6 +85,8 @@ class SolarProfile:
             raise ValueError("profile has no samples")
         if times.size != powers.size:
             raise ValueError("times and powers must have equal length")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(powers))):
+            raise ValueError("times and powers must be finite")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
         if np.any(powers < 0):
@@ -94,8 +96,8 @@ class SolarProfile:
                 f"interpolation must be one of {_INTERPOLATIONS}, got {self.interpolation!r}"
             )
         if self.period is not None:
-            if self.period <= 0:
-                raise ValueError("period must be > 0")
+            if not 0 < self.period < math.inf:
+                raise ValueError("period must be finite and > 0")
             if times[-1] - times[0] >= self.period:
                 raise ValueError("periodic profile must span less than one period")
         times.setflags(write=False)
@@ -157,6 +159,10 @@ def load_profile(
                 raise ValueError(
                     f"{path}: line {lineno}: non-numeric field in {stripped!r}"
                 ) from exc
+            if not (math.isfinite(t) and math.isfinite(p)):
+                raise ValueError(
+                    f"{path}: line {lineno}: non-finite value in {stripped!r}"
+                )
             times.append(t)
             powers.append(p)
     if not times:

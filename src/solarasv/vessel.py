@@ -1,24 +1,19 @@
-"""Vessel energy model: cubic drag power law and battery state-of-charge stepping.
+"""Vessel energy model: parameters and the cubic drag power law.
 
 Electrical load at cruise is a constant hotel draw plus a motor term cubic in
 speed through water:
 
     power_draw(u) = k_h + k_m * u**3        [W]
 
-The battery integrates net power with forward Euler. SOC is held in Wh, so one
-step is
-
-    b' = b + (p_in - power_draw(u)) * dt / 3600
-
-clamped to the physical window [b_min, b_max]. Clamping at the top models solar
-curtailment (energy the charge controller throws away on a full battery);
-clamping at the bottom is a mission failure and latches the ``failed`` flag.
-The 1/3600 W.s -> Wh conversion lives here and nowhere else.
+The battery integrates net power with forward Euler, SOC in Wh, clamped to
+the physical window [b_min, b_max]; that step lives in
+:func:`solarasv.harness.simulate`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -33,6 +28,9 @@ class VesselParams:
     u_max: float = 2.315   # m/s
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.k_h < 0:
             raise ValueError("k_h must be >= 0")
         if self.k_m <= 0:
@@ -41,19 +39,6 @@ class VesselParams:
             raise ValueError("b_min must be strictly below b_max")
         if not 0.0 <= self.u_min < self.u_max:
             raise ValueError("velocity limits must satisfy 0 <= u_min < u_max")
-
-
-@dataclass(frozen=True)
-class SocState:
-    """Battery state: SOC in Wh plus a latched underflow flag.
-
-    ``failed`` is set (and stays set) once an unclamped update would have taken
-    the SOC below the physical floor, i.e. the mission demanded energy the
-    battery did not have.
-    """
-
-    b: float
-    failed: bool = False
 
 
 def power_draw(u: float, params: VesselParams) -> float:
@@ -67,21 +52,3 @@ def power_draw(u: float, params: VesselParams) -> float:
         )
     return params.k_h + params.k_m * u ** 3
 
-
-def step_soc(
-    state: SocState, u: float, p_in: float, dt: float, params: VesselParams
-) -> SocState:
-    """Advance the SOC one forward-Euler step of ``dt`` seconds.
-
-    ``p_in`` is the solar input power in W. The returned state is clamped to
-    [b_min, b_max]; with no clamping active the energy bookkeeping is exact:
-    b' - b == (p_in - power_draw(u)) * dt / 3600.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if p_in < 0:
-        raise ValueError("p_in must be >= 0")
-    raw = state.b + (p_in - power_draw(u, params)) * dt / 3600.0
-    failed = state.failed or raw < params.b_min
-    b = min(max(raw, params.b_min), params.b_max)
-    return SocState(b=b, failed=failed)

@@ -8,13 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from solarasv import (
-    BarrierEnvelope,
-    IdealizedSolarParams,
-    SolarProfile,
-    VesselParams,
-    tabulate_idealized,
-)
+from solarasv.barrier import BarrierEnvelope
+from solarasv.harness import Policy, SimResult, simulate
+from solarasv.solar import IdealizedSolarParams, SolarProfile, tabulate_idealized
+from solarasv.vessel import VesselParams
 
 
 # one "criterion N: PASS/FAIL - detail" line per acceptance criterion,
@@ -27,6 +24,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def step_fixed(
+    params: VesselParams,
+    b0: float,
+    us: list[float],
+    p_in: list[float],
+    dt: float = 360.0,
+    lower: list[float] | None = None,
+    upper: list[float] | None = None,
+) -> SimResult:
+    """Run the harness step loop with a fixed velocity per step.
+
+    The bounds default to the battery window, where they never bind.
+    """
+    n = len(us)
+    lower = [params.b_min] * n if lower is None else lower
+    upper = [params.b_max] * n if upper is None else upper
+    policy = Policy("fixed", lambda b, b_l, b_u, i: us[i])
+    return simulate(policy, p_in, lower, upper, b0, params, dt)
 
 
 @pytest.fixture

@@ -13,29 +13,29 @@ import math
 import numpy as np
 import pytest
 
-from solarasv import (
-    Costate,
-    IdealizedSource,
-    IlcSettings,
-    MpcConfig,
-    MpcController,
-    SimConfig,
-    SolarProfile,
-    VesselParams,
-    build_input_profile,
-    buffered_velocity_array,
-    compare_strategies,
-    energy_balance_velocity,
+from solarasv.barrier import (
     energy_deficit,
     energy_surplus,
     lower_barrier,
-    power_draw,
-    run_mission,
-    sample_array,
-    stationarity_residual,
     upper_barrier,
+)
+from solarasv.benchmark import MpcConfig, MpcController, energy_balance_velocity
+from solarasv.controller import (
+    Costate,
+    _buffered_velocity,
+    stationarity_residual,
     velocity_from_costate,
 )
+from solarasv.harness import (
+    IdealizedSource,
+    IlcSettings,
+    SimConfig,
+    build_input_profile,
+    compare_strategies,
+    run_mission,
+)
+from solarasv.solar import SolarProfile, sample_array
+from solarasv.vessel import VesselParams, power_draw
 
 from conftest import ACCEPTANCE_LINES, dp_enum_value, random_dp_instance
 
@@ -303,7 +303,11 @@ def test_criterion_8_buffer_continuity():
     inc = 1e-3
     u_star = velocity_from_costate(Costate(p1=-0.0012), params)
     bs = np.arange(b_l - delta, b_u + delta + inc / 2, inc)
-    us = buffered_velocity_array(bs, b_l, b_u, u_star, delta, params)
+    # the scalar law the step loop executes, point by point
+    u_min, u_max = params.u_min, params.u_max
+    us = np.array(
+        [_buffered_velocity(b, b_l, b_u, u_star, delta, u_min, u_max) for b in bs.tolist()]
+    )
     max_jump = float(np.max(np.abs(np.diff(us))))
     bound = inc * (params.u_max - params.u_min) / delta
     _record(8, max_jump < bound,

@@ -5,10 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from solarasv import (
+from solarasv.barrier import (
     BarrierEnvelope,
-    SolarProfile,
-    VesselParams,
     build_envelope,
     energy_deficit,
     energy_surplus,
@@ -16,6 +14,8 @@ from solarasv import (
     upper_barrier,
     write_envelope_csv,
 )
+from solarasv.solar import SolarProfile
+from solarasv.vessel import VesselParams
 
 
 def _const_profile(power: float, end: float = 200_000.0) -> SolarProfile:
@@ -179,8 +179,9 @@ class TestBarrierEnvelope:
 
     def test_interpolated_queries(self):
         env = self._env()
-        assert env.lower_at(50.0) == pytest.approx(35.0)
-        assert env.upper_at(150.0) == pytest.approx(6475.0)
+        lo, hi = env.bounds_arrays(np.array([50.0, 150.0]))
+        assert lo[0] == pytest.approx(35.0)
+        assert hi[1] == pytest.approx(6475.0)
         lo, hi = env.bounds_arrays(np.array([0.0, 200.0]))
         assert lo.tolist() == [50.0, 0.0]
         assert hi.tolist() == [6400.0, 6500.0]
@@ -188,16 +189,17 @@ class TestBarrierEnvelope:
     def test_non_periodic_rejects_out_of_range(self):
         env = self._env()
         with pytest.raises(ValueError, match="outside the envelope grid"):
-            env.lower_at(201.0)
+            env.bounds_arrays(np.array([201.0]))
         with pytest.raises(ValueError, match="outside the envelope grid"):
-            env.upper_at(-1.0)
+            env.bounds_arrays(np.array([-1.0]))
 
     def test_periodic_wrap(self):
         env = self._env(period=300.0)
-        assert env.lower_at(300.0 + 50.0) == env.lower_at(50.0)
+        lo, hi = env.bounds_arrays(np.array([350.0, 50.0, 250.0, -50.0]))
+        assert lo[0] == lo[1]
         # wrap segment interpolates toward the first knot
-        assert env.lower_at(250.0) == pytest.approx(25.0)
-        assert env.upper_at(-50.0) == env.upper_at(250.0)
+        assert lo[2] == pytest.approx(25.0)
+        assert hi[3] == hi[2]
 
 
 # ======================================================================
@@ -235,7 +237,8 @@ class TestBuildEnvelope:
         grid = np.arange(0.0, 86400.0, 360.0)
         env = build_envelope(canonical_day, params, grid, mode="periodic-day")
         assert env.periodic and env.period == 86400.0
-        assert env.lower_at(86400.0 + 1234.0) == env.lower_at(1234.0)
+        lo, _ = env.bounds_arrays(np.array([86400.0 + 1234.0, 1234.0]))
+        assert lo[0] == lo[1]
 
     def test_periodic_day_dominates_single_horizon_day(self, params, canonical_day):
         """The steady-state floor can only be tighter than one finite day."""

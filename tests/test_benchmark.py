@@ -7,19 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from solarasv import (
-    BarrierEnvelope,
-    MpcConfig,
-    MpcController,
-    SocState,
-    SolarProfile,
-    VesselParams,
-    constrained_constant_controller,
-    energy_balance_velocity,
-    integrate_power,
-    mpc_controller,
-    step_soc,
+from solarasv.barrier import BarrierEnvelope
+from solarasv.benchmark import MpcConfig, MpcController, energy_balance_velocity
+from solarasv.harness import (
+    Policy,
+    SimConfig,
+    build_input_profile,
+    build_mission_envelope,
+    build_policy,
+    simulate,
 )
+from solarasv.solar import SolarProfile, integrate_power
+from solarasv.vessel import VesselParams
 
 from conftest import dp_enum_bruteforce, dp_enum_value, random_dp_instance
 
@@ -74,19 +73,14 @@ class TestEnergyBalanceVelocity:
 
 class TestConstrainedConstantController:
     def test_switching_behavior(self, params):
-        env = BarrierEnvelope(
-            times=np.array([0.0, 1000.0]),
-            lower=np.array([1000.0, 1000.0]),
-            upper=np.array([5000.0, 5000.0]),
-        )
-        ctl = constrained_constant_controller(1.5, env, params)
-        assert ctl(3000.0, 0.0) == 1.5
-        assert ctl(999.0, 0.0) == params.u_min
-        assert ctl(5001.0, 0.0) == params.u_max
-
-    def test_rejects_out_of_range_velocity(self, params):
-        with pytest.raises(ValueError, match="outside vessel velocity limits"):
-            constrained_constant_controller(3.0, _wide_env(), params)
+        cfg = SimConfig(strategy="constant-constrained", mission_length=86400.0)
+        profile = build_input_profile(cfg)
+        env = build_mission_envelope(cfg, profile)
+        u_const = energy_balance_velocity(profile, cfg.mission_length, params)
+        control = build_policy(cfg, profile, env, np.zeros(1)).control
+        assert control(3000.0, 1000.0, 5000.0, 0) == u_const
+        assert control(999.0, 1000.0, 5000.0, 0) == params.u_min
+        assert control(5001.0, 1000.0, 5000.0, 0) == params.u_max
 
 
 # ======================================================================
@@ -111,6 +105,10 @@ class TestMpcConfig:
             {"u_grid": 1},
             {"terminal_reward_slope": -0.1},
             {"replan_interval": 0},
+            {"horizon": float("nan")},
+            {"horizon": float("inf")},
+            {"terminal_reward_slope": float("nan")},
+            {"terminal_reward_slope": float("inf")},
         ],
     )
     def test_validation(self, kw):
@@ -123,12 +121,6 @@ class TestMpcConfig:
             MpcController(cfg, _const_profile(100.0), _wide_env(), params, dt=0.0)
         with pytest.raises(ValueError, match="cover at least one step"):
             MpcController(cfg, _const_profile(100.0), _wide_env(), params, dt=7200.0)
-
-    def test_factory(self, params):
-        ctl = mpc_controller(
-            MpcConfig(horizon=3600.0), _const_profile(100.0), _wide_env(), params, 360.0
-        )
-        assert isinstance(ctl, MpcController)
 
 
 # ======================================================================
@@ -230,16 +222,23 @@ class TestPlanValues:
             checked += 1
             dtf = dt / 3600.0
             i = ctl._snap(b0)
-            state = SocState(b=b0)
-            assert state.b >= ctl.lattice[i]
+            assert b0 >= ctl.lattice[i]
+            planned = []
             for k, u in enumerate(actions):
                 draw = params.k_h + params.k_m * u**3
                 shift = math.floor((p_seq[k] - draw) * dtf / ctl.res)
                 i = min(i + shift, n_soc - 1)
                 assert i >= 0
-                state = step_soc(state, float(u), float(p_seq[k]), dt, params)
-                assert not state.failed
-                assert state.b >= ctl.lattice[i] - 1e-9
+                planned.append(ctl.lattice[i])
+            # roll the plan out through the harness's step loop
+            bl, bu = env.bounds_arrays(dt * np.arange(k_steps))
+            u_plan = actions.tolist()
+            executed = simulate(
+                Policy("plan", lambda b, b_l, b_u, j: u_plan[j]),
+                p_seq.tolist(), bl.tolist(), bu.tolist(), b0, params, dt,
+            )
+            assert not executed.battery_failed
+            assert np.all(executed.soc_trace >= np.asarray(planned) - 1e-9)
         assert checked >= 6  # most random draws must be feasible
 
 

@@ -4,14 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from solarasv import (
-    ConfigError,
-    FileSource,
-    IdealizedSource,
-    load_compare_configs,
-    load_sim_config,
-    parse_kv_file,
-)
+from solarasv.config import load_compare_configs, load_sim_config, parse_kv_file
+from solarasv.harness import ConfigError, FileSource, IdealizedSource
 
 
 def _write(tmp_path, text: str, name: str = "mission.cfg"):

@@ -1,27 +1,25 @@
-"""Tests for solarasv.controller — duality map, switching laws, learning updates."""
+"""Tests for solarasv.controller — duality map, switching laws, the learning policy."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from solarasv import (
-    BarrierEnvelope,
+from solarasv.barrier import BarrierEnvelope
+from solarasv.controller import (
     Costate,
-    IlcState,
-    VesselParams,
-    ViolationAccumulator,
-    accumulate_violation,
-    buffered_control,
-    buffered_velocity_array,
+    IlcPolicy,
+    _buffered_velocity,
+    _switching_velocity,
     costate_from_velocity,
-    ilc_daily_update,
-    ilc_rate_update,
     stationarity_residual,
-    switching_control,
     validate_buffer,
     velocity_from_costate,
 )
+from solarasv.harness import Policy, SimConfig, run_mission, simulate
+from solarasv.vessel import VesselParams, power_draw
+
+from conftest import step_fixed
 
 
 def _flat_env(b_l: float = 1000.0, b_u: float = 5000.0) -> BarrierEnvelope:
@@ -43,7 +41,6 @@ class TestCostateDuality:
             Costate(p1=0.0)
         with pytest.raises(ValueError, match="p1 must be < 0"):
             Costate(p1=1e-3)
-        assert Costate(p1=-1e-3).p2 == 0.0
 
     def test_frozen_velocity_value(self, params):
         # sqrt(1 / (3 * 83 * 0.0012)), checked by hand
@@ -89,30 +86,31 @@ class TestCostateDuality:
 
 
 class TestSwitchingControl:
+    def _u(self, b, params, b_l=1000.0, b_u=5000.0):
+        return _switching_velocity(b, b_l, b_u, 1.83, params.u_min, params.u_max)
+
     def test_three_branches(self, params):
-        env = _flat_env()
-        assert switching_control(6000.0, 0.0, env, 1.83, params) == params.u_max
-        assert switching_control(500.0, 0.0, env, 1.83, params) == params.u_min
-        assert switching_control(3000.0, 0.0, env, 1.83, params) == 1.83
+        assert self._u(6000.0, params) == params.u_max
+        assert self._u(500.0, params) == params.u_min
+        assert self._u(3000.0, params) == 1.83
 
     def test_boundary_membership(self, params):
-        env = _flat_env()
-        assert switching_control(5000.0, 0.0, env, 1.83, params) == params.u_max
-        assert switching_control(1000.0, 0.0, env, 1.83, params) == params.u_min
+        assert self._u(5000.0, params) == params.u_max
+        assert self._u(1000.0, params) == params.u_min
 
     def test_upper_branch_wins_degenerate_envelope(self, params):
-        env = _flat_env(b_l=3000.0, b_u=3000.0)
-        assert switching_control(3000.0, 0.0, env, 1.83, params) == params.u_max
+        assert self._u(3000.0, params, b_l=3000.0, b_u=3000.0) == params.u_max
 
     def test_time_varying_bounds(self, params):
-        env = BarrierEnvelope(
-            times=np.array([0.0, 100.0]),
-            lower=np.array([0.0, 2000.0]),
-            upper=np.array([6500.0, 6500.0]),
+        # the step loop hands the law each step's bounds: the same SOC gets
+        # different verdicts as the floor rises
+        policy = Policy("switching", lambda b, b_l, b_u, i: self._u(b, params, b_l, b_u))
+        draw = power_draw(1.83, params)
+        r = simulate(
+            policy, [draw, 0.0], [0.0, 2000.0], [6500.0, 6500.0], 1000.0, params, 360.0
         )
-        # same SOC, different verdicts as the floor rises
-        assert switching_control(1000.0, 0.0, env, 1.83, params) == 1.83
-        assert switching_control(1000.0, 100.0, env, 1.83, params) == params.u_min
+        assert r.soc_trace[0] == pytest.approx(1000.0)
+        assert r.velocity_trace.tolist() == [1.83, params.u_min]
 
 
 # ======================================================================
@@ -120,63 +118,43 @@ class TestSwitchingControl:
 # ======================================================================
 
 
+def _buffered(b, params, u_star=1.83, delta=100.0, b_l=1000.0, b_u=5000.0):
+    return _buffered_velocity(b, b_l, b_u, u_star, delta, params.u_min, params.u_max)
+
+
 class TestBufferedControl:
     def test_band_anchors(self, params):
-        env = _flat_env()
-        d = 100.0
         u_star = 1.83
-        assert buffered_control(1000.0, 0.0, env, u_star, d, params) == params.u_min
-        assert buffered_control(1100.0, 0.0, env, u_star, d, params) == u_star
-        assert buffered_control(3000.0, 0.0, env, u_star, d, params) == u_star
-        assert buffered_control(4900.0, 0.0, env, u_star, d, params) == u_star
-        assert buffered_control(5000.0, 0.0, env, u_star, d, params) == params.u_max
+        assert _buffered(1000.0, params) == params.u_min
+        assert _buffered(1100.0, params) == u_star
+        assert _buffered(3000.0, params) == u_star
+        assert _buffered(4900.0, params) == u_star
+        assert _buffered(5000.0, params) == params.u_max
 
     def test_band_midpoints_blend_linearly(self, params):
-        env = _flat_env()
-        d = 100.0
         u_star = 1.83
-        lo_mid = buffered_control(1050.0, 0.0, env, u_star, d, params)
-        assert lo_mid == pytest.approx(0.5 * u_star + 0.5 * params.u_min)
-        hi_mid = buffered_control(4950.0, 0.0, env, u_star, d, params)
-        assert hi_mid == pytest.approx(0.5 * u_star + 0.5 * params.u_max)
+        assert _buffered(1050.0, params) == pytest.approx(0.5 * u_star + 0.5 * params.u_min)
+        assert _buffered(4950.0, params) == pytest.approx(0.5 * u_star + 0.5 * params.u_max)
 
     def test_outside_envelope_saturates(self, params):
-        env = _flat_env()
-        assert buffered_control(500.0, 0.0, env, 1.83, 100.0, params) == params.u_min
-        assert buffered_control(6400.0, 0.0, env, 1.83, 100.0, params) == params.u_max
+        assert _buffered(500.0, params) == params.u_min
+        assert _buffered(6400.0, params) == params.u_max
 
     def test_small_scale_continuity(self, params):
         """Velocity is Lipschitz in SOC with constant max(span)/delta."""
-        env = _flat_env()
         d = 100.0
         u_star = 1.83
         bs = np.linspace(900.0, 5100.0, 42001)  # 0.105 Wh spacing
-        us = buffered_velocity_array(bs, 1000.0, 5000.0, u_star, d, params)
+        us = np.array([_buffered(b, params) for b in bs.tolist()])
         lipschitz = max(u_star - params.u_min, params.u_max - u_star) / d
         max_jump = float(np.max(np.abs(np.diff(us))))
         assert max_jump <= lipschitz * float(bs[1] - bs[0]) + 1e-12
 
-    def test_array_matches_scalar_bitwise(self, params):
-        env = _flat_env()
-        d = 100.0
-        u_star = 1.83
-        rng = np.random.default_rng(3)
-        bs = np.concatenate(
-            [
-                rng.uniform(800.0, 5200.0, size=500),
-                np.array([1000.0, 1100.0, 5000.0, 4900.0, 999.999, 5000.001]),
-            ]
-        )
-        arr = buffered_velocity_array(bs, 1000.0, 5000.0, u_star, d, params)
-        scalars = [buffered_control(b, 0.0, env, u_star, d, params) for b in bs]
-        assert arr.tolist() == scalars
-
     def test_delta_validation(self, params):
-        env = _flat_env()
         with pytest.raises(ValueError, match="delta must be > 0"):
-            buffered_control(3000.0, 0.0, env, 1.83, 0.0, params)
+            _policy(params, delta=0.0)
         with pytest.raises(ValueError, match="delta must be > 0"):
-            buffered_velocity_array(np.array([3000.0]), 1000.0, 5000.0, 1.83, -1.0, params)
+            _policy(params, delta=-1.0)
 
     def test_validate_buffer(self):
         env = _flat_env(b_l=1000.0, b_u=1100.0)  # gap 100
@@ -188,99 +166,105 @@ class TestBufferedControl:
 
 
 # ======================================================================
-# Iterative learning updates
+# Iterative learning policy
 # ======================================================================
+
+WIDE = (-1e12, 1e12)  # bounds far from any SOC used here: the law returns u_star
+
+
+def _policy(params, **kw) -> IlcPolicy:
+    base = dict(
+        cycle_steps=2, u_init=1.0, k_p=5e-5, k_d=1e-5, delta=100.0,
+        b_des=3000.0, retarget=False,
+    )
+    base.update(kw)
+    return IlcPolicy(params, **base)
 
 
 class TestIlcUpdates:
-    def _state(self, **kw):
-        base = dict(u_hat=1.0, k_p=5e-5, k_d=1e-5, b_des=3000.0)
-        base.update(kw)
-        return IlcState(**base)
-
     def test_daily_update_proportional(self, params):
-        st = self._state()
-        nxt = ilc_daily_update(st, b_tf=3400.0, params=params)
-        assert nxt.u_hat == pytest.approx(1.0 + 5e-5 * 400.0)
-        assert nxt.iteration == 1
-        assert nxt.b_des == 3000.0
+        pol = _policy(params)
+        pol.end_cycle(3400.0)
+        assert pol.u_hat == pytest.approx(1.0 + 5e-5 * 400.0)
+        assert pol.iteration == 1
+        assert pol.b_des == 3000.0
 
     def test_daily_update_fixed_point(self, params):
-        st = self._state()
-        nxt = ilc_daily_update(st, b_tf=3000.0, params=params)
-        assert nxt.u_hat == 1.0
+        pol = _policy(params)
+        pol.end_cycle(3000.0)
+        assert pol.u_hat == 1.0
 
     def test_daily_update_clamps(self, params):
-        st = self._state(u_hat=2.3)
-        assert ilc_daily_update(st, 1e9, params).u_hat == params.u_max
-        st = self._state(u_hat=0.01)
-        assert ilc_daily_update(st, -1e9, params).u_hat == params.u_min
+        pol = _policy(params, u_init=2.3)
+        pol.end_cycle(1e9)
+        assert pol.u_hat == params.u_max
+        pol = _policy(params, u_init=0.01)
+        pol.end_cycle(-1e9)
+        assert pol.u_hat == params.u_min
 
     def test_daily_update_stores_trace_and_retargets(self, params):
-        st = self._state()
-        trace = np.array([3000.0, 3100.0, 3200.0])
-        nxt = ilc_daily_update(st, 3200.0, params, day_trace=trace, b_des_next=3333.0)
-        assert nxt.prev_soc_trace.tolist() == trace.tolist()
-        assert nxt.b_des == 3333.0
-        # None keeps the stored trace
-        after = ilc_daily_update(nxt, 3333.0, params)
-        assert after.prev_soc_trace.tolist() == trace.tolist()
+        pol = _policy(params, cycle_steps=3, retarget=True)
+        for i, b in enumerate((3000.0, 3100.0, 3200.0)):
+            pol.velocity(b, *WIDE, i)
+        pol.end_cycle(3333.0)
+        assert pol.prev_soc == [3000.0, 3100.0, 3200.0]
+        assert pol.b_des == 3333.0
 
     def test_rate_update_first_cycle_passthrough(self, params):
-        st = self._state()
-        assert ilc_rate_update(st, 9999.0, 0, params) == 1.0
+        pol = _policy(params)
+        assert pol.velocity(9999.0, *WIDE, 0) == 1.0
+        assert pol.velocity(1.0, *WIDE, 1) == 1.0
 
     def test_rate_update_tracks_previous_cycle(self, params):
-        prev = np.array([3000.0, 3100.0])
-        st = self._state(prev_soc_trace=prev, iteration=1)
-        u = ilc_rate_update(st, 3150.0, 1, params)
-        assert u == pytest.approx(1.0 + 1e-5 * 50.0)
+        pol = _policy(params)
+        pol.velocity(3000.0, *WIDE, 0)
+        pol.velocity(3100.0, *WIDE, 1)
+        pol.end_cycle(3000.0)  # on target: u_hat stays 1.0
+        assert pol.velocity(3150.0, *WIDE, 3) == pytest.approx(1.0 + 1e-5 * 50.0)
         # deficit versus the previous cycle slows the vessel down
-        u = ilc_rate_update(st, 2900.0, 0, params)
-        assert u == pytest.approx(1.0 - 1e-5 * 100.0)
+        assert pol.velocity(2900.0, *WIDE, 2) == pytest.approx(1.0 - 1e-5 * 100.0)
 
     def test_rate_update_clamps(self, params):
-        prev = np.array([3000.0])
-        st = self._state(u_hat=2.3, prev_soc_trace=prev, iteration=1)
-        assert ilc_rate_update(st, 3000.0 + 1e9, 0, params) == params.u_max
+        pol = _policy(params, u_init=2.3, cycle_steps=1)
+        pol.velocity(3000.0, *WIDE, 0)
+        pol.end_cycle(3000.0)
+        assert pol.velocity(3000.0 + 1e9, *WIDE, 1) == params.u_max
+        assert pol.velocity(3000.0 - 1e9, *WIDE, 2) == params.u_min
 
-    def test_rate_update_bounds_check(self, params):
-        st = self._state(prev_soc_trace=np.array([3000.0]), iteration=1)
-        with pytest.raises(ValueError, match="outside previous trace"):
-            ilc_rate_update(st, 3000.0, 1, params)
-        with pytest.raises(ValueError, match="outside previous trace"):
-            ilc_rate_update(st, 3000.0, -1, params)
+    def test_command_passes_through_buffered_law(self, params):
+        pol = _policy(params)
+        assert pol.velocity(1000.0, 1000.0, 5000.0, 0) == params.u_min
+        assert pol.velocity(1050.0, 1000.0, 5000.0, 1) == pytest.approx(0.5)
+        assert pol.velocity(5000.0, 1000.0, 5000.0, 2) == params.u_max
 
 
 # ======================================================================
-# Violation accumulator
+# Violation integral (accumulated by the harness step loop)
 # ======================================================================
 
 
 class TestViolationAccumulator:
+    def _one_step(self, params, b):
+        # u = 0 and p_in = k_h: the SOC holds still for the step
+        return step_fixed(params, b, [0.0], [10.0], lower=[1000.0], upper=[5000.0])
+
     def test_inside_envelope_is_free(self, params):
-        env = _flat_env()
-        acc = ViolationAccumulator()
-        out = accumulate_violation(acc, 3000.0, env, 0.0, 360.0)
-        assert out is acc  # untouched, not just equal
+        assert self._one_step(params, 3000.0).violation == 0.0
 
     def test_quadratic_excursion_below(self, params):
-        env = _flat_env()
-        out = accumulate_violation(ViolationAccumulator(), 990.0, env, 0.0, 360.0)
-        assert out.x2 == pytest.approx(10.0**2 * 360.0)
+        assert self._one_step(params, 990.0).violation == pytest.approx(10.0**2 * 360.0)
 
     def test_quadratic_excursion_above(self, params):
-        env = _flat_env()
-        out = accumulate_violation(ViolationAccumulator(), 5025.0, env, 0.0, 360.0)
-        assert out.x2 == pytest.approx(25.0**2 * 360.0)
+        assert self._one_step(params, 5025.0).violation == pytest.approx(25.0**2 * 360.0)
 
     def test_accumulates_across_steps(self, params):
-        env = _flat_env()
-        acc = ViolationAccumulator()
-        for b in (990.0, 3000.0, 5010.0):
-            acc = accumulate_violation(acc, b, env, 0.0, 100.0)
-        assert acc.x2 == pytest.approx(100.0 * 100.0 * 2.0)
+        # the SOC holds at 3000 Wh while the bounds move past it
+        r = step_fixed(
+            params, 3000.0, [0.0] * 3, [10.0] * 3, dt=100.0,
+            lower=[3010.0, 0.0, 0.0], upper=[6500.0, 6500.0, 2990.0],
+        )
+        assert r.violation == pytest.approx(100.0 * 100.0 * 2.0)
 
-    def test_dt_validation(self, params):
-        with pytest.raises(ValueError, match="dt must be > 0"):
-            accumulate_violation(ViolationAccumulator(), 0.0, _flat_env(), 0.0, 0.0)
+    def test_dt_validation(self):
+        with pytest.raises(ValueError, match="sim.dt: must be > 0"):
+            run_mission(SimConfig(dt=0.0))

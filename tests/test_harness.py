@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from solarasv import (
+from solarasv.benchmark import MpcConfig
+from solarasv.harness import (
     ConfigError,
     FileSource,
     IdealizedSource,
     IlcSettings,
-    MpcConfig,
+    Policy,
     SimConfig,
-    VesselParams,
     build_input_profile,
     build_mission_envelope,
     compare_strategies,
@@ -22,12 +23,14 @@ from solarasv import (
     export_comparison,
     export_traces,
     nominal_day_profile,
-    power_draw,
     run_mission,
-    sample,
+    simulate,
 )
+from solarasv.solar import sample
+from solarasv.vessel import VesselParams, power_draw
 
 DAY = 86400.0
+NAN, INF = float("nan"), float("inf")
 
 
 def _cfg(**kw) -> SimConfig:
@@ -80,6 +83,28 @@ class TestValidation:
                 "lengths differ",
             ),
             ({"solar": FileSource(path="x.csv", scale=0.0)}, "solar.scale"),
+            ({"dt": NAN}, "sim.dt: must be finite"),
+            ({"mission_length": INF}, "sim.mission_length: must be finite"),
+            ({"mission_length": NAN}, "sim.mission_length: must be finite"),
+            ({"initial_soc": NAN}, "sim.initial_soc: must be finite"),
+            ({"noise_std": INF}, "sim.noise_std: must be finite"),
+            ({"ilc": IlcSettings(k_p=NAN)}, "controller.k_p: must be finite"),
+            ({"ilc": IlcSettings(k_d=INF)}, "controller.k_d: must be finite"),
+            ({"ilc": IlcSettings(delta=INF)}, "controller.delta: must be finite"),
+            ({"ilc": IlcSettings(u_init=NAN)}, "controller.u_init: must be finite"),
+            ({"ilc": IlcSettings(b_des=-INF)}, "controller.b_des: must be finite"),
+            ({"solar": IdealizedSource(d0=NAN)}, "solar.d0: must be finite"),
+            ({"solar": IdealizedSource(d1=INF)}, "solar.d1: must be finite"),
+            ({"solar": IdealizedSource(period=INF)}, "solar.period: must be finite"),
+            (
+                {"solar": IdealizedSource(d0_by_day=(1.0, NAN), d1_by_day=(1.0, 1.0))},
+                "solar.table: must be finite",
+            ),
+            ({"solar": FileSource(path="x.csv", scale=INF)}, "solar.scale: must be finite"),
+            (
+                {"solar": FileSource(path="x.csv", period=NAN)},
+                "solar.period: must be finite",
+            ),
         ],
     )
     def test_each_field_reports_itself(self, kw, fragment):
@@ -101,6 +126,28 @@ class TestValidation:
             run_mission(_cfg(dt=0.0, strategy="sail", noise_std=-1.0))
         msg = str(exc.value)
         assert "sim.dt" in msg and "sim.strategy" in msg and "sim.noise_std" in msg
+
+
+# ======================================================================
+# The step loop
+# ======================================================================
+
+
+class TestStepLoop:
+    def test_cycle_hook_gets_measured_and_true_soc(self, params):
+        seen = []
+
+        def end_cycle(b_meas, b):
+            seen.append((b_meas, b))
+            return len(seen)
+
+        policy = Policy("hooked", lambda b, b_l, b_u, i: 0.0, 2, end_cycle)
+        noise = [0.0, 0.0, 1.0, 0.0, 2.0]
+        r = simulate(
+            policy, [10.0] * 4, [0.0] * 4, [6500.0] * 4, 3000.0, params, 360.0, noise
+        )
+        assert seen == [(3001.0, 3000.0), (3002.0, 3000.0)]
+        assert r.per_iteration == [1, 2]
 
 
 # ======================================================================
@@ -208,6 +255,26 @@ class TestIlcMission:
         c = run_mission(_cfg(noise_std=5.0, rng_seed=8))
         assert a.velocity_trace.tolist() == b.velocity_trace.tolist()
         assert a.velocity_trace.tolist() != c.velocity_trace.tolist()
+
+    def test_learner_updates_from_measured_cycle_end_soc(self):
+        """u_hat follows the measured, not the true, cycle-end SOC."""
+        cfg = _cfg(mission_length=4 * DAY, noise_std=25.0, rng_seed=5)
+        result = run_mission(cfg)
+        n = result.soc_trace.size
+        noise = np.random.default_rng(5).normal(0.0, 25.0, n + 1)
+        spd = int(DAY / cfg.dt)
+        p = cfg.vessel
+        u_hat, b_des = cfg.ilc.u_init, cfg.initial_soc
+        expected = []
+        for end in range(spd - 1, n, spd):
+            b_meas = result.soc_trace[end] + noise[end + 1]
+            u_hat = min(max(u_hat + cfg.ilc.k_p * (b_meas - b_des), p.u_min), p.u_max)
+            b_des = b_meas
+            expected.append(u_hat)
+        assert [r.u_hat for r in result.per_iteration] == expected
+        # the records keep the true terminal SOC
+        ends = [result.soc_trace[e] for e in range(spd - 1, n, spd)]
+        assert [r.terminal_soc for r in result.per_iteration] == ends
 
     def test_noise_perturbs_commands_not_truth(self):
         clean = run_mission(_cfg())
@@ -393,6 +460,77 @@ class TestExports:
         series = (tmp_path / "distance_series.csv").read_text().splitlines()
         assert series[0] == "day,distance_m_constant-unconstrained,distance_m_ilc"
         assert len(series) == comp.days + 1
+
+
+# ======================================================================
+# Simulated numbers pinned across refactors
+# ======================================================================
+
+_GATE_SOLAR = IdealizedSource(
+    d0_by_day=(330.0, 165.0, 330.0, 360.0), d1_by_day=(500.0, 250.0, 500.0, 500.0)
+)
+# sha256 of soc/velocity/p_in trace bytes, then (distance, terminal_soc,
+# violation, curtailed_wh, floor_added_wh, battery_failed)
+_P_IN = "b221661d722f51b28dd86348db9628b1dc2be84e5dbe362338b3fde7ff5e84bc"
+_GATE = {
+    "ilc": (
+        "2cbe70b52aabd6aaa482d84578a9fd40538c926eccc9e025c580bdd4b0be9c94",
+        "61b092d2cbacd892ff241bf472dd13d7f887634bc23f2c378e90cba2ec2c55da",
+        _P_IN,
+        (487381.0540610551, 6481.750471212287, 0.0, 0.0, 0.0, False),
+    ),
+    "constant-constrained": (
+        "079d762415800178139dfa6c6d2aac5f68d2a2bd5a9e9a16dc641f7bde479e41",
+        "4176ab61608b0af35977a5f132da184fb2356fb9ed8046aa76721d6d24356d54",
+        _P_IN,
+        (529956.2384985588, 3133.196107638208, 37126.86184889681, 0.0,
+         138.85851904897237, True),
+    ),
+    "constant-unconstrained": (
+        "5a67263ddd8163e302e0d1d37b136d9e5fb35bc3e943aa3e417cd1ef1db920c4",
+        "72abbad930cf0869cc007b6778a393e362016447931214c3c6b950f0f8958ecb",
+        _P_IN,
+        (542385.9157341324, 3121.2150741968053, 132548.00559133547, 0.0,
+         832.7150741967959, True),
+    ),
+    "mpc": (
+        "81cbea90fa735a29b977352ddf4ca354ae8e5309e84f7f4eedaf629f64124669",
+        "0fa93514a34968ef812b0d07e1fcdbbf72642cf5ea2bf2ea36ca6a3561770a5f",
+        _P_IN,
+        (509026.22608695604, 2253.9070217078197, 0.0, 0.0, 0.0, False),
+    ),
+}
+_GATE_U_HAT = [
+    1.1618563307066458, 1.3126605167039191, 1.474313708213052, 1.6359012317736663
+]
+
+
+def test_simulated_numbers_match_recorded_digests():
+    """Four noise-free 4-day runs, one per strategy, bitwise as recorded."""
+    for strategy, (soc, vel, p_in, scalars) in _GATE.items():
+        cfg = _cfg(
+            mission_length=4 * DAY,
+            strategy=strategy,
+            solar=_GATE_SOLAR,
+            barrier_mode="horizon",
+            ilc=IlcSettings(b_des=3250.0),
+            mpc=MpcConfig(
+                horizon=43200.0, soc_grid=131, u_grid=24,
+                terminal_reward_slope=5.1, replan_interval=24,
+            ),
+        )
+        r = run_mission(cfg)
+        got = tuple(
+            hashlib.sha256(a.tobytes()).hexdigest()
+            for a in (r.soc_trace, r.velocity_trace, r.p_in_trace)
+        )
+        assert got == (soc, vel, p_in), strategy
+        assert (
+            r.distance, r.terminal_soc, r.violation,
+            r.curtailed_wh, r.floor_added_wh, r.battery_failed,
+        ) == scalars, strategy
+        if strategy == "ilc":
+            assert [rec.u_hat for rec in r.per_iteration] == _GATE_U_HAT
 
 
 # ======================================================================

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from solarasv import (
+from solarasv.solar import (
     IdealizedSolarParams,
     SolarProfile,
     idealized_irradiance,
@@ -73,6 +73,17 @@ class TestSolarProfile:
             SolarProfile(times=np.array([0.0, 1.0]), powers=np.array([1.0, -2.0]))
         with pytest.raises(ValueError, match="no samples"):
             SolarProfile(times=np.array([]), powers=np.array([]))
+        for times, powers in (
+            ([0.0, 1.0], [1.0, np.nan]),
+            ([0.0, 1.0], [np.inf, 2.0]),
+            ([0.0, np.inf], [1.0, 2.0]),
+            ([np.nan, 1.0], [1.0, 2.0]),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                SolarProfile(times=np.array(times), powers=np.array(powers))
+        for period in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="period must be finite"):
+                SolarProfile(times=np.array([0.0]), powers=np.array([1.0]), period=period)
         with pytest.raises(ValueError, match="interpolation"):
             SolarProfile(
                 times=np.array([0.0]), powers=np.array([1.0]), interpolation="cubic"
@@ -152,6 +163,10 @@ class TestLoadProfile:
         f.write_text("0,100\nnoon,200\n")
         with pytest.raises(ValueError, match="line 2"):
             load_profile(f)
+        for row in ("3600,nan", "3600,inf", "inf,200"):
+            f.write_text(f"0,100\n{row}\n")
+            with pytest.raises(ValueError, match="line 2: non-finite"):
+                load_profile(f)
 
     def test_non_monotone_timestamps_rejected(self, tmp_path):
         f = tmp_path / "bad.csv"

@@ -1,10 +1,16 @@
-"""Tests for solarasv.vessel — power law and SOC stepping."""
+"""Tests for solarasv.vessel, and for the SOC step the harness loop applies."""
 
 from __future__ import annotations
 
 import pytest
 
-from solarasv import SocState, VesselParams, power_draw, step_soc
+import numpy as np
+
+from solarasv.harness import ConfigError, SimConfig, run_mission
+from solarasv.solar import SolarProfile
+from solarasv.vessel import VesselParams, power_draw
+
+from conftest import step_fixed
 
 
 class TestVesselParams:
@@ -28,6 +34,12 @@ class TestVesselParams:
             {"u_min": -0.1},
             {"u_min": 2.315},
             {"u_max": 0.0, "u_min": 0.0},
+            {"k_m": float("nan")},
+            {"k_h": float("inf")},
+            {"b_min": float("-inf")},
+            {"b_max": float("nan")},
+            {"u_min": float("nan")},
+            {"u_max": float("inf")},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -59,48 +71,50 @@ class TestPowerDraw:
 
 
 class TestStepSoc:
+    """The forward-Euler SOC step and its clamps, as harness.simulate runs them."""
+
     def test_exact_euler_arithmetic(self, params):
         # b' = b + (p_in - draw) * dt/3600, no clamp active
-        s = step_soc(SocState(b=1000.0), u=1.0, p_in=500.0, dt=360.0, params=params)
-        assert s.b == 1000.0 + (500.0 - 93.0) * 0.1
-        assert s.failed is False
+        r = step_fixed(params, 1000.0, [1.0], [500.0])
+        assert r.soc_trace[0] == 1000.0 + (500.0 - 93.0) * 0.1
+        assert r.battery_failed is False
+        assert r.distance == 360.0
 
     def test_zero_net_power_is_a_fixed_point(self, params):
-        s0 = SocState(b=3000.0)
-        s1 = step_soc(s0, u=1.0, p_in=93.0, dt=360.0, params=params)
-        assert s1.b == 3000.0
+        r = step_fixed(params, 3000.0, [1.0], [93.0])
+        assert r.soc_trace[0] == 3000.0
 
     def test_ceiling_clamp_models_curtailment(self, params):
-        s = step_soc(SocState(b=6499.0), u=0.0, p_in=1000.0, dt=3600.0, params=params)
-        assert s.b == params.b_max
-        assert s.failed is False
+        r = step_fixed(params, 6499.0, [0.0], [1000.0], dt=3600.0)
+        assert r.soc_trace[0] == params.b_max
+        assert r.curtailed_wh == 6499.0 + 990.0 - params.b_max
+        assert r.battery_failed is False and r.floor_added_wh == 0.0
 
     def test_floor_clamp_latches_failure(self, params):
-        s = step_soc(SocState(b=5.0), u=params.u_max, p_in=0.0, dt=3600.0, params=params)
-        assert s.b == params.b_min
-        assert s.failed is True
+        r = step_fixed(params, 5.0, [params.u_max], [0.0], dt=3600.0)
+        assert r.soc_trace[0] == params.b_min
+        assert r.battery_failed is True
+        assert r.floor_added_wh == pytest.approx(power_draw(params.u_max, params) - 5.0)
 
     def test_failure_flag_is_sticky(self, params):
-        failed = SocState(b=0.0, failed=True)
-        s = step_soc(failed, u=0.0, p_in=800.0, dt=3600.0, params=params)
-        assert s.b > 0.0
-        assert s.failed is True
+        r = step_fixed(params, 5.0, [params.u_max, 0.0], [0.0, 800.0], dt=3600.0)
+        assert r.soc_trace[1] > 0.0
+        assert r.battery_failed is True
 
     def test_soc_stays_in_physical_window(self, params):
-        import numpy as np
-
         rng = np.random.default_rng(7)
-        s = SocState(b=3000.0)
-        for _ in range(500):
-            u = rng.uniform(params.u_min, params.u_max)
-            p = rng.uniform(0.0, 1500.0)
-            s = step_soc(s, u=u, p_in=p, dt=360.0, params=params)
-            assert params.b_min <= s.b <= params.b_max
+        us = rng.uniform(params.u_min, params.u_max, 500).tolist()
+        p_in = rng.uniform(0.0, 1500.0, 500).tolist()
+        r = step_fixed(params, 3000.0, us, p_in)
+        assert np.all(r.soc_trace >= params.b_min)
+        assert np.all(r.soc_trace <= params.b_max)
+        assert r.velocity_trace.tolist() == us
 
-    def test_invalid_dt_rejected(self, params):
-        with pytest.raises(ValueError, match="dt"):
-            step_soc(SocState(b=100.0), u=0.0, p_in=0.0, dt=0.0, params=params)
+    def test_invalid_dt_rejected(self):
+        # the loop trusts its inputs: they are rejected before it runs
+        with pytest.raises(ConfigError, match="sim.dt: must be > 0"):
+            run_mission(SimConfig(dt=0.0))
 
-    def test_negative_input_power_rejected(self, params):
-        with pytest.raises(ValueError, match="p_in"):
-            step_soc(SocState(b=100.0), u=0.0, p_in=-1.0, dt=360.0, params=params)
+    def test_negative_input_power_rejected(self):
+        with pytest.raises(ValueError, match="powers must be >= 0"):
+            SolarProfile(times=np.array([0.0, 1.0]), powers=np.array([1.0, -1.0]))
