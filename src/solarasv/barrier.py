@@ -26,10 +26,12 @@ Two construction modes:
 * "horizon": barriers over the full span of a given profile (used when the
   true future input is available, e.g. oracle tests and benchmark runs). The
   lower barrier always ends at 0: nothing after t_f needs protecting.
-* "periodic-day": barriers over one nominal clear-sky day, with the sup taken
+* "periodic-day": barriers over one period of the mission's own periodic
+  profile (the clear-sky day, or a log declared periodic), with the sup taken
   over a two-period window and the result declared periodic. Requires a
   periodic profile whose net drift per period is non-positive for both
-  curves, otherwise no bounded periodic envelope exists.
+  curves, otherwise no bounded periodic envelope exists. A day table or a
+  non-periodic log has no period to repeat and needs "horizon".
 """
 
 from __future__ import annotations

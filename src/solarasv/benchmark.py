@@ -7,10 +7,12 @@ Three reference strategies bracket the learned controller:
   Physically unrealizable in general; it upper-bounds achievable distance.
 * constant-constrained: the same velocity, but commanded through the hard
   switching law so the tightened SOC bounds are respected.
-* mpc: a receding-horizon planner with a perfect forecast. At each step it
-  solves a finite-horizon distance maximization by backward dynamic
-  programming on a (SOC x step) lattice with velocities from a small grid,
-  then executes the plan prefix.
+* mpc: a receding-horizon planner with a perfect forecast: its forecast is
+  the mission's tabulated input power, the same per-step values the battery
+  integrates. At each replan it solves a finite-horizon distance
+  maximization by backward dynamic programming on a (SOC x step) lattice
+  with velocities from a small grid, then executes the plan prefix. The
+  horizon is truncated at the mission's last step.
 
 Lattice semantics (shared with the exhaustive-enumeration test oracle, which
 must match the DP value exactly):
@@ -27,15 +29,15 @@ must match the DP value exactly):
   executed trajectory at or above its planned SOC path.
 * A shift below cell 0 is a battery underflow and the transition is
   infeasible; a shift past the top cell clamps there (curtailment).
-* The post state must lie inside the tightened envelope [b_l, b_u] sampled at
-  the next stage time, otherwise the transition is infeasible.
+* The post state must lie inside the tightened envelope [b_l, b_u] at the
+  next step boundary, otherwise the transition is infeasible.
 * Stage reward is u * dt meters; the terminal state earns
   terminal_reward_slope * soc (m per Wh). Ties break toward the higher
   velocity.
 
 If no action is feasible from the current state the controller falls back to
-the switching branches (u_min below the lower barrier, u_max above the upper,
-u_min otherwise).
+the switching law on the step loop's bounds with u_min as the interior
+velocity: u_max at or above the upper barrier, u_min otherwise.
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .barrier import BarrierEnvelope
-from .solar import SolarProfile, integrate_power, sample_array
+from .controller import _switching_velocity
+# sample_array is not called here; it stays importable because perfbench
+# hooks solarasv.benchmark.sample_array and its self-tests resolve every hook
+from .solar import SolarProfile, integrate_power, sample_array  # noqa: F401
 from .vessel import VesselParams
 
 
@@ -75,7 +79,7 @@ def energy_balance_velocity(
 class MpcConfig:
     """Receding-horizon planner knobs.
 
-    horizon: lookahead in seconds (truncated at the mission end).
+    horizon: lookahead in seconds (truncated at the mission's last step).
     soc_grid / u_grid: lattice sizes (>= 2 each).
     terminal_reward_slope: value of terminal stored energy, m per Wh.
     replan_interval: steps executed from each plan before re-solving.
@@ -99,34 +103,44 @@ class MpcConfig:
 
 
 class MpcController:
-    """Callable (soc_wh, t_s) -> velocity; plans on a quantized SOC lattice."""
+    """Policy control (soc_wh, b_l, b_u, step) -> velocity; plans on a SOC lattice.
+
+    p_in holds the mission's input power at each step start, the same values
+    the battery integrates, so the planner's forecast is perfect. lower and
+    upper hold the envelope at every step boundary, one entry more than p_in:
+    entry k is the bound at the start of step k, and the last entry the bound
+    after the final step. Plans stop at the last step.
+    """
 
     def __init__(
         self,
         cfg: MpcConfig,
-        forecast: SolarProfile,
-        env: BarrierEnvelope,
+        p_in: np.ndarray,
+        lower: np.ndarray,
+        upper: np.ndarray,
         params: VesselParams,
         dt: float,
-        t_end: float | None = None,
     ) -> None:
         if dt <= 0:
             raise ValueError("dt must be > 0")
         if cfg.horizon < dt:
             raise ValueError("horizon must cover at least one step")
+        if not len(lower) == len(upper) == len(p_in) + 1:
+            raise ValueError("lower and upper need one entry more than p_in")
         self.cfg = cfg
-        self.forecast = forecast
-        self.env = env
+        self.p_in = np.asarray(p_in, dtype=float)
+        self.lower = np.asarray(lower, dtype=float)
+        self.upper = np.asarray(upper, dtype=float)
         self.params = params
         self.dt = float(dt)
-        self.t_end = t_end
         self.lattice = np.linspace(params.b_min, params.b_max, cfg.soc_grid)
         self.res = (params.b_max - params.b_min) / (cfg.soc_grid - 1)
         # descending so argmax resolves value ties toward the higher velocity
         self.u_desc = np.linspace(params.u_min, params.u_max, cfg.u_grid)[::-1].copy()
         self.draw_desc = params.k_h + params.k_m * self.u_desc ** 3
         self.horizon_steps = max(1, int(round(cfg.horizon / dt)))
-        self._queue: list[float] = []
+        self._actions: list[float] = []
+        self._next = 0
 
     def _snap(self, b: float) -> int:
         # floor, not nearest: the root cell must never hold more energy
@@ -134,27 +148,18 @@ class MpcController:
         b = min(max(b, self.params.b_min), self.params.b_max)
         return int(np.floor((b - self.params.b_min) / self.res))
 
-    def _stage_count(self, t: float) -> int:
-        k = self.horizon_steps
-        if self.t_end is not None:
-            k = min(k, int(round((self.t_end - t) / self.dt)))
-        return k
-
-    def plan(self, b: float, t: float) -> tuple[float, np.ndarray | None]:
-        """Solve the lookahead DP from (b, t).
+    def plan(self, b: float, step: int) -> tuple[float, np.ndarray | None]:
+        """Solve the lookahead DP from SOC b at the start of ``step``.
 
         Returns (optimal lattice value, planned velocities) or (-inf, None)
         when no feasible action sequence exists from the snapped state.
         """
-        k_steps = self._stage_count(t)
-        if k_steps <= 0:
-            return 0.0, np.asarray([])
+        stop = min(step + self.horizon_steps, len(self.p_in))
+        k_steps = stop - step
         dtf = self.dt / 3600.0
-        stage_times = t + self.dt * np.arange(k_steps + 1)
-        if not self.forecast.periodic and stage_times[-2] > self.forecast.end + 1e-9:
-            raise ValueError("forecast does not cover the lookahead window")
-        p = sample_array(self.forecast, stage_times[:-1])
-        bl, bu = self.env.bounds_arrays(stage_times[1:])
+        p = self.p_in[step:stop]
+        bl = self.lower[step + 1:stop + 1]
+        bu = self.upper[step + 1:stop + 1]
 
         lattice = self.lattice
         n_soc = lattice.size
@@ -192,21 +197,14 @@ class MpcController:
             state = int(np.clip(state + shifts[k, j], 0, n_soc - 1))
         return float(value[root]), actions
 
-    def _fallback(self, b: float, t: float) -> float:
-        b_l, b_u = (float(x[0]) for x in self.env.bounds_arrays(np.asarray([t])))
-        if b <= b_l:
-            return self.params.u_min
-        if b >= b_u:
-            return self.params.u_max
-        return self.params.u_min
-
-    def __call__(self, b: float, t: float) -> float:
-        if not self._queue:
-            _, actions = self.plan(b, t)
+    def __call__(self, b: float, b_l: float, b_u: float, step: int) -> float:
+        if self._next == len(self._actions):
+            _, actions = self.plan(b, step)
             if actions is None:
-                return self._fallback(b, t)
-            if len(actions) == 0:
-                return self.params.u_min
-            self._queue = [float(u) for u in actions]
-        return self._queue.pop(0)
-
+                p = self.params
+                return _switching_velocity(b, b_l, b_u, p.u_min, p.u_min, p.u_max)
+            self._actions = actions.tolist()
+            self._next = 0
+        u = self._actions[self._next]
+        self._next += 1
+        return u

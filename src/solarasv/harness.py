@@ -146,6 +146,8 @@ class SimConfig:
             )
         if self.noise_std < 0:
             errors.append("sim.noise_std: must be >= 0")
+        if self.rng_seed < 0:
+            errors.append("sim.rng_seed: must be >= 0")
         if self.strategy == "ilc":
             if self.dt > 0 and abs(DAY_S / self.dt - round(DAY_S / self.dt)) > 1e-9:
                 errors.append("sim.dt: must divide 86400 s for the ilc strategy")
@@ -240,31 +242,22 @@ def build_input_profile(cfg: SimConfig) -> SolarProfile:
     )
 
 
-def nominal_day_profile(cfg: SimConfig) -> SolarProfile:
-    """The configured clear-sky day used by periodic-day barrier building."""
-    if isinstance(cfg.solar, IdealizedSource):
-        params = IdealizedSolarParams(
-            d0=cfg.solar.d0, d1=cfg.solar.d1, period=cfg.solar.period
-        )
-    else:
-        params = IdealizedSolarParams()
-    return tabulate_idealized(params, cfg.dt)
-
-
 def build_mission_envelope(cfg: SimConfig, profile: SolarProfile) -> BarrierEnvelope:
+    """The tightened-SOC envelope built from the mission's own input profile.
+
+    horizon mode evaluates the barriers on the mission grid; periodic-day
+    mode on one period of the profile, and repeats them.
+    """
+    if cfg.barrier_mode == "periodic-day" and not profile.periodic:
+        raise ConfigError(
+            "barrier.mode: periodic-day repeats one period of the solar source, "
+            "but a solar.table or a log without solar.periodic has none; use horizon"
+        )
     if cfg.barrier_mode == "horizon":
-        if not profile.covers(0.0, cfg.mission_length) or (
-            not profile.periodic and profile.end < cfg.mission_length
-        ):
-            raise ConfigError(
-                "solar source does not cover the mission; horizon barriers need "
-                f"data through t={cfg.mission_length}"
-            )
         grid = np.arange(0.0, cfg.mission_length + cfg.dt / 2, cfg.dt)
-        return build_envelope(profile, cfg.vessel, grid, mode="horizon")
-    nominal = nominal_day_profile(cfg)
-    grid = np.arange(0.0, float(nominal.period), cfg.dt)
-    return build_envelope(nominal, cfg.vessel, grid, mode="periodic-day")
+    else:
+        grid = np.arange(0.0, float(profile.period), cfg.dt)
+    return build_envelope(profile, cfg.vessel, grid, mode=cfg.barrier_mode)
 
 
 class Policy(NamedTuple):
@@ -283,9 +276,18 @@ class Policy(NamedTuple):
 
 
 def build_policy(
-    cfg: SimConfig, profile: SolarProfile, env: BarrierEnvelope, times: np.ndarray
+    cfg: SimConfig,
+    profile: SolarProfile,
+    env: BarrierEnvelope,
+    p_in: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
 ) -> Policy:
-    """The configured strategy's control law, ready for :func:`simulate`."""
+    """The configured strategy's control law, ready for :func:`simulate`.
+
+    p_in, lower and upper are the mission's tabulation (see
+    :func:`run_mission`); the planner reads them as its forecast.
+    """
     p = cfg.vessel
     if cfg.strategy == "ilc":
         s = cfg.ilc
@@ -310,10 +312,8 @@ def build_policy(
         return Policy(cfg.strategy, learner.velocity, learner.cycle_steps, end_cycle)
 
     if cfg.strategy == "mpc":
-        planner = MpcController(
-            cfg.mpc, profile, env, p, cfg.dt, t_end=cfg.mission_length
-        )
-        return Policy(cfg.strategy, lambda b, b_l, b_u, i: planner(b, times[i]))
+        planner = MpcController(cfg.mpc, p_in, lower, upper, p, cfg.dt)
+        return Policy(cfg.strategy, planner)
 
     u_const = energy_balance_velocity(profile, cfg.mission_length, p)
     if cfg.strategy == "constant-constrained":
@@ -418,26 +418,31 @@ def run_mission(cfg: SimConfig) -> SimResult:
     wall0 = time.perf_counter()
 
     profile = build_input_profile(cfg)
-    if not profile.periodic and profile.end < cfg.mission_length:
+    if not profile.periodic and (
+        profile.start > 0 or profile.end < cfg.mission_length
+    ):
         raise ConfigError(
-            "solar source does not cover the mission "
-            f"(data ends at t={profile.end}, mission ends at t={cfg.mission_length})"
+            f"solar source does not cover the mission (data spans t={profile.start}"
+            f"..{profile.end}, mission spans t=0..{cfg.mission_length})"
         )
     env = build_mission_envelope(cfg, profile)
 
+    # the one tabulation of the mission every strategy reads: power at each
+    # step start, bounds at each step boundary (the last one ends the mission)
     dt = float(cfg.dt)
     n = int(round(cfg.mission_length / dt))
-    times = np.arange(n) * dt
+    times = np.arange(n + 1) * dt
     lower, upper = env.bounds_arrays(times)
+    p_in = sample_array(profile, times[:-1])
     noise = None
     if cfg.noise_std > 0:
         rng = np.random.default_rng(cfg.rng_seed)
         noise = rng.normal(0.0, cfg.noise_std, n + 1).tolist()
     result = simulate(
-        build_policy(cfg, profile, env, times),
-        sample_array(profile, times).tolist(),
-        lower.tolist(),
-        upper.tolist(),
+        build_policy(cfg, profile, env, p_in, lower, upper),
+        p_in.tolist(),
+        lower[:-1].tolist(),
+        upper[:-1].tolist(),
         cfg.initial_soc,
         cfg.vessel,
         dt,

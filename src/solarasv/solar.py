@@ -117,14 +117,6 @@ class SolarProfile:
     def end(self) -> float:
         return float(self.times[-1])
 
-    def covers(self, t0: float, t1: float) -> bool:
-        """True if the profile defines values over the whole window [t0, t1]."""
-        if self.periodic:
-            return True
-        # Beyond the last sample the value is held constant, so only the
-        # left edge can fall outside the domain.
-        return t0 >= self.start
-
 
 def load_profile(
     source: str | Path,
@@ -251,13 +243,10 @@ def tabulate_seasonal(
     d1_by_day: Sequence[float],
     dt: float,
     period: float = 86400.0,
-    pad: float = 0.0,
 ) -> SolarProfile:
     """Tabulate the idealized model with per-day (d0, d1) constants.
 
     Day k (t in [k*period, (k+1)*period)) uses d0_by_day[k], d1_by_day[k].
-    ``pad`` extends the table past the last day (holding its constants) so
-    lookahead controllers can sample beyond the mission end.
     """
     d0 = np.asarray(d0_by_day, dtype=float)
     d1 = np.asarray(d1_by_day, dtype=float)
@@ -267,8 +256,7 @@ def tabulate_seasonal(
         raise ValueError("d1 values must be >= 0")
     if dt <= 0 or period <= 0:
         raise ValueError("dt and period must be > 0")
-    total = d0.size * period + pad
-    times = np.arange(0.0, total + dt / 2, dt)
+    times = np.arange(0.0, d0.size * period + dt / 2, dt)
     day = np.minimum((times // period).astype(int), d0.size - 1)
     powers = np.maximum(
         0.0, d0[day] + d1[day] * np.cos(_TWO_PI * np.mod(times, period) / period)

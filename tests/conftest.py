@@ -8,7 +8,6 @@ import math
 import numpy as np
 import pytest
 
-from solarasv.barrier import BarrierEnvelope
 from solarasv.harness import Policy, SimResult, simulate
 from solarasv.solar import IdealizedSolarParams, SolarProfile, tabulate_idealized
 from solarasv.vessel import VesselParams
@@ -149,19 +148,14 @@ def dp_enum_bruteforce(
 
 
 def random_dp_instance(rng: np.random.Generator, k_steps: int, n_soc: int, n_u: int):
-    """A random lattice instance: forecast, envelope, and matching MpcConfig knobs.
+    """A random lattice instance in the planner's array form.
 
-    Returns (profile, env, k_steps, dt) where the envelope knots sit exactly on
-    the stage times so interpolation is the identity.
+    Returns (p_seq, lower, upper, dt): k_steps input powers, one per stage,
+    and the envelope at the k_steps + 1 stage boundaries.
     """
     dt = 360.0
-    stage_times = dt * np.arange(k_steps + 1)
     p_seq = rng.uniform(0.0, 1200.0, size=k_steps)
-    profile = SolarProfile(
-        times=stage_times[:-1], powers=p_seq, interpolation="hold"
-    )
     params = VesselParams()
-    lo = rng.uniform(0.0, 800.0, size=k_steps + 1)
-    hi = params.b_max - rng.uniform(0.0, 800.0, size=k_steps + 1)
-    env = BarrierEnvelope(times=stage_times, lower=lo, upper=hi)
-    return profile, env, p_seq, dt
+    lower = rng.uniform(0.0, 800.0, size=k_steps + 1)
+    upper = params.b_max - rng.uniform(0.0, 800.0, size=k_steps + 1)
+    return p_seq, lower, upper, dt

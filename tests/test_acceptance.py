@@ -245,7 +245,7 @@ def test_criterion_6_dp_oracle_equivalence():
         k_steps = int(rng.integers(2, 21))
         n_soc = int(rng.integers(2, 21))
         n_u = int(rng.integers(2, 6))
-        profile, env, p_seq, dt = random_dp_instance(rng, k_steps, n_soc, n_u)
+        p_seq, lower, upper, dt = random_dp_instance(rng, k_steps, n_soc, n_u)
         cfg = MpcConfig(
             horizon=k_steps * dt,
             soc_grid=n_soc,
@@ -253,15 +253,13 @@ def test_criterion_6_dp_oracle_equivalence():
             terminal_reward_slope=5.0,
             replan_interval=k_steps,
         )
-        ctl = MpcController(cfg, profile, env, params, dt)
-        stage_times = dt * np.arange(k_steps + 1)
-        bl, bu = env.bounds_arrays(stage_times[1:])
+        ctl = MpcController(cfg, p_seq, lower, upper, params, dt)
         root = int(rng.integers(0, n_soc - 1))
         b = min(ctl.lattice[root] + 0.5 * ctl.res, params.b_max)
-        got, _ = ctl.plan(b, 0.0)
+        got, _ = ctl.plan(b, 0)
         want = dp_enum_value(
             root, ctl.lattice, ctl.u_desc, ctl.draw_desc,
-            p_seq, bl, bu, ctl.res, dt, 5.0,
+            p_seq, lower[1:], upper[1:], ctl.res, dt, 5.0,
         )
         assert got == want, f"plan {got!r} != enumeration {want!r}"
         if math.isfinite(want):

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from solarasv.barrier import BarrierEnvelope
 from solarasv.benchmark import MpcConfig, MpcController, energy_balance_velocity
 from solarasv.harness import (
     Policy,
@@ -17,7 +16,7 @@ from solarasv.harness import (
     build_policy,
     simulate,
 )
-from solarasv.solar import SolarProfile, integrate_power
+from solarasv.solar import SolarProfile, integrate_power, sample_array
 from solarasv.vessel import VesselParams
 
 from conftest import dp_enum_bruteforce, dp_enum_value, random_dp_instance
@@ -27,12 +26,13 @@ def _const_profile(power: float, end: float = 1e7) -> SolarProfile:
     return SolarProfile(times=np.array([0.0, end]), powers=np.array([power, power]))
 
 
-def _wide_env(end: float = 1e7) -> BarrierEnvelope:
-    p = VesselParams()
-    return BarrierEnvelope(
-        times=np.array([0.0, end]),
-        lower=np.array([0.0, 0.0]),
-        upper=np.array([p.b_max, p.b_max]),
+def _flat(power: float, steps: int, lower: float = 0.0, upper: float | None = None):
+    """(p_in, lower, upper) of a constant input under constant bounds."""
+    upper = VesselParams().b_max if upper is None else upper
+    return (
+        np.full(steps, power),
+        np.full(steps + 1, lower),
+        np.full(steps + 1, upper),
     )
 
 
@@ -77,7 +77,10 @@ class TestConstrainedConstantController:
         profile = build_input_profile(cfg)
         env = build_mission_envelope(cfg, profile)
         u_const = energy_balance_velocity(profile, cfg.mission_length, params)
-        control = build_policy(cfg, profile, env, np.zeros(1)).control
+        times = 360.0 * np.arange(241)
+        lower, upper = env.bounds_arrays(times)
+        p_in = sample_array(profile, times[:-1])
+        control = build_policy(cfg, profile, env, p_in, lower, upper).control
         assert control(3000.0, 1000.0, 5000.0, 0) == u_const
         assert control(999.0, 1000.0, 5000.0, 0) == params.u_min
         assert control(5001.0, 1000.0, 5000.0, 0) == params.u_max
@@ -118,9 +121,12 @@ class TestMpcConfig:
     def test_controller_construction_validation(self, params):
         cfg = MpcConfig(horizon=3600.0)
         with pytest.raises(ValueError, match="dt must be > 0"):
-            MpcController(cfg, _const_profile(100.0), _wide_env(), params, dt=0.0)
+            MpcController(cfg, *_flat(100.0, 10), params, dt=0.0)
         with pytest.raises(ValueError, match="cover at least one step"):
-            MpcController(cfg, _const_profile(100.0), _wide_env(), params, dt=7200.0)
+            MpcController(cfg, *_flat(100.0, 10), params, dt=7200.0)
+        p_in, lower, upper = _flat(100.0, 10)
+        with pytest.raises(ValueError, match="one entry more than p_in"):
+            MpcController(cfg, p_in, lower[:-1], upper[:-1], params, dt=360.0)
 
 
 # ======================================================================
@@ -128,7 +134,8 @@ class TestMpcConfig:
 # ======================================================================
 
 
-def _make_controller(profile, env, k_steps, dt, n_soc, n_u, slope, params):
+def _make_controller(p_in, lower, upper, dt, n_soc, n_u, slope, params):
+    k_steps = len(p_in)
     cfg = MpcConfig(
         horizon=k_steps * dt,
         soc_grid=n_soc,
@@ -136,7 +143,7 @@ def _make_controller(profile, env, k_steps, dt, n_soc, n_u, slope, params):
         terminal_reward_slope=slope,
         replan_interval=k_steps,
     )
-    return MpcController(cfg, profile, env, params, dt)
+    return MpcController(cfg, p_in, lower, upper, params, dt)
 
 
 class TestPlanValues:
@@ -146,18 +153,14 @@ class TestPlanValues:
             k_steps = int(rng.integers(2, 12))
             n_soc = int(rng.integers(5, 25))
             n_u = int(rng.integers(2, 6))
-            profile, env, p_seq, dt = random_dp_instance(rng, k_steps, n_soc, n_u)
-            ctl = _make_controller(
-                profile, env, k_steps, dt, n_soc, n_u, 5.0, params
-            )
-            stage_times = dt * np.arange(k_steps + 1)
-            bl, bu = env.bounds_arrays(stage_times[1:])
+            p_seq, lower, upper, dt = random_dp_instance(rng, k_steps, n_soc, n_u)
+            ctl = _make_controller(p_seq, lower, upper, dt, n_soc, n_u, 5.0, params)
             root = int(rng.integers(0, n_soc - 1))
             b = min(ctl.lattice[root] + 0.5 * ctl.res, params.b_max)
-            got, _ = ctl.plan(b, 0.0)
+            got, _ = ctl.plan(b, 0)
             want = dp_enum_value(
                 root, ctl.lattice, ctl.u_desc, ctl.draw_desc,
-                p_seq, bl, bu, ctl.res, dt, 5.0,
+                p_seq, lower[1:], upper[1:], ctl.res, dt, 5.0,
             )
             assert got == want  # same lattice arithmetic: exact equality
 
@@ -167,18 +170,14 @@ class TestPlanValues:
             k_steps = 4
             n_soc = 10
             n_u = 3
-            profile, env, p_seq, dt = random_dp_instance(rng, k_steps, n_soc, n_u)
-            ctl = _make_controller(
-                profile, env, k_steps, dt, n_soc, n_u, 2.0, params
-            )
-            stage_times = dt * np.arange(k_steps + 1)
-            bl, bu = env.bounds_arrays(stage_times[1:])
+            p_seq, lower, upper, dt = random_dp_instance(rng, k_steps, n_soc, n_u)
+            ctl = _make_controller(p_seq, lower, upper, dt, n_soc, n_u, 2.0, params)
             root = int(rng.integers(0, n_soc - 1))
             b = min(ctl.lattice[root] + 0.5 * ctl.res, params.b_max)
-            got, _ = ctl.plan(b, 0.0)
+            got, _ = ctl.plan(b, 0)
             want = dp_enum_bruteforce(
                 root, ctl.lattice, ctl.u_desc, ctl.draw_desc,
-                p_seq, bl, bu, ctl.res, dt, 2.0,
+                p_seq, lower[1:], upper[1:], ctl.res, dt, 2.0,
             )
             # brute force sums rewards head-first, the DP tail-first, so the
             # totals can differ in the last ulp
@@ -186,20 +185,16 @@ class TestPlanValues:
 
     def test_zero_terminal_slope_goes_full_throttle(self, params):
         """Stored energy worth nothing and inputs abundant: run at u_max."""
-        ctl = _make_controller(
-            _const_profile(1200.0), _wide_env(), 10, 360.0, 131, 24, 0.0, params
-        )
-        _, actions = ctl.plan(3000.0, 0.0)
+        ctl = _make_controller(*_flat(1200.0, 10), 360.0, 131, 24, 0.0, params)
+        _, actions = ctl.plan(3000.0, 0)
         assert actions is not None
         assert all(u == params.u_max for u in actions)
 
     def test_huge_terminal_slope_drifts_in_darkness(self, params):
         # 1 Wh cells: the lattice resolves the drift cost, so with stored
         # energy valued this highly every extra velocity level is a net loss
-        ctl = _make_controller(
-            _const_profile(0.0), _wide_env(), 10, 360.0, 6501, 24, 1e9, params
-        )
-        _, actions = ctl.plan(6000.0, 0.0)
+        ctl = _make_controller(*_flat(0.0, 10), 360.0, 6501, 24, 1e9, params)
+        _, actions = ctl.plan(6000.0, 0)
         assert actions is not None
         assert all(u == params.u_min for u in actions)
 
@@ -211,12 +206,10 @@ class TestPlanValues:
             k_steps = int(rng.integers(3, 15))
             n_soc = int(rng.integers(8, 40))
             n_u = int(rng.integers(2, 6))
-            profile, env, p_seq, dt = random_dp_instance(rng, k_steps, n_soc, n_u)
-            ctl = _make_controller(
-                profile, env, k_steps, dt, n_soc, n_u, 5.0, params
-            )
+            p_seq, lower, upper, dt = random_dp_instance(rng, k_steps, n_soc, n_u)
+            ctl = _make_controller(p_seq, lower, upper, dt, n_soc, n_u, 5.0, params)
             b0 = float(rng.uniform(2000.0, 5000.0))
-            value, actions = ctl.plan(b0, 0.0)
+            value, actions = ctl.plan(b0, 0)
             if actions is None:
                 continue
             checked += 1
@@ -231,11 +224,10 @@ class TestPlanValues:
                 assert i >= 0
                 planned.append(ctl.lattice[i])
             # roll the plan out through the harness's step loop
-            bl, bu = env.bounds_arrays(dt * np.arange(k_steps))
             u_plan = actions.tolist()
             executed = simulate(
                 Policy("plan", lambda b, b_l, b_u, j: u_plan[j]),
-                p_seq.tolist(), bl.tolist(), bu.tolist(), b0, params, dt,
+                p_seq.tolist(), lower[:-1].tolist(), upper[:-1].tolist(), b0, params, dt,
             )
             assert not executed.battery_failed
             assert np.all(executed.soc_trace >= np.asarray(planned) - 1e-9)
@@ -250,63 +242,41 @@ class TestPlanValues:
 class TestRecedingHorizon:
     def test_infeasible_root_falls_back(self, params):
         # a floor the planner cannot clear from a nearly empty battery
-        env = BarrierEnvelope(
-            times=np.array([0.0, 1e6]),
-            lower=np.array([6000.0, 6000.0]),
-            upper=np.array([6500.0, 6500.0]),
-        )
         ctl = MpcController(
-            MpcConfig(horizon=3600.0), _const_profile(0.0), env, params, 360.0
+            MpcConfig(horizon=3600.0), *_flat(0.0, 20, 6000.0, 6500.0), params, 360.0
         )
-        value, actions = ctl.plan(100.0, 0.0)
+        value, actions = ctl.plan(100.0, 0)
         assert value == -math.inf and actions is None
-        assert ctl(100.0, 0.0) == params.u_min  # below the floor: drift
+        assert ctl(100.0, 6000.0, 6500.0, 0) == params.u_min  # below the floor: drift
         # above a sunken ceiling the fallback sheds energy instead
-        env_hi = BarrierEnvelope(
-            times=np.array([0.0, 1e6]),
-            lower=np.array([0.0, 0.0]),
-            upper=np.array([100.0, 100.0]),
-        )
         ctl_hi = MpcController(
-            MpcConfig(horizon=3600.0), _const_profile(1200.0), env_hi, params, 360.0
+            MpcConfig(horizon=3600.0), *_flat(1200.0, 20, 0.0, 100.0), params, 360.0
         )
-        assert ctl_hi(6000.0, 0.0) == params.u_max
+        assert ctl_hi(6000.0, 0.0, 100.0, 0) == params.u_max
 
     def test_mission_end_truncates_horizon(self, params):
         ctl = MpcController(
             MpcConfig(horizon=86400.0, replan_interval=50),
-            _const_profile(500.0),
-            _wide_env(),
+            *_flat(500.0, 12),
             params,
             360.0,
-            t_end=720.0,
         )
-        _, actions = ctl.plan(3000.0, 0.0)
-        assert len(actions) == 2  # only two steps remain before t_end
-        value, actions = ctl.plan(3000.0, 720.0)
-        assert value == 0.0 and len(actions) == 0
-        assert ctl(3000.0, 720.0) == params.u_min
-
-    def test_forecast_coverage_enforced(self, params):
-        short = SolarProfile(times=np.array([0.0]), powers=np.array([500.0]))
-        ctl = MpcController(
-            MpcConfig(horizon=7200.0), short, _wide_env(), params, 360.0
-        )
-        with pytest.raises(ValueError, match="does not cover the lookahead"):
-            ctl.plan(3000.0, 0.0)
+        _, actions = ctl.plan(3000.0, 0)
+        assert len(actions) == 12  # the whole mission is shorter than the horizon
+        _, actions = ctl.plan(3000.0, 10)
+        assert len(actions) == 2  # only two steps remain
 
     def test_replan_interval_batches_solves(self, params):
         ctl = MpcController(
             MpcConfig(horizon=7200.0, replan_interval=3),
-            _const_profile(500.0),
-            _wide_env(),
+            *_flat(500.0, 40),
             params,
             360.0,
         )
         solves = []
         orig = ctl.plan
-        ctl.plan = lambda b, t: solves.append(t) or orig(b, t)
+        ctl.plan = lambda b, step: solves.append(step) or orig(b, step)
         for i in range(6):
-            u = ctl(3000.0, 360.0 * i)
+            u = ctl(3000.0, 0.0, params.b_max, i)
             assert params.u_min <= u <= params.u_max
-        assert solves == [0.0, 3.0 * 360.0]
+        assert solves == [0, 3]

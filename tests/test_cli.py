@@ -93,6 +93,25 @@ class TestErrorHandling:
         assert main(["compare", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source",
+        ["solar.table = days.csv", "solar.source = file\nsolar.file = log.csv"],
+        ids=["table", "file"],
+    )
+    @pytest.mark.parametrize("command", ["run", "barriers"])
+    def test_periodic_day_rejects_non_periodic_source(
+        self, tmp_path, capsys, command, source
+    ):
+        (tmp_path / "days.csv").write_text("0,300,500\n1,300,500\n")
+        (tmp_path / "log.csv").write_text("0,800\n172800,800\n")
+        cfg = _write(
+            tmp_path, FAST_RUN + f"barrier.mode = periodic-day\n{source}\n"
+        )
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "barrier.mode" in err
+        assert "Traceback" not in err
+
     def test_missing_subcommand_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):
             main([])

@@ -22,11 +22,11 @@ from solarasv.harness import (
     daily_cumulative_distance,
     export_comparison,
     export_traces,
-    nominal_day_profile,
     run_mission,
     simulate,
 )
-from solarasv.solar import sample
+from solarasv.barrier import build_envelope
+from solarasv.solar import load_profile, sample
 from solarasv.vessel import VesselParams, power_draw
 
 DAY = 86400.0
@@ -105,6 +105,7 @@ class TestValidation:
                 {"solar": FileSource(path="x.csv", period=NAN)},
                 "solar.period: must be finite",
             ),
+            ({"rng_seed": -1}, "sim.rng_seed"),
         ],
     )
     def test_each_field_reports_itself(self, kw, fragment):
@@ -174,11 +175,23 @@ class TestAssembly:
         prof = build_input_profile(cfg)
         assert sample(prof, 1000.0) == 300.0
 
-    def test_nominal_day_for_file_source_is_default_idealized(self, tmp_path):
-        f = tmp_path / "p.csv"
-        f.write_text("0,100\n86400,100\n")
-        prof = nominal_day_profile(_cfg(solar=FileSource(path=str(f))))
-        assert sample(prof, 0.0) == 800.0  # default d0 + d1
+    def test_periodic_day_envelope_comes_from_the_periodic_file(self, tmp_path, params):
+        # an overcast day: a short low midday peak, nothing like the clear sky
+        f = tmp_path / "day.csv"
+        f.write_text("0,0\n30000,0\n43200,400\n56400,0\n")
+        cfg = _cfg(solar=FileSource(path=str(f), period=DAY))
+        assert cfg.validate() == []
+        env = build_mission_envelope(cfg, build_input_profile(cfg))
+        want = build_envelope(
+            load_profile(f, period=DAY), params, np.arange(0.0, DAY, 360.0),
+            mode="periodic-day",
+        )
+        assert env.period == DAY
+        np.testing.assert_array_equal(env.times, want.times)
+        np.testing.assert_array_equal(env.lower, want.lower)
+        np.testing.assert_array_equal(env.upper, want.upper)
+        clear = build_mission_envelope(_cfg(), build_input_profile(_cfg()))
+        assert env.lower.max() > clear.lower.max()
 
     def test_horizon_envelope_covers_mission_grid(self):
         cfg = _cfg(barrier_mode="horizon")
@@ -191,14 +204,17 @@ class TestAssembly:
         f.write_text("0,300\n3600,300\n")
         cfg = _cfg(solar=FileSource(path=str(f)), barrier_mode="horizon")
         prof = build_input_profile(cfg)
-        with pytest.raises(ConfigError, match="horizon barriers need"):
+        with pytest.raises(ValueError, match="profile does not cover the requested grid"):
             build_mission_envelope(cfg, prof)
 
     def test_mission_needs_profile_coverage(self, tmp_path):
-        f = tmp_path / "short.csv"
-        f.write_text("0,300\n3600,300\n")
-        with pytest.raises(ConfigError, match="does not cover the mission"):
-            run_mission(_cfg(solar=FileSource(path=str(f))))
+        short = tmp_path / "short.csv"
+        short.write_text("0,300\n3600,300\n")
+        late = tmp_path / "late.csv"
+        late.write_text(f"360,300\n{3 * DAY},300\n")
+        for f in (short, late):
+            with pytest.raises(ConfigError, match="does not cover the mission"):
+                run_mission(_cfg(solar=FileSource(path=str(f))))
 
 
 # ======================================================================

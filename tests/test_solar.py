@@ -214,10 +214,6 @@ class TestTabulate:
         assert sample(prof, 43200.0) == 100.0
         assert sample(prof, 86400.0 + 43200.0) == 200.0
 
-    def test_seasonal_pad_holds_last_day(self):
-        prof = tabulate_seasonal([100.0, 200.0], [0.0, 0.0], dt=3600.0, pad=86400.0)
-        assert sample(prof, 2 * 86400.0 + 43200.0) == 200.0
-
     def test_seasonal_validation(self):
         with pytest.raises(ValueError):
             tabulate_seasonal([100.0], [0.0, 0.0], dt=360.0)
