@@ -35,6 +35,13 @@ must match the DP value exactly):
   terminal_reward_slope * soc (m per Wh). Ties break toward the higher
   velocity.
 
+The DP never gathers: each action moves the state by a whole number of
+cells, so every velocity's successor values form a shifted window of one
+padded value vector (``-inf`` below cell 0, the top cell repeated above it).
+A stage masks the vector to the envelope, reads the U windows, adds the stage
+rewards and reduces over velocities; the argmax is kept only for the stages
+the controller executes before it replans.
+
 If no action is feasible from the current state the controller falls back to
 the switching law on the step loop's bounds with u_min as the interior
 velocity: u_max at or above the upper barrier, u_min otherwise.
@@ -45,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .controller import _switching_velocity
 # sample_array is not called here; it stays importable because perfbench
@@ -79,7 +87,8 @@ def energy_balance_velocity(
 class MpcConfig:
     """Receding-horizon planner knobs.
 
-    horizon: lookahead in seconds (truncated at the mission's last step).
+    horizon: lookahead in seconds (truncated at the mission's last step); a
+      mission config must make it a whole number of steps.
     soc_grid / u_grid: lattice sizes (>= 2 each).
     terminal_reward_slope: value of terminal stored energy, m per Wh.
     replan_interval: steps executed from each plan before re-solving.
@@ -125,6 +134,8 @@ class MpcController:
             raise ValueError("dt must be > 0")
         if cfg.horizon < dt:
             raise ValueError("horizon must cover at least one step")
+        if len(p_in) == 0:
+            raise ValueError("p_in must cover at least one step")
         if not len(lower) == len(upper) == len(p_in) + 1:
             raise ValueError("lower and upper need one entry more than p_in")
         self.cfg = cfg
@@ -139,6 +150,13 @@ class MpcController:
         self.u_desc = np.linspace(params.u_min, params.u_max, cfg.u_grid)[::-1].copy()
         self.draw_desc = params.k_h + params.k_m * self.u_desc ** 3
         self.horizon_steps = max(1, int(round(cfg.horizon / dt)))
+        # the mission's extreme cell shifts bound every plan's (same floor
+        # arithmetic as plan), so one padded value vector serves all plans
+        dtf = self.dt / 3600.0
+        self._lo = max(0, -math.floor((self.p_in.min() - self.draw_desc.max()) * dtf / self.res))
+        hi = max(0, math.floor((self.p_in.max() - self.draw_desc.min()) * dtf / self.res))
+        self._padded = np.full(self._lo + cfg.soc_grid + hi, -np.inf)
+        self._windows = sliding_window_view(self._padded, cfg.soc_grid)
         self._actions: list[float] = []
         self._next = 0
 
@@ -146,16 +164,29 @@ class MpcController:
         # floor, not nearest: the root cell must never hold more energy
         # than the real battery does
         b = min(max(b, self.params.b_min), self.params.b_max)
-        return int(np.floor((b - self.params.b_min) / self.res))
+        return math.floor((b - self.params.b_min) / self.res)
 
     def plan(self, b: float, step: int) -> tuple[float, np.ndarray | None]:
         """Solve the lookahead DP from SOC b at the start of ``step``.
 
-        Returns (optimal lattice value, planned velocities) or (-inf, None)
-        when no feasible action sequence exists from the snapped state.
+        Each backward stage copies the next stage's values inside the
+        envelope [b_l, b_u] into the middle of one padded vector (``-inf`` at
+        the other cells); the cells below it hold ``-inf`` (underflow) and
+        those above it copies of the top cell (the clamp). Velocity j's
+        candidate row is the length-S window of that vector starting at its
+        cell shift, so a stage is one window read, one reward add and a max
+        over velocities. The vector is allocated once per controller, padded
+        for the mission's extreme shifts. Only the first ``take =
+        min(replan_interval, K)`` stages keep their argmax, as a (take, S)
+        policy table: the rollout reads no other rows.
+
+        Returns (optimal lattice value, the first ``take`` planned velocities)
+        or (-inf, None) when no feasible action sequence exists from the
+        snapped state.
         """
         stop = min(step + self.horizon_steps, len(self.p_in))
         k_steps = stop - step
+        take = min(self.cfg.replan_interval, k_steps)
         dtf = self.dt / 3600.0
         p = self.p_in[step:stop]
         bl = self.lower[step + 1:stop + 1]
@@ -163,38 +194,43 @@ class MpcController:
 
         lattice = self.lattice
         n_soc = lattice.size
-        idx = np.arange(n_soc)
         # quantized per-stage cell shifts, one row per stage, u descending;
         # floor biases toward energy loss so the plan stays physically coverable
         shifts = np.floor(
             (p[:, None] - self.draw_desc[None, :]) * dtf / self.res
         ).astype(np.int64)
+        lo, padded = self._lo, self._padded
+        middle = padded[lo:lo + n_soc]
+        starts = shifts + lo
+
+        # the lattice ascends, so stage k's envelope [b_l, b_u] is the cell
+        # range [first[k], end[k])
+        first = np.searchsorted(lattice, bl, side="left").tolist()
+        end = np.searchsorted(lattice, bu, side="right").tolist()
 
         value = self.cfg.terminal_reward_slope * lattice
-        policy = np.empty((k_steps, n_soc), dtype=np.int32)
-        stage_reward = self.u_desc * self.dt
+        policy = np.empty((take, n_soc), dtype=np.int32)
+        stage_reward = (self.u_desc * self.dt)[:, None]
         for k in range(k_steps - 1, -1, -1):
-            raw = idx[None, :] + shifts[k][:, None]          # (U, S)
-            fail = raw < 0
-            landed = np.clip(raw, 0, n_soc - 1)
-            soc_next = lattice[landed]
-            feasible = ~fail & (soc_next >= bl[k]) & (soc_next <= bu[k])
-            vals = stage_reward[:, None] + value[landed]
-            vals = np.where(feasible, vals, -np.inf)
+            middle.fill(-np.inf)
+            middle[first[k]:end[k]] = value[first[k]:end[k]]
+            padded[lo + n_soc:] = middle[-1]
+            vals = self._windows[starts[k]]                    # (U, S) copy
+            vals += stage_reward
             value = vals.max(axis=0)
-            policy[k] = vals.argmax(axis=0)
+            if k < take:
+                policy[k] = vals.argmax(axis=0)
 
         root = self._snap(b)
         if not np.isfinite(value[root]):
             return float("-inf"), None
 
-        take = min(self.cfg.replan_interval, k_steps)
         actions = np.empty(take)
         state = root
         for k in range(take):
             j = int(policy[k, state])
             actions[k] = self.u_desc[j]
-            state = int(np.clip(state + shifts[k, j], 0, n_soc - 1))
+            state = min(max(state + int(shifts[k, j]), 0), n_soc - 1)
         return float(value[root]), actions
 
     def __call__(self, b: float, b_l: float, b_u: float, step: int) -> float:

@@ -157,6 +157,10 @@ class SimConfig:
                 errors.append(
                     f"controller.u_init: {self.ilc.u_init} outside velocity limits"
                 )
+        if self.strategy == "mpc" and self.dt > 0 and math.isfinite(self.dt):
+            steps = self.mpc.horizon / self.dt
+            if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
+                errors.append("mpc.horizon: must be a positive multiple of sim.dt")
         if isinstance(self.solar, IdealizedSource):
             s = self.solar
             if s.period <= 0:

@@ -159,3 +159,53 @@ def random_dp_instance(rng: np.random.Generator, k_steps: int, n_soc: int, n_u: 
     lower = rng.uniform(0.0, 800.0, size=k_steps + 1)
     upper = params.b_max - rng.uniform(0.0, 800.0, size=k_steps + 1)
     return p_seq, lower, upper, dt
+
+
+def dp_gather_plan(ctl, b: float, step: int) -> tuple[float, np.ndarray | None]:
+    """Reference planner: ``MpcController.plan`` by explicit (U, S) gathers.
+
+    Each stage builds every landing cell ``idx + shift`` of every velocity,
+    clips it into the lattice, gathers the lattice level and the next stage's
+    value there, and masks underflow and envelope violations. It keeps the
+    argmax of every stage. Same arithmetic as the planner's window kernel, so
+    values and actions must match bitwise.
+    """
+    stop = min(step + ctl.horizon_steps, len(ctl.p_in))
+    k_steps = stop - step
+    dtf = ctl.dt / 3600.0
+    p = ctl.p_in[step:stop]
+    bl = ctl.lower[step + 1:stop + 1]
+    bu = ctl.upper[step + 1:stop + 1]
+
+    lattice = ctl.lattice
+    n_soc = lattice.size
+    idx = np.arange(n_soc)
+    shifts = np.floor((p[:, None] - ctl.draw_desc[None, :]) * dtf / ctl.res).astype(np.int64)
+
+    value = ctl.cfg.terminal_reward_slope * lattice
+    policy = np.empty((k_steps, n_soc), dtype=np.int32)
+    stage_reward = ctl.u_desc * ctl.dt
+    for k in range(k_steps - 1, -1, -1):
+        raw = idx[None, :] + shifts[k][:, None]
+        fail = raw < 0
+        landed = np.clip(raw, 0, n_soc - 1)
+        soc_next = lattice[landed]
+        feasible = ~fail & (soc_next >= bl[k]) & (soc_next <= bu[k])
+        vals = stage_reward[:, None] + value[landed]
+        vals = np.where(feasible, vals, -np.inf)
+        value = vals.max(axis=0)
+        policy[k] = vals.argmax(axis=0)
+
+    pb = ctl.params
+    root = int(np.floor((np.clip(b, pb.b_min, pb.b_max) - pb.b_min) / ctl.res))
+    if not np.isfinite(value[root]):
+        return float("-inf"), None
+
+    take = min(ctl.cfg.replan_interval, k_steps)
+    actions = np.empty(take)
+    state = root
+    for k in range(take):
+        j = int(policy[k, state])
+        actions[k] = ctl.u_desc[j]
+        state = int(np.clip(state + shifts[k, j], 0, n_soc - 1))
+    return float(value[root]), actions

@@ -19,7 +19,7 @@ from solarasv.harness import (
 from solarasv.solar import SolarProfile, integrate_power, sample_array
 from solarasv.vessel import VesselParams
 
-from conftest import dp_enum_bruteforce, dp_enum_value, random_dp_instance
+from conftest import dp_enum_bruteforce, dp_enum_value, dp_gather_plan, random_dp_instance
 
 
 def _const_profile(power: float, end: float = 1e7) -> SolarProfile:
@@ -124,6 +124,8 @@ class TestMpcConfig:
             MpcController(cfg, *_flat(100.0, 10), params, dt=0.0)
         with pytest.raises(ValueError, match="cover at least one step"):
             MpcController(cfg, *_flat(100.0, 10), params, dt=7200.0)
+        with pytest.raises(ValueError, match="p_in must cover at least one step"):
+            MpcController(cfg, *_flat(100.0, 0), params, dt=360.0)
         p_in, lower, upper = _flat(100.0, 10)
         with pytest.raises(ValueError, match="one entry more than p_in"):
             MpcController(cfg, p_in, lower[:-1], upper[:-1], params, dt=360.0)
@@ -182,6 +184,63 @@ class TestPlanValues:
             # brute force sums rewards head-first, the DP tail-first, so the
             # totals can differ in the last ulp
             assert got == pytest.approx(want, rel=1e-12)
+
+    def test_matches_gather_reference(self, params):
+        """Window kernel against the gather loop: bitwise value and actions.
+
+        Instances mix truncated policy tables (replan_interval < K), mid- and
+        end-of-mission plans, a 1 Wh lattice whose shifts pass the top cell
+        and fall below cell 0, crossed envelopes, and roots outside the
+        envelope or the battery window.
+        """
+        rng = np.random.default_rng(24)
+        seen = {"truncated": 0, "clamp": 0, "underflow": 0, "outside": 0, "infeasible": 0}
+        for _ in range(60):
+            n_soc = int(rng.choice([2, 17, 131, 6501, 6501]))
+            n_u = int(rng.integers(2, 49))
+            k_steps = int(rng.integers(1, 25))
+            n = k_steps + int(rng.integers(0, 10))
+            dt = 360.0
+            p_in = rng.uniform(0.0, 1500.0, size=n) * (rng.random(n) < 0.7)
+            # near-constant envelopes near the battery window keep most
+            # roots feasible, so clamps and underflows reach the policy
+            lower = rng.uniform(-100.0, 50.0) + rng.uniform(0.0, 20.0, size=n + 1)
+            upper = params.b_max - rng.uniform(-100.0, 150.0) - rng.uniform(0.0, 20.0, n + 1)
+            if rng.random() < 0.2:  # a crossed envelope at one boundary
+                j = int(rng.integers(0, n + 1))
+                upper[j] = lower[j] - 1.0
+            cfg = MpcConfig(
+                horizon=k_steps * dt,
+                soc_grid=n_soc,
+                u_grid=n_u,
+                terminal_reward_slope=float(rng.uniform(0.0, 10.0)),
+                replan_interval=int(rng.integers(1, k_steps + 3)),
+            )
+            ctl = MpcController(cfg, p_in, lower, upper, params, dt)
+            step = int(rng.integers(0, n))
+            for b in (
+                float(rng.uniform(-50.0, params.b_max + 50.0)),
+                params.b_max - float(rng.uniform(0.0, 30.0)),
+                float(rng.uniform(0.0, 30.0)),
+            ):
+                got, actions = ctl.plan(b, step)
+                want, ref_actions = dp_gather_plan(ctl, b, step)
+                assert got == want
+                if ref_actions is None:
+                    assert actions is None
+                    seen["infeasible"] += 1
+                    continue
+                assert actions.dtype == ref_actions.dtype
+                assert np.array_equal(actions, ref_actions)
+                root = ctl._snap(b)
+                shifts = np.floor(
+                    (p_in[step] - ctl.draw_desc) * dt / 3600.0 / ctl.res
+                )
+                seen["truncated"] += len(actions) < min(k_steps, n - step)
+                seen["clamp"] += n_soc == 6501 and root + shifts.max() > n_soc - 1
+                seen["underflow"] += n_soc == 6501 and root + shifts.min() < 0
+                seen["outside"] += not lower[step] <= b <= upper[step]
+        assert min(seen.values()) >= 3, seen
 
     def test_zero_terminal_slope_goes_full_throttle(self, params):
         """Stored energy worth nothing and inputs abundant: run at u_max."""

@@ -94,6 +94,22 @@ class TestErrorHandling:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, text, horizon",
+        [
+            ("run", FAST_RUN.replace("constant-unconstrained", "mpc"), 900),
+            ("run", FAST_RUN.replace("constant-unconstrained", "mpc"), 1260),
+            ("compare", FAST_COMPARE.replace("constant-constrained", "mpc"), 900),
+        ],
+        ids=["run-2.5-steps", "run-3.5-steps", "compare-2.5-steps"],
+    )
+    def test_mpc_horizon_off_the_step_grid(self, tmp_path, capsys, command, text, horizon):
+        cfg = _write(tmp_path, text + f"mpc.horizon = {horizon}\n")
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "mpc.horizon: must be a positive multiple of sim.dt" in err
+
+    @pytest.mark.parametrize(
         "source",
         ["solar.table = days.csv", "solar.source = file\nsolar.file = log.csv"],
         ids=["table", "file"],

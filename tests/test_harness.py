@@ -106,6 +106,10 @@ class TestValidation:
                 "solar.period: must be finite",
             ),
             ({"rng_seed": -1}, "sim.rng_seed"),
+            (
+                {"strategy": "mpc", "mpc": MpcConfig(horizon=900.0)},
+                "mpc.horizon: must be a positive multiple of sim.dt",
+            ),
         ],
     )
     def test_each_field_reports_itself(self, kw, fragment):
@@ -116,7 +120,12 @@ class TestValidation:
         cfg = _cfg(dt=700.0, mission_length=700.0 * 1000)
         assert any("must divide 86400" in e for e in cfg.validate())
         # the same grid is fine for strategies without a daily cycle
-        cfg = _cfg(dt=700.0, mission_length=700.0 * 1000, strategy="mpc")
+        cfg = _cfg(
+            dt=700.0,
+            mission_length=700.0 * 1000,
+            strategy="mpc",
+            mpc=MpcConfig(horizon=700.0 * 240),
+        )
         assert cfg.validate() == []
 
     def test_valid_config_is_clean(self):
