@@ -39,8 +39,10 @@ The DP never gathers: each action moves the state by a whole number of
 cells, so every velocity's successor values form a shifted window of one
 padded value vector (``-inf`` below cell 0, the top cell repeated above it).
 A stage masks the vector to the envelope, reads the U windows, adds the stage
-rewards and reduces over velocities; the argmax is kept only for the stages
-the controller executes before it replans.
+rewards and takes the max over velocities; no stage keeps an argmax. The
+stages the controller executes before it replans keep the value vector they
+read, and the rollout re-derives each action from the U candidates at the
+current state alone.
 
 If no action is feasible from the current state the controller falls back to
 the switching law on the step loop's bounds with u_min as the interior
@@ -87,8 +89,9 @@ def energy_balance_velocity(
 class MpcConfig:
     """Receding-horizon planner knobs.
 
-    horizon: lookahead in seconds (truncated at the mission's last step); a
-      mission config must make it a whole number of steps.
+    horizon: lookahead in seconds (truncated at the mission's last step); it
+      must be a whole number of steps, and ``MpcController`` rejects any
+      other horizon.
     soc_grid / u_grid: lattice sizes (>= 2 each).
     terminal_reward_slope: value of terminal stored energy, m per Wh.
     replan_interval: steps executed from each plan before re-solving.
@@ -134,6 +137,9 @@ class MpcController:
             raise ValueError("dt must be > 0")
         if cfg.horizon < dt:
             raise ValueError("horizon must cover at least one step")
+        steps = cfg.horizon / dt
+        if abs(steps - round(steps)) > 1e-9:
+            raise ValueError("horizon must be a whole number of steps")
         if len(p_in) == 0:
             raise ValueError("p_in must cover at least one step")
         if not len(lower) == len(upper) == len(p_in) + 1:
@@ -149,7 +155,7 @@ class MpcController:
         # descending so argmax resolves value ties toward the higher velocity
         self.u_desc = np.linspace(params.u_min, params.u_max, cfg.u_grid)[::-1].copy()
         self.draw_desc = params.k_h + params.k_m * self.u_desc ** 3
-        self.horizon_steps = max(1, int(round(cfg.horizon / dt)))
+        self.horizon_steps = round(steps)
         # the mission's extreme cell shifts bound every plan's (same floor
         # arithmetic as plan), so one padded value vector serves all plans
         dtf = self.dt / 3600.0
@@ -157,6 +163,7 @@ class MpcController:
         hi = max(0, math.floor((self.p_in.max() - self.draw_desc.min()) * dtf / self.res))
         self._padded = np.full(self._lo + cfg.soc_grid + hi, -np.inf)
         self._windows = sliding_window_view(self._padded, cfg.soc_grid)
+        self._middle = self._padded[self._lo:self._lo + cfg.soc_grid]
         self._actions: list[float] = []
         self._next = 0
 
@@ -176,9 +183,12 @@ class MpcController:
         candidate row is the length-S window of that vector starting at its
         cell shift, so a stage is one window read, one reward add and a max
         over velocities. The vector is allocated once per controller, padded
-        for the mission's extreme shifts. Only the first ``take =
-        min(replan_interval, K)`` stages keep their argmax, as a (take, S)
-        policy table: the rollout reads no other rows.
+        for the mission's extreme shifts. No stage keeps an argmax: each of
+        the first ``take = min(replan_interval, K)`` stages keeps a reference
+        to the value vector it reads, and the rollout loads that vector again
+        and takes the argmax over the U candidates at the current state only,
+        the same float64 sums the stage maxed over. Ties go to the higher
+        velocity.
 
         Returns (optimal lattice value, the first ``take`` planned velocities)
         or (-inf, None) when no feasible action sequence exists from the
@@ -199,9 +209,7 @@ class MpcController:
         shifts = np.floor(
             (p[:, None] - self.draw_desc[None, :]) * dtf / self.res
         ).astype(np.int64)
-        lo, padded = self._lo, self._padded
-        middle = padded[lo:lo + n_soc]
-        starts = shifts + lo
+        starts = shifts + self._lo
 
         # the lattice ascends, so stage k's envelope [b_l, b_u] is the cell
         # range [first[k], end[k])
@@ -209,29 +217,40 @@ class MpcController:
         end = np.searchsorted(lattice, bu, side="right").tolist()
 
         value = self.cfg.terminal_reward_slope * lattice
-        policy = np.empty((take, n_soc), dtype=np.int32)
+        # next_value[k] is V_{k+1}, the unmasked value stage k reads
+        next_value = [value] * take
         stage_reward = (self.u_desc * self.dt)[:, None]
         for k in range(k_steps - 1, -1, -1):
-            middle.fill(-np.inf)
-            middle[first[k]:end[k]] = value[first[k]:end[k]]
-            padded[lo + n_soc:] = middle[-1]
+            if k < take:
+                next_value[k] = value
+            self._load(value, first[k], end[k])
             vals = self._windows[starts[k]]                    # (U, S) copy
             vals += stage_reward
             value = vals.max(axis=0)
-            if k < take:
-                policy[k] = vals.argmax(axis=0)
+            del vals  # free this stage's copy before the next one is made
 
         root = self._snap(b)
         if not np.isfinite(value[root]):
             return float("-inf"), None
 
+        # each executed action is the argmax of the stage's column at the
+        # current state: the same padded vector, the same float64 sums
+        rewards = stage_reward[:, 0]
         actions = np.empty(take)
         state = root
         for k in range(take):
-            j = int(policy[k, state])
+            self._load(next_value[k], first[k], end[k])
+            j = int((self._padded[starts[k] + state] + rewards).argmax())
             actions[k] = self.u_desc[j]
             state = min(max(state + int(shifts[k, j]), 0), n_soc - 1)
         return float(value[root]), actions
+
+    def _load(self, value: np.ndarray, first: int, end: int) -> None:
+        """Pad ``value`` masked to the cells [first, end) for a window read."""
+        middle = self._middle
+        middle.fill(-np.inf)
+        middle[first:end] = value[first:end]
+        self._padded[self._lo + middle.size:] = middle[-1]
 
     def __call__(self, b: float, b_l: float, b_u: float, step: int) -> float:
         if self._next == len(self._actions):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solarasv.benchmark import MpcConfig, MpcController, energy_balance_velocity
 from solarasv.harness import (
@@ -129,6 +131,10 @@ class TestMpcConfig:
         p_in, lower, upper = _flat(100.0, 10)
         with pytest.raises(ValueError, match="one entry more than p_in"):
             MpcController(cfg, p_in, lower[:-1], upper[:-1], params, dt=360.0)
+        # off the step grid: 2.5 and 3.5 steps used to round half to even
+        for horizon in (900.0, 1260.0):
+            with pytest.raises(ValueError, match="whole number of steps"):
+                MpcController(MpcConfig(horizon=horizon), p_in, lower, upper, params, 360.0)
 
 
 # ======================================================================
@@ -188,7 +194,7 @@ class TestPlanValues:
     def test_matches_gather_reference(self, params):
         """Window kernel against the gather loop: bitwise value and actions.
 
-        Instances mix truncated policy tables (replan_interval < K), mid- and
+        Instances mix truncated rollouts (replan_interval < K), mid- and
         end-of-mission plans, a 1 Wh lattice whose shifts pass the top cell
         and fall below cell 0, crossed envelopes, and roots outside the
         envelope or the battery window.
@@ -242,6 +248,38 @@ class TestPlanValues:
                 seen["outside"] += not lower[step] <= b <= upper[step]
         assert min(seen.values()) >= 3, seen
 
+    def test_exact_ties_go_to_the_higher_velocity(self):
+        """Every stage ties exactly; the plan takes the faster of the tied pair.
+
+        1 Wh cells, dt = 1 h and draws of 0, 1 and 8 W for u = 0, 0.5 and 1
+        m/s move the state by 0, -1 and -8 cells. At a terminal slope of 1800
+        m/Wh one cell is worth exactly the 1800 m that 0.5 m/s gains over
+        drifting, so those two tie at the root and at every later stage while
+        1 m/s loses. All the sums are small integers, hence exact.
+        """
+        params = VesselParams(k_h=0.0, k_m=8.0, b_min=0.0, b_max=32.0, u_min=0.0, u_max=1.0)
+        k_steps = 6
+        cfg = MpcConfig(
+            horizon=k_steps * 3600.0,
+            soc_grid=33,
+            u_grid=3,
+            terminal_reward_slope=1800.0,
+            replan_interval=k_steps,
+        )
+        ctl = MpcController(cfg, *_flat(0.0, k_steps, 0.0, 32.0), params, 3600.0)
+        for root in (6, 20, 32):
+            value, actions = ctl.plan(float(root), 0)
+            assert value == 1800.0 * root
+            assert actions.tolist() == [0.5] * k_steps
+            want, ref_actions = dp_gather_plan(ctl, float(root), 0)
+            assert value == want
+            assert np.array_equal(actions, ref_actions)
+        # from cell 3, three steps at 0.5 m/s reach cell 0; the tie holds only
+        # while the lower cell exists, then drifting is the one feasible action
+        value, actions = ctl.plan(3.0, 0)
+        assert actions.tolist() == [0.5, 0.5, 0.5, 0.0, 0.0, 0.0]
+        assert np.array_equal(actions, dp_gather_plan(ctl, 3.0, 0)[1])
+
     def test_zero_terminal_slope_goes_full_throttle(self, params):
         """Stored energy worth nothing and inputs abundant: run at u_max."""
         ctl = _make_controller(*_flat(1200.0, 10), 360.0, 131, 24, 0.0, params)
@@ -291,6 +329,51 @@ class TestPlanValues:
             assert not executed.battery_failed
             assert np.all(executed.soc_trace >= np.asarray(planned) - 1e-9)
         assert checked >= 6  # most random draws must be feasible
+
+
+@st.composite
+def _plan_instance(draw):
+    """A random planner instance, a plan step and three roots."""
+    params = VesselParams()
+    n_soc = draw(st.integers(2, 300))
+    n_u = draw(st.integers(2, 48))
+    k_steps = draw(st.integers(1, 30))
+    n = k_steps + draw(st.integers(0, 5))
+    p_in = np.array(draw(st.lists(st.floats(0.0, 1500.0), min_size=n, max_size=n)))
+    # bounds may reach past the battery window and cross at one boundary
+    lower = np.array(draw(st.lists(st.floats(-100.0, 1500.0), min_size=n + 1, max_size=n + 1)))
+    upper = np.array(draw(st.lists(
+        st.floats(params.b_max - 1500.0, params.b_max + 100.0), min_size=n + 1, max_size=n + 1
+    )))
+    crossed = draw(st.none() | st.integers(0, n))
+    if crossed is not None:
+        upper[crossed] = lower[crossed] - 1.0
+    cfg = MpcConfig(
+        horizon=k_steps * 360.0,
+        soc_grid=n_soc,
+        u_grid=n_u,
+        terminal_reward_slope=draw(st.floats(0.0, 10.0)),
+        replan_interval=draw(st.integers(1, k_steps + 2)),
+    )
+    ctl = MpcController(cfg, p_in, lower, upper, params, 360.0)
+    step = draw(st.integers(0, n - 1))
+    roots = draw(st.lists(st.floats(-50.0, params.b_max + 50.0), min_size=3, max_size=3))
+    return ctl, step, roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(_plan_instance())
+def test_plan_matches_gather_reference_property(instance):
+    """Bitwise value and actions against the gather loop on any instance."""
+    ctl, step, roots = instance
+    for b in roots:
+        got, actions = ctl.plan(b, step)
+        want, ref_actions = dp_gather_plan(ctl, b, step)
+        assert got == want
+        if ref_actions is None:
+            assert actions is None
+        else:
+            assert np.array_equal(actions, ref_actions)
 
 
 # ======================================================================
