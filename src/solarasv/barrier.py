@@ -41,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvout import write_columns
 from .solar import SolarProfile, sample_array
 from .vessel import VesselParams
 
@@ -217,8 +218,4 @@ def build_envelope(
 
 def write_envelope_csv(env: BarrierEnvelope, path: str | Path) -> None:
     """Write the envelope as a delimited table (time_s, b_l_wh, b_u_wh)."""
-    out = Path(path)
-    lines = ["time_s,b_l_wh,b_u_wh"]
-    for t, lo, hi in zip(env.times, env.lower, env.upper):
-        lines.append(f"{float(t)!r},{float(lo)!r},{float(hi)!r}")
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_columns(path, "time_s,b_l_wh,b_u_wh", (env.times, env.lower, env.upper))

@@ -66,6 +66,8 @@ _STR_KEYS = {
     "solar.periodic",
 }
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+_TRUE = ("true", "yes", "1")
+_FALSE = ("false", "no", "0")
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
@@ -189,9 +191,12 @@ def build_sim_config(
     elif source_kind == "file":
         if "solar.file" not in v:
             raise ConfigError("solar.file: required when solar.source = file")
-        period = None
-        if str(pick("solar.periodic", "false")).lower() in ("true", "yes", "1"):
-            period = pick("solar.period", 86400.0)
+        periodic = str(pick("solar.periodic", "false")).lower()
+        if periodic not in _TRUE + _FALSE:
+            raise ConfigError(
+                f"solar.periodic: expected one of {_TRUE + _FALSE}, got {periodic!r}"
+            )
+        period = pick("solar.period", 86400.0) if periodic in _TRUE else None
         solar = FileSource(
             path=str((base_dir / str(v["solar.file"])).resolve()),
             scale=pick("solar.scale", 1.0),

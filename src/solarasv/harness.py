@@ -1,5 +1,11 @@
 """Closed-loop mission harness: configuration, stepping loop, CSV exports.
 
+A mission is tabulated once (:func:`tabulate_mission`): the input profile,
+the envelope, and read-only arrays of the input power at each step start
+and the bounds at each step boundary. :func:`compare_strategies` shares one
+tabulation among all configs that agree in solar source, mission length,
+dt, vessel and barrier mode.
+
 Every strategy runs through one step loop, :func:`simulate`. Each step it
 hands the measured SOC and the envelope bounds to the strategy's
 :class:`Policy`, then applies the forward-Euler step, the clamp ledgers and
@@ -7,6 +13,10 @@ the violation integral. :func:`build_policy` maps a config onto a policy:
 the learned controller (:class:`~solarasv.controller.IlcPolicy`, which also
 gets an end-of-cycle hook), the switching law around the energy-balance
 constant, the bare constant, or the receding-horizon planner.
+
+The exports write each float as its ``repr``, so a CSV reads back bit for
+bit; the per-step and per-day tables stream to disk in fixed-size row
+chunks (:mod:`solarasv.csvout`).
 
 Conventions
 -----------
@@ -47,7 +57,9 @@ from .controller import (
     costate_from_velocity,
     validate_buffer,
 )
+from .csvout import write_columns
 from .solar import (
+    INTERPOLATIONS,
     IdealizedSolarParams,
     SolarProfile,
     load_profile,
@@ -175,6 +187,11 @@ class SimConfig:
         elif isinstance(self.solar, FileSource):
             if self.solar.scale <= 0:
                 errors.append("solar.scale: must be > 0")
+            if self.solar.interpolation not in INTERPOLATIONS:
+                errors.append(
+                    f"solar.interpolation: {self.solar.interpolation!r} not one of "
+                    f"{INTERPOLATIONS}"
+                )
         else:
             errors.append("solar.source: unrecognized source type")
         return errors
@@ -215,6 +232,13 @@ class IterationRecord(NamedTuple):
 
 @dataclass
 class SimResult:
+    """One simulated mission.
+
+    wall_time is the host time of the call that made it: :func:`simulate`
+    alone, or :func:`run_mission`, which adds the policy build and, unless it
+    was handed a shared tabulation, building the tabulation.
+    """
+
     strategy: str
     dt: float
     initial_soc: float
@@ -264,6 +288,58 @@ def build_mission_envelope(cfg: SimConfig, profile: SolarProfile) -> BarrierEnve
     return build_envelope(profile, cfg.vessel, grid, mode=cfg.barrier_mode)
 
 
+class MissionTabulation(NamedTuple):
+    """What every strategy of one mission reads, built by :func:`tabulate_mission`.
+
+    p_in holds the input power at each step start (n values); lower and
+    upper the envelope at each step boundary (n + 1 values, the last one
+    ends the mission). The three arrays are read-only, so strategies that
+    share a tabulation cannot alter each other's input. key holds the config
+    values the tabulation depends on.
+    """
+
+    key: tuple
+    profile: SolarProfile
+    env: BarrierEnvelope
+    p_in: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+def _tabulation_key(cfg: SimConfig) -> tuple:
+    return (cfg.solar, cfg.mission_length, cfg.dt, cfg.vessel, cfg.barrier_mode)
+
+
+def _check_config(cfg: SimConfig) -> None:
+    errors = cfg.validate()
+    if errors:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
+
+
+def tabulate_mission(cfg: SimConfig) -> MissionTabulation:
+    """Build the mission's profile and envelope and tabulate them on its steps.
+
+    ``cfg`` must be valid (see :meth:`SimConfig.validate`).
+    """
+    profile = build_input_profile(cfg)
+    if not profile.periodic and (
+        profile.start > 0 or profile.end < cfg.mission_length
+    ):
+        raise ConfigError(
+            f"solar source does not cover the mission (data spans t={profile.start}"
+            f"..{profile.end}, mission spans t=0..{cfg.mission_length})"
+        )
+    env = build_mission_envelope(cfg, profile)
+    dt = float(cfg.dt)
+    n = int(round(cfg.mission_length / dt))
+    times = np.arange(n + 1) * dt
+    lower, upper = env.bounds_arrays(times)
+    p_in = sample_array(profile, times[:-1])
+    for arr in (p_in, lower, upper):
+        arr.setflags(write=False)
+    return MissionTabulation(_tabulation_key(cfg), profile, env, p_in, lower, upper)
+
+
 class Policy(NamedTuple):
     """A strategy as the step loop (:func:`simulate`) runs it.
 
@@ -279,23 +355,16 @@ class Policy(NamedTuple):
     end_cycle: Callable[[float, float], IterationRecord] | None = None
 
 
-def build_policy(
-    cfg: SimConfig,
-    profile: SolarProfile,
-    env: BarrierEnvelope,
-    p_in: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> Policy:
+def build_policy(cfg: SimConfig, tab: MissionTabulation) -> Policy:
     """The configured strategy's control law, ready for :func:`simulate`.
 
-    p_in, lower and upper are the mission's tabulation (see
-    :func:`run_mission`); the planner reads them as its forecast.
+    tab is the mission's :func:`tabulate_mission`; the planner reads its
+    arrays as its forecast.
     """
     p = cfg.vessel
     if cfg.strategy == "ilc":
         s = cfg.ilc
-        validate_buffer(env, s.delta)
+        validate_buffer(tab.env, s.delta)
         learner = IlcPolicy(
             p,
             cycle_steps=int(round(DAY_S / cfg.dt)),
@@ -316,10 +385,10 @@ def build_policy(
         return Policy(cfg.strategy, learner.velocity, learner.cycle_steps, end_cycle)
 
     if cfg.strategy == "mpc":
-        planner = MpcController(cfg.mpc, p_in, lower, upper, p, cfg.dt)
+        planner = MpcController(cfg.mpc, tab.p_in, tab.lower, tab.upper, p, cfg.dt)
         return Policy(cfg.strategy, planner)
 
-    u_const = energy_balance_velocity(profile, cfg.mission_length, p)
+    u_const = energy_balance_velocity(tab.profile, cfg.mission_length, p)
     if cfg.strategy == "constant-constrained":
         u_min, u_max = p.u_min, p.u_max
 
@@ -342,15 +411,22 @@ def simulate(
 ) -> SimResult:
     """Step the battery under ``policy``: the one forward-Euler loop.
 
-    p_in, lower and upper hold one value per step, taken at the step start.
-    noise, if given, holds one value more: noise[i] is added to the SOC the
-    controller sees at the start of step i, and noise[i + 1] to the
-    cycle-end SOC handed to end_cycle after step i (so the last cycle-end
-    measurement uses noise[n]). The battery, the clamp ledgers and the
-    violation integral use the true SOC. wall_time covers this call only.
+    p_in, lower and upper hold one value per step, taken at the step start;
+    arrays or lists alike, they are read into lists for the loop and never
+    written. p_in comes back as the result's p_in_trace (the same array
+    when it is a float array). noise, if given, holds one value more:
+    noise[i] is added to the SOC the controller sees at the start of step
+    i, and noise[i + 1] to the cycle-end SOC handed to end_cycle after step
+    i (so the last cycle-end measurement uses noise[n]). The battery, the
+    clamp ledgers and the violation integral use the true SOC. wall_time
+    covers this call only.
     """
     wall0 = time.perf_counter()
-    n = len(p_in)
+    p_in_trace = np.asarray(p_in, dtype=float)
+    power = p_in_trace.tolist()
+    lower = np.asarray(lower, dtype=float).tolist()
+    upper = np.asarray(upper, dtype=float).tolist()
+    n = len(power)
     control = policy.control
     end_cycle = policy.end_cycle
     cycle = policy.cycle_steps
@@ -378,7 +454,7 @@ def simulate(
         elif b > b_u:
             d = b - b_u
             x2 += d * d * dt
-        raw = b + (p_in[i] - k_h - k_m * u * u * u) * dtf
+        raw = b + (power[i] - k_h - k_m * u * u * u) * dtf
         if raw < b_min:
             floor_added += b_min - raw
             raw = b_min
@@ -402,7 +478,7 @@ def simulate(
         initial_soc=float(initial_soc),
         soc_trace=np.asarray(soc),
         velocity_trace=np.asarray(vel),
-        p_in_trace=np.asarray(p_in),
+        p_in_trace=p_in_trace,
         distance=sum_u * dt,
         terminal_soc=b,
         violation=x2,
@@ -414,42 +490,35 @@ def simulate(
     )
 
 
-def run_mission(cfg: SimConfig) -> SimResult:
-    """Simulate one mission under the configured strategy."""
-    errors = cfg.validate()
-    if errors:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
+def run_mission(
+    cfg: SimConfig, tabulation: MissionTabulation | None = None
+) -> SimResult:
+    """Simulate one mission under the configured strategy.
+
+    tabulation, if given, is :func:`tabulate_mission` of a config that
+    agrees with ``cfg`` in solar, mission_length, dt, vessel and
+    barrier_mode; :func:`compare_strategies` shares one this way. Without
+    it the call builds its own. The result's wall_time covers this call:
+    the tabulation when it is built here, the policy build and the step
+    loop always.
+    """
+    _check_config(cfg)
     wall0 = time.perf_counter()
-
-    profile = build_input_profile(cfg)
-    if not profile.periodic and (
-        profile.start > 0 or profile.end < cfg.mission_length
-    ):
-        raise ConfigError(
-            f"solar source does not cover the mission (data spans t={profile.start}"
-            f"..{profile.end}, mission spans t=0..{cfg.mission_length})"
-        )
-    env = build_mission_envelope(cfg, profile)
-
-    # the one tabulation of the mission every strategy reads: power at each
-    # step start, bounds at each step boundary (the last one ends the mission)
-    dt = float(cfg.dt)
-    n = int(round(cfg.mission_length / dt))
-    times = np.arange(n + 1) * dt
-    lower, upper = env.bounds_arrays(times)
-    p_in = sample_array(profile, times[:-1])
+    tab = tabulate_mission(cfg) if tabulation is None else tabulation
+    if tab.key != _tabulation_key(cfg):
+        raise ValueError("tabulation was built for a different mission")
     noise = None
     if cfg.noise_std > 0:
         rng = np.random.default_rng(cfg.rng_seed)
-        noise = rng.normal(0.0, cfg.noise_std, n + 1).tolist()
+        noise = rng.normal(0.0, cfg.noise_std, tab.p_in.size + 1).tolist()
     result = simulate(
-        build_policy(cfg, profile, env, p_in, lower, upper),
-        p_in.tolist(),
-        lower[:-1].tolist(),
-        upper[:-1].tolist(),
+        build_policy(cfg, tab),
+        tab.p_in,
+        tab.lower[:-1],
+        tab.upper[:-1],
         cfg.initial_soc,
         cfg.vessel,
-        dt,
+        float(cfg.dt),
         noise,
     )
     return replace(result, wall_time=time.perf_counter() - wall0)
@@ -465,7 +534,7 @@ class StrategyRow:
     distance_m: float
     terminal_soc_wh: float
     violation: float
-    wall_time_s: float
+    wall_time_s: float  # the strategy's policy build and step loop only
 
 
 @dataclass
@@ -496,7 +565,9 @@ def compare_strategies(cfgs: Sequence[SimConfig]) -> ComparisonResult:
     """Run each config and collate distance/SOC/violation/runtime rows.
 
     All configs must share the solar source and mission length so the
-    distances are comparable.
+    distances are comparable. Configs that also agree in dt, vessel and
+    barrier_mode share one :func:`tabulate_mission`, so a row's wall_time_s
+    covers its policy build and step loop but not that shared tabulation.
     """
     if len(cfgs) < 2:
         raise ConfigError("compare needs at least two configurations")
@@ -510,11 +581,19 @@ def compare_strategies(cfgs: Sequence[SimConfig]) -> ComparisonResult:
             raise ConfigError(
                 f"compare: config {i} has a different mission length than config 1"
             )
+    for cfg in cfgs:
+        _check_config(cfg)
+    tabulations: list[MissionTabulation] = []
     rows: list[StrategyRow] = []
     daily: list[np.ndarray] = []
     results: list[SimResult] = []
     for cfg in cfgs:
-        res = run_mission(cfg)
+        key = _tabulation_key(cfg)
+        tab = next((t for t in tabulations if t.key == key), None)
+        if tab is None:
+            tab = tabulate_mission(cfg)
+            tabulations.append(tab)
+        res = run_mission(cfg, tab)
         rows.append(
             StrategyRow(
                 strategy=res.strategy,
@@ -541,20 +620,24 @@ def export_traces(result: SimResult, out_dir: str | Path) -> list[Path]:
     """Write trace.csv, iterations.csv, summary.csv (and daily.csv) to a dir.
 
     Output is deterministic: identical results produce byte-identical files.
+    trace.csv and daily.csv stream to disk in row chunks.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    n = result.velocity_trace.size
 
     trace = out / "trace.csv"
-    lines = ["time_s,soc_wh,velocity_ms,p_in_w"]
-    dt = result.dt
-    for i in range(result.velocity_trace.size):
-        lines.append(
-            f"{_fmt(i * dt)},{_fmt(result.soc_trace[i])},"
-            f"{_fmt(result.velocity_trace[i])},{_fmt(result.p_in_trace[i])}"
-        )
-    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_columns(
+        trace,
+        "time_s,soc_wh,velocity_ms,p_in_w",
+        (
+            np.arange(n) * result.dt,
+            result.soc_trace,
+            result.velocity_trace,
+            result.p_in_trace,
+        ),
+    )
     written.append(trace)
 
     iters = out / "iterations.csv"
@@ -581,7 +664,7 @@ def export_traces(result: SimResult, out_dir: str | Path) -> list[Path]:
             _fmt(result.curtailed_wh),
             _fmt(result.floor_added_wh),
             str(result.battery_failed).lower(),
-            str(result.velocity_trace.size),
+            str(n),
             _fmt(result.dt),
             _fmt(result.initial_soc),
         ]
@@ -589,18 +672,25 @@ def export_traces(result: SimResult, out_dir: str | Path) -> list[Path]:
     summary.write_text(header + "\n" + row + "\n", encoding="utf-8")
     written.append(summary)
 
+    # one row per full day; none when the steps do not tile a day
     daily = out / "daily.csv"
     series = daily_cumulative_distance(result)
-    spd = int(round(DAY_S / result.dt)) if (DAY_S / result.dt).is_integer() else None
-    lines = ["day,mean_velocity_ms,mean_soc_wh,distance_m"]
-    if spd:
-        for d in range(series.size):
-            sl = slice(d * spd, (d + 1) * spd)
-            lines.append(
-                f"{d},{_fmt(float(np.mean(result.velocity_trace[sl])))},"
-                f"{_fmt(float(np.mean(result.soc_trace[sl])))},{_fmt(series[d])}"
-            )
-    daily.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    days = series.size if (DAY_S / result.dt).is_integer() else 0
+    spd = int(round(DAY_S / result.dt))
+
+    def day_means(trace: np.ndarray) -> np.ndarray:
+        return trace[: days * spd].reshape(days, spd).mean(axis=1)
+
+    write_columns(
+        daily,
+        "day,mean_velocity_ms,mean_soc_wh,distance_m",
+        (
+            np.arange(days),
+            day_means(result.velocity_trace),
+            day_means(result.soc_trace),
+            series[:days],
+        ),
+    )
     written.append(daily)
     return written
 
@@ -621,9 +711,9 @@ def export_comparison(comp: ComparisonResult, out_dir: str | Path) -> list[Path]
 
     series = out / "distance_series.csv"
     names = [row.strategy for row in comp.rows]
-    lines = ["day," + ",".join(f"distance_m_{name}" for name in names)]
-    for d in range(comp.days):
-        vals = ",".join(_fmt(arr[d]) for arr in comp.daily_distance)
-        lines.append(f"{d},{vals}")
-    series.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_columns(
+        series,
+        "day," + ",".join(f"distance_m_{name}" for name in names),
+        (np.arange(comp.days), *comp.daily_distance),
+    )
     return [comparison, series]

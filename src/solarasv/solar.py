@@ -28,7 +28,7 @@ import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 
-_INTERPOLATIONS = ("hold", "linear")
+INTERPOLATIONS = ("hold", "linear")
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,9 @@ class SolarProfile:
             raise ValueError("times must be strictly increasing")
         if np.any(powers < 0):
             raise ValueError("powers must be >= 0")
-        if self.interpolation not in _INTERPOLATIONS:
+        if self.interpolation not in INTERPOLATIONS:
             raise ValueError(
-                f"interpolation must be one of {_INTERPOLATIONS}, got {self.interpolation!r}"
+                f"interpolation must be one of {INTERPOLATIONS}, got {self.interpolation!r}"
             )
         if self.period is not None:
             if not 0 < self.period < math.inf:

@@ -13,12 +13,11 @@ from solarasv.benchmark import MpcConfig, MpcController, energy_balance_velocity
 from solarasv.harness import (
     Policy,
     SimConfig,
-    build_input_profile,
-    build_mission_envelope,
     build_policy,
     simulate,
+    tabulate_mission,
 )
-from solarasv.solar import SolarProfile, integrate_power, sample_array
+from solarasv.solar import SolarProfile, integrate_power
 from solarasv.vessel import VesselParams
 
 from conftest import dp_enum_bruteforce, dp_enum_value, dp_gather_plan, random_dp_instance
@@ -76,13 +75,9 @@ class TestEnergyBalanceVelocity:
 class TestConstrainedConstantController:
     def test_switching_behavior(self, params):
         cfg = SimConfig(strategy="constant-constrained", mission_length=86400.0)
-        profile = build_input_profile(cfg)
-        env = build_mission_envelope(cfg, profile)
-        u_const = energy_balance_velocity(profile, cfg.mission_length, params)
-        times = 360.0 * np.arange(241)
-        lower, upper = env.bounds_arrays(times)
-        p_in = sample_array(profile, times[:-1])
-        control = build_policy(cfg, profile, env, p_in, lower, upper).control
+        tab = tabulate_mission(cfg)
+        u_const = energy_balance_velocity(tab.profile, cfg.mission_length, params)
+        control = build_policy(cfg, tab).control
         assert control(3000.0, 1000.0, 5000.0, 0) == u_const
         assert control(999.0, 1000.0, 5000.0, 0) == params.u_min
         assert control(5001.0, 1000.0, 5000.0, 0) == params.u_max

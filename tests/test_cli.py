@@ -128,6 +128,28 @@ class TestErrorHandling:
         assert err.startswith("error:") and "barrier.mode" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("solar.interpolation = cubic", "solar.interpolation"),
+            ("solar.periodic = flase", "solar.periodic"),
+        ],
+        ids=["interpolation", "periodic"],
+    )
+    @pytest.mark.parametrize("command", ["run", "compare", "barriers"])
+    def test_bad_file_source_setting(self, tmp_path, capsys, command, line, key):
+        (tmp_path / "log.csv").write_text("0,800\n172800,800\n")
+        text = FAST_COMPARE if command == "compare" else FAST_RUN
+        cfg = _write(
+            tmp_path,
+            text + f"barrier.mode = horizon\nsolar.source = file\n"
+            f"solar.file = log.csv\n{line}\n",
+        )
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{key}:" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_subcommand_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):
             main([])

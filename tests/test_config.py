@@ -126,6 +126,31 @@ class TestLoadSimConfig:
         assert cfg.solar.scale == 2.0
         assert cfg.solar.period == 86400.0
 
+    @pytest.mark.parametrize(
+        "line, fragment",
+        [
+            ("solar.interpolation = cubic", "solar.interpolation: 'cubic' not one of"),
+            ("solar.periodic = flase", "solar.periodic: expected one of"),
+        ],
+        ids=["interpolation", "periodic"],
+    )
+    def test_file_source_settings_checked_at_load(self, tmp_path, line, fragment):
+        (tmp_path / "input.csv").write_text("0,100\n86400,100\n")
+        p = _write(tmp_path, f"solar.source = file\nsolar.file = input.csv\n{line}\n")
+        with pytest.raises(ConfigError, match=fragment):
+            load_sim_config(p)
+
+    @pytest.mark.parametrize(
+        "spelling, period", [("yes", 86400.0), ("1", 86400.0), ("No", None)]
+    )
+    def test_periodic_spellings(self, tmp_path, spelling, period):
+        (tmp_path / "input.csv").write_text("0,100\n86400,100\n")
+        p = _write(
+            tmp_path,
+            f"solar.source = file\nsolar.file = input.csv\nsolar.periodic = {spelling}\n",
+        )
+        assert load_sim_config(p).solar.period == period
+
     def test_unknown_source_kind(self, tmp_path):
         p = _write(tmp_path, "solar.source = oracle\n")
         with pytest.raises(ConfigError, match="solar.source"):

@@ -16,6 +16,7 @@ from solarasv.harness import (
     IlcSettings,
     Policy,
     SimConfig,
+    SimResult,
     build_input_profile,
     build_mission_envelope,
     compare_strategies,
@@ -24,8 +25,10 @@ from solarasv.harness import (
     export_traces,
     run_mission,
     simulate,
+    tabulate_mission,
 )
-from solarasv.barrier import build_envelope
+from solarasv import harness
+from solarasv.barrier import build_envelope, write_envelope_csv
 from solarasv.solar import load_profile, sample
 from solarasv.vessel import VesselParams, power_draw
 
@@ -109,6 +112,10 @@ class TestValidation:
             (
                 {"strategy": "mpc", "mpc": MpcConfig(horizon=900.0)},
                 "mpc.horizon: must be a positive multiple of sim.dt",
+            ),
+            (
+                {"solar": FileSource(path="x.csv", interpolation="cubic")},
+                "solar.interpolation: 'cubic' not one of ('hold', 'linear')",
             ),
         ],
     )
@@ -412,6 +419,106 @@ class TestCompare:
             assert series[-1] == pytest.approx(res.distance, rel=1e-12)
 
 
+def _assert_same_run(a: SimResult, b: SimResult) -> None:
+    """Every simulated number of two results, bitwise; wall time aside."""
+    for name in ("soc_trace", "velocity_trace", "p_in_trace"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for name in (
+        "strategy", "dt", "initial_soc", "distance", "terminal_soc", "violation",
+        "per_iteration", "curtailed_wh", "floor_added_wh", "battery_failed",
+    ):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+class TestSharedTabulation:
+    @pytest.fixture
+    def tabulations(self, monkeypatch):
+        """The configs tabulate_mission is called with, in call order."""
+        seen = []
+        original = harness.tabulate_mission
+
+        def counting(cfg):
+            seen.append(cfg)
+            return original(cfg)
+
+        monkeypatch.setattr(harness, "tabulate_mission", counting)
+        return seen
+
+    def test_rows_equal_separate_runs(self, tabulations):
+        base = _cfg(
+            mission_length=3 * DAY,
+            solar=_GATE_SOLAR,
+            barrier_mode="horizon",
+            ilc=IlcSettings(b_des=3250.0),
+        )
+        cfgs = [
+            dataclasses.replace(base, noise_std=5.0, rng_seed=3),
+            dataclasses.replace(base, strategy="constant-constrained"),
+            dataclasses.replace(base, strategy="constant-unconstrained"),
+            dataclasses.replace(
+                base,
+                strategy="mpc",
+                mpc=MpcConfig(horizon=21600.0, soc_grid=66, u_grid=8, replan_interval=10),
+            ),
+        ]
+        comp = compare_strategies(cfgs)
+        assert tabulations == [cfgs[0]]
+        for cfg, row, res in zip(cfgs, comp.rows, comp.results):
+            alone = run_mission(cfg)
+            _assert_same_run(res, alone)
+            assert (row.distance_m, row.terminal_soc_wh, row.violation) == (
+                alone.distance, alone.terminal_soc, alone.violation
+            )
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"barrier_mode": "horizon"},
+            {"dt": 720.0},
+            {"vessel": VesselParams(k_h=12.0)},
+        ],
+        ids=["barrier_mode", "dt", "vessel"],
+    )
+    def test_configs_that_differ_get_their_own(self, tabulations, change):
+        cfgs = [
+            _cfg(),
+            _cfg(strategy="constant-constrained"),
+            _cfg(strategy="constant-unconstrained", **change),
+        ]
+        comp = compare_strategies(cfgs)
+        assert tabulations == [cfgs[0], cfgs[2]]
+        for cfg, res in zip(cfgs, comp.results):
+            _assert_same_run(res, run_mission(cfg))
+
+    def test_shared_arrays_are_read_only(self, params):
+        tab = tabulate_mission(_cfg())
+        for arr in (tab.p_in, tab.lower, tab.upper):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+        def scribble(b, b_l, b_u, i):
+            tab.lower[i] = b  # a policy must not move the shared floor
+            return 0.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            simulate(
+                Policy("scribble", scribble), tab.p_in, tab.lower[:-1],
+                tab.upper[:-1], 3250.0, params, 360.0,
+            )
+        comp = compare_strategies([_cfg(), _cfg(strategy="constant-constrained")])
+        shared = comp.results[0].p_in_trace
+        assert comp.results[1].p_in_trace is shared
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
+
+    def test_foreign_tabulation_is_refused(self):
+        tab = tabulate_mission(_cfg())
+        with pytest.raises(ValueError, match="different mission"):
+            run_mission(_cfg(dt=720.0), tab)
+        # the strategy is not part of the tabulation
+        run_mission(_cfg(strategy="constant-constrained"), tab)
+
+
 class TestDailyCumulativeDistance:
     def test_partial_day_is_dropped(self):
         result = run_mission(
@@ -574,3 +681,72 @@ class TestSimResult:
             assert key in d
         assert result.strategy == "ilc"
         assert result.battery_failed in (False, True)
+
+
+# ======================================================================
+# Exported bytes pinned across refactors
+# ======================================================================
+
+_EXPORT_SOLAR = IdealizedSource(
+    d0_by_day=tuple(165.0 if d % 6 == 2 else 330.0 + d for d in range(20)),
+    d1_by_day=tuple(250.0 if d % 6 == 2 else 500.0 for d in range(20)),
+)
+# sha256 of each exported file, wall_time_s column removed
+_EXPORT_DIGESTS = {
+    "run/trace.csv": (
+        "8d248d2751eb9985a9327c8c3b72eabc5ef9a129aee54f2209e50ca5d71822f7"
+    ),
+    "run/iterations.csv": (
+        "a84e1929cbcc829b9ddfdbbb814169126b41b5eecaa6fd0f64abdd4c1b7ad264"
+    ),
+    "run/summary.csv": (
+        "47c6e3ef8d74c8ebbf844c6b6e5374e30ec5cbf536fc031d70eb0387bd88c536"
+    ),
+    "run/daily.csv": (
+        "d33d549762b4ae68787d780550e8363b2a02b1e8b04bd0bef1ce252e2ccefb9f"
+    ),
+    "compare/comparison.csv": (
+        "f2215c17922a1cbe4eea9433dd9d3f8a6718ee5a1b10a8936046d50ee3ad8439"
+    ),
+    "compare/distance_series.csv": (
+        "46a9a563a9956b9f561d86a11975d2edaa1ca8b24ae7980bbac63141a52594e8"
+    ),
+    "envelope.csv": (
+        "9999ba3b0d30b9eceee010b5c069cf449c60cc1197d4326d7b72ad82323aef43"
+    ),
+}
+
+
+def _digest_without_wall_time(path) -> str:
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    header = lines[0].split(",")
+    if "wall_time_s" in header:
+        col = header.index("wall_time_s")
+        lines = [
+            ",".join(f[:col] + f[col + 1:])
+            for f in (line.split(",") for line in lines)
+        ]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def test_exported_bytes_match_recorded_digests(tmp_path):
+    """A 20-day run's CSVs, byte for byte as recorded.
+
+    trace.csv has 4800 rows and envelope.csv 4801, so both span more than
+    one write chunk and end in a partial one.
+    """
+    base = _cfg(mission_length=20 * DAY, solar=_EXPORT_SOLAR, barrier_mode="horizon")
+    export_traces(run_mission(base), tmp_path / "run")
+    comp = compare_strategies(
+        [
+            dataclasses.replace(base, strategy=s)
+            for s in ("ilc", "constant-constrained", "constant-unconstrained")
+        ]
+    )
+    export_comparison(comp, tmp_path / "compare")
+    write_envelope_csv(
+        build_mission_envelope(base, build_input_profile(base)),
+        tmp_path / "envelope.csv",
+    )
+    got = {name: _digest_without_wall_time(tmp_path / name) for name in _EXPORT_DIGESTS}
+    assert got == _EXPORT_DIGESTS
