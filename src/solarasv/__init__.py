@@ -11,19 +11,21 @@ their submodules.
 """
 
 from .benchmark import MpcConfig
-from .config import load_compare_configs, load_sim_config
-from .harness import (
+from .config import (
     ConfigError,
-    FileSource,
-    IdealizedSource,
     IlcSettings,
     SimConfig,
+    load_compare_configs,
+    load_sim_config,
+)
+from .harness import (
     SimResult,
     compare_strategies,
     export_comparison,
     export_traces,
     run_mission,
 )
+from .solar import FileSource, IdealizedSource
 from .vessel import VesselParams
 
 __version__ = "0.1.0"

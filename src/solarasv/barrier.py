@@ -45,7 +45,7 @@ from .csvout import write_columns
 from .solar import SolarProfile, sample_array
 from .vessel import VesselParams
 
-_MODES = ("horizon", "periodic-day")
+MODES = ("horizon", "periodic-day")
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -178,8 +178,8 @@ def build_envelope(
     periodic profile (span < period required), takes the sups over a
     two-period window and returns a periodic envelope.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     g = _check_grid(grid)
 
     if mode == "horizon":

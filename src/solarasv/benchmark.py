@@ -21,7 +21,7 @@ must match the DP value exactly):
   resolution ``res``; velocities are ``u_grid`` evenly spaced levels on
   [u_min, u_max].
 * At stage k with input power p_k, taking velocity u_j moves the state by a
-  whole number of cells: shift = floor((p_k - power_draw(u_j)) * dt/3600 / res).
+  whole number of cells: shift = floor((p_k - k_h - k_m * u_j**3) * dt/3600 / res).
   Rounding is toward energy loss on purpose (charging rounds down, discharging
   rounds up): with round-to-nearest the optimizer systematically picks
   velocities whose quantization error fabricates stored energy, and the

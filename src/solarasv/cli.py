@@ -20,9 +20,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .barrier import write_envelope_csv
-from .config import load_compare_configs, load_sim_config
+from .config import ConfigError, load_compare_configs, load_sim_config
 from .harness import (
-    ConfigError,
     build_input_profile,
     build_mission_envelope,
     compare_strategies,

@@ -1,6 +1,10 @@
-"""Flat key=value mission configuration files.
+"""Mission configuration: the config objects and the flat key=value files.
 
-Format: one ``section.key = value`` assignment per line, ``#`` starts a
+:class:`SimConfig` holds one mission's settings (the solar source, the
+vessel, the strategy and its gains) and :meth:`SimConfig.validate` lists
+every problem with them; the harness runs only configs that pass.
+
+File format: one ``section.key = value`` assignment per line, ``#`` starts a
 comment line, blank lines are ignored. Keys are namespaced by module:
 
     vessel.k_h vessel.k_m vessel.b_min vessel.b_max vessel.u_min vessel.u_max
@@ -17,18 +21,133 @@ comment line, blank lines are ignored. Keys are namespaced by module:
     sim.rng_seed sim.noise_std sim.output_dir
 
 Unknown keys, duplicate keys and type mismatches are reported together with
-the offending key name. Relative paths (solar.file, solar.table,
+the offending key name. A solar key the selected source does not read is an
+error too: solar.d0, solar.d1 and solar.table belong to the idealized
+source, which ignores solar.d0 and solar.d1 under a table; solar.file,
+solar.scale, solar.interpolation and solar.periodic belong to the file
+source, which reads solar.period only when solar.periodic is true. Relative paths (solar.file, solar.table,
 sim.output_dir) resolve against the config file's directory.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from .barrier import MODES as BARRIER_MODES
 from .benchmark import MpcConfig
-from .harness import ConfigError, FileSource, IdealizedSource, IlcSettings, SimConfig
+from .solar import FileSource, IdealizedSource
 from .vessel import VesselParams
+
+STRATEGIES = ("ilc", "constant-unconstrained", "constant-constrained", "mpc")
+DAY_S = 86400.0
+
+
+class ConfigError(ValueError):
+    """Raised when a SimConfig fails validation; message lists every failure."""
+
+
+def _raise_problems(problems: list[str]) -> None:
+    """Raise one ConfigError that lists every problem; do nothing if none."""
+    if problems:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+
+
+@dataclass(frozen=True)
+class IlcSettings:
+    """Learned-controller gains and buffer width."""
+
+    k_p: float = 5e-5    # (m/s)/Wh per cycle
+    k_d: float = 1e-5    # (m/s)/Wh per step
+    delta: float = 100.0  # blending band, Wh
+    u_init: float = 1.0   # initial velocity estimate, m/s
+    b_des: float | None = None  # fixed terminal target; None tracks cycle start
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    mission_length: float = 31_536_000.0  # s (365 days)
+    dt: float = 360.0
+    initial_soc: float = 3250.0
+    strategy: str = "ilc"
+    solar: IdealizedSource | FileSource = field(default_factory=IdealizedSource)
+    barrier_mode: str = "periodic-day"
+    rng_seed: int = 0
+    noise_std: float = 0.0
+    output_dir: str = "out"
+    vessel: VesselParams = field(default_factory=VesselParams)
+    ilc: IlcSettings = field(default_factory=IlcSettings)
+    mpc: MpcConfig = field(default_factory=MpcConfig)
+
+    def validate(self) -> list[str]:
+        """Collect every validation failure as a 'field: problem' string."""
+        errors = [
+            f"{key}: must be finite"
+            for key, value in self._numeric_fields()
+            if not math.isfinite(value)
+        ]
+        p = self.vessel
+        if self.dt <= 0:
+            errors.append("sim.dt: must be > 0")
+        if self.mission_length <= 0:
+            errors.append("sim.mission_length: must be > 0")
+        elif self.dt > 0 and math.isfinite(self.mission_length):
+            steps = self.mission_length / self.dt
+            if abs(steps - round(steps)) > 1e-9:
+                errors.append(
+                    "sim.mission_length: must be a positive multiple of sim.dt"
+                )
+        if not p.b_min <= self.initial_soc <= p.b_max:
+            errors.append(
+                f"sim.initial_soc: {self.initial_soc} outside battery window "
+                f"[{p.b_min}, {p.b_max}]"
+            )
+        if self.strategy not in STRATEGIES:
+            errors.append(f"sim.strategy: {self.strategy!r} not one of {STRATEGIES}")
+        if self.barrier_mode not in BARRIER_MODES:
+            errors.append(
+                f"barrier.mode: {self.barrier_mode!r} not one of {BARRIER_MODES}"
+            )
+        if self.noise_std < 0:
+            errors.append("sim.noise_std: must be >= 0")
+        if self.rng_seed < 0:
+            errors.append("sim.rng_seed: must be >= 0")
+        if self.strategy == "ilc":
+            if self.dt > 0 and abs(DAY_S / self.dt - round(DAY_S / self.dt)) > 1e-9:
+                errors.append("sim.dt: must divide 86400 s for the ilc strategy")
+            if self.ilc.delta <= 0:
+                errors.append("controller.delta: must be > 0")
+            if not p.u_min <= self.ilc.u_init <= p.u_max:
+                errors.append(
+                    f"controller.u_init: {self.ilc.u_init} outside velocity limits"
+                )
+        if self.strategy == "mpc" and self.dt > 0 and math.isfinite(self.dt):
+            steps = self.mpc.horizon / self.dt
+            if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
+                errors.append("mpc.horizon: must be a positive multiple of sim.dt")
+        return errors + self.solar.problems()
+
+    def check(self) -> None:
+        """Raise ConfigError listing every :meth:`validate` failure, if any."""
+        _raise_problems(self.validate())
+
+    def _numeric_fields(self) -> list[tuple[str, float]]:
+        """(config key, value) of every non-solar number validate() checks."""
+        ilc = self.ilc
+        out = [
+            ("sim.dt", self.dt),
+            ("sim.mission_length", self.mission_length),
+            ("sim.initial_soc", self.initial_soc),
+            ("sim.noise_std", self.noise_std),
+            ("controller.k_p", ilc.k_p),
+            ("controller.k_d", ilc.k_d),
+            ("controller.delta", ilc.delta),
+            ("controller.u_init", ilc.u_init),
+        ]
+        if ilc.b_des is not None:
+            out.append(("controller.b_des", ilc.b_des))
+        return out
 
 _FLOAT_KEYS = {
     "vessel.k_h",
@@ -66,6 +185,9 @@ _STR_KEYS = {
     "solar.periodic",
 }
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+# keys only one solar source reads; setting them under the other is an error
+_IDEALIZED_KEYS = ("solar.d0", "solar.d1", "solar.table")
+_FILE_KEYS = ("solar.file", "solar.scale", "solar.interpolation", "solar.periodic")
 _TRUE = ("true", "yes", "1")
 _FALSE = ("false", "no", "0")
 
@@ -149,14 +271,17 @@ def _load_day_table(path: Path) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(d0s), tuple(d1s)
 
 
+def _reject_keys(v: dict[str, object], keys: tuple[str, ...], condition: str) -> None:
+    _raise_problems([f"{key}: only read when {condition}" for key in keys if key in v])
+
+
 def build_sim_config(
     values: dict[str, str], base_dir: Path, strategy: str | None = None
 ) -> SimConfig:
     """Assemble a SimConfig from parsed key=value strings."""
     problems: list[str] = []
     v = _typed(values, problems)
-    if problems:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+    _raise_problems(problems)
 
     def pick(key: str, default):
         return v.get(key, default)
@@ -177,8 +302,10 @@ def build_sim_config(
     source_kind = pick("solar.source", "idealized")
     solar: IdealizedSource | FileSource
     if source_kind == "idealized":
+        _reject_keys(v, _FILE_KEYS, "solar.source = file")
         d0_by_day = d1_by_day = None
         if "solar.table" in v:
+            _reject_keys(v, ("solar.d0", "solar.d1"), "there is no solar.table")
             table_path = (base_dir / str(v["solar.table"])).resolve()
             d0_by_day, d1_by_day = _load_day_table(table_path)
         solar = IdealizedSource(
@@ -189,6 +316,7 @@ def build_sim_config(
             d1_by_day=d1_by_day,
         )
     elif source_kind == "file":
+        _reject_keys(v, _IDEALIZED_KEYS, "solar.source = idealized")
         if "solar.file" not in v:
             raise ConfigError("solar.file: required when solar.source = file")
         periodic = str(pick("solar.periodic", "false")).lower()
@@ -196,6 +324,8 @@ def build_sim_config(
             raise ConfigError(
                 f"solar.periodic: expected one of {_TRUE + _FALSE}, got {periodic!r}"
             )
+        if periodic in _FALSE:
+            _reject_keys(v, ("solar.period",), "solar.periodic = true")
         period = pick("solar.period", 86400.0) if periodic in _TRUE else None
         solar = FileSource(
             path=str((base_dir / str(v["solar.file"])).resolve()),
@@ -255,9 +385,7 @@ def build_sim_config(
         ilc=ilc,
         mpc=mpc,
     )
-    errors = cfg.validate()
-    if errors:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
+    cfg.check()
     return cfg
 
 

@@ -1,10 +1,12 @@
-"""Closed-loop mission harness: configuration, stepping loop, CSV exports.
+"""Closed-loop mission harness: tabulation, policies, stepping loop, exports.
 
-A mission is tabulated once (:func:`tabulate_mission`): the input profile,
-the envelope, and read-only arrays of the input power at each step start
-and the bounds at each step boundary. :func:`compare_strategies` shares one
-tabulation among all configs that agree in solar source, mission length,
-dt, vessel and barrier mode.
+A mission runs from a valid :class:`~solarasv.config.SimConfig`, whose
+solar source builds the input profile itself. The mission is tabulated once
+(:func:`tabulate_mission`): the input profile, the envelope, and read-only
+arrays of the input power at each step start and the bounds at each step
+boundary. :func:`compare_strategies` shares one tabulation among all
+configs that agree in solar source, mission length, dt, vessel and barrier
+mode.
 
 Every strategy runs through one step loop, :func:`simulate`. Each step it
 hands the measured SOC and the envelope bounds to the strategy's
@@ -41,16 +43,16 @@ Conventions
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .barrier import BarrierEnvelope, build_envelope
-from .benchmark import MpcConfig, MpcController, energy_balance_velocity
+from .benchmark import MpcController, energy_balance_velocity
+from .config import DAY_S, ConfigError, SimConfig
 from .controller import (
     IlcPolicy,
     _switching_velocity,
@@ -58,169 +60,8 @@ from .controller import (
     validate_buffer,
 )
 from .csvout import write_columns
-from .solar import (
-    INTERPOLATIONS,
-    IdealizedSolarParams,
-    SolarProfile,
-    load_profile,
-    sample_array,
-    tabulate_idealized,
-    tabulate_seasonal,
-)
+from .solar import SolarProfile, period_grid, sample_array
 from .vessel import VesselParams
-
-STRATEGIES = ("ilc", "constant-unconstrained", "constant-constrained", "mpc")
-BARRIER_MODES = ("horizon", "periodic-day")
-DAY_S = 86400.0
-
-
-class ConfigError(ValueError):
-    """Raised when a SimConfig fails validation; message lists every failure."""
-
-
-@dataclass(frozen=True)
-class IdealizedSource:
-    """Idealized clear-sky input, optionally with per-day constants."""
-
-    d0: float = 300.0
-    d1: float = 500.0
-    period: float = 86400.0
-    d0_by_day: tuple[float, ...] | None = None
-    d1_by_day: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class FileSource:
-    """Input power read from a two-column time_s,power file."""
-
-    path: str
-    scale: float = 1.0
-    interpolation: str = "linear"
-    period: float | None = None
-
-
-@dataclass(frozen=True)
-class IlcSettings:
-    """Learned-controller gains and buffer width."""
-
-    k_p: float = 5e-5    # (m/s)/Wh per cycle
-    k_d: float = 1e-5    # (m/s)/Wh per step
-    delta: float = 100.0  # blending band, Wh
-    u_init: float = 1.0   # initial velocity estimate, m/s
-    b_des: float | None = None  # fixed terminal target; None tracks cycle start
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    mission_length: float = 31_536_000.0  # s (365 days)
-    dt: float = 360.0
-    initial_soc: float = 3250.0
-    strategy: str = "ilc"
-    solar: IdealizedSource | FileSource = field(default_factory=IdealizedSource)
-    barrier_mode: str = "periodic-day"
-    rng_seed: int = 0
-    noise_std: float = 0.0
-    output_dir: str = "out"
-    vessel: VesselParams = field(default_factory=VesselParams)
-    ilc: IlcSettings = field(default_factory=IlcSettings)
-    mpc: MpcConfig = field(default_factory=MpcConfig)
-
-    def validate(self) -> list[str]:
-        """Collect every validation failure as a 'field: problem' string."""
-        errors = list(
-            dict.fromkeys(
-                f"{key}: must be finite"
-                for key, value in self._numeric_fields()
-                if not math.isfinite(value)
-            )
-        )
-        p = self.vessel
-        if self.dt <= 0:
-            errors.append("sim.dt: must be > 0")
-        if self.mission_length <= 0:
-            errors.append("sim.mission_length: must be > 0")
-        elif self.dt > 0 and math.isfinite(self.mission_length):
-            steps = self.mission_length / self.dt
-            if abs(steps - round(steps)) > 1e-9:
-                errors.append(
-                    "sim.mission_length: must be a positive multiple of sim.dt"
-                )
-        if not p.b_min <= self.initial_soc <= p.b_max:
-            errors.append(
-                f"sim.initial_soc: {self.initial_soc} outside battery window "
-                f"[{p.b_min}, {p.b_max}]"
-            )
-        if self.strategy not in STRATEGIES:
-            errors.append(f"sim.strategy: {self.strategy!r} not one of {STRATEGIES}")
-        if self.barrier_mode not in BARRIER_MODES:
-            errors.append(
-                f"barrier.mode: {self.barrier_mode!r} not one of {BARRIER_MODES}"
-            )
-        if self.noise_std < 0:
-            errors.append("sim.noise_std: must be >= 0")
-        if self.rng_seed < 0:
-            errors.append("sim.rng_seed: must be >= 0")
-        if self.strategy == "ilc":
-            if self.dt > 0 and abs(DAY_S / self.dt - round(DAY_S / self.dt)) > 1e-9:
-                errors.append("sim.dt: must divide 86400 s for the ilc strategy")
-            if self.ilc.delta <= 0:
-                errors.append("controller.delta: must be > 0")
-            if not p.u_min <= self.ilc.u_init <= p.u_max:
-                errors.append(
-                    f"controller.u_init: {self.ilc.u_init} outside velocity limits"
-                )
-        if self.strategy == "mpc" and self.dt > 0 and math.isfinite(self.dt):
-            steps = self.mpc.horizon / self.dt
-            if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
-                errors.append("mpc.horizon: must be a positive multiple of sim.dt")
-        if isinstance(self.solar, IdealizedSource):
-            s = self.solar
-            if s.period <= 0:
-                errors.append("solar.period: must be > 0")
-            if s.d1 < 0:
-                errors.append("solar.d1: must be >= 0")
-            tables = (s.d0_by_day, s.d1_by_day)
-            if (tables[0] is None) != (tables[1] is None):
-                errors.append("solar.table: d0_by_day and d1_by_day must come together")
-            elif tables[0] is not None and len(tables[0]) != len(tables[1]):
-                errors.append("solar.table: d0_by_day and d1_by_day lengths differ")
-        elif isinstance(self.solar, FileSource):
-            if self.solar.scale <= 0:
-                errors.append("solar.scale: must be > 0")
-            if self.solar.interpolation not in INTERPOLATIONS:
-                errors.append(
-                    f"solar.interpolation: {self.solar.interpolation!r} not one of "
-                    f"{INTERPOLATIONS}"
-                )
-        else:
-            errors.append("solar.source: unrecognized source type")
-        return errors
-
-    def _numeric_fields(self) -> list[tuple[str, float]]:
-        """(config key, value) of every number validate() checks."""
-        ilc = self.ilc
-        out = [
-            ("sim.dt", self.dt),
-            ("sim.mission_length", self.mission_length),
-            ("sim.initial_soc", self.initial_soc),
-            ("sim.noise_std", self.noise_std),
-            ("controller.k_p", ilc.k_p),
-            ("controller.k_d", ilc.k_d),
-            ("controller.delta", ilc.delta),
-            ("controller.u_init", ilc.u_init),
-        ]
-        if ilc.b_des is not None:
-            out.append(("controller.b_des", ilc.b_des))
-        s = self.solar
-        if isinstance(s, IdealizedSource):
-            out += [("solar.d0", s.d0), ("solar.d1", s.d1), ("solar.period", s.period)]
-            for days in (s.d0_by_day, s.d1_by_day):
-                out += [("solar.table", v) for v in days or ()]
-        elif isinstance(s, FileSource):
-            out.append(("solar.scale", s.scale))
-            if s.period is not None:
-                out.append(("solar.period", s.period))
-        return out
 
 
 class IterationRecord(NamedTuple):
@@ -257,17 +98,7 @@ class SimResult:
 
 def build_input_profile(cfg: SimConfig) -> SolarProfile:
     """Tabulate or load the mission's P_in signal."""
-    if isinstance(cfg.solar, FileSource):
-        s = cfg.solar
-        return load_profile(
-            s.path, scale=s.scale, interpolation=s.interpolation, period=s.period
-        )
-    s = cfg.solar
-    if s.d0_by_day is not None:
-        return tabulate_seasonal(s.d0_by_day, s.d1_by_day, cfg.dt, period=s.period)
-    return tabulate_idealized(
-        IdealizedSolarParams(d0=s.d0, d1=s.d1, period=s.period), cfg.dt
-    )
+    return cfg.solar.profile(cfg.dt)
 
 
 def build_mission_envelope(cfg: SimConfig, profile: SolarProfile) -> BarrierEnvelope:
@@ -284,7 +115,7 @@ def build_mission_envelope(cfg: SimConfig, profile: SolarProfile) -> BarrierEnve
     if cfg.barrier_mode == "horizon":
         grid = np.arange(0.0, cfg.mission_length + cfg.dt / 2, cfg.dt)
     else:
-        grid = np.arange(0.0, float(profile.period), cfg.dt)
+        grid = period_grid(float(profile.period), cfg.dt)
     return build_envelope(profile, cfg.vessel, grid, mode=cfg.barrier_mode)
 
 
@@ -308,12 +139,6 @@ class MissionTabulation(NamedTuple):
 
 def _tabulation_key(cfg: SimConfig) -> tuple:
     return (cfg.solar, cfg.mission_length, cfg.dt, cfg.vessel, cfg.barrier_mode)
-
-
-def _check_config(cfg: SimConfig) -> None:
-    errors = cfg.validate()
-    if errors:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
 
 
 def tabulate_mission(cfg: SimConfig) -> MissionTabulation:
@@ -476,8 +301,8 @@ def simulate(
         strategy=policy.strategy,
         dt=dt,
         initial_soc=float(initial_soc),
-        soc_trace=np.asarray(soc),
-        velocity_trace=np.asarray(vel),
+        soc_trace=np.fromiter(soc, float, n),
+        velocity_trace=np.fromiter(vel, float, n),
         p_in_trace=p_in_trace,
         distance=sum_u * dt,
         terminal_soc=b,
@@ -502,7 +327,7 @@ def run_mission(
     the tabulation when it is built here, the policy build and the step
     loop always.
     """
-    _check_config(cfg)
+    cfg.check()
     wall0 = time.perf_counter()
     tab = tabulate_mission(cfg) if tabulation is None else tabulation
     if tab.key != _tabulation_key(cfg):
@@ -582,7 +407,7 @@ def compare_strategies(cfgs: Sequence[SimConfig]) -> ComparisonResult:
                 f"compare: config {i} has a different mission length than config 1"
             )
     for cfg in cfgs:
-        _check_config(cfg)
+        cfg.check()
     tabulations: list[MissionTabulation] = []
     rows: list[StrategyRow] = []
     daily: list[np.ndarray] = []

@@ -1,18 +1,19 @@
-"""Solar input power: idealized clear-sky cycle and tabulated profiles.
+"""Solar input power: the sources of a mission and tabulated profiles.
 
-Two sources of the input-power signal P_in(t):
+A :class:`SolarProfile` holds sampled (time_s, power_w) pairs with
+zero-order-hold or linear interpolation, optionally periodic with a stated
+period. Each solar source turns its settings into one with
+``profile(dt)``, and lists what is wrong with those settings with
+``problems()``:
 
-1. An idealized clear-sky day, a clipped cosine
+1. :class:`IdealizedSource`, a clear-sky day, the clipped cosine
 
        P_in(t) = max(0, d0 + d1 * cos(2*pi*t / period))
 
-   d0 and d1 are configuration constants in W (optionally varied per day by
-   the harness to model seasons); nothing is derived from latitude or date.
+   d0 and d1 are configuration constants in W, optionally given per day by a
+   day table to model seasons; nothing is derived from latitude or date.
 
-2. A tabulated :class:`SolarProfile`: sampled (time_s, power_w) pairs with
-   zero-order-hold or linear interpolation, optionally periodic with a stated
-   period. Measured irradiance logs are loaded into this form by
-   :func:`load_profile`.
+2. :class:`FileSource`, a measured power log read by :func:`load_profile`.
 
 All powers are W, all times are seconds.
 """
@@ -22,41 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 
 INTERPOLATIONS = ("hold", "linear")
-
-
-@dataclass(frozen=True)
-class IdealizedSolarParams:
-    """Clipped-cosine clear-sky model constants."""
-
-    d0: float = 300.0        # mean term, W
-    d1: float = 500.0        # oscillation amplitude, W
-    period: float = 86400.0  # s
-
-    def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError("period must be > 0")
-        if self.d1 < 0:
-            raise ValueError("d1 must be >= 0")
-
-
-def idealized_irradiance(t: float, params: IdealizedSolarParams) -> float:
-    """Clear-sky input power in W at time ``t`` (s). Never negative."""
-    return max(0.0, params.d0 + params.d1 * math.cos(_TWO_PI * t / params.period))
-
-
-def idealized_irradiance_array(
-    times: np.ndarray, params: IdealizedSolarParams
-) -> np.ndarray:
-    """Vectorized :func:`idealized_irradiance`."""
-    t = np.asarray(times, dtype=float)
-    return np.maximum(0.0, params.d0 + params.d1 * np.cos(_TWO_PI * t / params.period))
 
 
 @dataclass(frozen=True)
@@ -168,6 +141,127 @@ def load_profile(
     )
 
 
+def period_grid(period: float, dt: float) -> np.ndarray:
+    """Times 0, dt, 2*dt, ... below ``period``: one period of a uniform grid.
+
+    ``np.arange(0, period, dt)`` alone may end on t = period itself by
+    rounding (e.g. dt = 86400 / 61), which a periodic profile cannot hold.
+    """
+    times = np.arange(0.0, period, dt)
+    return times[times < period]
+
+
+def _finite_problems(values: Iterable[tuple[str, float]]) -> list[str]:
+    """'key: must be finite' once for each key with a NaN or infinite value."""
+    bad = (key for key, v in values if not math.isfinite(v))
+    return list(dict.fromkeys(f"{key}: must be finite" for key in bad))
+
+
+@dataclass(frozen=True)
+class IdealizedSource:
+    """Clear-sky input: the clipped cosine, optionally with per-day constants.
+
+    Without a day table, d0 and d1 hold for every day and :meth:`profile`
+    tabulates one period, marked periodic. With d0_by_day and d1_by_day, day
+    k (t in [k*period, (k+1)*period)) uses row k instead, and the profile
+    covers the table's n days, non-periodic; the sample at t = n*period uses
+    the last row.
+    """
+
+    d0: float = 300.0        # mean term, W
+    d1: float = 500.0        # oscillation amplitude, W
+    period: float = 86400.0  # s
+    d0_by_day: tuple[float, ...] | None = None
+    d1_by_day: tuple[float, ...] | None = None
+
+    def problems(self) -> list[str]:
+        """Every 'solar.key: problem' message for these settings; [] if valid."""
+        numbers = [
+            ("solar.d0", self.d0), ("solar.d1", self.d1), ("solar.period", self.period)
+        ]
+        for days in (self.d0_by_day, self.d1_by_day):
+            numbers += [("solar.table", v) for v in days or ()]
+        out = _finite_problems(numbers)
+        if self.period <= 0:
+            out.append("solar.period: must be > 0")
+        if self.d1 < 0:
+            out.append("solar.d1: must be >= 0")
+        d0s, d1s = self.d0_by_day, self.d1_by_day
+        if (d0s is None) != (d1s is None):
+            out.append("solar.table: d0_by_day and d1_by_day must come together")
+        elif d0s is not None:
+            if len(d0s) != len(d1s):
+                out.append("solar.table: d0_by_day and d1_by_day lengths differ")
+            elif not d0s:
+                out.append("solar.table: no days")
+            if any(v < 0 for v in d1s):
+                out.append("solar.table: d1 values must be >= 0")
+        return out
+
+    def profile(self, dt: float) -> SolarProfile:
+        """The clipped cosine sampled every ``dt`` seconds from t = 0.
+
+        Raises ValueError if :meth:`problems` finds any, or dt is not > 0.
+        """
+        problems = self.problems()
+        if not dt > 0:
+            problems.append(f"dt must be > 0, got {dt}")
+        if problems:
+            raise ValueError("; ".join(problems))
+        if self.d0_by_day is None:
+            times = period_grid(self.period, dt)
+            d0, d1, period = self.d0, self.d1, self.period
+        else:
+            n = len(self.d0_by_day)
+            times = np.arange(0.0, n * self.period + dt / 2, dt)
+            day = np.minimum((times // self.period).astype(int), n - 1)
+            d0 = np.asarray(self.d0_by_day, dtype=float)[day]
+            d1 = np.asarray(self.d1_by_day, dtype=float)[day]
+            period = None
+        phase = _TWO_PI * np.mod(times, self.period) / self.period
+        return SolarProfile(
+            times=times,
+            powers=np.maximum(0.0, d0 + d1 * np.cos(phase)),
+            interpolation="linear",
+            period=period,
+        )
+
+
+@dataclass(frozen=True)
+class FileSource:
+    """Input power read from a two-column time_s,power file."""
+
+    path: str
+    scale: float = 1.0
+    interpolation: str = "linear"
+    period: float | None = None  # s; None reads the log as non-periodic
+
+    def problems(self) -> list[str]:
+        """Every 'solar.key: problem' message for these settings; [] if valid."""
+        numbers = [("solar.scale", self.scale)]
+        if self.period is not None:
+            numbers.append(("solar.period", self.period))
+        out = _finite_problems(numbers)
+        if self.period is not None and self.period <= 0:
+            out.append("solar.period: must be > 0")
+        if self.scale <= 0:
+            out.append("solar.scale: must be > 0")
+        if self.interpolation not in INTERPOLATIONS:
+            out.append(
+                f"solar.interpolation: {self.interpolation!r} not one of {INTERPOLATIONS}"
+            )
+        return out
+
+    def profile(self, dt: float) -> SolarProfile:
+        """The log as :func:`load_profile` reads it, on its own grid (dt unused)."""
+        return load_profile(
+            self.path,
+            scale=self.scale,
+            interpolation=self.interpolation,
+            period=self.period,
+        )
+
+
 def _wrap_times(profile: SolarProfile, t: np.ndarray) -> np.ndarray:
     t0 = profile.times[0]
     if profile.periodic:
@@ -199,69 +293,6 @@ def sample_array(profile: SolarProfile, times: Iterable[float]) -> np.ndarray:
         xp = np.concatenate([xp, [profile.times[0] + profile.period]])
         fp = np.concatenate([fp, [profile.powers[0]]])
     return np.interp(t, xp, fp)
-
-
-def sample(profile: SolarProfile, t: float) -> float:
-    """Scalar convenience wrapper around :func:`sample_array`."""
-    return float(sample_array(profile, np.asarray([t], dtype=float))[0])
-
-
-def tabulate_idealized(
-    params: IdealizedSolarParams,
-    dt: float,
-    duration: float | None = None,
-    periodic: bool = True,
-) -> SolarProfile:
-    """Sample the idealized model onto a uniform grid.
-
-    With ``periodic=True`` (default) one period is tabulated and the profile
-    is marked periodic, so it extends to all t. Otherwise ``duration`` seconds
-    are tabulated as a plain non-periodic profile.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if periodic:
-        times = np.arange(0.0, params.period, dt)
-        return SolarProfile(
-            times=times,
-            powers=idealized_irradiance_array(times, params),
-            interpolation="linear",
-            period=params.period,
-        )
-    if duration is None or duration <= 0:
-        raise ValueError("duration must be > 0 for a non-periodic tabulation")
-    times = np.arange(0.0, duration + dt / 2, dt)
-    return SolarProfile(
-        times=times,
-        powers=idealized_irradiance_array(times, params),
-        interpolation="linear",
-    )
-
-
-def tabulate_seasonal(
-    d0_by_day: Sequence[float],
-    d1_by_day: Sequence[float],
-    dt: float,
-    period: float = 86400.0,
-) -> SolarProfile:
-    """Tabulate the idealized model with per-day (d0, d1) constants.
-
-    Day k (t in [k*period, (k+1)*period)) uses d0_by_day[k], d1_by_day[k].
-    """
-    d0 = np.asarray(d0_by_day, dtype=float)
-    d1 = np.asarray(d1_by_day, dtype=float)
-    if d0.size == 0 or d0.shape != d1.shape:
-        raise ValueError("d0_by_day and d1_by_day must be equal-length and non-empty")
-    if np.any(d1 < 0):
-        raise ValueError("d1 values must be >= 0")
-    if dt <= 0 or period <= 0:
-        raise ValueError("dt and period must be > 0")
-    times = np.arange(0.0, d0.size * period + dt / 2, dt)
-    day = np.minimum((times // period).astype(int), d0.size - 1)
-    powers = np.maximum(
-        0.0, d0[day] + d1[day] * np.cos(_TWO_PI * np.mod(times, period) / period)
-    )
-    return SolarProfile(times=times, powers=powers, interpolation="linear")
 
 
 def integrate_power(profile: SolarProfile, t0: float, t1: float) -> float:

@@ -1,9 +1,9 @@
-"""Vessel energy model: parameters and the cubic drag power law.
+"""Vessel energy model: the parameters of the cubic drag power law.
 
 Electrical load at cruise is a constant hotel draw plus a motor term cubic in
 speed through water:
 
-    power_draw(u) = k_h + k_m * u**3        [W]
+    draw(u) = k_h + k_m * u**3        [W]
 
 The battery integrates net power with forward Euler, SOC in Wh, clamped to
 the physical window [b_min, b_max]; that step lives in
@@ -39,16 +39,4 @@ class VesselParams:
             raise ValueError("b_min must be strictly below b_max")
         if not 0.0 <= self.u_min < self.u_max:
             raise ValueError("velocity limits must satisfy 0 <= u_min < u_max")
-
-
-def power_draw(u: float, params: VesselParams) -> float:
-    """Total electrical draw in W at speed ``u``.
-
-    Raises ValueError if ``u`` lies outside [u_min, u_max].
-    """
-    if not params.u_min <= u <= params.u_max:
-        raise ValueError(
-            f"u={u} outside velocity limits [{params.u_min}, {params.u_max}]"
-        )
-    return params.k_h + params.k_m * u ** 3
 

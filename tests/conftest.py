@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from solarasv.harness import Policy, SimResult, simulate
-from solarasv.solar import IdealizedSolarParams, SolarProfile, tabulate_idealized
+from solarasv.solar import IdealizedSource, SolarProfile
 from solarasv.vessel import VesselParams
 
 
@@ -53,7 +53,7 @@ def params() -> VesselParams:
 @pytest.fixture
 def canonical_day() -> SolarProfile:
     """One idealized clear-sky day, mean input above the hotel load."""
-    return tabulate_idealized(IdealizedSolarParams(d0=300.0, d1=500.0), dt=360.0)
+    return IdealizedSource(d0=300.0, d1=500.0).profile(360.0)
 
 
 # ======================================================================

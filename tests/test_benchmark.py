@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solarasv.benchmark import MpcConfig, MpcController, energy_balance_velocity
+from solarasv.config import SimConfig
 from solarasv.harness import (
     Policy,
-    SimConfig,
     build_policy,
     simulate,
     tabulate_mission,

@@ -76,6 +76,15 @@ class TestBarriersCommand:
         assert env[0] == "time_s,b_l_wh,b_u_wh"
         assert len(env) == 241
 
+    @pytest.mark.parametrize("command", ["run", "barriers"])
+    def test_step_arange_rounds_onto_the_period(self, tmp_path, capsys, command):
+        # np.arange(0, 86400, 86400 / 61) ends on t = 86400 itself
+        text = FAST_RUN.replace("sim.dt = 360", f"sim.dt = {86400 / 61!r}")
+        cfg = _write(tmp_path, text.replace("constant-unconstrained", "ilc"))
+        assert main([command, "--config", cfg]) == 0
+        if command == "barriers":
+            assert "grid_points=61" in capsys.readouterr().out
+
 
 class TestErrorHandling:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -148,6 +157,16 @@ class TestErrorHandling:
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{key}:" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare", "barriers"])
+    def test_setting_of_the_other_source(self, tmp_path, capsys, command):
+        text = FAST_COMPARE if command == "compare" else FAST_RUN
+        cfg = _write(tmp_path, text + "solar.scale = -3\n")
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "solar.scale: only read when solar.source = file" in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_subcommand_exits_via_argparse(self, capsys):

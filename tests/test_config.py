@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from solarasv.config import load_compare_configs, load_sim_config, parse_kv_file
-from solarasv.harness import ConfigError, FileSource, IdealizedSource
+from solarasv.config import (
+    ConfigError,
+    load_compare_configs,
+    load_sim_config,
+    parse_kv_file,
+)
+from solarasv.solar import FileSource, IdealizedSource
 
 
 def _write(tmp_path, text: str, name: str = "mission.cfg"):
@@ -150,6 +155,58 @@ class TestLoadSimConfig:
             f"solar.source = file\nsolar.file = input.csv\nsolar.periodic = {spelling}\n",
         )
         assert load_sim_config(p).solar.period == period
+
+    @pytest.mark.parametrize(
+        "lines, fragment",
+        [
+            ("solar.file = input.csv", "solar.file: only read when solar.source = file"),
+            ("solar.scale = -3", "solar.scale: only read when solar.source = file"),
+            (
+                "solar.interpolation = cubic",
+                "solar.interpolation: only read when solar.source = file",
+            ),
+            ("solar.periodic = flase", "solar.periodic: only read when solar.source = file"),
+            (
+                "solar.source = file\nsolar.file = input.csv\nsolar.d0 = 999",
+                "solar.d0: only read when solar.source = idealized",
+            ),
+            (
+                "solar.source = file\nsolar.file = input.csv\nsolar.d1 = 10",
+                "solar.d1: only read when solar.source = idealized",
+            ),
+            (
+                "solar.source = file\nsolar.file = input.csv\nsolar.table = nope.csv",
+                "solar.table: only read when solar.source = idealized",
+            ),
+            (
+                "solar.source = file\nsolar.file = input.csv\nsolar.period = 3600",
+                "solar.period: only read when solar.periodic = true",
+            ),
+            (
+                "solar.source = file\nsolar.file = input.csv\nsolar.periodic = no\n"
+                "solar.period = 3600",
+                "solar.period: only read when solar.periodic = true",
+            ),
+            (
+                "solar.table = days.csv\nsolar.d0 = 999",
+                "solar.d0: only read when there is no solar.table",
+            ),
+            (
+                "solar.table = days.csv\nsolar.d1 = 10",
+                "solar.d1: only read when there is no solar.table",
+            ),
+        ],
+        ids=[
+            "file", "scale", "interpolation", "periodic", "d0", "d1", "table",
+            "period-unset-periodic", "period-not-periodic", "d0-table", "d1-table",
+        ],
+    )
+    def test_unread_solar_keys_rejected(self, tmp_path, lines, fragment):
+        (tmp_path / "input.csv").write_text("0,100\n86400,100\n")
+        (tmp_path / "days.csv").write_text("0,300,500\n")
+        p = _write(tmp_path, f"sim.strategy = constant-unconstrained\n{lines}\n")
+        with pytest.raises(ConfigError, match=fragment):
+            load_sim_config(p)
 
     def test_unknown_source_kind(self, tmp_path):
         p = _write(tmp_path, "solar.source = oracle\n")

@@ -16,8 +16,9 @@ from solarasv.controller import (
     validate_buffer,
     velocity_from_costate,
 )
-from solarasv.harness import Policy, SimConfig, run_mission, simulate
-from solarasv.vessel import VesselParams, power_draw
+from solarasv.config import SimConfig
+from solarasv.harness import Policy, run_mission, simulate
+from solarasv.vessel import VesselParams
 
 from conftest import step_fixed
 
@@ -105,7 +106,7 @@ class TestSwitchingControl:
         # the step loop hands the law each step's bounds: the same SOC gets
         # different verdicts as the floor rises
         policy = Policy("switching", lambda b, b_l, b_u, i: self._u(b, params, b_l, b_u))
-        draw = power_draw(1.83, params)
+        draw = params.k_h + params.k_m * 1.83**3
         r = simulate(
             policy, [draw, 0.0], [0.0, 2000.0], [6500.0, 6500.0], 1000.0, params, 360.0
         )

@@ -9,13 +9,9 @@ import numpy as np
 import pytest
 
 from solarasv.benchmark import MpcConfig
+from solarasv.config import ConfigError, IlcSettings, SimConfig
 from solarasv.harness import (
-    ConfigError,
-    FileSource,
-    IdealizedSource,
-    IlcSettings,
     Policy,
-    SimConfig,
     SimResult,
     build_input_profile,
     build_mission_envelope,
@@ -29,8 +25,8 @@ from solarasv.harness import (
 )
 from solarasv import harness
 from solarasv.barrier import build_envelope, write_envelope_csv
-from solarasv.solar import load_profile, sample
-from solarasv.vessel import VesselParams, power_draw
+from solarasv.solar import FileSource, IdealizedSource, load_profile, sample_array
+from solarasv.vessel import VesselParams
 
 DAY = 86400.0
 NAN, INF = float("nan"), float("inf")
@@ -52,7 +48,7 @@ def _cfg(**kw) -> SimConfig:
 def _energy_audit(result, params: VesselParams) -> float:
     """Terminal SOC recomputed from the traces; must match exactly."""
     dtf = result.dt / 3600.0
-    draws = np.array([power_draw(u, params) for u in result.velocity_trace])
+    draws = params.k_h + params.k_m * result.velocity_trace**3
     net = float(np.sum((result.p_in_trace - draws) * dtf))
     return result.initial_soc + net + result.floor_added_wh - result.curtailed_wh
 
@@ -117,6 +113,12 @@ class TestValidation:
                 {"solar": FileSource(path="x.csv", interpolation="cubic")},
                 "solar.interpolation: 'cubic' not one of ('hold', 'linear')",
             ),
+            (
+                {"solar": IdealizedSource(d0_by_day=(1.0,), d1_by_day=(-1.0,))},
+                "solar.table: d1 values must be >= 0",
+            ),
+            ({"solar": IdealizedSource(d0_by_day=(), d1_by_day=())}, "solar.table: no days"),
+            ({"solar": FileSource(path="x.csv", period=-5.0)}, "solar.period: must be > 0"),
         ],
     )
     def test_each_field_reports_itself(self, kw, fragment):
@@ -176,20 +178,19 @@ class TestAssembly:
     def test_idealized_profile_is_periodic(self):
         prof = build_input_profile(_cfg())
         assert prof.periodic and prof.period == DAY
-        assert sample(prof, 0.0) == 800.0
+        assert sample_array(prof, [0.0])[0] == 800.0
 
     def test_seasonal_table_switches_by_day(self):
         cfg = _cfg(solar=IdealizedSource(d0_by_day=[100.0, 200.0], d1_by_day=[0.0, 0.0]))
         prof = build_input_profile(cfg)
-        assert sample(prof, 0.5 * DAY) == 100.0
-        assert sample(prof, 1.5 * DAY) == 200.0
+        assert sample_array(prof, [0.5 * DAY, 1.5 * DAY]).tolist() == [100.0, 200.0]
 
     def test_file_source_loads_and_scales(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text("0,100\n86400,100\n")
         cfg = _cfg(solar=FileSource(path=str(f), scale=3.0))
         prof = build_input_profile(cfg)
-        assert sample(prof, 1000.0) == 300.0
+        assert sample_array(prof, [1000.0])[0] == 300.0
 
     def test_periodic_day_envelope_comes_from_the_periodic_file(self, tmp_path, params):
         # an overcast day: a short low midday peak, nothing like the clear sky

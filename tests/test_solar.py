@@ -1,4 +1,4 @@
-"""Tests for solarasv.solar — idealized model, tabulated profiles, integration."""
+"""Tests for solarasv.solar — the solar sources, tabulated profiles, integration."""
 
 from __future__ import annotations
 
@@ -6,18 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from solarasv.solar import (
-    IdealizedSolarParams,
+    IdealizedSource,
     SolarProfile,
-    idealized_irradiance,
-    idealized_irradiance_array,
     integrate_power,
     load_profile,
-    sample,
     sample_array,
-    tabulate_idealized,
-    tabulate_seasonal,
 )
 
 
@@ -26,38 +23,42 @@ from solarasv.solar import (
 # ======================================================================
 
 
+def _clear_sky(t: float, d0: float, d1: float, period: float = 86400.0) -> float:
+    """The clipped cosine at one instant, in scalar arithmetic."""
+    return max(0.0, d0 + d1 * math.cos(2.0 * math.pi * t / period))
+
+
 class TestIdealizedModel:
     def test_peak_at_cycle_start(self):
-        p = IdealizedSolarParams(d0=300.0, d1=500.0)
-        assert idealized_irradiance(0.0, p) == 800.0
+        prof = IdealizedSource(d0=300.0, d1=500.0).profile(360.0)
+        assert sample_array(prof, [0.0])[0] == 800.0
 
     def test_trough_at_half_period(self):
-        p = IdealizedSolarParams(d0=600.0, d1=500.0)
-        assert idealized_irradiance(43200.0, p) == pytest.approx(100.0)
+        prof = IdealizedSource(d0=600.0, d1=500.0).profile(360.0)
+        assert sample_array(prof, [43200.0])[0] == pytest.approx(100.0)
 
     def test_clipped_to_zero_at_night(self):
         """d1 > d0 drives the cosine negative; output must clip at zero."""
-        p = IdealizedSolarParams(d0=100.0, d1=500.0)
-        assert idealized_irradiance(43200.0, p) == 0.0
+        prof = IdealizedSource(d0=100.0, d1=500.0).profile(360.0)
+        assert sample_array(prof, [43200.0])[0] == 0.0
 
     def test_periodicity(self):
-        p = IdealizedSolarParams(d0=300.0, d1=500.0)
-        for t in (0.0, 12345.0, 50000.0):
-            assert idealized_irradiance(t + p.period, p) == pytest.approx(
-                idealized_irradiance(t, p), abs=1e-9
-            )
+        src = IdealizedSource(d0=300.0, d1=500.0)
+        prof = src.profile(360.0)
+        ts = np.array([0.0, 12345.0, 50000.0])
+        np.testing.assert_allclose(
+            sample_array(prof, ts + src.period), sample_array(prof, ts), rtol=0, atol=1e-9
+        )
 
     def test_array_matches_scalar(self):
-        p = IdealizedSolarParams(d0=300.0, d1=500.0)
-        ts = np.linspace(0.0, 86400.0, 97)
-        arr = idealized_irradiance_array(ts, p)
-        assert arr.tolist() == [idealized_irradiance(t, p) for t in ts]
+        prof = IdealizedSource(d0=300.0, d1=500.0).profile(900.0)
+        assert prof.powers.tolist() == [_clear_sky(t, 300.0, 500.0) for t in prof.times]
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            IdealizedSolarParams(period=0.0)
+            IdealizedSource(period=0.0).profile(360.0)
         with pytest.raises(ValueError):
-            IdealizedSolarParams(d1=-1.0)
+            IdealizedSource(d1=-1.0).profile(360.0)
 
 
 # ======================================================================
@@ -106,25 +107,23 @@ class TestSolarProfile:
             powers=np.array([10.0, 20.0, 30.0]),
             interpolation="hold",
         )
-        assert sample(prof, 0.0) == 10.0
-        assert sample(prof, 99.9) == 10.0
-        assert sample(prof, 100.0) == 20.0
-        assert sample(prof, 150.0) == 20.0
-        # held past the last sample
-        assert sample(prof, 500.0) == 30.0
+        # held past the last sample (t = 500)
+        got = sample_array(prof, [0.0, 99.9, 100.0, 150.0, 500.0])
+        assert got.tolist() == [10.0, 10.0, 20.0, 20.0, 30.0]
 
     def test_linear_sampling(self):
         prof = SolarProfile(
             times=np.array([0.0, 100.0]), powers=np.array([10.0, 20.0])
         )
-        assert sample(prof, 50.0) == pytest.approx(15.0)
-        assert sample(prof, 100.0) == 20.0
-        assert sample(prof, 300.0) == 20.0  # held past the end
+        mid, end, past = sample_array(prof, [50.0, 100.0, 300.0])
+        assert mid == pytest.approx(15.0)
+        assert end == 20.0
+        assert past == 20.0  # held past the end
 
     def test_non_periodic_rejects_queries_before_start(self):
         prof = SolarProfile(times=np.array([100.0, 200.0]), powers=np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="before its first sample"):
-            sample(prof, 0.0)
+            sample_array(prof, [0.0])
 
     def test_periodic_wrap_is_continuous(self):
         prof = SolarProfile(
@@ -132,11 +131,14 @@ class TestSolarProfile:
             powers=np.array([10.0, 20.0, 30.0]),
             period=300.0,
         )
+        wrap, later, first, before, last = sample_array(
+            prof, [250.0, 350.0, 50.0, -100.0, 200.0]
+        )
         # inside the wrap segment the value interpolates back toward powers[0]
-        assert sample(prof, 250.0) == pytest.approx(20.0)
+        assert wrap == pytest.approx(20.0)
         # one full period later the sample repeats exactly
-        assert sample(prof, 350.0) == sample(prof, 50.0)
-        assert sample(prof, -100.0) == sample(prof, 200.0)
+        assert later == first
+        assert before == last
 
 
 # ======================================================================
@@ -192,33 +194,89 @@ class TestLoadProfile:
 
 class TestTabulate:
     def test_periodic_day_wraps_exactly(self):
-        prof = tabulate_idealized(IdealizedSolarParams(d0=300.0, d1=500.0), dt=360.0)
+        prof = IdealizedSource(d0=300.0, d1=500.0).profile(360.0)
         assert prof.periodic
         assert prof.times.size == 240
-        assert sample(prof, 86400.0 + 10.0) == sample(prof, 10.0)
+        later, first = sample_array(prof, [86400.0 + 10.0, 10.0])
+        assert later == first
 
     def test_non_periodic_duration(self):
-        prof = tabulate_idealized(
-            IdealizedSolarParams(), dt=3600.0, duration=7200.0, periodic=False
-        )
+        """A day table tabulates its days through t = n*period, non-periodic."""
+        prof = IdealizedSource(
+            period=7200.0, d0_by_day=(300.0,), d1_by_day=(500.0,)
+        ).profile(3600.0)
         assert not prof.periodic
         assert prof.times.tolist() == [0.0, 3600.0, 7200.0]
 
-    def test_non_periodic_requires_duration(self):
-        with pytest.raises(ValueError, match="duration"):
-            tabulate_idealized(IdealizedSolarParams(), dt=360.0, periodic=False)
+    def test_day_table_needs_a_row(self):
+        src = IdealizedSource(d0_by_day=(), d1_by_day=())
+        assert src.problems() == ["solar.table: no days"]
+        with pytest.raises(ValueError, match="no days"):
+            src.profile(360.0)
 
     def test_seasonal_day_switching(self):
-        prof = tabulate_seasonal([100.0, 200.0], [0.0, 0.0], dt=3600.0)
+        prof = IdealizedSource(
+            d0_by_day=(100.0, 200.0), d1_by_day=(0.0, 0.0)
+        ).profile(3600.0)
         # constant within each day (d1 = 0), switching at the day boundary
-        assert sample(prof, 43200.0) == 100.0
-        assert sample(prof, 86400.0 + 43200.0) == 200.0
+        assert sample_array(prof, [43200.0, 86400.0 + 43200.0]).tolist() == [100.0, 200.0]
 
     def test_seasonal_validation(self):
         with pytest.raises(ValueError):
-            tabulate_seasonal([100.0], [0.0, 0.0], dt=360.0)
+            IdealizedSource(d0_by_day=(100.0,), d1_by_day=(0.0, 0.0)).profile(360.0)
         with pytest.raises(ValueError):
-            tabulate_seasonal([100.0], [-1.0], dt=360.0)
+            IdealizedSource(d0_by_day=(100.0,), d1_by_day=(-1.0,)).profile(360.0)
+
+
+@st.composite
+def _idealized_case(draw):
+    """A clear-sky source, with or without a day table, and a step dt."""
+    coef = st.floats(-1000.0, 1500.0)
+    amp = st.floats(0.0, 1500.0)
+    # integer periods (and one half-integer) keep k * period exact
+    period = draw(st.integers(3600, 172800).map(float) | st.just(43210.5))
+    on_grid = draw(st.booleans())
+    if on_grid:
+        dt = period / draw(st.integers(24, 400))
+    else:
+        dt = draw(st.floats(period / 400.0, period / 24.0))
+    days = draw(st.none() | st.lists(st.tuples(coef, amp), min_size=1, max_size=6))
+    if days is None:
+        src = IdealizedSource(d0=draw(coef), d1=draw(amp), period=period)
+    else:
+        d0s, d1s = (tuple(c) for c in zip(*days))
+        src = IdealizedSource(period=period, d0_by_day=d0s, d1_by_day=d1s)
+    return src, dt, on_grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(_idealized_case())
+# np.arange(0, 86400, 86400 / 61) ends on 86400 itself
+@example((IdealizedSource(d0=300.0, d1=500.0), 86400.0 / 61, True))
+def test_profile_is_the_clipped_cosine(case):
+    """Bitwise the clipped cosine on the profile's grid; a table picks rows by day."""
+    src, dt, on_grid = case
+    period = src.period
+    prof = src.profile(dt)
+    if src.d0_by_day is None:
+        assert prof.period == period
+        grid = np.arange(0.0, period, dt)
+        np.testing.assert_array_equal(prof.times, grid[grid < period])
+        want = np.maximum(0.0, src.d0 + src.d1 * np.cos(2 * np.pi * prof.times / period))
+    else:
+        n = len(src.d0_by_day)
+        assert not prof.periodic
+        np.testing.assert_array_equal(prof.times, np.arange(0.0, n * period + dt / 2, dt))
+        if on_grid:
+            assert prof.end == pytest.approx(n * period)
+        # row k on [k*period, (k+1)*period); from (n-1)*period on, through
+        # the sample at n*period, the last row
+        row = np.searchsorted(np.arange(1, n) * period, prof.times, side="right")
+        d0 = np.asarray(src.d0_by_day)[row]
+        d1 = np.asarray(src.d1_by_day)[row]
+        phase = 2 * np.pi * np.mod(prof.times, period) / period
+        want = np.maximum(0.0, d0 + d1 * np.cos(phase))
+    np.testing.assert_array_equal(prof.powers, want)
 
 
 # ======================================================================
@@ -282,13 +340,13 @@ class TestIntegratePower:
 
     def test_idealized_day_mean_equals_d0(self):
         """Unclipped cosine integrates to d0 * period over one period."""
-        prof = tabulate_idealized(IdealizedSolarParams(d0=400.0, d1=300.0), dt=360.0)
+        prof = IdealizedSource(d0=400.0, d1=300.0).profile(360.0)
         total = integrate_power(prof, 0.0, 86400.0)
         assert total / 86400.0 == pytest.approx(400.0, rel=1e-9)
 
     def test_matches_dense_riemann_sum(self):
         """Cross-check the exact integral against a fine Riemann sum."""
-        prof = tabulate_idealized(IdealizedSolarParams(d0=200.0, d1=500.0), dt=600.0)
+        prof = IdealizedSource(d0=200.0, d1=500.0).profile(600.0)
         ts = np.arange(0.0, 86400.0, 1.0)
         approx = float(np.sum(sample_array(prof, ts)))
         exact = integrate_power(prof, 0.0, 86400.0)

@@ -6,9 +6,10 @@ import pytest
 
 import numpy as np
 
-from solarasv.harness import ConfigError, SimConfig, run_mission
+from solarasv.config import ConfigError, SimConfig
+from solarasv.harness import run_mission
 from solarasv.solar import SolarProfile
-from solarasv.vessel import VesselParams, power_draw
+from solarasv.vessel import VesselParams
 
 from conftest import step_fixed
 
@@ -47,27 +48,36 @@ class TestVesselParams:
             VesselParams(**kwargs)
 
 
+def _draw(u: float, params: VesselParams) -> float:
+    """Total electrical draw in W at speed u: k_h + k_m * u^3."""
+    return params.k_h + params.k_m * u**3
+
+
 class TestPowerDraw:
+    """The cubic draw law, and the same draw as the step loop charges it."""
+
+    @staticmethod
+    def _loop_draw(u: float, params: VesselParams) -> float:
+        # one dark hour at speed u: the SOC falls by the draw in Wh
+        return 3000.0 - step_fixed(params, 3000.0, [u], [0.0], dt=3600.0).soc_trace[0]
+
     def test_hotel_only_at_rest(self, params):
-        assert power_draw(0.0, params) == 10.0
+        assert _draw(0.0, params) == 10.0
+        assert self._loop_draw(0.0, params) == 10.0
 
     def test_one_meter_per_second(self, params):
         # 10 + 83 * 1^3
-        assert power_draw(1.0, params) == 93.0
+        assert _draw(1.0, params) == 93.0
+        assert self._loop_draw(1.0, params) == 93.0
 
     def test_full_speed(self, params):
         # 10 + 83 * 2.315^3; the mission-critical worst-case draw
-        assert power_draw(params.u_max, params) == pytest.approx(
-            1039.748287625, abs=1e-9
-        )
+        for draw in (_draw(params.u_max, params), self._loop_draw(params.u_max, params)):
+            assert draw == pytest.approx(1039.748287625, abs=1e-9)
 
     def test_cruise_speed(self, params):
-        assert power_draw(1.83, params) == pytest.approx(518.664421, abs=1e-6)
-
-    @pytest.mark.parametrize("u", [-0.01, 2.3151, 10.0])
-    def test_velocity_limits_enforced(self, u, params):
-        with pytest.raises(ValueError, match="velocity limits"):
-            power_draw(u, params)
+        for draw in (_draw(1.83, params), self._loop_draw(1.83, params)):
+            assert draw == pytest.approx(518.664421, abs=1e-6)
 
 
 class TestStepSoc:
@@ -94,7 +104,7 @@ class TestStepSoc:
         r = step_fixed(params, 5.0, [params.u_max], [0.0], dt=3600.0)
         assert r.soc_trace[0] == params.b_min
         assert r.battery_failed is True
-        assert r.floor_added_wh == pytest.approx(power_draw(params.u_max, params) - 5.0)
+        assert r.floor_added_wh == pytest.approx(_draw(params.u_max, params) - 5.0)
 
     def test_failure_flag_is_sticky(self, params):
         r = step_fixed(params, 5.0, [params.u_max, 0.0], [0.0, 800.0], dt=3600.0)
