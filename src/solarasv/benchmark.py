@@ -38,8 +38,11 @@ must match the DP value exactly):
 The DP never gathers: each action moves the state by a whole number of
 cells, so every velocity's successor values form a shifted window of one
 padded value vector (``-inf`` below cell 0, the top cell repeated above it).
-A stage masks the vector to the envelope, reads the U windows, adds the stage
-rewards and takes the max over velocities; no stage keeps an argmax. The
+The shift falls as u rises, so a stage's velocities land on one contiguous
+run of shifts, and velocities sharing a shift share a window; only the
+fastest of them can win. A stage masks the vector to the envelope, reads the
+run of windows (a view), adds each shift's best reward (``-inf`` for a shift
+no velocity lands on) and takes the max; no stage keeps an argmax. The
 stages the controller executes before it replans keep the value vector they
 read, and the rollout re-derives each action from the U candidates at the
 current state alone.
@@ -157,11 +160,16 @@ class MpcController:
         self.draw_desc = params.k_h + params.k_m * self.u_desc ** 3
         self.horizon_steps = round(steps)
         # the mission's extreme cell shifts bound every plan's (same floor
-        # arithmetic as plan), so one padded value vector serves all plans
+        # arithmetic as plan), so one padded value vector serves all plans;
+        # the top pad has room for a stage's run of windows past the highest
+        # shift: the floors of two draws d cells apart differ by at most
+        # floor(d) + 1, and one more covers rounding
         dtf = self.dt / 3600.0
-        self._lo = max(0, -math.floor((self.p_in.min() - self.draw_desc.max()) * dtf / self.res))
-        hi = max(0, math.floor((self.p_in.max() - self.draw_desc.min()) * dtf / self.res))
-        self._padded = np.full(self._lo + cfg.soc_grid + hi, -np.inf)
+        draw_max, draw_min = self.draw_desc.max(), self.draw_desc.min()
+        self._lo = max(0, -math.floor((self.p_in.min() - draw_max) * dtf / self.res))
+        hi = max(0, math.floor((self.p_in.max() - draw_min) * dtf / self.res))
+        width = math.floor((draw_max - draw_min) * dtf / self.res) + 2
+        self._padded = np.full(self._lo + cfg.soc_grid + hi + width, -np.inf)
         self._windows = sliding_window_view(self._padded, cfg.soc_grid)
         self._middle = self._padded[self._lo:self._lo + cfg.soc_grid]
         self._actions: list[float] = []
@@ -181,19 +189,28 @@ class MpcController:
         the other cells); the cells below it hold ``-inf`` (underflow) and
         those above it copies of the top cell (the clamp). Velocity j's
         candidate row is the length-S window of that vector starting at its
-        cell shift, so a stage is one window read, one reward add and a max
-        over velocities. The vector is allocated once per controller, padded
-        for the mission's extreme shifts. No stage keeps an argmax: each of
+        cell shift. u descends, so each stage's shifts ascend and span a run
+        of W windows (W is the widest run of the plan); a (K, W) table holds
+        the largest reward landing on each shift, ``-inf`` where none does.
+        A stage is then one basic-slice read of the W windows, one add of
+        that table's row and a max over them. Dropping the slower velocities
+        of a shared shift leaves the max bitwise unchanged, since float
+        addition of a larger reward never rounds below a smaller one. The
+        vector is allocated once per controller, padded for the mission's
+        extreme shifts and the widest run. No stage keeps an argmax: each of
         the first ``take = min(replan_interval, K)`` stages keeps a reference
         to the value vector it reads, and the rollout loads that vector again
-        and takes the argmax over the U candidates at the current state only,
-        the same float64 sums the stage maxed over. Ties go to the higher
-        velocity.
+        and takes the argmax over all U candidates at the current state, the
+        same float64 sums the stage maxed over; the first maximum is always
+        the fastest velocity of its shift. Ties go to the higher velocity.
 
+        ``step`` must lie in [0, len(p_in)); anything else is a ValueError.
         Returns (optimal lattice value, the first ``take`` planned velocities)
         or (-inf, None) when no feasible action sequence exists from the
         snapped state.
         """
+        if not 0 <= step < len(self.p_in):
+            raise ValueError(f"step must lie in [0, {len(self.p_in)}), got {step}")
         stop = min(step + self.horizon_steps, len(self.p_in))
         k_steps = stop - step
         take = min(self.cfg.replan_interval, k_steps)
@@ -209,7 +226,21 @@ class MpcController:
         shifts = np.floor(
             (p[:, None] - self.draw_desc[None, :]) * dtf / self.res
         ).astype(np.int64)
-        starts = shifts + self._lo
+
+        # u descends, so each row of shifts ascends: stage k's velocities land
+        # in the run of shifts lo[k] + [0, width), and best[k, w] is the
+        # largest reward among those landing on lo[k] + w (-inf if none does)
+        rewards = self.u_desc * self.dt
+        lo = shifts[:, 0]
+        offset = shifts - lo[:, None]
+        width = int(offset[:, -1].max()) + 1
+        fastest = np.empty(shifts.shape, dtype=bool)
+        fastest[:, 0] = True
+        np.not_equal(shifts[:, 1:], shifts[:, :-1], out=fastest[:, 1:])
+        rows, cols = np.nonzero(fastest)
+        best = np.full((k_steps, width, 1), -np.inf)
+        best[rows, offset[rows, cols], 0] = rewards[cols]
+        run = (lo + self._lo).tolist()
 
         # the lattice ascends, so stage k's envelope [b_l, b_u] is the cell
         # range [first[k], end[k])
@@ -219,23 +250,21 @@ class MpcController:
         value = self.cfg.terminal_reward_slope * lattice
         # next_value[k] is V_{k+1}, the unmasked value stage k reads
         next_value = [value] * take
-        stage_reward = (self.u_desc * self.dt)[:, None]
+        windows = self._windows
         for k in range(k_steps - 1, -1, -1):
             if k < take:
                 next_value[k] = value
             self._load(value, first[k], end[k])
-            vals = self._windows[starts[k]]                    # (U, S) copy
-            vals += stage_reward
-            value = vals.max(axis=0)
-            del vals  # free this stage's copy before the next one is made
+            start = run[k]
+            value = (windows[start:start + width] + best[k]).max(axis=0)
 
         root = self._snap(b)
         if not np.isfinite(value[root]):
             return float("-inf"), None
 
-        # each executed action is the argmax of the stage's column at the
+        # each executed action is the argmax over all U candidates at the
         # current state: the same padded vector, the same float64 sums
-        rewards = stage_reward[:, 0]
+        starts = shifts + self._lo
         actions = np.empty(take)
         state = root
         for k in range(take):

@@ -166,9 +166,11 @@ def dp_gather_plan(ctl, b: float, step: int) -> tuple[float, np.ndarray | None]:
 
     Each stage builds every landing cell ``idx + shift`` of every velocity,
     clips it into the lattice, gathers the lattice level and the next stage's
-    value there, and masks underflow and envelope violations. It keeps the
-    argmax of every stage. Same arithmetic as the planner's window kernel, so
-    values and actions must match bitwise.
+    value there, and masks underflow and envelope violations, then maxes over
+    all U velocities and keeps the argmax of every stage. The planner instead
+    reads one run of shifted windows with the best reward per shift; it drops
+    only velocities beaten by a faster one landing on the same cell, so values
+    and actions must match bitwise.
     """
     stop = min(step + ctl.horizon_steps, len(ctl.p_in))
     k_steps = stop - step

@@ -192,10 +192,15 @@ class TestPlanValues:
         Instances mix truncated rollouts (replan_interval < K), mid- and
         end-of-mission plans, a 1 Wh lattice whose shifts pass the top cell
         and fall below cell 0, crossed envelopes, and roots outside the
-        envelope or the battery window.
+        envelope or the battery window. Both run regimes occur: velocities
+        that share a cell shift at a stage, and stages whose run of shifts
+        has holes no velocity lands on.
         """
         rng = np.random.default_rng(24)
-        seen = {"truncated": 0, "clamp": 0, "underflow": 0, "outside": 0, "infeasible": 0}
+        seen = {
+            "truncated": 0, "clamp": 0, "underflow": 0, "outside": 0, "infeasible": 0,
+            "shared": 0, "gap": 0,
+        }
         for _ in range(60):
             n_soc = int(rng.choice([2, 17, 131, 6501, 6501]))
             n_u = int(rng.integers(2, 49))
@@ -241,6 +246,13 @@ class TestPlanValues:
                 seen["clamp"] += n_soc == 6501 and root + shifts.max() > n_soc - 1
                 seen["underflow"] += n_soc == 6501 and root + shifts.min() < 0
                 seen["outside"] += not lower[step] <= b <= upper[step]
+                stop = min(step + k_steps, n)
+                run = np.floor(
+                    (p_in[step:stop, None] - ctl.draw_desc) * dt / 3600.0 / ctl.res
+                )
+                distinct = 1 + (np.diff(run, axis=1) != 0).sum(axis=1)
+                seen["shared"] += bool((distinct < n_u).any())
+                seen["gap"] += bool((run[:, -1] - run[:, 0] + 1 > distinct).any())
         assert min(seen.values()) >= 3, seen
 
     def test_exact_ties_go_to_the_higher_velocity(self):
@@ -330,9 +342,11 @@ class TestPlanValues:
 def _plan_instance(draw):
     """A random planner instance, a plan step and three roots."""
     params = VesselParams()
-    n_soc = draw(st.integers(2, 300))
+    # 6501 cells of 1 Wh: runs of shifts wider than U, with holes; fewer
+    # stages there keep the oracle's (U, 6501) gathers cheap
+    n_soc = draw(st.integers(2, 300) | st.just(6501))
     n_u = draw(st.integers(2, 48))
-    k_steps = draw(st.integers(1, 30))
+    k_steps = draw(st.integers(1, 30 if n_soc < 6501 else 8))
     n = k_steps + draw(st.integers(0, 5))
     p_in = np.array(draw(st.lists(st.floats(0.0, 1500.0), min_size=n, max_size=n)))
     # bounds may reach past the battery window and cross at one boundary
@@ -390,6 +404,14 @@ class TestRecedingHorizon:
             MpcConfig(horizon=3600.0), *_flat(1200.0, 20, 0.0, 100.0), params, 360.0
         )
         assert ctl_hi(6000.0, 0.0, 100.0, 0) == params.u_max
+
+    def test_plan_rejects_step_outside_mission(self, params):
+        ctl = MpcController(MpcConfig(horizon=3600.0), *_flat(500.0, 12), params, 360.0)
+        for step in (12, 13, -1, -3):
+            with pytest.raises(ValueError, match=r"step must lie in \[0, 12\)"):
+                ctl.plan(3000.0, step)
+        _, actions = ctl.plan(3000.0, 11)
+        assert len(actions) == 1  # the last step still plans
 
     def test_mission_end_truncates_horizon(self, params):
         ctl = MpcController(
