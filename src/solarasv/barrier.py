@@ -7,9 +7,10 @@ so that feasibility, once achieved, can be kept with the saturated controls:
 
 * energy_deficit(t) accumulates (k_h - P_in) / 3600 Wh: the energy the vessel
   must supply from the battery if it drifts (u = 0) from time 0 to t.
-  The minimum SOC that survives every future drift window is
+  The minimum SOC that survives every future drift window sits that deficit
+  above the battery floor:
 
-      b_l(t1) = max(0, sup_{t2 >= t1} (deficit(t2) - deficit(t1)))
+      b_l(t1) = b_min + max(0, sup_{t2 >= t1} (deficit(t2) - deficit(t1)))
 
 * energy_surplus(t) accumulates (P_in - k_h - k_m u_max^3) / 3600 Wh: the
   energy that cannot be burned even at full speed. The headroom that must be
@@ -25,7 +26,7 @@ Two construction modes:
 
 * "horizon": barriers over the full span of a given profile (used when the
   true future input is available, e.g. oracle tests and benchmark runs). The
-  lower barrier always ends at 0: nothing after t_f needs protecting.
+  lower barrier always ends at b_min: nothing after t_f needs protecting.
 * "periodic-day": barriers over one period of the mission's own periodic
   profile (the clear-sky day, or a log declared periodic), with the sup taken
   over a two-period window and the result declared periodic. Requires a
@@ -82,8 +83,8 @@ def energy_deficit(
 def lower_barrier(
     profile: SolarProfile, params: VesselParams, grid: np.ndarray
 ) -> np.ndarray:
-    """Tightened SOC floor in Wh on ``grid`` (relative to b_min = 0)."""
-    return _suffix_sup_excess(energy_deficit(profile, params, grid))
+    """Tightened SOC floor in Wh on ``grid``: b_min plus the drift deficit."""
+    return params.b_min + _suffix_sup_excess(energy_deficit(profile, params, grid))
 
 
 def energy_surplus(
@@ -211,7 +212,7 @@ def build_envelope(
             "profile oversupplies even at full speed over one period; "
             "no bounded periodic upper barrier exists"
         )
-    lower = _suffix_sup_excess(deficit)[:n]
+    lower = params.b_min + _suffix_sup_excess(deficit)[:n]
     upper = params.b_max - _suffix_sup_excess(surplus)[:n]
     return BarrierEnvelope(times=g, lower=lower, upper=upper, period=period)
 

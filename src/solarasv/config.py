@@ -5,9 +5,10 @@ vessel, the strategy and its gains) and :meth:`SimConfig.validate` lists
 every problem with them; the harness runs only configs that pass.
 
 File format: one ``section.key = value`` assignment per line, ``#`` starts a
-comment line, blank lines are ignored. Keys are namespaced by module:
+comment line, blank lines are ignored. ``_KEYS`` lists every key with the
+type its text converts to; keys are namespaced by module:
 
-    vessel.k_h vessel.k_m vessel.b_min vessel.b_max vessel.u_min vessel.u_max
+    vessel.<field>                          every field of VesselParams
     solar.source (idealized | file)
     solar.d0 solar.d1 solar.period          idealized constants
     solar.table                             CSV of per-day rows day,d0,d1
@@ -15,25 +16,32 @@ comment line, blank lines are ignored. Keys are namespaced by module:
     barrier.mode (horizon | periodic-day)
     controller.k_p controller.k_d controller.delta controller.u_init
     controller.b_des (number | cycle-start)
-    mpc.horizon mpc.soc_grid mpc.u_grid mpc.terminal_reward_slope
-    mpc.replan_interval
+    mpc.<field>                             every field of MpcConfig
     sim.dt sim.mission_length sim.initial_soc sim.strategy sim.strategies
     sim.rng_seed sim.noise_std sim.output_dir
 
-Unknown keys, duplicate keys and type mismatches are reported together with
-the offending key name. A solar key the selected source does not read is an
-error too: solar.d0, solar.d1 and solar.table belong to the idealized
+Each section's dataclass is built from the keys the file sets, so every
+other field keeps its dataclass default. The loader itself supplies only
+the defaults no field holds: solar.source = idealized, solar.periodic =
+false, a period of DAY_S for a periodic log and controller.b_des =
+cycle-start.
+
+Unknown and duplicate keys are reported together by line number; then type
+mismatches together by key. A solar key the selected source does not read is
+an error too: solar.d0, solar.d1 and solar.table belong to the idealized
 source, which ignores solar.d0 and solar.d1 under a table; solar.file,
 solar.scale, solar.interpolation and solar.periodic belong to the file
-source, which reads solar.period only when solar.periodic is true. Relative paths (solar.file, solar.table,
-sim.output_dir) resolve against the config file's directory.
+source, which reads solar.period only when solar.periodic is true. Relative
+paths (solar.file, solar.table, sim.output_dir) resolve against the config
+file's directory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .barrier import MODES as BARRIER_MODES
 from .benchmark import MpcConfig
@@ -122,6 +130,12 @@ class SimConfig:
                 errors.append(
                     f"controller.u_init: {self.ilc.u_init} outside velocity limits"
                 )
+            b_des = self.ilc.b_des
+            if b_des is not None and not p.b_min <= b_des <= p.b_max:
+                errors.append(
+                    f"controller.b_des: {b_des} outside battery window "
+                    f"[{p.b_min}, {p.b_max}]"
+                )
         if self.strategy == "mpc" and self.dt > 0 and math.isfinite(self.dt):
             steps = self.mpc.horizon / self.dt
             if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
@@ -149,42 +163,41 @@ class SimConfig:
             out.append(("controller.b_des", ilc.b_des))
         return out
 
-_FLOAT_KEYS = {
-    "vessel.k_h",
-    "vessel.k_m",
-    "vessel.b_min",
-    "vessel.b_max",
-    "vessel.u_min",
-    "vessel.u_max",
-    "solar.d0",
-    "solar.d1",
-    "solar.period",
-    "solar.scale",
-    "controller.k_p",
-    "controller.k_d",
-    "controller.delta",
-    "controller.u_init",
-    "mpc.horizon",
-    "mpc.terminal_reward_slope",
-    "sim.dt",
-    "sim.mission_length",
-    "sim.initial_soc",
-    "sim.noise_std",
+
+def _field_keys(prefix: str, cls: type) -> dict[str, type]:
+    """A ``prefix.<field>`` key for each field of dataclass cls, with its type."""
+    return {f"{prefix}.{name}": kind for name, kind in get_type_hints(cls).items()}
+
+
+# every key a file may set, with the type its text converts to
+_KEYS: dict[str, type] = {
+    **_field_keys("vessel", VesselParams),
+    "solar.source": str,
+    "solar.d0": float,
+    "solar.d1": float,
+    "solar.period": float,
+    "solar.table": str,
+    "solar.file": str,
+    "solar.scale": float,
+    "solar.interpolation": str,
+    "solar.periodic": str,
+    "barrier.mode": str,
+    "controller.k_p": float,
+    "controller.k_d": float,
+    "controller.delta": float,
+    "controller.u_init": float,
+    "controller.b_des": str,
+    **_field_keys("mpc", MpcConfig),
+    "sim.dt": float,
+    "sim.mission_length": float,
+    "sim.initial_soc": float,
+    "sim.strategy": str,
+    "sim.strategies": str,
+    "sim.rng_seed": int,
+    "sim.noise_std": float,
+    "sim.output_dir": str,
 }
-_INT_KEYS = {"mpc.soc_grid", "mpc.u_grid", "mpc.replan_interval", "sim.rng_seed"}
-_STR_KEYS = {
-    "solar.source",
-    "solar.file",
-    "solar.table",
-    "solar.interpolation",
-    "sim.strategy",
-    "sim.strategies",
-    "sim.output_dir",
-    "barrier.mode",
-    "controller.b_des",
-    "solar.periodic",
-}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+_EXPECTED = {float: "a number", int: "an integer"}
 # keys only one solar source reads; setting them under the other is an error
 _IDEALIZED_KEYS = ("solar.d0", "solar.d1", "solar.table")
 _FILE_KEYS = ("solar.file", "solar.scale", "solar.interpolation", "solar.periodic")
@@ -208,7 +221,7 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
             key, _, value = stripped.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _ALL_KEYS:
+            if key not in _KEYS:
                 problems.append(f"line {lineno}: unknown key {key!r}")
                 continue
             if key in values:
@@ -223,18 +236,11 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
 def _typed(values: dict[str, str], problems: list[str]) -> dict[str, object]:
     out: dict[str, object] = {}
     for key, raw in values.items():
-        if key in _FLOAT_KEYS:
-            try:
-                out[key] = float(raw)
-            except ValueError:
-                problems.append(f"{key}: expected a number, got {raw!r}")
-        elif key in _INT_KEYS:
-            try:
-                out[key] = int(raw)
-            except ValueError:
-                problems.append(f"{key}: expected an integer, got {raw!r}")
-        else:
-            out[key] = raw
+        kind = _KEYS[key]
+        try:
+            out[key] = kind(raw)
+        except ValueError:
+            problems.append(f"{key}: expected {_EXPECTED[kind]}, got {raw!r}")
     return out
 
 
@@ -275,43 +281,41 @@ def _reject_keys(v: dict[str, object], keys: tuple[str, ...], condition: str) ->
     _raise_problems([f"{key}: only read when {condition}" for key in keys if key in v])
 
 
-def build_sim_config(
-    values: dict[str, str], base_dir: Path, strategy: str | None = None
-) -> SimConfig:
-    """Assemble a SimConfig from parsed key=value strings."""
+def _section(v: dict[str, object], prefix: str, *names: str) -> dict[str, object]:
+    """Keyword arguments for the ``prefix.name`` keys among ``names`` that v sets."""
+    return {name: v[f"{prefix}.{name}"] for name in names if f"{prefix}.{name}" in v}
+
+
+def _fields_section(cls: type, v: dict[str, object], prefix: str):
+    """``cls`` built from the ``prefix.<field>`` keys v sets; errors name the prefix."""
+    try:
+        return cls(**_section(v, prefix, *(f.name for f in fields(cls))))
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}.*: {exc}") from exc
+
+
+def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
+    """Assemble a SimConfig from parsed key=value strings; not yet validated.
+
+    A field whose key ``values`` does not set keeps its dataclass default.
+    """
     problems: list[str] = []
     v = _typed(values, problems)
     _raise_problems(problems)
 
-    def pick(key: str, default):
-        return v.get(key, default)
+    vessel = _fields_section(VesselParams, v, "vessel")
 
-    vessel = VesselParams()
-    try:
-        vessel = VesselParams(
-            k_h=pick("vessel.k_h", vessel.k_h),
-            k_m=pick("vessel.k_m", vessel.k_m),
-            b_min=pick("vessel.b_min", vessel.b_min),
-            b_max=pick("vessel.b_max", vessel.b_max),
-            u_min=pick("vessel.u_min", vessel.u_min),
-            u_max=pick("vessel.u_max", vessel.u_max),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"vessel.*: {exc}") from exc
-
-    source_kind = pick("solar.source", "idealized")
+    source_kind = v.get("solar.source", "idealized")
     solar: IdealizedSource | FileSource
     if source_kind == "idealized":
         _reject_keys(v, _FILE_KEYS, "solar.source = file")
         d0_by_day = d1_by_day = None
         if "solar.table" in v:
             _reject_keys(v, ("solar.d0", "solar.d1"), "there is no solar.table")
-            table_path = (base_dir / str(v["solar.table"])).resolve()
+            table_path = (base_dir / v["solar.table"]).resolve()
             d0_by_day, d1_by_day = _load_day_table(table_path)
         solar = IdealizedSource(
-            d0=pick("solar.d0", 300.0),
-            d1=pick("solar.d1", 500.0),
-            period=pick("solar.period", 86400.0),
+            **_section(v, "solar", "d0", "d1", "period"),
             d0_by_day=d0_by_day,
             d1_by_day=d1_by_day,
         )
@@ -319,26 +323,24 @@ def build_sim_config(
         _reject_keys(v, _IDEALIZED_KEYS, "solar.source = idealized")
         if "solar.file" not in v:
             raise ConfigError("solar.file: required when solar.source = file")
-        periodic = str(pick("solar.periodic", "false")).lower()
+        periodic = v.get("solar.periodic", "false").lower()
         if periodic not in _TRUE + _FALSE:
             raise ConfigError(
                 f"solar.periodic: expected one of {_TRUE + _FALSE}, got {periodic!r}"
             )
         if periodic in _FALSE:
             _reject_keys(v, ("solar.period",), "solar.periodic = true")
-        period = pick("solar.period", 86400.0) if periodic in _TRUE else None
         solar = FileSource(
-            path=str((base_dir / str(v["solar.file"])).resolve()),
-            scale=pick("solar.scale", 1.0),
-            interpolation=str(pick("solar.interpolation", "linear")),
-            period=period,
+            path=str((base_dir / v["solar.file"]).resolve()),
+            period=v.get("solar.period", DAY_S) if periodic in _TRUE else None,
+            **_section(v, "solar", "scale", "interpolation"),
         )
     else:
         raise ConfigError(
             f"solar.source: expected 'idealized' or 'file', got {source_kind!r}"
         )
 
-    b_des_raw = str(pick("controller.b_des", "cycle-start"))
+    b_des_raw = v.get("controller.b_des", "cycle-start")
     if b_des_raw == "cycle-start":
         b_des = None
     else:
@@ -348,51 +350,27 @@ def build_sim_config(
             raise ConfigError(
                 f"controller.b_des: expected a number or 'cycle-start', got {b_des_raw!r}"
             ) from None
-
     ilc = IlcSettings(
-        k_p=pick("controller.k_p", 5e-5),
-        k_d=pick("controller.k_d", 1e-5),
-        delta=pick("controller.delta", 100.0),
-        u_init=pick("controller.u_init", 1.0),
-        b_des=b_des,
+        **_section(v, "controller", "k_p", "k_d", "delta", "u_init"), b_des=b_des
     )
-    try:
-        mpc = MpcConfig(
-            horizon=pick("mpc.horizon", 172800.0),
-            soc_grid=pick("mpc.soc_grid", 131),
-            u_grid=pick("mpc.u_grid", 24),
-            terminal_reward_slope=pick("mpc.terminal_reward_slope", 5.0),
-            replan_interval=pick("mpc.replan_interval", 1),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"mpc.*: {exc}") from exc
+    mpc = _fields_section(MpcConfig, v, "mpc")
 
-    out_dir = str(pick("sim.output_dir", "out"))
-    if not Path(out_dir).is_absolute():
-        out_dir = str(base_dir / out_dir)
-
-    cfg = SimConfig(
-        mission_length=pick("sim.mission_length", 31_536_000.0),
-        dt=pick("sim.dt", 360.0),
-        initial_soc=pick("sim.initial_soc", 3250.0),
-        strategy=strategy if strategy is not None else str(pick("sim.strategy", "ilc")),
-        solar=solar,
-        barrier_mode=str(pick("barrier.mode", "periodic-day")),
-        rng_seed=pick("sim.rng_seed", 0),
-        noise_std=pick("sim.noise_std", 0.0),
-        output_dir=out_dir,
-        vessel=vessel,
-        ilc=ilc,
-        mpc=mpc,
+    sim = _section(
+        v, "sim", "mission_length", "dt", "initial_soc", "strategy", "rng_seed",
+        "noise_std", "output_dir",
     )
-    cfg.check()
-    return cfg
+    if "barrier.mode" in v:
+        sim["barrier_mode"] = v["barrier.mode"]
+    cfg = SimConfig(solar=solar, vessel=vessel, ilc=ilc, mpc=mpc, **sim)
+    return replace(cfg, output_dir=str(base_dir / cfg.output_dir))
 
 
 def load_sim_config(path: str | Path) -> SimConfig:
     """Parse a config file into a single-run SimConfig."""
     p = Path(path)
-    return build_sim_config(parse_kv_file(p), p.parent.resolve())
+    cfg = build_sim_config(parse_kv_file(p), p.parent.resolve())
+    cfg.check()
+    return cfg
 
 
 def load_compare_configs(path: str | Path) -> list[SimConfig]:
@@ -406,4 +384,8 @@ def load_compare_configs(path: str | Path) -> list[SimConfig]:
             "sim.strategies: compare needs a comma-separated list of at least "
             "two strategies"
         )
-    return [build_sim_config(values, p.parent.resolve(), strategy=s) for s in names]
+    base = build_sim_config(values, p.parent.resolve())
+    cfgs = [replace(base, strategy=s) for s in names]
+    for cfg in cfgs:
+        cfg.check()
+    return cfgs

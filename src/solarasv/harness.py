@@ -17,8 +17,8 @@ gets an end-of-cycle hook), the switching law around the energy-balance
 constant, the bare constant, or the receding-horizon planner.
 
 The exports write each float as its ``repr``, so a CSV reads back bit for
-bit; the per-step and per-day tables stream to disk in fixed-size row
-chunks (:mod:`solarasv.csvout`).
+bit; every table goes through :mod:`solarasv.csvout`, which streams the
+per-step and per-day ones to disk in fixed-size row chunks.
 
 Conventions
 -----------
@@ -44,7 +44,7 @@ Conventions
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -437,10 +437,6 @@ def compare_strategies(cfgs: Sequence[SimConfig]) -> ComparisonResult:
 # exports
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def export_traces(result: SimResult, out_dir: str | Path) -> list[Path]:
     """Write trace.csv, iterations.csv, summary.csv (and daily.csv) to a dir.
 
@@ -466,35 +462,29 @@ def export_traces(result: SimResult, out_dir: str | Path) -> list[Path]:
     written.append(trace)
 
     iters = out / "iterations.csv"
-    lines = ["iteration,u_hat,p1,terminal_soc_wh"]
-    for rec in result.per_iteration:
-        lines.append(
-            f"{rec.iteration},{_fmt(rec.u_hat)},{_fmt(rec.p1)},{_fmt(rec.terminal_soc)}"
-        )
-    iters.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_columns(
+        iters,
+        "iteration,u_hat,p1,terminal_soc_wh",
+        [[getattr(rec, f) for rec in result.per_iteration]
+         for f in IterationRecord._fields],
+    )
     written.append(iters)
 
     summary = out / "summary.csv"
-    header = (
-        "strategy,distance_m,terminal_soc_wh,violation_wh2s,wall_time_s,"
-        "curtailed_wh,floor_added_wh,battery_failed,steps,dt_s,initial_soc_wh"
-    )
-    row = ",".join(
-        [
-            result.strategy,
-            _fmt(result.distance),
-            _fmt(result.terminal_soc),
-            _fmt(result.violation),
-            _fmt(result.wall_time),
-            _fmt(result.curtailed_wh),
-            _fmt(result.floor_added_wh),
-            str(result.battery_failed).lower(),
-            str(n),
-            _fmt(result.dt),
-            _fmt(result.initial_soc),
-        ]
-    )
-    summary.write_text(header + "\n" + row + "\n", encoding="utf-8")
+    row = {
+        "strategy": result.strategy,
+        "distance_m": result.distance,
+        "terminal_soc_wh": result.terminal_soc,
+        "violation_wh2s": result.violation,
+        "wall_time_s": result.wall_time,
+        "curtailed_wh": result.curtailed_wh,
+        "floor_added_wh": result.floor_added_wh,
+        "battery_failed": str(result.battery_failed).lower(),
+        "steps": n,
+        "dt_s": result.dt,
+        "initial_soc_wh": result.initial_soc,
+    }
+    write_columns(summary, ",".join(row), [[value] for value in row.values()])
     written.append(summary)
 
     # one row per full day; none when the steps do not tile a day
@@ -526,13 +516,11 @@ def export_comparison(comp: ComparisonResult, out_dir: str | Path) -> list[Path]
     out.mkdir(parents=True, exist_ok=True)
 
     comparison = out / "comparison.csv"
-    lines = ["strategy,distance_m,terminal_soc_wh,violation_wh2s,wall_time_s"]
-    for row in comp.rows:
-        lines.append(
-            f"{row.strategy},{_fmt(row.distance_m)},{_fmt(row.terminal_soc_wh)},"
-            f"{_fmt(row.violation)},{_fmt(row.wall_time_s)}"
-        )
-    comparison.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_columns(
+        comparison,
+        "strategy,distance_m,terminal_soc_wh,violation_wh2s,wall_time_s",
+        [[getattr(row, f.name) for row in comp.rows] for f in fields(StrategyRow)],
+    )
 
     series = out / "distance_series.csv"
     names = [row.strategy for row in comp.rows]

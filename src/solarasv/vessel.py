@@ -35,6 +35,8 @@ class VesselParams:
             raise ValueError("k_h must be >= 0")
         if self.k_m <= 0:
             raise ValueError("k_m must be > 0")
+        if self.b_min < 0:
+            raise ValueError("b_min must be >= 0")
         if not self.b_min < self.b_max:
             raise ValueError("b_min must be strictly below b_max")
         if not 0.0 <= self.u_min < self.u_max:

@@ -248,6 +248,18 @@ class TestBuildEnvelope:
         assert np.all(env_p.lower >= env_h.lower - 1e-12)
         assert np.all(env_p.upper <= env_h.upper + 1e-12)
 
+    @pytest.mark.parametrize("mode", ["horizon", "periodic-day"])
+    def test_lower_barrier_is_measured_from_b_min(self, params, canonical_day, mode):
+        grid = np.arange(0.0, 86400.0, 360.0)
+        raised = VesselParams(b_min=1500.0)
+        env0 = build_envelope(canonical_day, params, grid, mode=mode)
+        env = build_envelope(canonical_day, raised, grid, mode=mode)
+        assert env.lower.tolist() == (1500.0 + env0.lower).tolist()
+        assert env.upper.tolist() == env0.upper.tolist()
+        if mode == "horizon":
+            lower = lower_barrier(canonical_day, raised, grid)
+            assert env.lower.tolist() == lower.tolist()
+
     def test_periodic_day_infeasible_profiles(self, params):
         grid = np.arange(0.0, 86400.0, 360.0)
         starving = SolarProfile(

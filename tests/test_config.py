@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+from operator import attrgetter
+
 import pytest
 
+from solarasv import config
 from solarasv.config import (
     ConfigError,
+    SimConfig,
     load_compare_configs,
     load_sim_config,
     parse_kv_file,
@@ -72,6 +77,77 @@ class TestLoadSimConfig:
         assert (cfg.solar.d0, cfg.solar.d1) == (300.0, 500.0)
         assert cfg.ilc.b_des is None  # cycle-start retargeting
         assert cfg.mpc.soc_grid == 131
+        expected = replace(SimConfig(), output_dir=str(tmp_path / "out"))
+        for f in fields(SimConfig):
+            assert getattr(cfg, f.name) == getattr(expected, f.name), f.name
+
+    def test_every_key_reaches_its_field(self, tmp_path):
+        (tmp_path / "input.csv").write_text("0,100\n86400,100\n")
+        (tmp_path / "days.csv").write_text("0,250,450\n1,260,460\n")
+        # (key, text in the file, attribute on the loaded config, value there)
+        shared = [
+            ("vessel.k_h", "12.5", "vessel.k_h", 12.5),
+            ("vessel.k_m", "80", "vessel.k_m", 80.0),
+            ("vessel.b_min", "100", "vessel.b_min", 100.0),
+            ("vessel.b_max", "6000", "vessel.b_max", 6000.0),
+            ("vessel.u_min", "0.1", "vessel.u_min", 0.1),
+            ("vessel.u_max", "2", "vessel.u_max", 2.0),
+            ("barrier.mode", "horizon", "barrier_mode", "horizon"),
+            ("controller.k_p", "4e-5", "ilc.k_p", 4e-5),
+            ("controller.k_d", "2e-5", "ilc.k_d", 2e-5),
+            ("controller.delta", "50", "ilc.delta", 50.0),
+            ("controller.u_init", "1.5", "ilc.u_init", 1.5),
+            ("controller.b_des", "3000", "ilc.b_des", 3000.0),
+            ("mpc.horizon", "86400", "mpc.horizon", 86400.0),
+            ("mpc.soc_grid", "51", "mpc.soc_grid", 51),
+            ("mpc.u_grid", "12", "mpc.u_grid", 12),
+            ("mpc.terminal_reward_slope", "4", "mpc.terminal_reward_slope", 4.0),
+            ("mpc.replan_interval", "2", "mpc.replan_interval", 2),
+            ("sim.dt", "720", "dt", 720.0),
+            ("sim.mission_length", "172800", "mission_length", 172800.0),
+            ("sim.initial_soc", "3000", "initial_soc", 3000.0),
+            ("sim.strategy", "mpc", "strategy", "mpc"),
+            ("sim.rng_seed", "7", "rng_seed", 7),
+            ("sim.noise_std", "1.5", "noise_std", 1.5),
+            ("sim.output_dir", "results", "output_dir", str(tmp_path / "results")),
+        ]
+        defaults = SimConfig()
+        for key, _, attr, value in shared:
+            assert attrgetter(attr)(defaults) != value, key
+        by_source = {
+            "idealized": [
+                ("solar.source", "idealized", "solar.__class__", IdealizedSource),
+                ("solar.d0", "250", "solar.d0", 250.0),
+                ("solar.d1", "450", "solar.d1", 450.0),
+                ("solar.period", "43200", "solar.period", 43200.0),
+            ],
+            "table": [
+                ("solar.table", "days.csv", "solar.d0_by_day", (250.0, 260.0)),
+                ("solar.period", "43200", "solar.period", 43200.0),
+            ],
+            "file": [
+                ("solar.source", "file", "solar.__class__", FileSource),
+                ("solar.file", "input.csv", "solar.path", str(tmp_path / "input.csv")),
+                ("solar.scale", "2", "solar.scale", 2.0),
+                ("solar.interpolation", "hold", "solar.interpolation", "hold"),
+                ("solar.periodic", "true", "solar.period", 43200.0),
+                ("solar.period", "43200", "solar.period", 43200.0),
+            ],
+        }
+        seen = {"sim.strategies"}
+        for source, solar_rows in by_source.items():
+            rows = shared + solar_rows
+            text = "".join(f"{key} = {raw}\n" for key, raw, _, _ in rows)
+            text += "sim.strategies = ilc, constant-constrained\n"
+            p = _write(tmp_path, text, f"{source}.cfg")
+            cfg = load_sim_config(p)
+            for key, _, attr, value in rows:
+                assert attrgetter(attr)(cfg) == value, (source, key)
+            cfgs = load_compare_configs(p)
+            strategies = ("ilc", "constant-constrained")
+            assert cfgs == [replace(cfg, strategy=s) for s in strategies]
+            seen |= {key for key, _, _, _ in rows}
+        assert seen == set(config._KEYS)
 
     def test_typed_overrides(self, tmp_path):
         cfg = load_sim_config(
@@ -280,6 +356,26 @@ class TestLoadCompareConfigs:
         p2 = _write(tmp_path, "sim.dt = 360\n", "none.cfg")
         with pytest.raises(ConfigError, match="sim.strategies"):
             load_compare_configs(p2)
+
+    def test_day_table_is_read_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = config._load_day_table
+
+        def counting(path):
+            calls.append(path)
+            return original(path)
+
+        monkeypatch.setattr(config, "_load_day_table", counting)
+        (tmp_path / "days.csv").write_text("0,300,500\n")
+        p = _write(
+            tmp_path,
+            "sim.strategies = ilc, constant-unconstrained, mpc\n"
+            "solar.table = days.csv\n"
+            "sim.mission_length = 86400\n"
+            "barrier.mode = horizon\n",
+        )
+        cfgs = load_compare_configs(p)
+        assert len(cfgs) == 3 and len(calls) == 1
 
     def test_invalid_member_strategy(self, tmp_path):
         p = _write(tmp_path, "sim.strategies = ilc, sail\n")

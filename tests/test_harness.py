@@ -119,6 +119,10 @@ class TestValidation:
             ),
             ({"solar": IdealizedSource(d0_by_day=(), d1_by_day=())}, "solar.table: no days"),
             ({"solar": FileSource(path="x.csv", period=-5.0)}, "solar.period: must be > 0"),
+            (
+                {"ilc": IlcSettings(b_des=99999.0)},
+                "controller.b_des: 99999.0 outside battery window [0.0, 6500.0]",
+            ),
         ],
     )
     def test_each_field_reports_itself(self, kw, fragment):
@@ -308,6 +312,18 @@ class TestIlcMission:
         # the records keep the true terminal SOC
         ends = [result.soc_trace[e] for e in range(spd - 1, n, spd)]
         assert [r.terminal_soc for r in result.per_iteration] == ends
+
+    def test_raised_battery_floor_is_kept_clear(self):
+        """The lower barrier sits above vessel.b_min, so the floor is never hit."""
+        cfg = _cfg(
+            mission_length=10 * DAY,
+            vessel=VesselParams(b_min=1500.0),
+            ilc=IlcSettings(b_des=3250.0),
+        )
+        result = run_mission(cfg)
+        assert tabulate_mission(cfg).lower.min() >= 1500.0
+        assert result.floor_added_wh == 0.0 and not result.battery_failed
+        assert result.soc_trace.min() > 1500.0
 
     def test_noise_perturbs_commands_not_truth(self):
         clean = run_mission(_cfg())

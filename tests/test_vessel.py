@@ -41,6 +41,7 @@ class TestVesselParams:
             {"b_max": float("nan")},
             {"u_min": float("nan")},
             {"u_max": float("inf")},
+            {"b_min": -1.0},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
