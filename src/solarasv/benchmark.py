@@ -42,10 +42,20 @@ The shift falls as u rises, so a stage's velocities land on one contiguous
 run of shifts, and velocities sharing a shift share a window; only the
 fastest of them can win. A stage masks the vector to the envelope, reads the
 run of windows (a view), adds each shift's best reward (``-inf`` for a shift
-no velocity lands on) and takes the max; no stage keeps an argmax. The
-stages the controller executes before it replans keep the value vector they
-read, and the rollout re-derives each action from the U candidates at the
-current state alone.
+no velocity lands on) and takes the max; no stage keeps an argmax.
+
+A plan's DP depends only on its start step, never on the SOC, and every plan
+that contains a stage sees there the same shifts, best rewards and envelope.
+So the planner solves a block of plans, those at step, step + R, ... (R the
+replan interval), in one backward sweep: each plan is one row of 2-D value
+and padded arrays, and at each stage the rows whose plans contain it step
+back in lockstep as one band, with the same slice operations a single
+vector would take. Rows never interact, so each plan is bitwise the plan it
+would be alone. A block has at most ceil(H / R) rows, fewer when a stage
+would touch more than ``_STAGE_CELLS`` cells; later calls at the block's
+steps read their row. The stages a plan executes before its next replan
+store the value vector they read, and the rollout re-derives each action
+from the U candidates at the current state alone.
 
 If no action is feasible from the current state the controller falls back to
 the switching law on the step loop's bounds with u_min as the interior
@@ -55,6 +65,7 @@ velocity: u_max at or above the upper barrier, u_min otherwise.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -64,6 +75,11 @@ from .controller import _switching_velocity
 # hooks solarasv.benchmark.sample_array and its self-tests resolve every hook
 from .solar import SolarProfile, integrate_power, sample_array  # noqa: F401
 from .vessel import VesselParams
+
+# cells one lockstep stage may touch (rows x windows x SOC levels): from about
+# this size numpy's per-call overhead is paid off, and the cap keeps a block of
+# every-step plans on a large lattice from allocating hundreds of MB
+_STAGE_CELLS = 2 ** 15
 
 
 def energy_balance_velocity(
@@ -125,6 +141,14 @@ class MpcController:
     upper hold the envelope at every step boundary, one entry more than p_in:
     entry k is the bound at the start of step k, and the last entry the bound
     after the final step. Plans stop at the last step.
+
+    Plans are solved in blocks (see ``_sweep``), and the controller keeps the
+    last block: its root values per row and the stored vectors each row's
+    rollout reads. The buffers a block works in are allocated here, once, for
+    the most rows any block can have: ``min(ceil(H / R), max(1,
+    _STAGE_CELLS // (W * S)))`` with H the horizon in steps (capped at the
+    mission), R the replan interval, W the widest run of shifts the mission
+    allows and S the lattice size.
     """
 
     def __init__(
@@ -160,7 +184,7 @@ class MpcController:
         self.draw_desc = params.k_h + params.k_m * self.u_desc ** 3
         self.horizon_steps = round(steps)
         # the mission's extreme cell shifts bound every plan's (same floor
-        # arithmetic as plan), so one padded value vector serves all plans;
+        # arithmetic as _sweep), so one padded row layout serves all plans;
         # the top pad has room for a stage's run of windows past the highest
         # shift: the floors of two draws d cells apart differ by at most
         # floor(d) + 1, and one more covers rounding
@@ -169,9 +193,21 @@ class MpcController:
         self._lo = max(0, -math.floor((self.p_in.min() - draw_max) * dtf / self.res))
         hi = max(0, math.floor((self.p_in.max() - draw_min) * dtf / self.res))
         width = math.floor((draw_max - draw_min) * dtf / self.res) + 2
-        self._padded = np.full(self._lo + cfg.soc_grid + hi + width, -np.inf)
-        self._windows = sliding_window_view(self._padded, cfg.soc_grid)
-        self._middle = self._padded[self._lo:self._lo + cfg.soc_grid]
+        # a block holds the plans at step, step + R, ...: each row of these
+        # buffers is one plan's padded vector, value vector and stored vectors
+        n_soc = cfg.soc_grid
+        span = min(self.horizon_steps, len(self.p_in))
+        interval = cfg.replan_interval
+        self._rows = min(-(-span // interval), max(1, _STAGE_CELLS // (width * n_soc)))
+        self._padded = np.full((self._rows, self._lo + n_soc + hi + width), -np.inf)
+        self._windows = sliding_window_view(self._padded, n_soc, axis=1)
+        self._middle = self._padded[:, self._lo:self._lo + n_soc]
+        self._tmp = np.empty(self._rows * width * n_soc)
+        self._values = np.empty((self._rows, n_soc))
+        self._stored = np.empty((self._rows, min(interval, span), n_soc))
+        # the block swept last (see _sweep): its first step and row starts
+        self._step = 0
+        self._starts: list[int] = []
         self._actions: list[float] = []
         self._next = 0
 
@@ -184,22 +220,11 @@ class MpcController:
     def plan(self, b: float, step: int) -> tuple[float, np.ndarray | None]:
         """Solve the lookahead DP from SOC b at the start of ``step``.
 
-        Each backward stage copies the next stage's values inside the
-        envelope [b_l, b_u] into the middle of one padded vector (``-inf`` at
-        the other cells); the cells below it hold ``-inf`` (underflow) and
-        those above it copies of the top cell (the clamp). Velocity j's
-        candidate row is the length-S window of that vector starting at its
-        cell shift. u descends, so each stage's shifts ascend and span a run
-        of W windows (W is the widest run of the plan); a (K, W) table holds
-        the largest reward landing on each shift, ``-inf`` where none does.
-        A stage is then one basic-slice read of the W windows, one add of
-        that table's row and a max over them. Dropping the slower velocities
-        of a shared shift leaves the max bitwise unchanged, since float
-        addition of a larger reward never rounds below a smaller one. The
-        vector is allocated once per controller, padded for the mission's
-        extreme shifts and the widest run. No stage keeps an argmax: each of
-        the first ``take = min(replan_interval, K)`` stages keeps a reference
-        to the value vector it reads, and the rollout loads that vector again
+        The plan is one row of a block (see ``_sweep``): if ``step`` is not a
+        row of the block solved last, a new block starting at ``step`` is
+        swept first. The root snaps down to a lattice cell and reads the
+        row's root values. No stage keeps an argmax: the rollout loads each
+        of the first ``take = min(replan_interval, K)`` stored vectors again
         and takes the argmax over all U candidates at the current state, the
         same float64 sums the stage maxed over; the first maximum is always
         the fastest velocity of its shift. Ties go to the higher velocity.
@@ -211,9 +236,65 @@ class MpcController:
         """
         if not 0 <= step < len(self.p_in):
             raise ValueError(f"step must lie in [0, {len(self.p_in)}), got {step}")
-        stop = min(step + self.horizon_steps, len(self.p_in))
-        k_steps = stop - step
-        take = min(self.cfg.replan_interval, k_steps)
+        row, skip = divmod(step - self._step, self.cfg.replan_interval)
+        if skip or not 0 <= row < len(self._starts):
+            self._sweep(step)
+            row = 0
+        root = self._snap(b)
+        value = self._values[row, root]
+        if not np.isfinite(value):
+            return float("-inf"), None
+
+        # each executed action is the argmax over all U candidates at the
+        # current state: the same padded vector, the same float64 sums
+        k0 = step - self._step
+        take = min(self.cfg.replan_interval, self._stops[row] - step)
+        rewards = self.u_desc * self.dt
+        shifts = self._shifts[k0:k0 + take]
+        starts = shifts + self._lo
+        actions = np.empty(take)
+        state = root
+        for i in range(take):
+            k = k0 + i
+            self._load(self._stored[row, i], self._first[k], self._end[k], 0, 1)
+            j = int((self._padded[0, starts[i] + state] + rewards).argmax())
+            actions[i] = self.u_desc[j]
+            state = min(max(state + int(shifts[i, j]), 0), self.lattice.size - 1)
+        return float(value), actions
+
+    def _sweep(self, step: int) -> None:
+        """Solve the block of plans at step, step + R, ... in one backward pass.
+
+        Plan b covers the stages [s_b, stop_b), stop_b = min(s_b + H, n), and
+        every plan containing stage k sees the same shifts, rewards and
+        envelope there, since a plan's DP does not depend on its root. So
+        the block's rows step back through their shared stages in lockstep:
+        at stage k the rows with s_b <= k < stop_b form one slice a:z (starts
+        and stops both ascend); a row enters with the terminal values at
+        k = stop_b - 1 and leaves at k = s_b holding its root values.
+
+        Each stage copies the active rows' values inside the envelope
+        [b_l, b_u] into the middle of their padded rows (``-inf`` at the
+        other cells); the cells below it hold ``-inf`` (underflow) and those
+        above it copies of the top cell (the clamp). Velocity j's candidate
+        row is the length-S window starting at its cell shift. u descends, so
+        each stage's shifts ascend and span a run of W windows (W is the
+        widest run of the block); a (K, W) table holds the largest reward
+        landing on each shift, ``-inf`` where none does. A stage is then one
+        basic-slice read of a band of W windows per row, one add of that
+        table's row and a max over the windows. Dropping the slower
+        velocities of a shared shift leaves the max bitwise unchanged, since
+        float addition of a larger reward never rounds below a smaller one.
+        Rows never interact, and each does the float64 adds and maxes of a
+        one-plan DP in its order, so every plan is bitwise the same whichever
+        block solves it. Before stage k, the row whose first ``take`` stages
+        include k stores its unmasked V_{k+1} for the rollout.
+        """
+        n = len(self.p_in)
+        interval = self.cfg.replan_interval
+        starts = list(range(step, min(step + self._rows * interval, n), interval))
+        stops = [min(s + self.horizon_steps, n) for s in starts]
+        stop = stops[-1]
         dtf = self.dt / 3600.0
         p = self.p_in[step:stop]
         bl = self.lower[step + 1:stop + 1]
@@ -237,9 +318,9 @@ class MpcController:
         fastest = np.empty(shifts.shape, dtype=bool)
         fastest[:, 0] = True
         np.not_equal(shifts[:, 1:], shifts[:, :-1], out=fastest[:, 1:])
-        rows, cols = np.nonzero(fastest)
-        best = np.full((k_steps, width, 1), -np.inf)
-        best[rows, offset[rows, cols], 0] = rewards[cols]
+        stages, cols = np.nonzero(fastest)
+        best = np.full((stop - step, width, 1), -np.inf)
+        best[stages, offset[stages, cols], 0] = rewards[cols]
         run = (lo + self._lo).tolist()
 
         # the lattice ascends, so stage k's envelope [b_l, b_u] is the cell
@@ -247,39 +328,41 @@ class MpcController:
         first = np.searchsorted(lattice, bl, side="left").tolist()
         end = np.searchsorted(lattice, bu, side="right").tolist()
 
-        value = self.cfg.terminal_reward_slope * lattice
-        # next_value[k] is V_{k+1}, the unmasked value stage k reads
-        next_value = [value] * take
+        count = len(starts)
+        values = self._values
+        tmp = self._tmp[:count * width * n_soc].reshape(count, width, n_soc)
+        terminal = self.cfg.terminal_reward_slope * lattice
         windows = self._windows
-        for k in range(k_steps - 1, -1, -1):
-            if k < take:
-                next_value[k] = value
-            self._load(value, first[k], end[k])
+        a = count
+        for k in range(stop - step - 1, -1, -1):
+            # rows [a, z) hold stage step + k; rows [entered, a) start there
+            entered = bisect_right(stops, step + k)
+            z = bisect_right(starts, step + k)
+            if entered < a:
+                values[entered:a] = terminal
+                a = entered
+            row, i = divmod(k, interval)
+            if row < count:
+                self._stored[row, i] = values[row]
+            self._load(values[a:z], first[k], end[k], a, z)
             start = run[k]
-            value = (windows[start:start + width] + best[k]).max(axis=0)
+            band = tmp[:z - a]
+            np.add(windows[a:z, start:start + width], best[k], out=band)
+            np.max(band, axis=1, out=values[a:z])
 
-        root = self._snap(b)
-        if not np.isfinite(value[root]):
-            return float("-inf"), None
+        self._step = step
+        self._starts = starts
+        self._stops = stops
+        self._shifts = shifts
+        self._first = first
+        self._end = end
 
-        # each executed action is the argmax over all U candidates at the
-        # current state: the same padded vector, the same float64 sums
-        starts = shifts + self._lo
-        actions = np.empty(take)
-        state = root
-        for k in range(take):
-            self._load(next_value[k], first[k], end[k])
-            j = int((self._padded[starts[k] + state] + rewards).argmax())
-            actions[k] = self.u_desc[j]
-            state = min(max(state + int(shifts[k, j]), 0), n_soc - 1)
-        return float(value[root]), actions
-
-    def _load(self, value: np.ndarray, first: int, end: int) -> None:
-        """Pad ``value`` masked to the cells [first, end) for a window read."""
-        middle = self._middle
+    def _load(self, value: np.ndarray, first: int, end: int, a: int, z: int) -> None:
+        """Pad ``value`` masked to the cells [first, end) into rows a:z for a window read."""
+        middle = self._middle[a:z]
         middle.fill(-np.inf)
-        middle[first:end] = value[first:end]
-        self._padded[self._lo + middle.size:] = middle[-1]
+        middle[:, first:end] = value[..., first:end]
+        self._padded[a:z, self._lo + middle.shape[1]:] = middle[:, -1:]
 
     def __call__(self, b: float, b_l: float, b_u: float, step: int) -> float:
         if self._next == len(self._actions):

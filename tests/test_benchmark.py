@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from solarasv.benchmark import MpcConfig, MpcController, energy_balance_velocity
 from solarasv.config import SimConfig
+from solarasv.controller import _switching_velocity
 from solarasv.harness import (
     Policy,
     build_policy,
@@ -194,12 +196,18 @@ class TestPlanValues:
         and fall below cell 0, crossed envelopes, and roots outside the
         envelope or the battery window. Both run regimes occur: velocities
         that share a cell shift at a stage, and stages whose run of shifts
-        has holes no velocity lands on.
+        has holes no velocity lands on. Each instance plans at step, step +
+        R, ... in order, so rows that a block solved ahead of their call are
+        read too, rows cut short by the mission end among them; then
+        ``__call__`` drives a fresh controller through the mission with a
+        crossed envelope, and each plan after a fallback is checked.
         """
         rng = np.random.default_rng(24)
+        # a separate stream for the drives leaves the plan instances unchanged
+        drive_rng = np.random.default_rng(25)
         seen = {
             "truncated": 0, "clamp": 0, "underflow": 0, "outside": 0, "infeasible": 0,
-            "shared": 0, "gap": 0,
+            "shared": 0, "gap": 0, "ahead": 0, "after_fallback": 0,
         }
         for _ in range(60):
             n_soc = int(rng.choice([2, 17, 131, 6501, 6501]))
@@ -224,35 +232,41 @@ class TestPlanValues:
             )
             ctl = MpcController(cfg, p_in, lower, upper, params, dt)
             step = int(rng.integers(0, n))
-            for b in (
+            roots = (
                 float(rng.uniform(-50.0, params.b_max + 50.0)),
                 params.b_max - float(rng.uniform(0.0, 30.0)),
                 float(rng.uniform(0.0, 30.0)),
-            ):
-                got, actions = ctl.plan(b, step)
-                want, ref_actions = dp_gather_plan(ctl, b, step)
-                assert got == want
-                if ref_actions is None:
-                    assert actions is None
-                    seen["infeasible"] += 1
-                    continue
-                assert actions.dtype == ref_actions.dtype
-                assert np.array_equal(actions, ref_actions)
-                root = ctl._snap(b)
-                shifts = np.floor(
-                    (p_in[step] - ctl.draw_desc) * dt / 3600.0 / ctl.res
-                )
-                seen["truncated"] += len(actions) < min(k_steps, n - step)
-                seen["clamp"] += n_soc == 6501 and root + shifts.max() > n_soc - 1
-                seen["underflow"] += n_soc == 6501 and root + shifts.min() < 0
-                seen["outside"] += not lower[step] <= b <= upper[step]
-                stop = min(step + k_steps, n)
-                run = np.floor(
-                    (p_in[step:stop, None] - ctl.draw_desc) * dt / 3600.0 / ctl.res
-                )
-                distinct = 1 + (np.diff(run, axis=1) != 0).sum(axis=1)
-                seen["shared"] += bool((distinct < n_u).any())
-                seen["gap"] += bool((run[:, -1] - run[:, 0] + 1 > distinct).any())
+            )
+            interval = cfg.replan_interval
+            for i, s in enumerate(range(step, n, interval)):
+                for b in roots:
+                    got, actions = ctl.plan(b, s)
+                    want, ref_actions = dp_gather_plan(ctl, b, s)
+                    assert got == want
+                    seen["ahead"] += i % ctl._rows > 0
+                    if ref_actions is None:
+                        assert actions is None
+                        seen["infeasible"] += 1
+                        continue
+                    assert actions.dtype == ref_actions.dtype
+                    assert np.array_equal(actions, ref_actions)
+                    root = ctl._snap(b)
+                    shifts = np.floor(
+                        (p_in[s] - ctl.draw_desc) * dt / 3600.0 / ctl.res
+                    )
+                    seen["truncated"] += len(actions) < min(k_steps, n - s)
+                    seen["clamp"] += n_soc == 6501 and root + shifts.max() > n_soc - 1
+                    seen["underflow"] += n_soc == 6501 and root + shifts.min() < 0
+                    seen["outside"] += not lower[s] <= b <= upper[s]
+                    stop = min(s + k_steps, n)
+                    run = np.floor(
+                        (p_in[s:stop, None] - ctl.draw_desc) * dt / 3600.0 / ctl.res
+                    )
+                    distinct = 1 + (np.diff(run, axis=1) != 0).sum(axis=1)
+                    seen["shared"] += bool((distinct < n_u).any())
+                    seen["gap"] += bool((run[:, -1] - run[:, 0] + 1 > distinct).any())
+            if n_soc < 6501:  # keeps the gather oracle cheap over a whole drive
+                seen["after_fallback"] += _drive_matches_gather(ctl, drive_rng)
         assert min(seen.values()) >= 3, seen
 
     def test_exact_ties_go_to_the_higher_velocity(self):
@@ -338,6 +352,41 @@ class TestPlanValues:
         assert checked >= 6  # most random draws must be feasible
 
 
+def _drive_matches_gather(ctl: MpcController, rng: np.random.Generator) -> int:
+    """Drive ``__call__`` through ctl's mission with a crossed envelope.
+
+    A fresh controller on ctl's inputs, with the envelope crossed at one
+    random boundary, is called at every step from a random SOC. The gather
+    loop replays it: a plan whenever the last one's actions are spent, the
+    switching fallback when a plan is infeasible, and a new plan at the next
+    step after a fallback. Returns how many such plans after a fallback were
+    feasible and matched.
+    """
+    n = len(ctl.p_in)
+    upper = ctl.upper.copy()
+    j = int(rng.integers(1, n + 1))
+    upper[j] = ctl.lower[j] - 1.0
+    live = MpcController(ctl.cfg, ctl.p_in, ctl.lower, upper, ctl.params, ctl.dt)
+    p = ctl.params
+    actions: list[float] = []
+    fell_back = False
+    matched = 0
+    for s in range(n):
+        b = float(rng.uniform(p.b_min, p.b_max))
+        if not actions:
+            _, ref_actions = dp_gather_plan(live, b, s)
+            if ref_actions is None:
+                fell_back = True
+                want = _switching_velocity(b, live.lower[s], upper[s], p.u_min, p.u_min, p.u_max)
+                assert live(b, live.lower[s], upper[s], s) == want
+                continue
+            matched += fell_back
+            fell_back = False
+            actions = ref_actions.tolist()
+        assert live(b, live.lower[s], upper[s], s) == actions.pop(0)
+    return matched
+
+
 @st.composite
 def _plan_instance(draw):
     """A random planner instance, a plan step and three roots."""
@@ -373,16 +422,19 @@ def _plan_instance(draw):
 @settings(max_examples=60, deadline=None)
 @given(_plan_instance())
 def test_plan_matches_gather_reference_property(instance):
-    """Bitwise value and actions against the gather loop on any instance."""
+    """Bitwise value and actions against the gather loop, at step and step + R."""
     ctl, step, roots = instance
-    for b in roots:
-        got, actions = ctl.plan(b, step)
-        want, ref_actions = dp_gather_plan(ctl, b, step)
-        assert got == want
-        if ref_actions is None:
-            assert actions is None
-        else:
-            assert np.array_equal(actions, ref_actions)
+    # the plan at step + R is a row of the block swept for step, if it has two
+    for s in range(step, min(step + 2 * ctl.cfg.replan_interval, len(ctl.p_in)),
+                   ctl.cfg.replan_interval):
+        for b in roots:
+            got, actions = ctl.plan(b, s)
+            want, ref_actions = dp_gather_plan(ctl, b, s)
+            assert got == want
+            if ref_actions is None:
+                assert actions is None
+            else:
+                assert np.array_equal(actions, ref_actions)
 
 
 # ======================================================================
@@ -424,6 +476,26 @@ class TestRecedingHorizon:
         assert len(actions) == 12  # the whole mission is shorter than the horizon
         _, actions = ctl.plan(3000.0, 10)
         assert len(actions) == 2  # only two steps remain
+
+    def test_every_step_block_memory_is_capped(self, params):
+        """Every-step plans on a large lattice keep one plan's memory.
+
+        On 3251 x 48 with a 240-step horizon and replan_interval = 1, a block
+        of all 240 overlapping plans would allocate about 330 MB of buffers;
+        the stage-cell cap leaves one row there, about 2 MB. The buffers are
+        allocated with the controller, so its construction is traced too.
+        """
+        cfg = MpcConfig(horizon=240 * 360.0, soc_grid=3251, u_grid=48, replan_interval=1)
+        p_in, lower, upper = _flat(800.0, 480, 500.0, 6000.0)
+        tracemalloc.start()
+        try:
+            ctl = MpcController(cfg, p_in, lower, upper, params, 360.0)
+            _, actions = ctl.plan(3000.0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(actions) == 1
+        assert peak < 16 * 2**20, peak
 
     def test_replan_interval_batches_solves(self, params):
         ctl = MpcController(

@@ -149,6 +149,22 @@ class TestLoadSimConfig:
             seen |= {key for key, _, _, _ in rows}
         assert seen == set(config._KEYS)
 
+    def test_every_float_key_is_checked_finite(self):
+        """Each float key validate() owns is one of its numeric fields.
+
+        A float key missing there would load NaN or inf with no error. The
+        dataclasses check vessel.* and mpc.*, and the source's problems()
+        checks solar.*; controller.b_des is a number only when it is set.
+        """
+        elsewhere = ("vessel.", "mpc.", "solar.")
+        floats = {
+            key for key, kind in config._KEYS.items()
+            if kind is float and not key.startswith(elsewhere)
+        }
+        cfg = replace(SimConfig(), ilc=replace(SimConfig().ilc, b_des=3000.0))
+        checked = {key for key, _ in cfg._numeric_fields()}
+        assert checked == floats | {"controller.b_des"}
+
     def test_typed_overrides(self, tmp_path):
         cfg = load_sim_config(
             _write(
