@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .barrier import write_envelope_csv
@@ -50,10 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(config: str, output: str | None) -> int:
     cfg = load_sim_config(config)
-    if output is not None:
-        cfg = replace(cfg, output_dir=output)
     result = run_mission(cfg)
-    written = export_traces(result, cfg.output_dir)
+    written = export_traces(result, cfg.output_dir if output is None else output)
     print(
         f"strategy={result.strategy} distance_m={result.distance:.1f} "
         f"terminal_soc_wh={result.terminal_soc:.1f} violation={result.violation:.3g} "
@@ -66,32 +63,28 @@ def _cmd_run(config: str, output: str | None) -> int:
 
 def _cmd_compare(config: str, output: str | None) -> int:
     cfgs = load_compare_configs(config)
-    if output is not None:
-        cfgs = [replace(c, output_dir=output) for c in cfgs]
-    comp = compare_strategies(cfgs)
-    width = max(len(r.strategy) for r in comp.rows)
+    results = compare_strategies(cfgs)
+    width = max(len(r.strategy) for r in results)
     print(
         f"{'strategy'.ljust(width)}  {'distance_m':>14}  {'terminal_soc_wh':>16}  "
         f"{'violation':>12}  {'wall_s':>8}"
     )
-    for row in comp.rows:
+    for r in results:
         print(
-            f"{row.strategy.ljust(width)}  {row.distance_m:>14.1f}  "
-            f"{row.terminal_soc_wh:>16.1f}  {row.violation:>12.4g}  "
-            f"{row.wall_time_s:>8.2f}"
+            f"{r.strategy.ljust(width)}  {r.distance:>14.1f}  "
+            f"{r.terminal_soc:>16.1f}  {r.violation:>12.4g}  {r.wall_time:>8.2f}"
         )
-    for path in export_comparison(comp, cfgs[0].output_dir):
+    out_dir = cfgs[0].output_dir if output is None else output
+    for path in export_comparison(results, out_dir):
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_barriers(config: str, output: str | None) -> int:
     cfg = load_sim_config(config)
-    if output is not None:
-        cfg = replace(cfg, output_dir=output)
     profile = build_input_profile(cfg)
     env = build_mission_envelope(cfg, profile)
-    out_dir = Path(cfg.output_dir)
+    out_dir = Path(cfg.output_dir if output is None else output)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "envelope.csv"
     write_envelope_csv(env, target)

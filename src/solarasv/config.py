@@ -1,8 +1,11 @@
 """Mission configuration: the config objects and the flat key=value files.
 
 :class:`SimConfig` holds one mission's settings (the solar source, the
-vessel, the strategy and its gains) and :meth:`SimConfig.validate` lists
-every problem with them; the harness runs only configs that pass.
+vessel, the strategy and its gains) and checks them when it is built, the
+way :class:`~solarasv.vessel.VesselParams` and
+:class:`~solarasv.benchmark.MpcConfig` do: one :class:`ConfigError` lists
+every problem. So any SimConfig that exists is valid, and neither the
+loaders nor the harness check one again.
 
 File format: one ``section.key = value`` assignment per line, ``#`` starts a
 comment line, blank lines are ignored. ``_KEYS`` lists every key with the
@@ -31,9 +34,10 @@ mismatches together by key. A solar key the selected source does not read is
 an error too: solar.d0, solar.d1 and solar.table belong to the idealized
 source, which ignores solar.d0 and solar.d1 under a table; solar.file,
 solar.scale, solar.interpolation and solar.periodic belong to the file
-source, which reads solar.period only when solar.periodic is true. Relative
-paths (solar.file, solar.table, sim.output_dir) resolve against the config
-file's directory.
+source, which reads solar.period only when solar.periodic is true. A
+compare file lists at least two known strategies in sim.strategies, none
+twice, and sets no sim.strategy. Relative paths (solar.file, solar.table,
+sim.output_dir) resolve against the config file's directory.
 """
 
 from __future__ import annotations
@@ -75,6 +79,8 @@ class IlcSettings:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One mission's settings; raises ConfigError listing every problem when built."""
+
     mission_length: float = 31_536_000.0  # s (365 days)
     dt: float = 360.0
     initial_soc: float = 3250.0
@@ -88,8 +94,11 @@ class SimConfig:
     ilc: IlcSettings = field(default_factory=IlcSettings)
     mpc: MpcConfig = field(default_factory=MpcConfig)
 
-    def validate(self) -> list[str]:
-        """Collect every validation failure as a 'field: problem' string."""
+    def __post_init__(self) -> None:
+        _raise_problems(self._problems())
+
+    def _problems(self) -> list[str]:
+        """Every 'config.key: problem' string for these settings; [] if valid."""
         errors = [
             f"{key}: must be finite"
             for key, value in self._numeric_fields()
@@ -117,6 +126,11 @@ class SimConfig:
             errors.append(
                 f"barrier.mode: {self.barrier_mode!r} not one of {BARRIER_MODES}"
             )
+        elif self.barrier_mode == "periodic-day" and not self.solar.periodic:
+            errors.append(
+                "barrier.mode: periodic-day repeats one period of the solar source, "
+                "but a solar.table or a log without solar.periodic has none; use horizon"
+            )
         if self.noise_std < 0:
             errors.append("sim.noise_std: must be >= 0")
         if self.rng_seed < 0:
@@ -142,12 +156,8 @@ class SimConfig:
                 errors.append("mpc.horizon: must be a positive multiple of sim.dt")
         return errors + self.solar.problems()
 
-    def check(self) -> None:
-        """Raise ConfigError listing every :meth:`validate` failure, if any."""
-        _raise_problems(self.validate())
-
     def _numeric_fields(self) -> list[tuple[str, float]]:
-        """(config key, value) of every non-solar number validate() checks."""
+        """(config key, value) of every non-solar number _problems() checks."""
         ilc = self.ilc
         out = [
             ("sim.dt", self.dt),
@@ -295,9 +305,10 @@ def _fields_section(cls: type, v: dict[str, object], prefix: str):
 
 
 def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
-    """Assemble a SimConfig from parsed key=value strings; not yet validated.
+    """Assemble the SimConfig that parsed key=value strings describe.
 
-    A field whose key ``values`` does not set keeps its dataclass default.
+    A field whose key ``values`` does not set keeps its dataclass default;
+    sim.output_dir resolves against ``base_dir``. Raises ConfigError.
     """
     problems: list[str] = []
     v = _typed(values, problems)
@@ -359,24 +370,23 @@ def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
         v, "sim", "mission_length", "dt", "initial_soc", "strategy", "rng_seed",
         "noise_std", "output_dir",
     )
+    sim["output_dir"] = str(base_dir / sim.get("output_dir", SimConfig.output_dir))
     if "barrier.mode" in v:
         sim["barrier_mode"] = v["barrier.mode"]
-    cfg = SimConfig(solar=solar, vessel=vessel, ilc=ilc, mpc=mpc, **sim)
-    return replace(cfg, output_dir=str(base_dir / cfg.output_dir))
+    return SimConfig(solar=solar, vessel=vessel, ilc=ilc, mpc=mpc, **sim)
 
 
 def load_sim_config(path: str | Path) -> SimConfig:
     """Parse a config file into a single-run SimConfig."""
     p = Path(path)
-    cfg = build_sim_config(parse_kv_file(p), p.parent.resolve())
-    cfg.check()
-    return cfg
+    return build_sim_config(parse_kv_file(p), p.parent.resolve())
 
 
 def load_compare_configs(path: str | Path) -> list[SimConfig]:
     """Parse a config file into one SimConfig per entry in sim.strategies."""
     p = Path(path)
     values = parse_kv_file(p)
+    _reject_keys(values, ("sim.strategy",), "one strategy runs, not a compare")
     raw = values.get("sim.strategies", "")
     names = [s.strip() for s in raw.split(",") if s.strip()]
     if len(names) < 2:
@@ -384,8 +394,14 @@ def load_compare_configs(path: str | Path) -> list[SimConfig]:
             "sim.strategies: compare needs a comma-separated list of at least "
             "two strategies"
         )
-    base = build_sim_config(values, p.parent.resolve())
-    cfgs = [replace(base, strategy=s) for s in names]
-    for cfg in cfgs:
-        cfg.check()
-    return cfgs
+    problems = [
+        f"sim.strategies: {s!r} not one of {STRATEGIES}"
+        for s in names if s not in STRATEGIES
+    ]
+    problems += [
+        f"sim.strategies: {s!r} listed twice"
+        for s in dict.fromkeys(names) if names.count(s) > 1
+    ]
+    _raise_problems(problems)
+    base = build_sim_config({**values, "sim.strategy": names[0]}, p.parent.resolve())
+    return [base] + [replace(base, strategy=s) for s in names[1:]]

@@ -1,12 +1,14 @@
 """Closed-loop mission harness: tabulation, policies, stepping loop, exports.
 
-A mission runs from a valid :class:`~solarasv.config.SimConfig`, whose
-solar source builds the input profile itself. The mission is tabulated once
-(:func:`tabulate_mission`): the input profile, the envelope, and read-only
-arrays of the input power at each step start and the bounds at each step
-boundary. :func:`compare_strategies` shares one tabulation among all
-configs that agree in solar source, mission length, dt, vessel and barrier
-mode.
+A mission runs from a :class:`~solarasv.config.SimConfig`. A SimConfig
+checks its settings when it is built, so nothing here checks them again.
+Its solar source builds the input profile itself. The mission is tabulated
+once (:func:`tabulate_mission`): the input profile, the envelope, and
+read-only arrays of the input power at each step start and the bounds at
+each step boundary. Tabulation makes the one check that needs the source's
+data: a non-periodic profile must cover the mission. :func:`compare_strategies`
+shares one tabulation among all configs that agree in solar source, mission
+length, dt, vessel and barrier mode, and returns one result per config.
 
 Every strategy runs through one step loop, :func:`simulate`. Each step it
 hands the measured SOC and the envelope bounds to the strategy's
@@ -44,7 +46,7 @@ Conventions
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -107,11 +109,6 @@ def build_mission_envelope(cfg: SimConfig, profile: SolarProfile) -> BarrierEnve
     horizon mode evaluates the barriers on the mission grid; periodic-day
     mode on one period of the profile, and repeats them.
     """
-    if cfg.barrier_mode == "periodic-day" and not profile.periodic:
-        raise ConfigError(
-            "barrier.mode: periodic-day repeats one period of the solar source, "
-            "but a solar.table or a log without solar.periodic has none; use horizon"
-        )
     if cfg.barrier_mode == "horizon":
         grid = np.arange(0.0, cfg.mission_length + cfg.dt / 2, cfg.dt)
     else:
@@ -144,7 +141,8 @@ def _tabulation_key(cfg: SimConfig) -> tuple:
 def tabulate_mission(cfg: SimConfig) -> MissionTabulation:
     """Build the mission's profile and envelope and tabulate them on its steps.
 
-    ``cfg`` must be valid (see :meth:`SimConfig.validate`).
+    Raises ConfigError when a non-periodic profile does not cover the
+    mission, which only the source's data can show.
     """
     profile = build_input_profile(cfg)
     if not profile.periodic and (
@@ -325,9 +323,10 @@ def run_mission(
     barrier_mode; :func:`compare_strategies` shares one this way. Without
     it the call builds its own. The result's wall_time covers this call:
     the tabulation when it is built here, the policy build and the step
-    loop always.
+    loop always. ``cfg`` checked its settings when it was built, so the
+    call checks none; building the tabulation checks the source covers
+    the mission.
     """
-    cfg.check()
     wall0 = time.perf_counter()
     tab = tabulate_mission(cfg) if tabulation is None else tabulation
     if tab.key != _tabulation_key(cfg):
@@ -353,27 +352,6 @@ def run_mission(
 # strategy comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StrategyRow:
-    strategy: str
-    distance_m: float
-    terminal_soc_wh: float
-    violation: float
-    wall_time_s: float  # the strategy's policy build and step loop only
-
-
-@dataclass
-class ComparisonResult:
-    rows: list[StrategyRow]
-    # cumulative distance at each full-day boundary, aligned with rows
-    daily_distance: list[np.ndarray]
-    results: list[SimResult]
-
-    @property
-    def days(self) -> int:
-        return self.daily_distance[0].size if self.daily_distance else 0
-
-
 def daily_cumulative_distance(result: SimResult) -> np.ndarray:
     """Cumulative distance (m) sampled at the end of each full mission day."""
     n = result.velocity_trace.size
@@ -386,12 +364,12 @@ def daily_cumulative_distance(result: SimResult) -> np.ndarray:
     return cum[idx]
 
 
-def compare_strategies(cfgs: Sequence[SimConfig]) -> ComparisonResult:
-    """Run each config and collate distance/SOC/violation/runtime rows.
+def compare_strategies(cfgs: Sequence[SimConfig]) -> list[SimResult]:
+    """Run each config; one result per config, in order.
 
     All configs must share the solar source and mission length so the
     distances are comparable. Configs that also agree in dt, vessel and
-    barrier_mode share one :func:`tabulate_mission`, so a row's wall_time_s
+    barrier_mode share one :func:`tabulate_mission`, so a result's wall_time
     covers its policy build and step loop but not that shared tabulation.
     """
     if len(cfgs) < 2:
@@ -406,11 +384,7 @@ def compare_strategies(cfgs: Sequence[SimConfig]) -> ComparisonResult:
             raise ConfigError(
                 f"compare: config {i} has a different mission length than config 1"
             )
-    for cfg in cfgs:
-        cfg.check()
     tabulations: list[MissionTabulation] = []
-    rows: list[StrategyRow] = []
-    daily: list[np.ndarray] = []
     results: list[SimResult] = []
     for cfg in cfgs:
         key = _tabulation_key(cfg)
@@ -418,19 +392,8 @@ def compare_strategies(cfgs: Sequence[SimConfig]) -> ComparisonResult:
         if tab is None:
             tab = tabulate_mission(cfg)
             tabulations.append(tab)
-        res = run_mission(cfg, tab)
-        rows.append(
-            StrategyRow(
-                strategy=res.strategy,
-                distance_m=res.distance,
-                terminal_soc_wh=res.terminal_soc,
-                violation=res.violation,
-                wall_time_s=res.wall_time,
-            )
-        )
-        daily.append(daily_cumulative_distance(res))
-        results.append(res)
-    return ComparisonResult(rows=rows, daily_distance=daily, results=results)
+        results.append(run_mission(cfg, tab))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +473,8 @@ def export_traces(result: SimResult, out_dir: str | Path) -> list[Path]:
     return written
 
 
-def export_comparison(comp: ComparisonResult, out_dir: str | Path) -> list[Path]:
-    """Write comparison.csv and distance_series.csv."""
+def export_comparison(results: Sequence[SimResult], out_dir: str | Path) -> list[Path]:
+    """Write comparison.csv (one row per result) and distance_series.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -519,14 +482,17 @@ def export_comparison(comp: ComparisonResult, out_dir: str | Path) -> list[Path]
     write_columns(
         comparison,
         "strategy,distance_m,terminal_soc_wh,violation_wh2s,wall_time_s",
-        [[getattr(row, f.name) for row in comp.rows] for f in fields(StrategyRow)],
+        [
+            [getattr(r, name) for r in results]
+            for name in ("strategy", "distance", "terminal_soc", "violation", "wall_time")
+        ],
     )
 
     series = out / "distance_series.csv"
-    names = [row.strategy for row in comp.rows]
+    daily = [daily_cumulative_distance(r) for r in results]
     write_columns(
         series,
-        "day," + ",".join(f"distance_m_{name}" for name in names),
-        (np.arange(comp.days), *comp.daily_distance),
+        "day," + ",".join(f"distance_m_{r.strategy}" for r in results),
+        (np.arange(daily[0].size if daily else 0), *daily),
     )
     return [comparison, series]

@@ -3,8 +3,8 @@
 A :class:`SolarProfile` holds sampled (time_s, power_w) pairs with
 zero-order-hold or linear interpolation, optionally periodic with a stated
 period. Each solar source turns its settings into one with
-``profile(dt)``, and lists what is wrong with those settings with
-``problems()``:
+``profile(dt)``, lists what is wrong with those settings with
+``problems()``, and says with ``periodic`` whether that profile repeats:
 
 1. :class:`IdealizedSource`, a clear-sky day, the clipped cosine
 
@@ -174,6 +174,11 @@ class IdealizedSource:
     d0_by_day: tuple[float, ...] | None = None
     d1_by_day: tuple[float, ...] | None = None
 
+    @property
+    def periodic(self) -> bool:
+        """Whether :meth:`profile` repeats one period: true without a day table."""
+        return self.d0_by_day is None
+
     def problems(self) -> list[str]:
         """Every 'solar.key: problem' message for these settings; [] if valid."""
         numbers = [
@@ -208,7 +213,7 @@ class IdealizedSource:
             problems.append(f"dt must be > 0, got {dt}")
         if problems:
             raise ValueError("; ".join(problems))
-        if self.d0_by_day is None:
+        if self.periodic:
             times = period_grid(self.period, dt)
             d0, d1, period = self.d0, self.d1, self.period
         else:
@@ -235,6 +240,11 @@ class FileSource:
     scale: float = 1.0
     interpolation: str = "linear"
     period: float | None = None  # s; None reads the log as non-periodic
+
+    @property
+    def periodic(self) -> bool:
+        """Whether :meth:`profile` repeats one period: true when period is set."""
+        return self.period is not None
 
     def problems(self) -> list[str]:
         """Every 'solar.key: problem' message for these settings; [] if valid."""

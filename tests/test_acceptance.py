@@ -214,7 +214,7 @@ def year_comparison():
 
 
 def test_criterion_5_strategy_ranking(year_comparison):
-    dist = {row.strategy: row.distance_m for row in year_comparison.rows}
+    dist = {r.strategy: r.distance for r in year_comparison}
     cc = dist["constant-constrained"]
     ilc = dist["ilc"]
     mpc = dist["mpc"]
@@ -318,12 +318,12 @@ def test_criterion_9_violation_accumulator(year_comparison):
     dt = 360.0
     mission = 365 * DAY
     peak_in = max(
-        float(np.max(r.p_in_trace)) for r in year_comparison.results
+        float(np.max(r.p_in_trace)) for r in year_comparison
     )
     full_draw = params.k_h + params.k_m * params.u_max**3
     step_wh = max(full_draw, peak_in - params.k_h) * dt / 3600.0
     bound = step_wh**2 * mission  # one-step excursion held for every step
-    x2 = {row.strategy: row.violation for row in year_comparison.rows}
+    x2 = {r.strategy: r.violation for r in year_comparison}
     respecting = ("ilc", "constant-constrained", "mpc")
     ok = all(x2[s] < bound for s in respecting) and x2["constant-unconstrained"] > 0.0
     _record(9, ok, "x2: " + ", ".join(f"{s}={x2[s]:.3g}" for s in x2)

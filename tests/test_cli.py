@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from solarasv import cli
 from solarasv.cli import main
+from solarasv.config import SimConfig
+from solarasv.harness import compare_strategies, run_mission
 
 FAST_RUN = """\
 sim.strategy = constant-unconstrained
@@ -86,6 +89,51 @@ class TestBarriersCommand:
             assert "grid_points=61" in capsys.readouterr().out
 
 
+class TestOneCheckPerConfig:
+    """A SimConfig checks itself once, when built; nothing checks it again."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """ids of the SimConfigs whose settings were checked, in call order."""
+        seen = []
+        original = SimConfig._problems
+
+        def counting(cfg):
+            seen.append(id(cfg))
+            return original(cfg)
+
+        monkeypatch.setattr(SimConfig, "_problems", counting)
+        return seen
+
+    def test_harness_checks_nothing(self, checked):
+        cfgs = [
+            SimConfig(mission_length=86400.0, strategy=s)
+            for s in ("constant-unconstrained", "ilc")
+        ]
+        assert checked == [id(c) for c in cfgs]
+        run_mission(cfgs[0])
+        compare_strategies(cfgs)
+        assert checked == [id(c) for c in cfgs]
+
+    def test_run_checks_its_config_once(self, tmp_path, checked):
+        assert main(["run", "--config", _write(tmp_path, FAST_RUN)]) == 0
+        assert len(checked) == 1
+
+    def test_compare_checks_each_config_once(self, tmp_path, checked, monkeypatch):
+        loaded = []
+
+        def loading(path):
+            loaded.extend(load(path))
+            return loaded
+
+        load = cli.load_compare_configs
+        monkeypatch.setattr(cli, "load_compare_configs", loading)
+        cfg = _write(tmp_path, FAST_COMPARE.replace(",", ", ilc,"))
+        assert main(["compare", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
+        assert len(loaded) == 3
+        assert checked == [id(c) for c in loaded]
+
+
 class TestErrorHandling:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
@@ -120,8 +168,12 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "source",
-        ["solar.table = days.csv", "solar.source = file\nsolar.file = log.csv"],
-        ids=["table", "file"],
+        [
+            "solar.table = days.csv",
+            "solar.source = file\nsolar.file = log.csv",
+            "solar.source = file\nsolar.file = absent.csv",
+        ],
+        ids=["table", "file", "absent-file"],
     )
     @pytest.mark.parametrize("command", ["run", "barriers"])
     def test_periodic_day_rejects_non_periodic_source(

@@ -138,23 +138,27 @@ class TestLoadSimConfig:
         for source, solar_rows in by_source.items():
             rows = shared + solar_rows
             text = "".join(f"{key} = {raw}\n" for key, raw, _, _ in rows)
-            text += "sim.strategies = ilc, constant-constrained\n"
-            p = _write(tmp_path, text, f"{source}.cfg")
-            cfg = load_sim_config(p)
+            cfg = load_sim_config(_write(tmp_path, text, f"{source}.cfg"))
             for key, _, attr, value in rows:
                 assert attrgetter(attr)(cfg) == value, (source, key)
-            cfgs = load_compare_configs(p)
+            # a compare file lists its strategies instead of naming one
+            text = "".join(
+                f"{key} = {raw}\n" for key, raw, _, _ in rows if key != "sim.strategy"
+            )
+            text += "sim.strategies = ilc, constant-constrained\n"
+            cfgs = load_compare_configs(_write(tmp_path, text, f"{source}-compare.cfg"))
             strategies = ("ilc", "constant-constrained")
             assert cfgs == [replace(cfg, strategy=s) for s in strategies]
             seen |= {key for key, _, _, _ in rows}
         assert seen == set(config._KEYS)
 
     def test_every_float_key_is_checked_finite(self):
-        """Each float key validate() owns is one of its numeric fields.
+        """Each float key SimConfig checks itself is one of its numeric fields.
 
         A float key missing there would load NaN or inf with no error. The
-        dataclasses check vessel.* and mpc.*, and the source's problems()
-        checks solar.*; controller.b_des is a number only when it is set.
+        VesselParams and MpcConfig dataclasses check vessel.* and mpc.*, and
+        the source's problems() checks solar.*; controller.b_des is a number
+        only when it is set.
         """
         elsewhere = ("vessel.", "mpc.", "solar.")
         floats = {
@@ -244,7 +248,8 @@ class TestLoadSimConfig:
         (tmp_path / "input.csv").write_text("0,100\n86400,100\n")
         p = _write(
             tmp_path,
-            f"solar.source = file\nsolar.file = input.csv\nsolar.periodic = {spelling}\n",
+            "barrier.mode = horizon\nsolar.source = file\nsolar.file = input.csv\n"
+            f"solar.periodic = {spelling}\n",
         )
         assert load_sim_config(p).solar.period == period
 
@@ -315,6 +320,18 @@ class TestLoadSimConfig:
         with pytest.raises(ConfigError, match="mpc\\.\\*"):
             load_sim_config(_write(tmp_path, "mpc.soc_grid = 1\n", "m.cfg"))
 
+    @pytest.mark.parametrize(
+        "source",
+        ["solar.table = days.csv", "solar.source = file\nsolar.file = absent.csv"],
+        ids=["table", "log"],
+    )
+    def test_periodic_day_needs_a_periodic_source(self, tmp_path, source):
+        # the log does not exist: the rule is decided before anything reads it
+        (tmp_path / "days.csv").write_text("0,300,500\n1,300,500\n")
+        p = _write(tmp_path, f"barrier.mode = periodic-day\n{source}\n")
+        with pytest.raises(ConfigError, match="barrier.mode: periodic-day"):
+            load_sim_config(p)
+
     def test_downstream_validation_still_applies(self, tmp_path):
         p = _write(tmp_path, "sim.strategy = sail\n")
         with pytest.raises(ConfigError, match="sim.strategy"):
@@ -324,7 +341,9 @@ class TestLoadSimConfig:
 class TestDayTable:
     def test_table_loads(self, tmp_path):
         (tmp_path / "days.csv").write_text("# seasonal\n0,100,50\n1,200,60\n")
-        cfg = load_sim_config(_write(tmp_path, "solar.table = days.csv\n"))
+        cfg = load_sim_config(
+            _write(tmp_path, "solar.table = days.csv\nbarrier.mode = horizon\n")
+        )
         assert cfg.solar.d0_by_day == (100.0, 200.0)
         assert cfg.solar.d1_by_day == (50.0, 60.0)
 
@@ -395,5 +414,27 @@ class TestLoadCompareConfigs:
 
     def test_invalid_member_strategy(self, tmp_path):
         p = _write(tmp_path, "sim.strategies = ilc, sail\n")
-        with pytest.raises(ConfigError, match="sim.strategy"):
+        with pytest.raises(ConfigError, match="sim.strategies: 'sail' not one of"):
             load_compare_configs(p)
+
+    def test_duplicate_strategy_rejected(self, tmp_path):
+        p = _write(tmp_path, "sim.strategies = ilc, mpc, ilc\n")
+        with pytest.raises(ConfigError, match="sim.strategies: 'ilc' listed twice"):
+            load_compare_configs(p)
+
+    def test_single_strategy_key_rejected(self, tmp_path):
+        p = _write(tmp_path, "sim.strategy = mpc\nsim.strategies = ilc, mpc\n")
+        with pytest.raises(ConfigError, match="sim.strategy: only read when"):
+            load_compare_configs(p)
+
+    def test_configs_built_for_the_listed_strategies_only(self, tmp_path):
+        # sim.dt = 700 does not divide a day, which only ilc needs
+        p = _write(
+            tmp_path,
+            "sim.strategies = constant-unconstrained, mpc\n"
+            "sim.dt = 700\nsim.mission_length = 700000\nmpc.horizon = 168000\n",
+        )
+        cfgs = load_compare_configs(p)
+        assert [c.strategy for c in cfgs] == ["constant-unconstrained", "mpc"]
+        with pytest.raises(ConfigError, match="sim.dt: must divide 86400"):
+            replace(cfgs[0], strategy="ilc")

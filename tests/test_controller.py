@@ -17,7 +17,7 @@ from solarasv.controller import (
     velocity_from_costate,
 )
 from solarasv.config import SimConfig
-from solarasv.harness import Policy, run_mission, simulate
+from solarasv.harness import Policy, simulate
 from solarasv.vessel import VesselParams
 
 from conftest import step_fixed
@@ -268,4 +268,4 @@ class TestViolationAccumulator:
 
     def test_dt_validation(self):
         with pytest.raises(ValueError, match="sim.dt: must be > 0"):
-            run_mission(SimConfig(dt=0.0))
+            SimConfig(dt=0.0)

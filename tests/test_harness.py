@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -123,30 +124,34 @@ class TestValidation:
                 {"ilc": IlcSettings(b_des=99999.0)},
                 "controller.b_des: 99999.0 outside battery window [0.0, 6500.0]",
             ),
+            (
+                {"solar": IdealizedSource(d0_by_day=(300.0,), d1_by_day=(500.0,))},
+                "barrier.mode: periodic-day",
+            ),
+            ({"solar": FileSource(path="absent.csv")}, "barrier.mode: periodic-day"),
         ],
     )
     def test_each_field_reports_itself(self, kw, fragment):
-        errors = _cfg(**kw).validate()
-        assert any(fragment in e for e in errors), errors
+        with pytest.raises(ConfigError, match=re.escape(fragment)):
+            _cfg(**kw)
 
     def test_ilc_needs_day_aligned_dt(self):
-        cfg = _cfg(dt=700.0, mission_length=700.0 * 1000)
-        assert any("must divide 86400" in e for e in cfg.validate())
+        with pytest.raises(ConfigError, match="must divide 86400"):
+            _cfg(dt=700.0, mission_length=700.0 * 1000)
         # the same grid is fine for strategies without a daily cycle
-        cfg = _cfg(
+        _cfg(
             dt=700.0,
             mission_length=700.0 * 1000,
             strategy="mpc",
             mpc=MpcConfig(horizon=700.0 * 240),
         )
-        assert cfg.validate() == []
 
     def test_valid_config_is_clean(self):
-        assert _cfg().validate() == []
+        _cfg()  # raises ConfigError if any setting is invalid
 
-    def test_run_mission_joins_all_errors(self):
+    def test_construction_joins_all_errors(self):
         with pytest.raises(ConfigError) as exc:
-            run_mission(_cfg(dt=0.0, strategy="sail", noise_std=-1.0))
+            _cfg(dt=0.0, strategy="sail", noise_std=-1.0)
         msg = str(exc.value)
         assert "sim.dt" in msg and "sim.strategy" in msg and "sim.noise_std" in msg
 
@@ -185,14 +190,17 @@ class TestAssembly:
         assert sample_array(prof, [0.0])[0] == 800.0
 
     def test_seasonal_table_switches_by_day(self):
-        cfg = _cfg(solar=IdealizedSource(d0_by_day=[100.0, 200.0], d1_by_day=[0.0, 0.0]))
+        cfg = _cfg(
+            solar=IdealizedSource(d0_by_day=[100.0, 200.0], d1_by_day=[0.0, 0.0]),
+            barrier_mode="horizon",
+        )
         prof = build_input_profile(cfg)
         assert sample_array(prof, [0.5 * DAY, 1.5 * DAY]).tolist() == [100.0, 200.0]
 
     def test_file_source_loads_and_scales(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text("0,100\n86400,100\n")
-        cfg = _cfg(solar=FileSource(path=str(f), scale=3.0))
+        cfg = _cfg(solar=FileSource(path=str(f), scale=3.0), barrier_mode="horizon")
         prof = build_input_profile(cfg)
         assert sample_array(prof, [1000.0])[0] == 300.0
 
@@ -201,7 +209,6 @@ class TestAssembly:
         f = tmp_path / "day.csv"
         f.write_text("0,0\n30000,0\n43200,400\n56400,0\n")
         cfg = _cfg(solar=FileSource(path=str(f), period=DAY))
-        assert cfg.validate() == []
         env = build_mission_envelope(cfg, build_input_profile(cfg))
         want = build_envelope(
             load_profile(f, period=DAY), params, np.arange(0.0, DAY, 360.0),
@@ -235,7 +242,7 @@ class TestAssembly:
         late.write_text(f"360,300\n{3 * DAY},300\n")
         for f in (short, late):
             with pytest.raises(ConfigError, match="does not cover the mission"):
-                run_mission(_cfg(solar=FileSource(path=str(f))))
+                run_mission(_cfg(solar=FileSource(path=str(f)), barrier_mode="horizon"))
 
 
 # ======================================================================
@@ -425,13 +432,12 @@ class TestCompare:
             compare_strategies(cfgs)
 
     def test_rows_align_with_results(self):
-        comp = compare_strategies(
+        results = compare_strategies(
             [_cfg(strategy="constant-unconstrained"), _cfg()]
         )
-        assert [r.strategy for r in comp.rows] == ["constant-unconstrained", "ilc"]
-        assert comp.days == 2
-        for row, res, series in zip(comp.rows, comp.results, comp.daily_distance):
-            assert row.distance_m == res.distance
+        assert [r.strategy for r in results] == ["constant-unconstrained", "ilc"]
+        for res in results:
+            series = daily_cumulative_distance(res)
             assert series.size == 2
             assert series[-1] == pytest.approx(res.distance, rel=1e-12)
 
@@ -478,14 +484,10 @@ class TestSharedTabulation:
                 mpc=MpcConfig(horizon=21600.0, soc_grid=66, u_grid=8, replan_interval=10),
             ),
         ]
-        comp = compare_strategies(cfgs)
+        results = compare_strategies(cfgs)
         assert tabulations == [cfgs[0]]
-        for cfg, row, res in zip(cfgs, comp.rows, comp.results):
-            alone = run_mission(cfg)
-            _assert_same_run(res, alone)
-            assert (row.distance_m, row.terminal_soc_wh, row.violation) == (
-                alone.distance, alone.terminal_soc, alone.violation
-            )
+        for cfg, res in zip(cfgs, results):
+            _assert_same_run(res, run_mission(cfg))
 
     @pytest.mark.parametrize(
         "change",
@@ -502,9 +504,9 @@ class TestSharedTabulation:
             _cfg(strategy="constant-constrained"),
             _cfg(strategy="constant-unconstrained", **change),
         ]
-        comp = compare_strategies(cfgs)
+        results = compare_strategies(cfgs)
         assert tabulations == [cfgs[0], cfgs[2]]
-        for cfg, res in zip(cfgs, comp.results):
+        for cfg, res in zip(cfgs, results):
             _assert_same_run(res, run_mission(cfg))
 
     def test_shared_arrays_are_read_only(self, params):
@@ -522,9 +524,9 @@ class TestSharedTabulation:
                 Policy("scribble", scribble), tab.p_in, tab.lower[:-1],
                 tab.upper[:-1], 3250.0, params, 360.0,
             )
-        comp = compare_strategies([_cfg(), _cfg(strategy="constant-constrained")])
-        shared = comp.results[0].p_in_trace
-        assert comp.results[1].p_in_trace is shared
+        results = compare_strategies([_cfg(), _cfg(strategy="constant-constrained")])
+        shared = results[0].p_in_trace
+        assert results[1].p_in_trace is shared
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 0.0
 
@@ -596,10 +598,10 @@ class TestExports:
             ).read_bytes()
 
     def test_comparison_files(self, tmp_path):
-        comp = compare_strategies(
+        results = compare_strategies(
             [_cfg(strategy="constant-unconstrained"), _cfg()]
         )
-        written = export_comparison(comp, tmp_path)
+        written = export_comparison(results, tmp_path)
         assert [p.name for p in written] == ["comparison.csv", "distance_series.csv"]
 
         rows = (tmp_path / "comparison.csv").read_text().splitlines()
@@ -608,7 +610,7 @@ class TestExports:
 
         series = (tmp_path / "distance_series.csv").read_text().splitlines()
         assert series[0] == "day,distance_m_constant-unconstrained,distance_m_ilc"
-        assert len(series) == comp.days + 1
+        assert len(series) == 2 + 1  # header and two full days
 
 
 # ======================================================================
@@ -754,13 +756,13 @@ def test_exported_bytes_match_recorded_digests(tmp_path):
     """
     base = _cfg(mission_length=20 * DAY, solar=_EXPORT_SOLAR, barrier_mode="horizon")
     export_traces(run_mission(base), tmp_path / "run")
-    comp = compare_strategies(
+    results = compare_strategies(
         [
             dataclasses.replace(base, strategy=s)
             for s in ("ilc", "constant-constrained", "constant-unconstrained")
         ]
     )
-    export_comparison(comp, tmp_path / "compare")
+    export_comparison(results, tmp_path / "compare")
     write_envelope_csv(
         build_mission_envelope(base, build_input_profile(base)),
         tmp_path / "envelope.csv",
