@@ -8,7 +8,8 @@
 summary.csv and daily.csv. ``compare`` runs every strategy in
 sim.strategies over the shared source and writes comparison.csv and
 distance_series.csv. ``barriers`` only builds the tightened-SOC envelope and
-writes envelope.csv. All outputs land in sim.output_dir unless --output
+writes envelope.csv; it reads a compare file too, whose sim.strategies
+``run`` rejects. All outputs land in sim.output_dir unless --output
 overrides it.
 """
 
@@ -81,7 +82,7 @@ def _cmd_compare(config: str, output: str | None) -> int:
 
 
 def _cmd_barriers(config: str, output: str | None) -> int:
-    cfg = load_sim_config(config)
+    cfg = load_sim_config(config, compare_file=True)
     profile = build_input_profile(cfg)
     env = build_mission_envelope(cfg, profile)
     out_dir = Path(cfg.output_dir if output is None else output)

@@ -36,8 +36,9 @@ source, which ignores solar.d0 and solar.d1 under a table; solar.file,
 solar.scale, solar.interpolation and solar.periodic belong to the file
 source, which reads solar.period only when solar.periodic is true. A
 compare file lists at least two known strategies in sim.strategies, none
-twice, and sets no sim.strategy. Relative paths (solar.file, solar.table,
-sim.output_dir) resolve against the config file's directory.
+twice, and sets no sim.strategy; a single-run file sets no sim.strategies.
+Relative paths (solar.file, solar.table, sim.output_dir) resolve against the
+config file's directory.
 """
 
 from __future__ import annotations
@@ -376,10 +377,19 @@ def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
     return SimConfig(solar=solar, vessel=vessel, ilc=ilc, mpc=mpc, **sim)
 
 
-def load_sim_config(path: str | Path) -> SimConfig:
-    """Parse a config file into a single-run SimConfig."""
+def load_sim_config(path: str | Path, compare_file: bool = False) -> SimConfig:
+    """Parse a config file into a single-run SimConfig.
+
+    A file that sets sim.strategies is a compare file, and one mission run
+    from it would silently ignore the list, so it is rejected unless
+    ``compare_file`` says the caller reads only the keys its strategies
+    share (the envelope does).
+    """
     p = Path(path)
-    return build_sim_config(parse_kv_file(p), p.parent.resolve())
+    values = parse_kv_file(p)
+    if not compare_file:
+        _reject_keys(values, ("sim.strategies",), "solarasv compare runs the file")
+    return build_sim_config(values, p.parent.resolve())
 
 
 def load_compare_configs(path: str | Path) -> list[SimConfig]:

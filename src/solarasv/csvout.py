@@ -5,6 +5,12 @@ float that is its ``repr``, the shortest text that reads back as the same
 float, so an export round-trips bit for bit; strings go in unquoted. Rows
 are formatted and written in fixed-size chunks, so a year of steps never
 sits in memory as one string or one list of lines.
+
+A table of at least ``FORK_ROWS`` rows is formatted on two CPUs: a forked
+child (:mod:`solarasv._fork`) formats the second half of the chunks while
+the caller formats and writes the first half, then the caller writes the
+child's chunks in order. On a single CPU the caller formats both halves.
+The bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -14,9 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fork import beside
+
 # rows formatted per write: large enough that per-chunk overhead vanishes,
 # small enough that a chunk's Python floats and strings stay near 1 MB
 CHUNK_ROWS = 4096
+# rows from which the second half goes to a child: splitting two chunks about
+# breaks even with the fork and the reply, four save about a third of the time
+FORK_ROWS = 4 * CHUNK_ROWS
 
 
 def write_columns(
@@ -30,8 +41,20 @@ def write_columns(
     """
     row = ",".join(["%s"] * len(columns)) + "\n"
     n = len(columns[0])
+
+    def text(start: int) -> str:
+        chunk = [np.asarray(col[start:start + CHUNK_ROWS]).tolist() for col in columns]
+        return "".join(map(row.__mod__, zip(*chunk)))
+
+    starts = range(0, n, CHUNK_ROWS)
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for start in range(0, n, CHUNK_ROWS):
-            chunk = [np.asarray(col[start:start + CHUNK_ROWS]).tolist() for col in columns]
-            fh.write("".join(map(row.__mod__, zip(*chunk))))
+        if n < FORK_ROWS:
+            fh.writelines(map(text, starts))
+        else:
+            half = len(starts) // 2
+            tail, _ = beside(
+                lambda: list(map(text, starts[half:])),
+                lambda: fh.writelines(map(text, starts[:half])),
+            )
+            fh.writelines(tail)

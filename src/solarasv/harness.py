@@ -8,7 +8,10 @@ read-only arrays of the input power at each step start and the bounds at
 each step boundary. Tabulation makes the one check that needs the source's
 data: a non-periodic profile must cover the mission. :func:`compare_strategies`
 shares one tabulation among all configs that agree in solar source, mission
-length, dt, vessel and barrier mode, and returns one result per config.
+length, dt, vessel and barrier mode, and returns one result per config. Once
+the tabulations are built, a forked child (:mod:`solarasv._fork`) runs every
+other config while the caller runs the rest, unless the process may use one
+CPU only; the results are the same either way.
 
 Every strategy runs through one step loop, :func:`simulate`. Each step it
 hands the measured SOC and the envelope bounds to the strategy's
@@ -20,7 +23,8 @@ constant, the bare constant, or the receding-horizon planner.
 
 The exports write each float as its ``repr``, so a CSV reads back bit for
 bit; every table goes through :mod:`solarasv.csvout`, which streams the
-per-step and per-day ones to disk in fixed-size row chunks.
+per-step and per-day ones to disk in fixed-size row chunks and formats the
+second half of a large table (a long mission's trace.csv) in a forked child.
 
 Conventions
 -----------
@@ -52,6 +56,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._fork import beside
 from .barrier import BarrierEnvelope, build_envelope
 from .benchmark import MpcController, energy_balance_velocity
 from .config import DAY_S, ConfigError, SimConfig
@@ -371,6 +376,9 @@ def compare_strategies(cfgs: Sequence[SimConfig]) -> list[SimResult]:
     distances are comparable. Configs that also agree in dt, vessel and
     barrier_mode share one :func:`tabulate_mission`, so a result's wall_time
     covers its policy build and step loop but not that shared tabulation.
+    The 2nd, 4th, ... configs run in a forked child beside the others
+    (:func:`solarasv._fork.beside`); each result's p_in_trace is its
+    tabulation's p_in either way.
     """
     if len(cfgs) < 2:
         raise ConfigError("compare needs at least two configurations")
@@ -384,15 +392,20 @@ def compare_strategies(cfgs: Sequence[SimConfig]) -> list[SimResult]:
             raise ConfigError(
                 f"compare: config {i} has a different mission length than config 1"
             )
-    tabulations: list[MissionTabulation] = []
-    results: list[SimResult] = []
+    tabs: list[MissionTabulation] = []
     for cfg in cfgs:
         key = _tabulation_key(cfg)
-        tab = next((t for t in tabulations if t.key == key), None)
-        if tab is None:
-            tab = tabulate_mission(cfg)
-            tabulations.append(tab)
-        results.append(run_mission(cfg, tab))
+        tab = next((t for t in tabs if t.key == key), None)
+        tabs.append(tabulate_mission(cfg) if tab is None else tab)
+    runs = list(zip(cfgs, tabs))
+    # p_in_trace is the tabulation's p_in: the child does not send it back
+    theirs, mine = beside(
+        lambda: [replace(run_mission(c, t), p_in_trace=None) for c, t in runs[1::2]],
+        lambda: [run_mission(c, t) for c, t in runs[0::2]],
+    )
+    results = [None] * len(runs)
+    results[0::2] = mine
+    results[1::2] = [replace(r, p_in_trace=t.p_in) for r, t in zip(theirs, tabs[1::2])]
     return results
 
 

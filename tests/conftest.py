@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
+from solarasv import _fork
 from solarasv.harness import Policy, SimResult, simulate
 from solarasv.solar import IdealizedSource, SolarProfile
 from solarasv.vessel import VesselParams
@@ -54,6 +56,25 @@ def params() -> VesselParams:
 def canonical_day() -> SolarProfile:
     """One idealized clear-sky day, mean input above the hotel load."""
     return IdealizedSource(d0=300.0, d1=500.0).profile(360.0)
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """The pids that called os.fork, with solarasv._fork on its forked path.
+
+    The path is taken however many CPUs the host has; a test patches
+    ``_fork._two_cpus`` to return False for the single-CPU path.
+    """
+    monkeypatch.setattr(_fork, "_two_cpus", lambda: True)
+    seen: list[int] = []
+    real_fork = os.fork
+
+    def counting() -> int:
+        seen.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return seen
 
 
 # ======================================================================

@@ -89,6 +89,20 @@ class TestBarriersCommand:
             assert "grid_points=61" in capsys.readouterr().out
 
 
+class TestCompareFile:
+    def test_run_rejects_a_compare_file(self, tmp_path, capsys):
+        cfg = _write(tmp_path, FAST_COMPARE)
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "sim.strategies: only read when solarasv compare runs the file" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_barriers_reads_a_compare_file(self, tmp_path, capsys):
+        cfg = _write(tmp_path, FAST_COMPARE)
+        assert main(["barriers", "--config", cfg]) == 0
+        assert (tmp_path / "out" / "envelope.csv").is_file()
+
+
 class TestOneCheckPerConfig:
     """A SimConfig checks itself once, when built; nothing checks it again."""
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import re
 
 import numpy as np
@@ -24,7 +25,7 @@ from solarasv.harness import (
     simulate,
     tabulate_mission,
 )
-from solarasv import harness
+from solarasv import _fork, harness
 from solarasv.barrier import build_envelope, write_envelope_csv
 from solarasv.solar import FileSource, IdealizedSource, load_profile, sample_array
 from solarasv.vessel import VesselParams
@@ -554,6 +555,60 @@ class TestDailyCumulativeDistance:
             _cfg(mission_length=7200.0, strategy="constant-unconstrained")
         )
         assert daily_cumulative_distance(result).size == 0
+
+
+class TestForkedShare:
+    """A year's export and a compare split work with a forked child.
+
+    The single-CPU path runs everything in-process; both must give the
+    same bytes and numbers.
+    """
+
+    def test_year_export_bytes_match_single_cpu(self, tmp_path, forks, monkeypatch):
+        result = run_mission(_cfg(mission_length=365 * DAY))
+        export_traces(result, tmp_path / "two")
+        assert len(forks) == 1  # trace.csv; daily.csv is 365 rows
+        monkeypatch.setattr(_fork, "_two_cpus", lambda: False)
+        export_traces(result, tmp_path / "one")
+        assert len(forks) == 1
+        for name in ("trace.csv", "iterations.csv", "summary.csv", "daily.csv"):
+            assert (tmp_path / "two" / name).read_bytes() == (
+                tmp_path / "one" / name
+            ).read_bytes(), name
+
+    def test_compare_matches_single_cpu(self, forks, monkeypatch):
+        tabs = []
+        original = harness.tabulate_mission
+
+        def keeping(cfg):
+            tabs.append(original(cfg))
+            return tabs[-1]
+
+        monkeypatch.setattr(harness, "tabulate_mission", keeping)
+        base = _cfg(mission_length=3 * DAY, solar=_GATE_SOLAR, barrier_mode="horizon")
+        cfgs = [
+            dataclasses.replace(base, noise_std=5.0, rng_seed=3),
+            # its own tabulation, run in the child
+            dataclasses.replace(base, strategy="constant-constrained", dt=720.0),
+            dataclasses.replace(base, strategy="constant-unconstrained"),
+            dataclasses.replace(
+                base,
+                strategy="mpc",
+                mpc=MpcConfig(horizon=21600.0, soc_grid=66, u_grid=8, replan_interval=10),
+            ),
+        ]
+        runs = {}
+        for two in (True, False):
+            monkeypatch.setattr(_fork, "_two_cpus", lambda: two)
+            tabs.clear()
+            runs[two] = compare_strategies(cfgs)
+            assert len(forks) == 1
+            assert [r.strategy for r in runs[two]] == [c.strategy for c in cfgs]
+            shared, own = tabs
+            for r, tab in zip(runs[two], (shared, own, shared, shared)):
+                assert r.p_in_trace is tab.p_in
+        for a, b in zip(runs[True], runs[False]):
+            _assert_same_run(a, b)
 
 
 # ======================================================================
