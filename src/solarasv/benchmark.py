@@ -73,7 +73,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .controller import _switching_velocity
 # sample_array is not called here; it stays importable because perfbench
 # hooks solarasv.benchmark.sample_array and its self-tests resolve every hook
-from .solar import SolarProfile, integrate_power, sample_array  # noqa: F401
+from .solar import SolarProfile, integrate_power, sample_array, whole_steps  # noqa: F401
 from .vessel import VesselParams
 
 # cells one lockstep stage may touch (rows x windows x SOC levels): from about
@@ -162,11 +162,11 @@ class MpcController:
     ) -> None:
         if dt <= 0:
             raise ValueError("dt must be > 0")
-        if cfg.horizon < dt:
-            raise ValueError("horizon must cover at least one step")
-        steps = cfg.horizon / dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("horizon must be a whole number of steps")
+        self.horizon_steps = whole_steps(cfg.horizon, dt)
+        if self.horizon_steps is None:
+            raise ValueError(
+                "horizon must be a whole number of steps and cover at least one step"
+            )
         if len(p_in) == 0:
             raise ValueError("p_in must cover at least one step")
         if not len(lower) == len(upper) == len(p_in) + 1:
@@ -182,7 +182,6 @@ class MpcController:
         # descending so argmax resolves value ties toward the higher velocity
         self.u_desc = np.linspace(params.u_min, params.u_max, cfg.u_grid)[::-1].copy()
         self.draw_desc = params.k_h + params.k_m * self.u_desc ** 3
-        self.horizon_steps = round(steps)
         # the mission's extreme cell shifts bound every plan's (same floor
         # arithmetic as _sweep), so one padded row layout serves all plans;
         # the top pad has room for a stage's run of windows past the highest

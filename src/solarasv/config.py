@@ -9,7 +9,7 @@ loaders nor the harness check one again.
 
 File format: one ``section.key = value`` assignment per line, ``#`` starts a
 comment line, blank lines are ignored. ``_KEYS`` lists every key with the
-type its text converts to; keys are namespaced by module:
+function its text converts through; keys are namespaced by module:
 
     vessel.<field>                          every field of VesselParams
     solar.source (idealized | file)
@@ -26,16 +26,16 @@ type its text converts to; keys are namespaced by module:
 Each section's dataclass is built from the keys the file sets, so every
 other field keeps its dataclass default. The loader itself supplies only
 the defaults no field holds: solar.source = idealized, solar.periodic =
-false, a period of DAY_S for a periodic log and controller.b_des =
-cycle-start.
+false and a period of DAY_S for a periodic log.
 
-Unknown and duplicate keys are reported together by line number; then type
-mismatches together by key. A solar key the selected source does not read is
-an error too: solar.d0, solar.d1 and solar.table belong to the idealized
-source, which ignores solar.d0 and solar.d1 under a table; solar.file,
-solar.scale, solar.interpolation and solar.periodic belong to the file
-source, which reads solar.period only when solar.periodic is true. A
-compare file lists at least two known strategies in sim.strategies, none
+Unknown and duplicate keys are reported together by line number. Then the
+file's value problems are reported together by key: every value its
+converter rejects, every solar key the selected source does not read and a
+missing solar.file. solar.d0, solar.d1 and solar.table belong to the
+idealized source, which ignores solar.d0 and solar.d1 under a table;
+solar.file, solar.scale, solar.interpolation and solar.periodic belong to
+the file source, which reads solar.period only when solar.periodic is true.
+A compare file lists at least two known strategies in sim.strategies, none
 twice, and sets no sim.strategy; a single-run file sets no sim.strategies.
 Relative paths (solar.file, solar.table, sim.output_dir) resolve against the
 config file's directory.
@@ -43,14 +43,14 @@ config file's directory.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral
 from pathlib import Path
-from typing import get_type_hints
+from typing import Callable, get_type_hints
 
 from .barrier import MODES as BARRIER_MODES
 from .benchmark import MpcConfig
-from .solar import FileSource, IdealizedSource
+from .solar import FileSource, IdealizedSource, _finite_problems, read_rows, whole_steps
 from .vessel import VesselParams
 
 STRATEGIES = ("ilc", "constant-unconstrained", "constant-constrained", "mpc")
@@ -100,22 +100,14 @@ class SimConfig:
 
     def _problems(self) -> list[str]:
         """Every 'config.key: problem' string for these settings; [] if valid."""
-        errors = [
-            f"{key}: must be finite"
-            for key, value in self._numeric_fields()
-            if not math.isfinite(value)
-        ]
+        errors = _finite_problems(self._numeric_fields())
         p = self.vessel
         if self.dt <= 0:
             errors.append("sim.dt: must be > 0")
         if self.mission_length <= 0:
             errors.append("sim.mission_length: must be > 0")
-        elif self.dt > 0 and math.isfinite(self.mission_length):
-            steps = self.mission_length / self.dt
-            if abs(steps - round(steps)) > 1e-9:
-                errors.append(
-                    "sim.mission_length: must be a positive multiple of sim.dt"
-                )
+        elif self.dt > 0 and whole_steps(self.mission_length, self.dt) is None:
+            errors.append("sim.mission_length: must be a positive multiple of sim.dt")
         if not p.b_min <= self.initial_soc <= p.b_max:
             errors.append(
                 f"sim.initial_soc: {self.initial_soc} outside battery window "
@@ -132,12 +124,17 @@ class SimConfig:
                 "barrier.mode: periodic-day repeats one period of the solar source, "
                 "but a solar.table or a log without solar.periodic has none; use horizon"
             )
+        elif self.barrier_mode == "periodic-day" and 0 < self.solar.period <= self.dt:
+            errors.append(
+                "barrier.mode: periodic-day needs sim.dt below the solar source's "
+                f"period ({self.solar.period} s); use horizon or a smaller sim.dt"
+            )
         if self.noise_std < 0:
             errors.append("sim.noise_std: must be >= 0")
-        if self.rng_seed < 0:
-            errors.append("sim.rng_seed: must be >= 0")
+        if not isinstance(self.rng_seed, Integral) or self.rng_seed < 0:
+            errors.append(f"sim.rng_seed: must be an integer >= 0, got {self.rng_seed!r}")
         if self.strategy == "ilc":
-            if self.dt > 0 and abs(DAY_S / self.dt - round(DAY_S / self.dt)) > 1e-9:
+            if self.dt > 0 and whole_steps(DAY_S, self.dt) is None:
                 errors.append("sim.dt: must divide 86400 s for the ilc strategy")
             if self.ilc.delta <= 0:
                 errors.append("controller.delta: must be > 0")
@@ -151,27 +148,21 @@ class SimConfig:
                     f"controller.b_des: {b_des} outside battery window "
                     f"[{p.b_min}, {p.b_max}]"
                 )
-        if self.strategy == "mpc" and self.dt > 0 and math.isfinite(self.dt):
-            steps = self.mpc.horizon / self.dt
-            if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
+        if self.strategy == "mpc" and self.dt > 0:
+            if whole_steps(self.mpc.horizon, self.dt) is None:
                 errors.append("mpc.horizon: must be a positive multiple of sim.dt")
         return errors + self.solar.problems()
 
     def _numeric_fields(self) -> list[tuple[str, float]]:
-        """(config key, value) of every non-solar number _problems() checks."""
-        ilc = self.ilc
-        out = [
-            ("sim.dt", self.dt),
-            ("sim.mission_length", self.mission_length),
-            ("sim.initial_soc", self.initial_soc),
-            ("sim.noise_std", self.noise_std),
-            ("controller.k_p", ilc.k_p),
-            ("controller.k_d", ilc.k_d),
-            ("controller.delta", ilc.delta),
-            ("controller.u_init", ilc.u_init),
-        ]
-        if ilc.b_des is not None:
-            out.append(("controller.b_des", ilc.b_des))
+        """(key, value) of each float sim.* or controller.* key, b_des if set."""
+        owners = {"sim": self, "controller": self.ilc}
+        out = []
+        for key, convert in _KEYS.items():
+            section, _, name = key.partition(".")
+            if section in owners and convert in (float, _b_des):
+                value = getattr(owners[section], name)
+                if value is not None:
+                    out.append((key, value))
         return out
 
 
@@ -180,10 +171,33 @@ def _field_keys(prefix: str, cls: type) -> dict[str, type]:
     return {f"{prefix}.{name}": kind for name, kind in get_type_hints(cls).items()}
 
 
-# every key a file may set, with the type its text converts to
-_KEYS: dict[str, type] = {
+_TRUE = ("true", "yes", "1")
+_FALSE = ("false", "no", "0")
+
+
+def _flag(text: str) -> bool:
+    """true, yes or 1 as True; false, no or 0 as False (any case)."""
+    if text.lower() not in _TRUE + _FALSE:
+        raise ValueError(text)
+    return text.lower() in _TRUE
+
+
+def _b_des(text: str) -> float | None:
+    """A fixed terminal SOC target in Wh, or None for cycle-start."""
+    return None if text == "cycle-start" else float(text)
+
+
+def _source(text: str) -> str:
+    """The solar source kind: idealized or file."""
+    if text not in ("idealized", "file"):
+        raise ValueError(text)
+    return text
+
+
+# every key a file may set, with the function its text converts through
+_KEYS: dict[str, Callable[[str], object]] = {
     **_field_keys("vessel", VesselParams),
-    "solar.source": str,
+    "solar.source": _source,
     "solar.d0": float,
     "solar.d1": float,
     "solar.period": float,
@@ -191,13 +205,13 @@ _KEYS: dict[str, type] = {
     "solar.file": str,
     "solar.scale": float,
     "solar.interpolation": str,
-    "solar.periodic": str,
+    "solar.periodic": _flag,
     "barrier.mode": str,
     "controller.k_p": float,
     "controller.k_d": float,
     "controller.delta": float,
     "controller.u_init": float,
-    "controller.b_des": str,
+    "controller.b_des": _b_des,
     **_field_keys("mpc", MpcConfig),
     "sim.dt": float,
     "sim.mission_length": float,
@@ -208,12 +222,17 @@ _KEYS: dict[str, type] = {
     "sim.noise_std": float,
     "sim.output_dir": str,
 }
-_EXPECTED = {float: "a number", int: "an integer"}
+# what each converter that can fail expects, for its error message
+_EXPECTED = {
+    float: "a number",
+    int: "an integer",
+    _flag: f"one of {_TRUE + _FALSE}",
+    _b_des: "a number or 'cycle-start'",
+    _source: "'idealized' or 'file'",
+}
 # keys only one solar source reads; setting them under the other is an error
 _IDEALIZED_KEYS = ("solar.d0", "solar.d1", "solar.table")
 _FILE_KEYS = ("solar.file", "solar.scale", "solar.interpolation", "solar.periodic")
-_TRUE = ("true", "yes", "1")
-_FALSE = ("false", "no", "0")
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
@@ -245,47 +264,30 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
 
 
 def _typed(values: dict[str, str], problems: list[str]) -> dict[str, object]:
+    """Each value through its key's converter; a rejected one becomes a problem."""
     out: dict[str, object] = {}
     for key, raw in values.items():
-        kind = _KEYS[key]
+        convert = _KEYS[key]
         try:
-            out[key] = kind(raw)
+            out[key] = convert(raw)
         except ValueError:
-            problems.append(f"{key}: expected {_EXPECTED[kind]}, got {raw!r}")
+            problems.append(f"{key}: expected {_EXPECTED[convert]}, got {raw!r}")
     return out
 
 
 def _load_day_table(path: Path) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    d0s: list[float] = []
-    d1s: list[float] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split(",")
-            if len(fields) != 3:
-                raise ConfigError(
-                    f"{path}: line {lineno}: expected 'day,d0,d1', got {stripped!r}"
-                )
-            try:
-                day = int(fields[0])
-                d0 = float(fields[1])
-                d1 = float(fields[2])
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}: line {lineno}: non-numeric field in {stripped!r}"
-                ) from exc
-            if day != len(d0s):
-                raise ConfigError(
-                    f"{path}: line {lineno}: day indices must run 0,1,2,... "
-                    f"(got {day}, expected {len(d0s)})"
-                )
-            d0s.append(d0)
-            d1s.append(d1)
-    if not d0s:
-        raise ConfigError(f"{path}: no data rows")
-    return tuple(d0s), tuple(d1s)
+    """(d0 by day, d1 by day) from a day table's rows day,d0,d1."""
+    try:
+        days, d0s, d1s = read_rows(path, "day,d0,d1")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    for i, day in enumerate(days.tolist()):
+        if day != i:
+            raise ConfigError(
+                f"{path}: data row {i + 1}: day indices must run 0,1,2,... "
+                f"(got {day:g}, expected {i})"
+            )
+    return tuple(d0s.tolist()), tuple(d1s.tolist())
 
 
 def _reject_keys(v: dict[str, object], keys: tuple[str, ...], condition: str) -> None:
@@ -313,17 +315,32 @@ def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
     """
     problems: list[str] = []
     v = _typed(values, problems)
+    file_source = v.get("solar.source") == "file"
+    periodic = v.get("solar.periodic", False)
+    if file_source:
+        unread = [(key, "solar.source = idealized") for key in _IDEALIZED_KEYS]
+        if not periodic:
+            unread.append(("solar.period", "solar.periodic = true"))
+        if "solar.file" not in v:
+            problems.append("solar.file: required when solar.source = file")
+    else:
+        unread = [(key, "solar.source = file") for key in _FILE_KEYS]
+        if "solar.table" in v:
+            unread += [(key, "there is no solar.table") for key in ("solar.d0", "solar.d1")]
+    problems += [f"{key}: only read when {when}" for key, when in unread if key in values]
     _raise_problems(problems)
 
     vessel = _fields_section(VesselParams, v, "vessel")
-
-    source_kind = v.get("solar.source", "idealized")
     solar: IdealizedSource | FileSource
-    if source_kind == "idealized":
-        _reject_keys(v, _FILE_KEYS, "solar.source = file")
+    if file_source:
+        solar = FileSource(
+            path=str((base_dir / v["solar.file"]).resolve()),
+            period=v.get("solar.period", DAY_S) if periodic else None,
+            **_section(v, "solar", "scale", "interpolation"),
+        )
+    else:
         d0_by_day = d1_by_day = None
         if "solar.table" in v:
-            _reject_keys(v, ("solar.d0", "solar.d1"), "there is no solar.table")
             table_path = (base_dir / v["solar.table"]).resolve()
             d0_by_day, d1_by_day = _load_day_table(table_path)
         solar = IdealizedSource(
@@ -331,46 +348,10 @@ def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
             d0_by_day=d0_by_day,
             d1_by_day=d1_by_day,
         )
-    elif source_kind == "file":
-        _reject_keys(v, _IDEALIZED_KEYS, "solar.source = idealized")
-        if "solar.file" not in v:
-            raise ConfigError("solar.file: required when solar.source = file")
-        periodic = v.get("solar.periodic", "false").lower()
-        if periodic not in _TRUE + _FALSE:
-            raise ConfigError(
-                f"solar.periodic: expected one of {_TRUE + _FALSE}, got {periodic!r}"
-            )
-        if periodic in _FALSE:
-            _reject_keys(v, ("solar.period",), "solar.periodic = true")
-        solar = FileSource(
-            path=str((base_dir / v["solar.file"]).resolve()),
-            period=v.get("solar.period", DAY_S) if periodic in _TRUE else None,
-            **_section(v, "solar", "scale", "interpolation"),
-        )
-    else:
-        raise ConfigError(
-            f"solar.source: expected 'idealized' or 'file', got {source_kind!r}"
-        )
-
-    b_des_raw = v.get("controller.b_des", "cycle-start")
-    if b_des_raw == "cycle-start":
-        b_des = None
-    else:
-        try:
-            b_des = float(b_des_raw)
-        except ValueError:
-            raise ConfigError(
-                f"controller.b_des: expected a number or 'cycle-start', got {b_des_raw!r}"
-            ) from None
-    ilc = IlcSettings(
-        **_section(v, "controller", "k_p", "k_d", "delta", "u_init"), b_des=b_des
-    )
+    ilc = _fields_section(IlcSettings, v, "controller")
     mpc = _fields_section(MpcConfig, v, "mpc")
 
-    sim = _section(
-        v, "sim", "mission_length", "dt", "initial_soc", "strategy", "rng_seed",
-        "noise_std", "output_dir",
-    )
+    sim = _section(v, "sim", *(f.name for f in fields(SimConfig)))
     sim["output_dir"] = str(base_dir / sim.get("output_dir", SimConfig.output_dir))
     if "barrier.mode" in v:
         sim["barrier_mode"] = v["barrier.mode"]

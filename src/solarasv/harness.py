@@ -29,7 +29,7 @@ second half of a large table (a long mission's trace.csv) in a forked child.
 Conventions
 -----------
 * The mission clock starts at t = 0 (local midnight) and advances in fixed
-  steps of ``dt`` seconds; mission_length must be a positive multiple of dt.
+  steps of ``dt`` s; mission_length is a whole number of them (``whole_steps``).
 * Step i spans [i*dt, (i+1)*dt). The input power used by the forward-Euler
   step is sampled at the step start; the commanded velocity is constant over
   the step. Trace arrays have one entry per step: velocity_trace[i] and
@@ -67,7 +67,7 @@ from .controller import (
     validate_buffer,
 )
 from .csvout import write_columns
-from .solar import SolarProfile, period_grid, sample_array
+from .solar import SolarProfile, period_grid, sample_array, whole_steps
 from .vessel import VesselParams
 
 
@@ -108,6 +108,11 @@ def build_input_profile(cfg: SimConfig) -> SolarProfile:
     return cfg.solar.profile(cfg.dt)
 
 
+def _step_times(cfg: SimConfig) -> np.ndarray:
+    """The mission's step boundaries 0, dt, ..., mission_length."""
+    return np.arange(whole_steps(cfg.mission_length, cfg.dt) + 1) * float(cfg.dt)
+
+
 def build_mission_envelope(cfg: SimConfig, profile: SolarProfile) -> BarrierEnvelope:
     """The tightened-SOC envelope built from the mission's own input profile.
 
@@ -115,7 +120,7 @@ def build_mission_envelope(cfg: SimConfig, profile: SolarProfile) -> BarrierEnve
     mode on one period of the profile, and repeats them.
     """
     if cfg.barrier_mode == "horizon":
-        grid = np.arange(0.0, cfg.mission_length + cfg.dt / 2, cfg.dt)
+        grid = _step_times(cfg)
     else:
         grid = period_grid(float(profile.period), cfg.dt)
     return build_envelope(profile, cfg.vessel, grid, mode=cfg.barrier_mode)
@@ -158,9 +163,7 @@ def tabulate_mission(cfg: SimConfig) -> MissionTabulation:
             f"..{profile.end}, mission spans t=0..{cfg.mission_length})"
         )
     env = build_mission_envelope(cfg, profile)
-    dt = float(cfg.dt)
-    n = int(round(cfg.mission_length / dt))
-    times = np.arange(n + 1) * dt
+    times = _step_times(cfg)
     lower, upper = env.bounds_arrays(times)
     p_in = sample_array(profile, times[:-1])
     for arr in (p_in, lower, upper):
@@ -195,7 +198,7 @@ def build_policy(cfg: SimConfig, tab: MissionTabulation) -> Policy:
         validate_buffer(tab.env, s.delta)
         learner = IlcPolicy(
             p,
-            cycle_steps=int(round(DAY_S / cfg.dt)),
+            cycle_steps=whole_steps(DAY_S, cfg.dt),
             u_init=s.u_init,
             k_p=s.k_p,
             k_d=s.k_d,
@@ -357,16 +360,18 @@ def run_mission(
 # strategy comparison
 # ---------------------------------------------------------------------------
 
+def _steps_per_day(result: SimResult) -> int:
+    """Steps in a day; more than the mission has when they do not tile one."""
+    return whole_steps(DAY_S, result.dt) or result.velocity_trace.size + 1
+
+
 def daily_cumulative_distance(result: SimResult) -> np.ndarray:
-    """Cumulative distance (m) sampled at the end of each full mission day."""
-    n = result.velocity_trace.size
-    steps_per_day = DAY_S / result.dt
-    days = int(np.floor(n / steps_per_day + 1e-9))
-    if days == 0:
-        return np.asarray([])
-    cum = np.cumsum(result.velocity_trace) * result.dt
-    idx = (np.arange(1, days + 1) * steps_per_day).astype(int) - 1
-    return cum[idx]
+    """Cumulative distance (m) at the end of each full mission day.
+
+    Empty when the mission is shorter than a day or its steps do not tile one.
+    """
+    spd = _steps_per_day(result)
+    return (np.cumsum(result.velocity_trace) * result.dt)[spd - 1::spd]
 
 
 def compare_strategies(cfgs: Sequence[SimConfig]) -> list[SimResult]:
@@ -466,8 +471,7 @@ def export_traces(result: SimResult, out_dir: str | Path) -> list[Path]:
     # one row per full day; none when the steps do not tile a day
     daily = out / "daily.csv"
     series = daily_cumulative_distance(result)
-    days = series.size if (DAY_S / result.dt).is_integer() else 0
-    spd = int(round(DAY_S / result.dt))
+    days, spd = series.size, _steps_per_day(result)
 
     def day_means(trace: np.ndarray) -> np.ndarray:
         return trace[: days * spd].reshape(days, spd).mean(axis=1)
@@ -479,7 +483,7 @@ def export_traces(result: SimResult, out_dir: str | Path) -> list[Path]:
             np.arange(days),
             day_means(result.velocity_trace),
             day_means(result.soc_trace),
-            series[:days],
+            series,
         ),
     )
     written.append(daily)

@@ -91,54 +91,64 @@ class SolarProfile:
         return float(self.times[-1])
 
 
+def read_rows(path: str | Path, columns: str) -> np.ndarray:
+    """The columns of a comma-delimited numeric file, one array row per column.
+
+    ``columns`` names a line's fields, e.g. ``"time_s,power"``; blank lines and
+    ``#`` comment lines are skipped. A wrong field count, a non-numeric or
+    non-finite field and a file without data rows raise ValueError naming the
+    file and the line.
+    """
+    width = columns.count(",") + 1
+    rows: list[list[float]] = []
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            where = f"{path}: line {lineno}"
+            fields = stripped.split(",")
+            if len(fields) != width:
+                raise ValueError(f"{where}: expected {columns!r}, got {stripped!r}")
+            try:
+                row = [float(f) for f in fields]
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric field in {stripped!r}") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{where}: non-finite value in {stripped!r}")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return np.array(rows).T.copy()
+
+
 def load_profile(
     source: str | Path,
     scale: float = 1.0,
     interpolation: str = "linear",
     period: float | None = None,
 ) -> SolarProfile:
-    """Read a two-column delimited power log into a :class:`SolarProfile`.
+    """Read a power log of :func:`read_rows` lines ``time_s,power``.
 
-    The format is comma-delimited rows ``time_s,power`` with optional blank
-    lines and full-line comments starting with ``#``. Powers are multiplied by
-    ``scale`` after parsing. Malformed rows raise ValueError naming the
-    offending line; non-monotone timestamps and empty files are rejected.
+    Powers are multiplied by ``scale``. Timestamps must strictly increase.
     """
-    path = Path(source)
-    times: list[float] = []
-    powers: list[float] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split(",")
-            if len(fields) != 2:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'time_s,power', got {stripped!r}"
-                )
-            try:
-                t = float(fields[0])
-                p = float(fields[1])
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}: line {lineno}: non-numeric field in {stripped!r}"
-                ) from exc
-            if not (math.isfinite(t) and math.isfinite(p)):
-                raise ValueError(
-                    f"{path}: line {lineno}: non-finite value in {stripped!r}"
-                )
-            times.append(t)
-            powers.append(p)
-    if not times:
-        raise ValueError(f"{path}: no data rows")
-    t_arr = np.asarray(times, dtype=float)
-    if t_arr.size > 1 and not np.all(np.diff(t_arr) > 0):
-        raise ValueError(f"{path}: timestamps must be strictly increasing")
-    p_arr = np.asarray(powers, dtype=float) * scale
+    times, powers = read_rows(source, "time_s,power")
+    if times.size > 1 and not np.all(np.diff(times) > 0):
+        raise ValueError(f"{source}: timestamps must be strictly increasing")
     return SolarProfile(
-        times=t_arr, powers=p_arr, interpolation=interpolation, period=period
+        times=times, powers=powers * scale, interpolation=interpolation, period=period
     )
+
+
+def whole_steps(span: float, dt: float) -> int | None:
+    """How many steps of ``dt`` make up ``span``; None unless a whole number >= 1.
+
+    A quotient within 1e-9 of an integer counts as whole, so dt = 3600 / 7
+    divides a day although 86400 / dt is 167.99999999999997 in floats.
+    """
+    ratio = span / dt if dt > 0 else math.nan
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    return steps if steps >= 1 and abs(ratio - steps) <= 1e-9 else None
 
 
 def period_grid(period: float, dt: float) -> np.ndarray:

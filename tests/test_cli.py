@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from solarasv import cli
@@ -53,6 +55,19 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == 0
         iters = (tmp_path / "out" / "iterations.csv").read_text().splitlines()
         assert len(iters) == 2  # header + one completed day
+
+
+class TestExampleConfigs:
+    CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+    def test_power_log_example_runs(self, tmp_path, capsys):
+        cfg = str(self.CONFIGS / "log.cfg")
+        assert main(["run", "--config", cfg, "--output", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("strategy=ilc ")
+        daily = (tmp_path / "daily.csv").read_text().splitlines()
+        assert len(daily) == 1 + 14
+        assert main(["barriers", "--config", cfg, "--output", str(tmp_path)]) == 0
+        assert "mode=periodic-day" in capsys.readouterr().out
 
 
 class TestCompareCommand:
@@ -201,6 +216,15 @@ class TestErrorHandling:
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "barrier.mode" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "barriers"])
+    def test_periodic_day_with_one_step_per_period(self, tmp_path, capsys, command):
+        text = FAST_RUN.replace("sim.dt = 360", "sim.dt = 86400")
+        cfg = _write(tmp_path, text + "barrier.mode = periodic-day\n")
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "barrier.mode: periodic-day" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

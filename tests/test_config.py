@@ -199,6 +199,31 @@ class TestLoadSimConfig:
         assert "sim.dt: expected a number" in msg
         assert "mpc.soc_grid: expected an integer" in msg
 
+    def test_value_problems_reported_together(self, tmp_path):
+        p = _write(
+            tmp_path,
+            "sim.dt = fast\ncontroller.b_des = soon\n"
+            "solar.source = file\nsolar.file = log.csv\nsolar.periodic = maybe\n",
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_sim_config(p)
+        msg = str(exc.value)
+        assert "sim.dt: expected a number, got 'fast'" in msg
+        assert "controller.b_des: expected a number or 'cycle-start', got 'soon'" in msg
+        assert "solar.periodic: expected one of" in msg and "got 'maybe'" in msg
+
+    def test_unread_keys_and_missing_file_join_value_problems(self, tmp_path):
+        p = _write(
+            tmp_path,
+            "solar.source = file\nsolar.d0 = 3\nsolar.scale = big\n",
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_sim_config(p)
+        msg = str(exc.value)
+        assert "solar.scale: expected a number" in msg
+        assert "solar.d0: only read when solar.source = idealized" in msg
+        assert "solar.file: required when solar.source = file" in msg
+
     def test_b_des_spelling(self, tmp_path):
         cfg = load_sim_config(_write(tmp_path, "controller.b_des = cycle-start\n"))
         assert cfg.ilc.b_des is None
@@ -332,6 +357,22 @@ class TestLoadSimConfig:
         with pytest.raises(ConfigError, match="barrier.mode: periodic-day"):
             load_sim_config(p)
 
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "sim.dt = 86400\nsim.mission_length = 172800",
+            "solar.period = 3600\nsim.dt = 3600\nsim.mission_length = 86400",
+            "solar.source = file\nsolar.file = absent.csv\nsolar.periodic = true\n"
+            "solar.period = 3600\nsim.dt = 3600\nsim.mission_length = 86400",
+        ],
+        ids=["day-step", "short-period", "log"],
+    )
+    def test_periodic_day_needs_two_steps_per_period(self, tmp_path, lines):
+        # the log does not exist: the rule is decided before anything reads it
+        p = _write(tmp_path, f"barrier.mode = periodic-day\n{lines}\n")
+        with pytest.raises(ConfigError, match="barrier.mode: periodic-day needs sim.dt"):
+            load_sim_config(p)
+
     def test_downstream_validation_still_applies(self, tmp_path):
         p = _write(tmp_path, "sim.strategy = sail\n")
         with pytest.raises(ConfigError, match="sim.strategy"):
@@ -339,6 +380,14 @@ class TestLoadSimConfig:
 
 
 class TestDayTable:
+    def test_nan_row_names_file_and_line(self, tmp_path):
+        table = tmp_path / "days.csv"
+        table.write_text("# seasonal\n0,300,500\n1,nan,500\n")
+        p = _write(tmp_path, "solar.table = days.csv\nbarrier.mode = horizon\n")
+        with pytest.raises(ConfigError) as exc:
+            load_sim_config(p)
+        assert str(exc.value) == f"{table}: line 3: non-finite value in '1,nan,500'"
+
     def test_table_loads(self, tmp_path):
         (tmp_path / "days.csv").write_text("# seasonal\n0,100,50\n1,200,60\n")
         cfg = load_sim_config(

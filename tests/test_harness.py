@@ -130,6 +130,16 @@ class TestValidation:
                 "barrier.mode: periodic-day",
             ),
             ({"solar": FileSource(path="absent.csv")}, "barrier.mode: periodic-day"),
+            # numpy would raise a TypeError from inside run_mission
+            ({"rng_seed": 1.5, "noise_std": 1.0}, "sim.rng_seed: must be an integer >= 0"),
+            (
+                {"dt": DAY, "mission_length": 2 * DAY},
+                "barrier.mode: periodic-day needs sim.dt below",
+            ),
+            (
+                {"dt": 3600.0, "solar": FileSource(path="x.csv", period=3600.0)},
+                "barrier.mode: periodic-day needs sim.dt below",
+            ),
         ],
     )
     def test_each_field_reports_itself(self, kw, fragment):
@@ -149,6 +159,15 @@ class TestValidation:
 
     def test_valid_config_is_clean(self):
         _cfg()  # raises ConfigError if any setting is invalid
+
+    def test_numpy_integer_seed_is_an_integer(self):
+        noisy = dict(strategy="constant-constrained", noise_std=1.0)
+        seeded = run_mission(_cfg(rng_seed=np.int64(3), **noisy))
+        _assert_same_run(seeded, run_mission(_cfg(rng_seed=3, **noisy)))
+
+    def test_periodic_day_takes_two_steps_per_period(self):
+        # the largest dt that leaves two grid points in the period builds
+        tabulate_mission(_cfg(dt=DAY / 2, strategy="constant-unconstrained"))
 
     def test_construction_joins_all_errors(self):
         with pytest.raises(ConfigError) as exc:
@@ -540,6 +559,27 @@ class TestSharedTabulation:
 
 
 class TestDailyCumulativeDistance:
+    def test_dt_within_tolerance_of_dividing_a_day(self, tmp_path):
+        # 86400 / (3600 / 7) is 167.99999999999997, which counts as 168 steps
+        result = run_mission(_cfg(dt=3600.0 / 7.0))
+        series = daily_cumulative_distance(result)
+        assert series.size == 2
+        assert series[-1] == result.distance
+        export_traces(result, tmp_path)
+        daily = (tmp_path / "daily.csv").read_text().splitlines()
+        assert len(daily) == 1 + 2
+        assert float(daily[-1].split(",")[-1]) == result.distance
+
+    def test_steps_that_do_not_tile_a_day_give_no_days(self, tmp_path):
+        result = run_mission(
+            _cfg(dt=700.0, mission_length=700.0 * 300, strategy="constant-unconstrained")
+        )
+        assert daily_cumulative_distance(result).size == 0
+        export_traces(result, tmp_path)
+        assert (tmp_path / "daily.csv").read_text().splitlines() == [
+            "day,mean_velocity_ms,mean_soc_wh,distance_m"
+        ]
+
     def test_partial_day_is_dropped(self):
         result = run_mission(
             _cfg(mission_length=1.5 * DAY, strategy="constant-unconstrained")

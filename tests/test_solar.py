@@ -14,7 +14,9 @@ from solarasv.solar import (
     SolarProfile,
     integrate_power,
     load_profile,
+    read_rows,
     sample_array,
+    whole_steps,
 )
 
 
@@ -185,6 +187,60 @@ class TestLoadProfile:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_profile(tmp_path / "absent.csv")
+
+
+class TestReadRows:
+    def test_columns_come_back_as_rows(self, tmp_path):
+        f = tmp_path / "rows.csv"
+        f.write_text("# a,b,c\n\n0,1.5,-2\n1,2.5,1e3\n")
+        a, b, c = read_rows(f, "a,b,c")
+        assert a.tolist() == [0.0, 1.0]
+        assert b.tolist() == [1.5, 2.5]
+        assert c.tolist() == [-2.0, 1000.0]
+        assert a.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("0,1,2\n0,1\n", "line 2: expected 'a,b,c', got '0,1'"),
+            ("# x\n0,1,two\n", "line 2: non-numeric field in '0,1,two'"),
+            ("0,1,2\n\n0,nan,2\n", "line 3: non-finite value in '0,nan,2'"),
+            ("0,1,-inf\n", "line 1: non-finite value"),
+            ("# only a comment\n\n", "no data rows"),
+        ],
+        ids=["count", "non-numeric", "nan", "inf", "empty"],
+    )
+    def test_each_problem_names_the_file_and_line(self, tmp_path, text, fragment):
+        f = tmp_path / "rows.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_rows(f, "a,b,c")
+        assert str(exc.value).startswith(f"{f}: ")
+        assert fragment in str(exc.value)
+
+
+class TestWholeSteps:
+    @pytest.mark.parametrize(
+        "span, dt, steps",
+        [
+            (86400.0, 360.0, 240),
+            (86400.0, 3600.0 / 7.0, 168),  # 167.99999999999997 in floats
+            (86400.0, 86400.0 / 61.0, 61),
+            (3600.0, 3600.0, 1),
+            (86400.0, 700.0, None),
+            (900.0, 360.0, None),  # 2.5 steps
+            (3600.0, 7200.0, None),  # less than one step
+            (1e-12, 1.0, None),  # rounds to zero steps
+            (86400.0, 0.0, None),
+            (86400.0, -360.0, None),
+            (float("inf"), 360.0, None),
+            (float("nan"), 360.0, None),
+            (86400.0, float("nan"), None),
+            (86400.0, float("inf"), None),
+        ],
+    )
+    def test_whole_steps(self, span, dt, steps):
+        assert whole_steps(span, dt) == steps
 
 
 # ======================================================================
