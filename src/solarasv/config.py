@@ -151,7 +151,21 @@ class SimConfig:
         if self.strategy == "mpc" and self.dt > 0:
             if whole_steps(self.mpc.horizon, self.dt) is None:
                 errors.append("mpc.horizon: must be a positive multiple of sim.dt")
-        return errors + self.solar.problems()
+        solar = self.solar.problems()
+        if (
+            isinstance(self.solar, IdealizedSource)
+            and not self.solar.periodic
+            and not solar
+            and whole_steps(self.mission_length, self.dt) is not None
+        ):
+            # the coverage rule of harness.tabulate_mission, on the table's profile
+            end = self.solar.table_steps(self.dt) * self.dt
+            if end < self.mission_length:
+                errors.append(
+                    f"solar.table: its days end at t={end} s, before "
+                    f"sim.mission_length ({self.mission_length} s)"
+                )
+        return errors + solar
 
     def _numeric_fields(self) -> list[tuple[str, float]]:
         """(key, value) of each float sim.* or controller.* key, b_des if set."""

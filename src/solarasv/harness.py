@@ -16,10 +16,13 @@ CPU only; the results are the same either way.
 Every strategy runs through one step loop, :func:`simulate`. Each step it
 hands the measured SOC and the envelope bounds to the strategy's
 :class:`Policy`, then applies the forward-Euler step, the clamp ledgers and
-the violation integral. :func:`build_policy` maps a config onto a policy:
-the learned controller (:class:`~solarasv.controller.IlcPolicy`, which also
-gets an end-of-cycle hook), the switching law around the energy-balance
-constant, the bare constant, or the receding-horizon planner.
+the violation integral. The loop holds its inputs and traces as Python
+floats for one block of steps at a time (``_BLOCK``), so its working set
+does not grow with the mission; the finished traces are float arrays.
+:func:`build_policy` maps a config onto a policy: the learned controller
+(:class:`~solarasv.controller.IlcPolicy`, which also gets an end-of-cycle
+hook), the switching law around the energy-balance constant, the bare
+constant, or the receding-horizon planner.
 
 The exports write each float as its ``repr``, so a CSV reads back bit for
 bit; every table goes through :mod:`solarasv.csvout`, which streams the
@@ -230,6 +233,12 @@ def build_policy(cfg: SimConfig, tab: MissionTabulation) -> Policy:
     return Policy(cfg.strategy, lambda b, b_l, b_u, i: u_const)
 
 
+# steps per block of the loop's Python-float inputs and outputs (about 32 B a
+# value, six values a step): enough to amortise the per-block slicing, few
+# enough that a block's lists stay under 1 MB whatever the mission length
+_BLOCK = 4096
+
+
 def simulate(
     policy: Policy,
     p_in: Sequence[float],
@@ -242,9 +251,11 @@ def simulate(
 ) -> SimResult:
     """Step the battery under ``policy``: the one forward-Euler loop.
 
-    p_in, lower and upper hold one value per step, taken at the step start;
-    arrays or lists alike, they are read into lists for the loop and never
-    written. p_in comes back as the result's p_in_trace (the same array
+    p_in, lower and upper hold one value per step, taken at the step start
+    (ValueError otherwise); arrays or lists alike, they are never written.
+    The loop reads them, and writes the velocity and SOC traces, one block
+    of ``_BLOCK`` steps at a time, so its Python floats cover one block, not
+    the mission. p_in comes back as the result's p_in_trace (the same array
     when it is a float array). noise, if given, holds one value more:
     noise[i] is added to the SOC the controller sees at the start of step
     i, and noise[i + 1] to the cycle-end SOC handed to end_cycle after step
@@ -254,10 +265,13 @@ def simulate(
     """
     wall0 = time.perf_counter()
     p_in_trace = np.asarray(p_in, dtype=float)
-    power = p_in_trace.tolist()
-    lower = np.asarray(lower, dtype=float).tolist()
-    upper = np.asarray(upper, dtype=float).tolist()
-    n = len(power)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    n = p_in_trace.size
+    if lower.size != n or upper.size != n:
+        raise ValueError("p_in, lower and upper must hold one value per step")
+    if noise is not None:
+        noise = np.asarray(noise, dtype=float)
     control = policy.control
     end_cycle = policy.end_cycle
     cycle = policy.cycle_steps
@@ -265,8 +279,8 @@ def simulate(
     k_h, k_m = params.k_h, params.k_m
     b_min, b_max = params.b_min, params.b_max
     dtf = dt / 3600.0
-    vel = [0.0] * n
-    soc = [0.0] * n
+    velocity_trace = np.empty(n)
+    soc_trace = np.empty(n)
     b = float(initial_soc)
     x2 = 0.0
     sum_u = 0.0
@@ -274,41 +288,52 @@ def simulate(
     floor_added = 0.0
     failed = False
     per_iter: list[IterationRecord] = []
-    for i in range(n):
-        b_l = lower[i]
-        b_u = upper[i]
-        u = control(b + noise[i] if noise is not None else b, b_l, b_u, i)
-        # violation measured on the true SOC at the step start
-        if b < b_l:
-            d = b_l - b
-            x2 += d * d * dt
-        elif b > b_u:
-            d = b - b_u
-            x2 += d * d * dt
-        raw = b + (power[i] - k_h - k_m * u * u * u) * dtf
-        if raw < b_min:
-            floor_added += b_min - raw
-            raw = b_min
-            failed = True
-        elif raw > b_max:
-            curtailed += raw - b_max
-            raw = b_max
-        vel[i] = u
-        sum_u += u
-        b = raw
-        soc[i] = b
-        if i == next_end:
-            next_end += cycle
-            per_iter.append(
-                end_cycle(b + noise[i + 1] if noise is not None else b, b)
-            )
+    for first in range(0, n, _BLOCK):
+        stop = min(first + _BLOCK, n)
+        # meas[i - first] is noise[i]; a cycle end reads one past the block
+        meas = None if noise is None else noise[first:stop + 1].tolist()
+        vel: list[float] = []
+        soc: list[float] = []
+        for i, power, b_l, b_u in zip(
+            range(first, stop),
+            p_in_trace[first:stop].tolist(),
+            lower[first:stop].tolist(),
+            upper[first:stop].tolist(),
+        ):
+            u = control(b if meas is None else b + meas[i - first], b_l, b_u, i)
+            # violation measured on the true SOC at the step start
+            if b < b_l:
+                d = b_l - b
+                x2 += d * d * dt
+            elif b > b_u:
+                d = b - b_u
+                x2 += d * d * dt
+            raw = b + (power - k_h - k_m * u * u * u) * dtf
+            if raw < b_min:
+                floor_added += b_min - raw
+                raw = b_min
+                failed = True
+            elif raw > b_max:
+                curtailed += raw - b_max
+                raw = b_max
+            vel.append(u)
+            sum_u += u
+            b = raw
+            soc.append(b)
+            if i == next_end:
+                next_end += cycle
+                per_iter.append(
+                    end_cycle(b if meas is None else b + meas[i - first + 1], b)
+                )
+        velocity_trace[first:stop] = vel
+        soc_trace[first:stop] = soc
 
     return SimResult(
         strategy=policy.strategy,
         dt=dt,
         initial_soc=float(initial_soc),
-        soc_trace=np.fromiter(soc, float, n),
-        velocity_trace=np.fromiter(vel, float, n),
+        soc_trace=soc_trace,
+        velocity_trace=velocity_trace,
         p_in_trace=p_in_trace,
         distance=sum_u * dt,
         terminal_soc=b,
@@ -342,7 +367,7 @@ def run_mission(
     noise = None
     if cfg.noise_std > 0:
         rng = np.random.default_rng(cfg.rng_seed)
-        noise = rng.normal(0.0, cfg.noise_std, tab.p_in.size + 1).tolist()
+        noise = rng.normal(0.0, cfg.noise_std, tab.p_in.size + 1)
     result = simulate(
         build_policy(cfg, tab),
         tab.p_in,

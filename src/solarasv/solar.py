@@ -21,7 +21,7 @@ All powers are W, all times are seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -123,21 +123,17 @@ def read_rows(path: str | Path, columns: str) -> np.ndarray:
 
 
 def load_profile(
-    source: str | Path,
-    scale: float = 1.0,
-    interpolation: str = "linear",
-    period: float | None = None,
+    source: str | Path, scale: float = 1.0, interpolation: str = "linear"
 ) -> SolarProfile:
     """Read a power log of :func:`read_rows` lines ``time_s,power``.
 
     Powers are multiplied by ``scale``. Timestamps must strictly increase.
+    The profile is non-periodic.
     """
     times, powers = read_rows(source, "time_s,power")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError(f"{source}: timestamps must be strictly increasing")
-    return SolarProfile(
-        times=times, powers=powers * scale, interpolation=interpolation, period=period
-    )
+    return SolarProfile(times=times, powers=powers * scale, interpolation=interpolation)
 
 
 def whole_steps(span: float, dt: float) -> int | None:
@@ -213,6 +209,15 @@ class IdealizedSource:
                 out.append("solar.table: d1 values must be >= 0")
         return out
 
+    def table_steps(self, dt: float) -> int:
+        """Steps of ``dt`` that :meth:`profile` spans with a day table.
+
+        The profile samples t = 0, dt, ... up to the last grid point below
+        the table's n days plus dt / 2, so it ends at ``table_steps(dt) * dt``.
+        Needs a valid table (:meth:`problems` empty) and a finite dt > 0.
+        """
+        return math.ceil((len(self.d0_by_day) * self.period + dt / 2) / dt) - 1
+
     def profile(self, dt: float) -> SolarProfile:
         """The clipped cosine sampled every ``dt`` seconds from t = 0.
 
@@ -228,7 +233,7 @@ class IdealizedSource:
             d0, d1, period = self.d0, self.d1, self.period
         else:
             n = len(self.d0_by_day)
-            times = np.arange(0.0, n * self.period + dt / 2, dt)
+            times = np.arange(self.table_steps(dt) + 1) * dt
             day = np.minimum((times // self.period).astype(int), n - 1)
             d0 = np.asarray(self.d0_by_day, dtype=float)[day]
             d1 = np.asarray(self.d1_by_day, dtype=float)[day]
@@ -273,13 +278,20 @@ class FileSource:
         return out
 
     def profile(self, dt: float) -> SolarProfile:
-        """The log as :func:`load_profile` reads it, on its own grid (dt unused)."""
-        return load_profile(
-            self.path,
-            scale=self.scale,
-            interpolation=self.interpolation,
-            period=self.period,
-        )
+        """The log as :func:`load_profile` reads it, on its own grid (dt unused).
+
+        With a period, the log repeats; raises ValueError naming solar.period
+        and the log when it spans a whole period or more.
+        """
+        log = load_profile(self.path, scale=self.scale, interpolation=self.interpolation)
+        if self.period is None:
+            return log
+        if log.end - log.start >= self.period:
+            raise ValueError(
+                f"solar.period: {self.path} spans {log.end - log.start} s, but a "
+                f"periodic log must span less than one period ({self.period} s)"
+            )
+        return replace(log, period=self.period)
 
 
 def _wrap_times(profile: SolarProfile, t: np.ndarray) -> np.ndarray:

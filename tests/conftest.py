@@ -5,12 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import time
 
 import numpy as np
 import pytest
 
 from solarasv import _fork
-from solarasv.harness import Policy, SimResult, simulate
+from solarasv.harness import IterationRecord, Policy, SimResult, simulate
 from solarasv.solar import IdealizedSource, SolarProfile
 from solarasv.vessel import VesselParams
 
@@ -45,6 +46,91 @@ def step_fixed(
     upper = [params.b_max] * n if upper is None else upper
     policy = Policy("fixed", lambda b, b_l, b_u, i: us[i])
     return simulate(policy, p_in, lower, upper, b0, params, dt)
+
+
+def simulate_whole_lists(
+    policy: Policy,
+    p_in,
+    lower,
+    upper,
+    initial_soc: float,
+    params: VesselParams,
+    dt: float,
+    noise=None,
+) -> SimResult:
+    """Reference step loop: ``simulate`` over whole-mission Python lists.
+
+    This is the loop as it stood before ``simulate`` read its inputs and
+    wrote its traces one block of steps at a time: every input becomes one
+    list, and velocity and SOC go to whole-mission lists. The arithmetic and
+    its order are the same, so every number must match bitwise.
+    """
+    wall0 = time.perf_counter()
+    p_in_trace = np.asarray(p_in, dtype=float)
+    power = p_in_trace.tolist()
+    lower = np.asarray(lower, dtype=float).tolist()
+    upper = np.asarray(upper, dtype=float).tolist()
+    noise = None if noise is None else np.asarray(noise, dtype=float).tolist()
+    n = len(power)
+    control = policy.control
+    end_cycle = policy.end_cycle
+    cycle = policy.cycle_steps
+    next_end = cycle - 1 if end_cycle is not None else n
+    k_h, k_m = params.k_h, params.k_m
+    b_min, b_max = params.b_min, params.b_max
+    dtf = dt / 3600.0
+    vel = [0.0] * n
+    soc = [0.0] * n
+    b = float(initial_soc)
+    x2 = 0.0
+    sum_u = 0.0
+    curtailed = 0.0
+    floor_added = 0.0
+    failed = False
+    per_iter: list[IterationRecord] = []
+    for i in range(n):
+        b_l = lower[i]
+        b_u = upper[i]
+        u = control(b + noise[i] if noise is not None else b, b_l, b_u, i)
+        if b < b_l:
+            d = b_l - b
+            x2 += d * d * dt
+        elif b > b_u:
+            d = b - b_u
+            x2 += d * d * dt
+        raw = b + (power[i] - k_h - k_m * u * u * u) * dtf
+        if raw < b_min:
+            floor_added += b_min - raw
+            raw = b_min
+            failed = True
+        elif raw > b_max:
+            curtailed += raw - b_max
+            raw = b_max
+        vel[i] = u
+        sum_u += u
+        b = raw
+        soc[i] = b
+        if i == next_end:
+            next_end += cycle
+            per_iter.append(
+                end_cycle(b + noise[i + 1] if noise is not None else b, b)
+            )
+    return SimResult(
+        strategy=policy.strategy,
+        dt=dt,
+        initial_soc=float(initial_soc),
+        soc_trace=np.fromiter(soc, float, n),
+        velocity_trace=np.fromiter(vel, float, n),
+        p_in_trace=p_in_trace,
+        distance=sum_u * dt,
+        terminal_soc=b,
+        violation=x2,
+        per_iteration=per_iter,
+        wall_time=time.perf_counter() - wall0,
+        curtailed_wh=curtailed,
+        floor_added_wh=floor_added,
+        battery_failed=failed,
+    )
 
 
 @pytest.fixture

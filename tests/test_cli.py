@@ -70,6 +70,19 @@ class TestExampleConfigs:
         assert "mode=periodic-day" in capsys.readouterr().out
 
 
+    def test_noisy_example_runs_and_repeats(self, tmp_path, capsys):
+        cfg = str(self.CONFIGS / "noisy.cfg")
+        traces = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+        assert len(traces[0].splitlines()) == 1 + 7200
+        iters = (tmp_path / "a" / "iterations.csv").read_text().splitlines()
+        assert len(iters) == 1 + 30
+
+
 class TestCompareCommand:
     def test_compare_prints_table_and_writes_files(self, tmp_path, capsys):
         cfg = _write(tmp_path, FAST_COMPARE)
@@ -258,6 +271,38 @@ class TestErrorHandling:
         assert err.startswith("error:")
         assert "solar.scale: only read when solar.source = file" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "barriers"])
+    def test_periodic_log_of_a_whole_period(self, tmp_path, capsys, command):
+        (tmp_path / "log.csv").write_text("0,800\n86400,800\n")
+        cfg = _write(
+            tmp_path,
+            FAST_RUN + "barrier.mode = periodic-day\nsolar.source = file\n"
+            "solar.file = log.csv\nsolar.periodic = true\n",
+        )
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: solar.period:")
+        assert str(tmp_path / "log.csv") in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "barriers"])
+    def test_day_table_shorter_than_the_mission(self, tmp_path, capsys, command):
+        (tmp_path / "days.csv").write_text("0,300,500\n")
+        text = FAST_RUN.replace("86400", "172800")
+        cfg = _write(tmp_path, text + "barrier.mode = horizon\nsolar.table = days.csv\n")
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration:")
+        assert "solar.table: its days end at t=86400.0 s" in err
+        assert "sim.mission_length" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_day_table_as_long_as_the_mission_runs(self, tmp_path, capsys):
+        (tmp_path / "days.csv").write_text("0,300,500\n1,320,480\n")
+        text = FAST_RUN.replace("86400", "172800")
+        cfg = _write(tmp_path, text + "barrier.mode = horizon\nsolar.table = days.csv\n")
+        assert main(["run", "--config", cfg]) == 0
 
     def test_missing_subcommand_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):

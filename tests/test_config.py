@@ -9,12 +9,14 @@ import pytest
 
 from solarasv import config
 from solarasv.config import (
+    DAY_S,
     ConfigError,
     SimConfig,
     load_compare_configs,
     load_sim_config,
     parse_kv_file,
 )
+from solarasv.harness import tabulate_mission
 from solarasv.solar import FileSource, IdealizedSource
 
 
@@ -83,7 +85,10 @@ class TestLoadSimConfig:
 
     def test_every_key_reaches_its_field(self, tmp_path):
         (tmp_path / "input.csv").write_text("0,100\n86400,100\n")
-        (tmp_path / "days.csv").write_text("0,250,450\n1,260,460\n")
+        # four half-days of 43200 s cover the 172800 s mission
+        (tmp_path / "days.csv").write_text(
+            "0,250,450\n1,260,460\n2,270,470\n3,280,480\n"
+        )
         # (key, text in the file, attribute on the loaded config, value there)
         shared = [
             ("vessel.k_h", "12.5", "vessel.k_h", 12.5),
@@ -122,7 +127,7 @@ class TestLoadSimConfig:
                 ("solar.period", "43200", "solar.period", 43200.0),
             ],
             "table": [
-                ("solar.table", "days.csv", "solar.d0_by_day", (250.0, 260.0)),
+                ("solar.table", "days.csv", "solar.d0_by_day", (250.0, 260.0, 270.0, 280.0)),
                 ("solar.period", "43200", "solar.period", 43200.0),
             ],
             "file": [
@@ -391,10 +396,53 @@ class TestDayTable:
     def test_table_loads(self, tmp_path):
         (tmp_path / "days.csv").write_text("# seasonal\n0,100,50\n1,200,60\n")
         cfg = load_sim_config(
-            _write(tmp_path, "solar.table = days.csv\nbarrier.mode = horizon\n")
+            _write(
+                tmp_path,
+                "solar.table = days.csv\nbarrier.mode = horizon\n"
+                "sim.mission_length = 172800\n",
+            )
         )
         assert cfg.solar.d0_by_day == (100.0, 200.0)
         assert cfg.solar.d1_by_day == (50.0, 60.0)
+
+    def test_table_shorter_than_the_mission_is_a_load_problem(self, tmp_path):
+        (tmp_path / "days.csv").write_text("0,300,500\n")
+        p = _write(
+            tmp_path,
+            "solar.table = days.csv\nbarrier.mode = horizon\n"
+            "sim.mission_length = 172800\nsim.noise_std = -1\n",
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_sim_config(p)
+        message = str(exc.value)
+        assert "solar.table: its days end at t=86400.0 s" in message
+        assert "sim.mission_length (172800.0 s)" in message
+        assert "sim.noise_std: must be >= 0" in message
+
+    @pytest.mark.parametrize("dt", [360.0, 7000.0, 3600.0 / 7])
+    def test_table_coverage_agrees_with_tabulation(self, dt):
+        """A table config loads exactly when its profile covers the mission.
+
+        With dt = 7000 the grid steps past t = 2 days: the profile ends at
+        175000 s, so a 175000 s mission runs and a 182000 s one is refused.
+        """
+        source = IdealizedSource(d0_by_day=(300.0, 310.0), d1_by_day=(500.0, 490.0))
+        end = source.profile(dt).end
+        last = round(2 * DAY_S / dt)
+        outcomes = set()
+        for steps in range(last - 2, last + 3):
+            kw = dict(
+                mission_length=steps * dt, dt=dt, solar=source,
+                strategy="constant-unconstrained", barrier_mode="horizon",
+            )
+            covered = end >= steps * dt
+            if covered:
+                tabulate_mission(SimConfig(**kw))
+            else:
+                with pytest.raises(ConfigError, match="solar.table: its days end"):
+                    SimConfig(**kw)
+            outcomes.add(covered)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize(
         "rows, fragment",

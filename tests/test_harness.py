@@ -6,6 +6,8 @@ import dataclasses
 import hashlib
 import os
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from solarasv import _fork, harness
 from solarasv.barrier import build_envelope, write_envelope_csv
 from solarasv.solar import FileSource, IdealizedSource, load_profile, sample_array
 from solarasv.vessel import VesselParams
+
+from conftest import simulate_whole_lists
 
 DAY = 86400.0
 NAN, INF = float("nan"), float("inf")
@@ -181,7 +185,112 @@ class TestValidation:
 # ======================================================================
 
 
+def _bits(value):
+    """value with every float, in lists and records too, as its IEEE bytes."""
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return value
+
+
+def _assert_same_run(a: SimResult, b: SimResult) -> None:
+    """Every simulated number of two results, bitwise; wall time aside."""
+    for name in ("soc_trace", "velocity_trace", "p_in_trace"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for name in (
+        "strategy", "dt", "initial_soc", "distance", "terminal_soc", "violation",
+        "per_iteration", "curtailed_wh", "floor_added_wh", "battery_failed",
+    ):
+        assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
+
+
+def _block_case(n: int, cycle: int):
+    """A stateful policy and inputs that clamp at the ceiling, then the floor.
+
+    Steps below one block get 3000 W and a slow cruise, so the battery fills
+    and is curtailed; later steps get no sun and full speed, so it runs to
+    the floor. The velocity follows the measured SOC and a speed the cycle
+    ends learn from it, so noise and every cycle end show in the traces.
+    """
+    params = VesselParams()
+    edge = harness._BLOCK
+    state = {"u": 1.0, "k": 0}
+
+    def control(b, b_l, b_u, i):
+        if i >= edge:
+            return params.u_max
+        return min(max(state["u"] + 1e-4 * (b - b_l) - 1e-4 * (b_u - b), 0.0), 1.5)
+
+    def end_cycle(b_meas, b):
+        state["k"] += 1
+        state["u"] = min(max(state["u"] + 1e-5 * (b_meas - 3250.0), 0.0), 1.5)
+        return harness.IterationRecord(state["k"], state["u"], b_meas, b)
+
+    steps = np.arange(n)
+    p_in = np.where(steps < edge, 3000.0, 0.0)
+    lower = 1000.0 + 500.0 * np.sin(steps / 50.0)
+    upper = 5500.0 + 500.0 * np.cos(steps / 70.0)
+    policy = Policy("learner", control, cycle, end_cycle)
+    return policy, p_in, lower, upper, params
+
+
 class TestStepLoop:
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("cycle", [1, 7, harness._BLOCK, harness._BLOCK + 1])
+    @pytest.mark.parametrize(
+        "n",
+        [1, harness._BLOCK - 1, harness._BLOCK, harness._BLOCK + 1, 2 * harness._BLOCK + 17],
+    )
+    def test_blocks_match_the_whole_list_loop(self, n, cycle, noisy):
+        """The block loop gives the whole-list loop's numbers, bitwise.
+
+        A cycle of 1 ends on both sides of every block edge, one of _BLOCK
+        ends on each block's last step (its measurement reads the noise one
+        past the block) and one of _BLOCK + 1 on the step after the edge.
+        """
+        noise = np.random.default_rng(n).normal(0.0, 5.0, n + 1) if noisy else None
+        runs = []
+        for loop in (simulate, simulate_whole_lists):
+            policy, p_in, lower, upper, params = _block_case(n, cycle)
+            runs.append(loop(policy, p_in, lower, upper, 3250.0, params, 360.0, noise))
+        block, whole = runs
+        _assert_same_run(block, whole)
+        assert len(block.per_iteration) == n // cycle
+        if n > 2 * harness._BLOCK:
+            edge = harness._BLOCK
+            assert block.soc_trace[:edge].max() == params.b_max
+            assert block.soc_trace[edge:].min() == params.b_min
+            assert block.curtailed_wh > 0 and block.floor_added_wh > 0
+
+    def test_bounds_must_match_the_steps(self, params):
+        policy = Policy("still", lambda b, b_l, b_u, i: 0.0)
+        with pytest.raises(ValueError, match="one value per step"):
+            simulate(policy, [0.0] * 3, [0.0] * 2, [6500.0] * 3, 3000.0, params, 360.0)
+
+    def test_loop_memory_does_not_grow_with_the_mission(self):
+        """A year of ilc steps peaks under 4 MB of traced heap.
+
+        The two float64 traces take 1.4 MB; the loop's Python floats cover
+        one block. The whole-list loop (``simulate_whole_lists``) peaks near
+        15 MB on the same mission.
+        """
+        cfg = SimConfig(noise_std=5.0)
+        tab = tabulate_mission(cfg)
+        policy = harness.build_policy(cfg, tab)
+        noise = np.random.default_rng(0).normal(0.0, 5.0, tab.p_in.size + 1)
+        tracemalloc.start()
+        try:
+            result = simulate(
+                policy, tab.p_in, tab.lower[:-1], tab.upper[:-1],
+                cfg.initial_soc, cfg.vessel, float(cfg.dt), noise,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.soc_trace.size == 87_600
+        assert peak < 4 * 2**20, peak
+
     def test_cycle_hook_gets_measured_and_true_soc(self, params):
         seen = []
 
@@ -231,8 +340,8 @@ class TestAssembly:
         cfg = _cfg(solar=FileSource(path=str(f), period=DAY))
         env = build_mission_envelope(cfg, build_input_profile(cfg))
         want = build_envelope(
-            load_profile(f, period=DAY), params, np.arange(0.0, DAY, 360.0),
-            mode="periodic-day",
+            dataclasses.replace(load_profile(f), period=DAY), params,
+            np.arange(0.0, DAY, 360.0), mode="periodic-day",
         )
         assert env.period == DAY
         np.testing.assert_array_equal(env.times, want.times)
@@ -460,17 +569,6 @@ class TestCompare:
             series = daily_cumulative_distance(res)
             assert series.size == 2
             assert series[-1] == pytest.approx(res.distance, rel=1e-12)
-
-
-def _assert_same_run(a: SimResult, b: SimResult) -> None:
-    """Every simulated number of two results, bitwise; wall time aside."""
-    for name in ("soc_trace", "velocity_trace", "p_in_trace"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    for name in (
-        "strategy", "dt", "initial_soc", "distance", "terminal_soc", "violation",
-        "per_iteration", "curtailed_wh", "floor_added_wh", "battery_failed",
-    ):
-        assert getattr(a, name) == getattr(b, name), name
 
 
 class TestSharedTabulation:
