@@ -22,17 +22,18 @@ a reverse running maximum, so construction is O(n). The simulation integrates
 with forward Euler instead, which bounds the disagreement by one step of
 worst-case net power (the telescoped trapezoid-vs-rectangle remainder).
 
-Two construction modes:
+:func:`build_envelope` has one body; its two modes differ only in the window
+the curves are evaluated on before being cut back to the grid:
 
-* "horizon": barriers over the full span of a given profile (used when the
+* "horizon": the grid itself, which the profile must cover (used when the
   true future input is available, e.g. oracle tests and benchmark runs). The
   lower barrier always ends at b_min: nothing after t_f needs protecting.
-* "periodic-day": barriers over one period of the mission's own periodic
-  profile (the clear-sky day, or a log declared periodic), with the sup taken
-  over a two-period window and the result declared periodic. Requires a
-  periodic profile whose net drift per period is non-positive for both
-  curves, otherwise no bounded periodic envelope exists. A day table or a
-  non-periodic log has no period to repeat and needs "horizon".
+* "periodic-day": the grid is one period of the mission's own periodic
+  profile (the clear-sky day, or a log declared periodic), the window two
+  periods, and the envelope is declared periodic. Only a profile whose net
+  drift per period is non-positive for both curves has a bounded periodic
+  envelope (checked). A day table or a non-periodic log has no period to
+  repeat and needs "horizon".
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .csvout import write_columns
-from .solar import SolarProfile, sample_array
+from .solar import SolarProfile, _resample, sample_array
 from .vessel import VesselParams
 
 MODES = ("horizon", "periodic-day")
@@ -120,15 +121,11 @@ class BarrierEnvelope:
     period: float | None = None
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
+        times = _check_grid(self.times)
         lower = np.asarray(self.lower, dtype=float)
         upper = np.asarray(self.upper, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise ValueError("envelope needs at least two grid points")
         if lower.shape != times.shape or upper.shape != times.shape:
             raise ValueError("lower/upper must match the grid shape")
-        if not np.all(np.diff(times) > 0):
-            raise ValueError("envelope grid must be strictly increasing")
         if self.period is not None and times[-1] - times[0] >= self.period:
             raise ValueError("periodic envelope must span less than one period")
         if np.any(lower < 0):
@@ -145,25 +142,12 @@ class BarrierEnvelope:
     def periodic(self) -> bool:
         return self.period is not None
 
-    def _wrap(self, t: np.ndarray) -> np.ndarray:
-        t0 = self.times[0]
-        if self.periodic:
-            return t0 + np.mod(t - t0, self.period)
-        if np.any(t < t0) or np.any(t > self.times[-1]):
-            raise ValueError("query time outside the envelope grid")
-        return t
-
     def bounds_arrays(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) in Wh at each query time."""
-        t = self._wrap(np.asarray(times, dtype=float))
-        xp = self.times
-        lo = self.lower
-        hi = self.upper
-        if self.periodic:
-            xp = np.concatenate([xp, [self.times[0] + self.period]])
-            lo = np.concatenate([lo, [self.lower[0]]])
-            hi = np.concatenate([hi, [self.upper[0]]])
-        return np.interp(t, xp, lo), np.interp(t, xp, hi)
+        t = np.asarray(times, dtype=float)
+        if not self.periodic and np.any((t < self.times[0]) | (t > self.times[-1])):
+            raise ValueError("query time outside the envelope grid")
+        return _resample(t, self.times, (self.lower, self.upper), self.period)
 
 
 def build_envelope(
@@ -174,44 +158,42 @@ def build_envelope(
 ) -> BarrierEnvelope:
     """Construct the tightened-SOC envelope for a mission.
 
-    horizon mode evaluates both barriers over ``grid``, which must lie inside
+    horizon mode evaluates both barriers on ``grid``, which must lie inside
     the profile's domain. periodic-day mode treats ``grid`` as one period of a
-    periodic profile (span < period required), takes the sups over a
-    two-period window and returns a periodic envelope.
+    periodic profile (span < period required), evaluates them on two periods
+    and returns a periodic envelope.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     g = _check_grid(grid)
-
+    n = g.size
+    period = None
     if mode == "horizon":
         if not profile.periodic and g[-1] > profile.end:
             raise ValueError("profile does not cover the requested grid")
-        lower = lower_barrier(profile, params, g)
-        upper = upper_barrier(profile, params, g)
-        return BarrierEnvelope(times=g, lower=lower, upper=upper)
-
-    if not profile.periodic:
+        window = g
+    elif not profile.periodic:
         raise ValueError("periodic-day mode requires a periodic profile")
-    period = float(profile.period)
-    if g[-1] - g[0] >= period:
-        raise ValueError("periodic-day grid must span less than one period")
+    else:
+        period = float(profile.period)
+        if g[-1] - g[0] >= period:
+            raise ValueError("periodic-day grid must span less than one period")
+        window = np.concatenate([g, g + period, [g[0] + 2.0 * period]])
 
-    ext = np.concatenate([g, g + period, [g[0] + 2.0 * period]])
-    n = g.size
-    deficit = energy_deficit(profile, params, ext)
-    surplus = energy_surplus(profile, params, ext)
-    scale = max(1.0, float(np.max(np.abs(deficit))), float(np.max(np.abs(surplus))))
-    tol = 1e-9 * scale
-    if deficit[n] - deficit[0] > tol:
-        raise ValueError(
-            "profile cannot sustain the hotel load over one period; "
-            "no bounded periodic lower barrier exists"
-        )
-    if surplus[n] - surplus[0] > tol:
-        raise ValueError(
-            "profile oversupplies even at full speed over one period; "
-            "no bounded periodic upper barrier exists"
-        )
+    deficit = energy_deficit(profile, params, window)
+    surplus = energy_surplus(profile, params, window)
+    if period is not None:
+        tol = 1e-9 * max(1.0, np.abs(deficit).max(), np.abs(surplus).max())
+        if deficit[n] - deficit[0] > tol:
+            raise ValueError(
+                "profile cannot sustain the hotel load over one period; "
+                "no bounded periodic lower barrier exists"
+            )
+        if surplus[n] - surplus[0] > tol:
+            raise ValueError(
+                "profile oversupplies even at full speed over one period; "
+                "no bounded periodic upper barrier exists"
+            )
     lower = params.b_min + _suffix_sup_excess(deficit)[:n]
     upper = params.b_max - _suffix_sup_excess(surplus)[:n]
     return BarrierEnvelope(times=g, lower=lower, upper=upper, period=period)

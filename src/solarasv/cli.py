@@ -10,24 +10,26 @@ sim.strategies over the shared source and writes comparison.csv and
 distance_series.csv. ``barriers`` only builds the tightened-SOC envelope and
 writes envelope.csv; it reads a compare file too, whose sim.strategies
 ``run`` rejects. All outputs land in sim.output_dir unless --output
-overrides it.
+overrides it. Each command writes its files before it prints, so when a
+reader closes stdout early (head, a pager) nothing is lost and the command
+still exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 from .barrier import write_envelope_csv
 from .config import ConfigError, load_compare_configs, load_sim_config
 from .harness import (
-    build_input_profile,
-    build_mission_envelope,
     compare_strategies,
     export_comparison,
     export_traces,
     run_mission,
+    tabulate_mission,
 )
 
 
@@ -65,6 +67,8 @@ def _cmd_run(config: str, output: str | None) -> int:
 def _cmd_compare(config: str, output: str | None) -> int:
     cfgs = load_compare_configs(config)
     results = compare_strategies(cfgs)
+    out_dir = cfgs[0].output_dir if output is None else output
+    written = export_comparison(results, out_dir)
     width = max(len(r.strategy) for r in results)
     print(
         f"{'strategy'.ljust(width)}  {'distance_m':>14}  {'terminal_soc_wh':>16}  "
@@ -75,16 +79,14 @@ def _cmd_compare(config: str, output: str | None) -> int:
             f"{r.strategy.ljust(width)}  {r.distance:>14.1f}  "
             f"{r.terminal_soc:>16.1f}  {r.violation:>12.4g}  {r.wall_time:>8.2f}"
         )
-    out_dir = cfgs[0].output_dir if output is None else output
-    for path in export_comparison(results, out_dir):
+    for path in written:
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_barriers(config: str, output: str | None) -> int:
     cfg = load_sim_config(config, compare_file=True)
-    profile = build_input_profile(cfg)
-    env = build_mission_envelope(cfg, profile)
+    env = tabulate_mission(cfg).env
     out_dir = Path(cfg.output_dir if output is None else output)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "envelope.csv"
@@ -97,14 +99,21 @@ def _cmd_barriers(config: str, output: str | None) -> int:
     return 0
 
 
+_COMMANDS = {"run": _cmd_run, "compare": _cmd_compare, "barriers": _cmd_barriers}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args.config, args.output)
-        if args.command == "compare":
-            return _cmd_compare(args.config, args.output)
-        return _cmd_barriers(args.config, args.output)
+        status = _COMMANDS[args.command](args.config, args.output)
+        if sys.stdout is not None:  # None when started without a stdout
+            sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the files are written by now; with stdout on devnull the flush at
+        # interpreter shutdown cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

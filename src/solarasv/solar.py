@@ -294,15 +294,26 @@ class FileSource:
         return replace(log, period=self.period)
 
 
-def _wrap_times(profile: SolarProfile, t: np.ndarray) -> np.ndarray:
-    t0 = profile.times[0]
-    if profile.periodic:
-        return t0 + np.mod(t - t0, profile.period)
-    if np.any(t < t0):
-        raise ValueError(
-            f"cannot sample non-periodic profile before its first sample (t0={t0})"
-        )
-    return t
+def _resample(
+    t: np.ndarray, xp: np.ndarray, curves: Iterable[np.ndarray],
+    period: float | None, hold: bool = False,
+) -> tuple[np.ndarray, ...]:
+    """Each curve, sampled at the increasing times ``xp``, read at the times ``t``.
+
+    With a period, ``t`` wraps into [xp[0], xp[0] + period) first. Linear
+    reading interpolates, closing a periodic curve's loop with its first value
+    at xp[0] + period; hold reading takes the latest sample at or before ``t``.
+    Outside [xp[0], xp[-1]] a non-periodic curve holds its end values.
+    """
+    if period is not None:
+        t = xp[0] + np.mod(t - xp[0], period)
+    if hold:
+        idx = np.clip(np.searchsorted(xp, t, side="right") - 1, 0, xp.size - 1)
+        return tuple(c[idx] for c in curves)
+    if period is not None:
+        xp = np.append(xp, xp[0] + period)
+        curves = [np.append(c, c[0]) for c in curves]
+    return tuple(np.interp(t, xp, c) for c in curves)
 
 
 def sample_array(profile: SolarProfile, times: Iterable[float]) -> np.ndarray:
@@ -313,18 +324,14 @@ def sample_array(profile: SolarProfile, times: Iterable[float]) -> np.ndarray:
     bracketing samples; past the last sample the value is held for
     non-periodic profiles and wraps to the first sample for periodic ones.
     """
-    t = _wrap_times(profile, np.asarray(times, dtype=float))
-    xp = profile.times
-    fp = profile.powers
-    if profile.interpolation == "hold":
-        idx = np.searchsorted(xp, t, side="right") - 1
-        # periodic wrap can land in [t0, t0+period) beyond xp[-1]; hold last
-        return fp[np.clip(idx, 0, xp.size - 1)]
-    if profile.periodic:
-        # close the loop so interpolation is continuous across the wrap
-        xp = np.concatenate([xp, [profile.times[0] + profile.period]])
-        fp = np.concatenate([fp, [profile.powers[0]]])
-    return np.interp(t, xp, fp)
+    t = np.asarray(times, dtype=float)
+    if not profile.periodic and np.any(t < profile.times[0]):
+        raise ValueError(
+            "cannot sample non-periodic profile before its first sample "
+            f"(t0={profile.times[0]})"
+        )
+    hold = profile.interpolation == "hold"
+    return _resample(t, profile.times, (profile.powers,), profile.period, hold)[0]
 
 
 def integrate_power(profile: SolarProfile, t0: float, t1: float) -> float:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -298,6 +301,30 @@ class TestErrorHandling:
         assert "sim.mission_length" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "log, spans",
+        [
+            ("0,300\n3600,300\n", "0.0..3600.0"),
+            ("100,300\n86400,300\n", "100.0..86400.0"),
+        ],
+        ids=["ends-early", "starts-late"],
+    )
+    def test_log_that_does_not_cover_the_mission(self, tmp_path, capsys, log, spans):
+        (tmp_path / "log.csv").write_text(log)
+        source = "barrier.mode = horizon\nsolar.source = file\nsolar.file = log.csv\n"
+        errors = []
+        for command in ("run", "compare", "barriers"):
+            text = FAST_COMPARE if command == "compare" else FAST_RUN
+            cfg = _write(tmp_path, text + source, name=f"{command}.cfg")
+            assert main([command, "--config", cfg]) == 2, command
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == (
+            f"error: solar source does not cover the mission (data spans t={spans}, "
+            "mission spans t=0..86400.0)\n"
+        )
+        assert errors == [errors[0]] * 3
+        assert not (tmp_path / "out").exists()
+
     def test_day_table_as_long_as_the_mission_runs(self, tmp_path, capsys):
         (tmp_path / "days.csv").write_text("0,300,500\n1,320,480\n")
         text = FAST_RUN.replace("86400", "172800")
@@ -307,3 +334,42 @@ class TestErrorHandling:
     def test_missing_subcommand_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestClosedStdout:
+    """Without a stdout to print to, a command still writes its files and exits 0.
+
+    A reader that stops early (head, a pager) leaves a pipe whose writes fail
+    with EPIPE; a process started with fd 1 closed has no sys.stdout at all.
+    """
+
+    FILES = {
+        "run": ("trace.csv", "iterations.csv", "summary.csv", "daily.csv"),
+        "compare": ("comparison.csv", "distance_series.csv"),
+        "barriers": ("envelope.csv",),
+    }
+
+    @pytest.mark.parametrize("stdout", ["unbuffered-pipe", "buffered-pipe", "no-fd"])
+    @pytest.mark.parametrize("command", ["run", "compare", "barriers"])
+    def test_files_written_and_exit_0(self, tmp_path, command, stdout):
+        cfg = _write(tmp_path, FAST_COMPARE if command == "compare" else FAST_RUN)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        unbuffered = "1" if stdout == "unbuffered-pipe" else ""
+        env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
+        argv = [sys.executable, "-m", "solarasv.cli", command, "--config", cfg]
+        if stdout == "no-fd":
+            # started without fd 1, Python sets sys.stdout to None
+            argv = ["sh", "-c", 'exec "$@" >&-', "sh", *argv]
+        read, write = os.pipe()
+        os.close(read)  # every write to stdout fails with EPIPE
+        try:
+            proc = subprocess.run(
+                argv, stdout=write, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+                timeout=300,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr.decode()) == (0, "")
+        for name in self.FILES[command]:
+            assert (tmp_path / "out" / name).stat().st_size > 0, name

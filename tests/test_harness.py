@@ -962,3 +962,56 @@ def test_exported_bytes_match_recorded_digests(tmp_path):
     )
     got = {name: _digest_without_wall_time(tmp_path / name) for name in _EXPORT_DIGESTS}
     assert got == _EXPORT_DIGESTS
+
+
+# a periodic power log starting at t = 900 s on an uneven grid, so the
+# mission's steps fall between samples and its wrap interpolates across the
+# gap from the last sample to the first one a period later
+_PERIODIC_LOG = (
+    "900,0\n18000,0\n25200,420\n36000,910\n43200,780\n"
+    "46800,260\n50400,700\n61200,380\n68400,40\n75600,0\n"
+)
+# sha256 of envelope.csv, then of tabulate_mission's lower, upper and p_in
+_PERIODIC_DIGESTS = {
+    "clear-sky": (
+        "9c15c72f5c9c3c58fe56e32c11d716c241e2abc5b2e1d80c0b6838e111736ec2",
+        "7afa0c1b86fa7630cc881af26e63f8840834cc62645e701d36822cd24f3d27f4",
+        "a361a8993d097afc88ed9566a9a97bfa7a19a0008c4a3835a6360e9631020caf",
+        "53444566e6742a86598e31a4143ec04fed61d4a06c7031d3912f32ef52d2b411",
+    ),
+    "linear": (
+        "20135a67b3f581c808a64bb23672788997c0059cc54a1bbf1f04b51d9e2f9782",
+        "8f22a4da5420fa9e14b4b6e27bad0a15ff143c68efc6a24c853026686b218b72",
+        "ca9e54149f1e8c9042dbc32fd1a9774189e2cd807c0a58dc4b04a3f8efc2158b",
+        "9f9799bad8387488c588e315196cab170cf9ee269e00b572ddc796466506343f",
+    ),
+    "hold": (
+        "80138ce5b9a8c1cdf4e09add69459b88d222ad045e092fa7c6cf594316d049dd",
+        "8ff5a9d01931e5e18942421cadd79e3656944dce2286cbbaded090ea6573a81e",
+        "56d8e0e2cc8f64e5eec6c23cbfb43d20dbf82579eae7e0f02ef0190d3a3f31fa",
+        "d4415a9e1111268ecb79d861c24f2817d02af6d4e7623549c95544002a8aa365",
+    ),
+}
+
+
+@pytest.mark.parametrize("source", sorted(_PERIODIC_DIGESTS))
+def test_periodic_day_bytes_match_recorded_digests(tmp_path, source):
+    """A 3-day periodic-day mission's envelope and tabulation, bitwise as recorded.
+
+    u_max = 1.8 m/s puts the full-speed draw below the midday input, so the
+    upper barrier leaves b_max and both curves are pinned.
+    """
+    log = tmp_path / "log.csv"
+    log.write_text(_PERIODIC_LOG)
+    solar = {
+        "clear-sky": IdealizedSource(d0=300.0, d1=500.0),
+        "linear": FileSource(path=str(log), period=DAY),
+        "hold": FileSource(path=str(log), period=DAY, interpolation="hold"),
+    }[source]
+    cfg = _cfg(mission_length=3 * DAY, solar=solar, vessel=VesselParams(u_max=1.8))
+    tab = tabulate_mission(cfg)
+    write_envelope_csv(tab.env, tmp_path / "envelope.csv")
+    got = (hashlib.sha256((tmp_path / "envelope.csv").read_bytes()).hexdigest(),) + tuple(
+        hashlib.sha256(a.tobytes()).hexdigest() for a in (tab.lower, tab.upper, tab.p_in)
+    )
+    assert got == _PERIODIC_DIGESTS[source]
