@@ -5,24 +5,26 @@ a SOC that is legal at dusk may still be too low to cover the night's hotel
 load even with the motor off. The envelope computed here tightens the limits
 so that feasibility, once achieved, can be kept with the saturated controls:
 
-* energy_deficit(t) accumulates (k_h - P_in) / 3600 Wh: the energy the vessel
+* deficit(t) accumulates (k_h - P_in) / 3600 Wh: the energy the vessel
   must supply from the battery if it drifts (u = 0) from time 0 to t.
   The minimum SOC that survives every future drift window sits that deficit
   above the battery floor:
 
       b_l(t1) = b_min + max(0, sup_{t2 >= t1} (deficit(t2) - deficit(t1)))
 
-* energy_surplus(t) accumulates (P_in - k_h - k_m u_max^3) / 3600 Wh: the
+* surplus(t) accumulates (P_in - k_h - k_m u_max^3) / 3600 Wh: the
   energy that cannot be burned even at full speed. The headroom that must be
   kept free so charging never has to be curtailed is the matching suffix sup,
   and the tightened ceiling is b_u(t1) = b_max - headroom(t1).
 
-Both curves are cumulative trapezoids on the caller's grid; the suffix sup is
-a reverse running maximum, so construction is O(n). The simulation integrates
-with forward Euler instead, which bounds the disagreement by one step of
-worst-case net power (the telescoped trapezoid-vs-rectangle remainder).
+:func:`barrier_curves` is the one body of these formulas: it samples the
+profile once on the caller's grid, builds both curves as cumulative
+trapezoids and both barriers from them; the suffix sup is a reverse running
+maximum, so construction is O(n). The simulation integrates with forward
+Euler instead, which bounds the disagreement by one step of worst-case net
+power (the telescoped trapezoid-vs-rectangle remainder).
 
-:func:`build_envelope` has one body; its two modes differ only in the window
+:func:`build_envelope` calls it once; its two modes differ only in the window
 the curves are evaluated on before being cut back to the grid:
 
 * "horizon": the grid itself, which the profile must cover (used when the
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,38 +75,34 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     return g
 
 
-def energy_deficit(
+class BarrierCurves(NamedTuple):
+    """The cumulative curves and the barriers they tighten, in Wh on a grid."""
+
+    deficit: np.ndarray
+    surplus: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+def barrier_curves(
     profile: SolarProfile, params: VesselParams, grid: np.ndarray
-) -> np.ndarray:
-    """Cumulative drift-mode energy deficit in Wh on ``grid``."""
-    g = _check_grid(grid)
-    p = sample_array(profile, g)
-    return _cumtrapz(params.k_h - p, g) / 3600.0
+) -> BarrierCurves:
+    """Drift deficit, full-throttle surplus and the barriers b_l, b_u on ``grid``.
 
-
-def lower_barrier(
-    profile: SolarProfile, params: VesselParams, grid: np.ndarray
-) -> np.ndarray:
-    """Tightened SOC floor in Wh on ``grid``: b_min plus the drift deficit."""
-    return params.b_min + _suffix_sup_excess(energy_deficit(profile, params, grid))
-
-
-def energy_surplus(
-    profile: SolarProfile, params: VesselParams, grid: np.ndarray
-) -> np.ndarray:
-    """Cumulative full-throttle energy surplus in Wh on ``grid``."""
+    The profile is sampled once; lower = b_min + the deficit's suffix-sup
+    excess and upper = b_max - the surplus's.
+    """
     g = _check_grid(grid)
     p = sample_array(profile, g)
     full_draw = params.k_h + params.k_m * params.u_max ** 3
-    return _cumtrapz(p - full_draw, g) / 3600.0
-
-
-def upper_barrier(
-    profile: SolarProfile, params: VesselParams, grid: np.ndarray
-) -> np.ndarray:
-    """Tightened SOC ceiling in Wh on ``grid``: b_max minus required headroom."""
-    headroom = _suffix_sup_excess(energy_surplus(profile, params, grid))
-    return params.b_max - headroom
+    deficit = _cumtrapz(params.k_h - p, g) / 3600.0
+    surplus = _cumtrapz(p - full_draw, g) / 3600.0
+    return BarrierCurves(
+        deficit,
+        surplus,
+        params.b_min + _suffix_sup_excess(deficit),
+        params.b_max - _suffix_sup_excess(surplus),
+    )
 
 
 @dataclass(frozen=True)
@@ -180,8 +179,7 @@ def build_envelope(
             raise ValueError("periodic-day grid must span less than one period")
         window = np.concatenate([g, g + period, [g[0] + 2.0 * period]])
 
-    deficit = energy_deficit(profile, params, window)
-    surplus = energy_surplus(profile, params, window)
+    deficit, surplus, lower, upper = barrier_curves(profile, params, window)
     if period is not None:
         tol = 1e-9 * max(1.0, np.abs(deficit).max(), np.abs(surplus).max())
         if deficit[n] - deficit[0] > tol:
@@ -194,9 +192,7 @@ def build_envelope(
                 "profile oversupplies even at full speed over one period; "
                 "no bounded periodic upper barrier exists"
             )
-    lower = params.b_min + _suffix_sup_excess(deficit)[:n]
-    upper = params.b_max - _suffix_sup_excess(surplus)[:n]
-    return BarrierEnvelope(times=g, lower=lower, upper=upper, period=period)
+    return BarrierEnvelope(times=g, lower=lower[:n], upper=upper[:n], period=period)
 
 
 def write_envelope_csv(env: BarrierEnvelope, path: str | Path) -> None:

@@ -38,9 +38,13 @@ def write_columns(
     A column is an array or a list. Each slice goes through
     ``np.asarray(...).tolist()``, so float columns print as Python float
     reprs, integer columns as plain integers and string columns as is.
+    Columns of different lengths raise ValueError naming the header.
     """
     row = ",".join(["%s"] * len(columns)) + "\n"
     n = len(columns[0])
+    if any(len(col) != n for col in columns):
+        lengths = ", ".join(str(len(col)) for col in columns)
+        raise ValueError(f"{header}: columns differ in length ({lengths})")
 
     def text(start: int) -> str:
         chunk = [np.asarray(col[start:start + CHUNK_ROWS]).tolist() for col in columns]

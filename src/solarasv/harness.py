@@ -260,8 +260,10 @@ def simulate(
     noise[i] is added to the SOC the controller sees at the start of step
     i, and noise[i + 1] to the cycle-end SOC handed to end_cycle after step
     i (so the last cycle-end measurement uses noise[n]). The battery, the
-    clamp ledgers and the violation integral use the true SOC. wall_time
-    covers this call only.
+    clamp ledgers and the violation integral use the true SOC. A noise of
+    another length, or an end_cycle without cycle_steps >= 1, raises
+    ValueError before the first control call. wall_time covers this call
+    only.
     """
     wall0 = time.perf_counter()
     p_in_trace = np.asarray(p_in, dtype=float)
@@ -272,6 +274,10 @@ def simulate(
         raise ValueError("p_in, lower and upper must hold one value per step")
     if noise is not None:
         noise = np.asarray(noise, dtype=float)
+        if noise.shape != (n + 1,):
+            raise ValueError("noise must hold one value per step and one more")
+    if policy.end_cycle is not None and policy.cycle_steps < 1:
+        raise ValueError("a policy with end_cycle must set cycle_steps >= 1")
     control = policy.control
     end_cycle = policy.end_cycle
     cycle = policy.cycle_steps
@@ -530,11 +536,19 @@ def export_comparison(results: Sequence[SimResult], out_dir: str | Path) -> list
         ],
     )
 
+    # one row per day of the longest series; a shorter one leaves cells empty
     series = out / "distance_series.csv"
     daily = [daily_cumulative_distance(r) for r in results]
+    days = max((d.size for d in daily), default=0)
+
+    def padded(d: np.ndarray) -> np.ndarray:
+        col = np.full(days, "", dtype=object)
+        col[: d.size] = d.tolist()
+        return col
+
     write_columns(
         series,
         "day," + ",".join(f"distance_m_{r.strategy}" for r in results),
-        (np.arange(daily[0].size if daily else 0), *daily),
+        (np.arange(days), *map(padded, daily)),
     )
     return [comparison, series]

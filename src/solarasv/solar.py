@@ -294,6 +294,13 @@ class FileSource:
         return replace(log, period=self.period)
 
 
+def _closed(
+    xp: np.ndarray, curves: Iterable[np.ndarray], period: float
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``xp`` and each curve with the periodic loop closed: the first value again."""
+    return np.append(xp, xp[0] + period), [np.append(c, c[0]) for c in curves]
+
+
 def _resample(
     t: np.ndarray, xp: np.ndarray, curves: Iterable[np.ndarray],
     period: float | None, hold: bool = False,
@@ -311,8 +318,7 @@ def _resample(
         idx = np.clip(np.searchsorted(xp, t, side="right") - 1, 0, xp.size - 1)
         return tuple(c[idx] for c in curves)
     if period is not None:
-        xp = np.append(xp, xp[0] + period)
-        curves = [np.append(c, c[0]) for c in curves]
+        xp, curves = _closed(xp, curves, period)
     return tuple(np.interp(t, xp, c) for c in curves)
 
 
@@ -370,14 +376,11 @@ def _integral_in_base(profile: SolarProfile, a: float, b: float) -> float:
     """
     if b <= a:
         return 0.0
-    xp = profile.times
-    fp = profile.powers
+    xp, fp = profile.times, profile.powers
     if profile.periodic:
-        xp = np.concatenate([xp, [profile.times[0] + profile.period]])
-        if profile.interpolation == "linear":
-            fp = np.concatenate([fp, [profile.powers[0]]])
-        else:
-            fp = np.concatenate([fp, [profile.powers[-1]]])
+        # hold reads the closing sample only past start + period, where the
+        # periodic profile is back at its first value
+        xp, (fp,) = _closed(xp, (fp,), profile.period)
     # knots strictly inside (a, b), plus the endpoints
     lo = np.searchsorted(xp, a, side="right")
     hi = np.searchsorted(xp, b, side="left")

@@ -3,7 +3,7 @@
 Each test prints one ``criterion N: PASS/FAIL`` line (collected and echoed in
 the terminal summary) and then asserts it. The year-long strategy comparison
 is shared by criteria 5 and 9 through a module-scoped fixture; expect the
-whole module to take about 30 s on a 2-core machine, about 25 s of it in that
+whole module to take about 25 s on a 2-core machine, about 20 s of it in that
 fixture.
 """
 
@@ -14,12 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from solarasv.barrier import (
-    energy_deficit,
-    energy_surplus,
-    lower_barrier,
-    upper_barrier,
-)
+from solarasv.barrier import barrier_curves
 from solarasv.benchmark import MpcConfig, MpcController, energy_balance_velocity
 from solarasv.controller import (
     Costate,
@@ -118,10 +113,7 @@ def test_criterion_3_persistent_feasibility():
         powers = rng.uniform(0.0, 1500.0, size=n_seg + 1)
         prof = SolarProfile(times=times, powers=powers, interpolation="hold")
 
-        deficit = energy_deficit(prof, params, grid)
-        surplus = energy_surplus(prof, params, grid)
-        lo = lower_barrier(prof, params, grid)
-        hi = upper_barrier(prof, params, grid)
+        deficit, surplus, lo, hi = barrier_curves(prof, params, grid)
 
         # O(n) suffix-sup curves equal the O(n^2) definition, bitwise
         lo_brute = np.array(

@@ -5,16 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from solarasv import barrier
 from solarasv.barrier import (
     BarrierEnvelope,
+    barrier_curves,
     build_envelope,
-    energy_deficit,
-    energy_surplus,
-    lower_barrier,
-    upper_barrier,
     write_envelope_csv,
 )
-from solarasv.solar import SolarProfile
+from solarasv.solar import SolarProfile, sample_array
 from solarasv.vessel import VesselParams
 
 
@@ -34,12 +32,12 @@ class TestCumulativeCurves:
     def test_deficit_in_darkness(self, params):
         """Zero input: drift mode loses exactly k_h per hour."""
         grid = np.array([0.0, 3600.0, 7200.0])
-        out = energy_deficit(_const_profile(0.0), params, grid)
+        out = barrier_curves(_const_profile(0.0), params, grid).deficit
         assert out.tolist() == [0.0, 10.0, 20.0]
 
     def test_deficit_vanishes_at_hotel_break_even(self, params):
         grid = np.array([0.0, 3600.0, 7200.0])
-        out = energy_deficit(_const_profile(params.k_h), params, grid)
+        out = barrier_curves(_const_profile(params.k_h), params, grid).deficit
         assert out.tolist() == [0.0, 0.0, 0.0]
 
     def test_surplus_under_strong_sun(self, params):
@@ -47,7 +45,7 @@ class TestCumulativeCurves:
         grid = np.array([0.0, 3600.0, 7200.0])
         full_draw = params.k_h + params.k_m * params.u_max**3
         rate = 1200.0 - full_draw
-        out = energy_surplus(_const_profile(1200.0), params, grid)
+        out = barrier_curves(_const_profile(1200.0), params, grid).surplus
         assert out == pytest.approx([0.0, rate, 2.0 * rate], abs=1e-9)
 
     def test_trapezoid_is_exact_on_linear_segments(self, params):
@@ -57,15 +55,15 @@ class TestCumulativeCurves:
             powers=np.array([0.0, 720.0, 0.0]),
         )
         grid = prof.times
-        out = energy_deficit(prof, params, grid)
+        out = barrier_curves(prof, params, grid).deficit
         # hour 1: mean input 360 W vs 10 W hotel -> -350 Wh; hour 2 the same
         assert out == pytest.approx([0.0, -350.0, -700.0], abs=1e-9)
 
     def test_grid_validation(self, params):
         with pytest.raises(ValueError, match="at least two"):
-            energy_deficit(_const_profile(0.0), params, np.array([0.0]))
+            barrier_curves(_const_profile(0.0), params, np.array([0.0]))
         with pytest.raises(ValueError, match="strictly increasing"):
-            energy_deficit(_const_profile(0.0), params, np.array([0.0, 0.0]))
+            barrier_curves(_const_profile(0.0), params, np.array([0.0, 0.0]))
 
 
 # ======================================================================
@@ -77,22 +75,21 @@ class TestBarrierCurves:
     def test_lower_barrier_covers_remaining_darkness(self, params):
         """In the dark, the floor at time t is the hotel energy still to come."""
         grid = np.array([0.0, 3600.0, 7200.0])
-        out = lower_barrier(_const_profile(0.0), params, grid)
+        out = barrier_curves(_const_profile(0.0), params, grid).lower
         assert out.tolist() == [20.0, 10.0, 0.0]
 
     def test_upper_barrier_reserves_absorption_headroom(self, params):
         grid = np.array([0.0, 3600.0, 7200.0])
         full_draw = params.k_h + params.k_m * params.u_max**3
         rate = 1200.0 - full_draw
-        out = upper_barrier(_const_profile(1200.0), params, grid)
+        out = barrier_curves(_const_profile(1200.0), params, grid).upper
         assert out == pytest.approx(
             [params.b_max - 2.0 * rate, params.b_max - rate, params.b_max], abs=1e-9
         )
 
     def test_terminal_values_are_untightened(self, params, canonical_day):
         grid = np.arange(0.0, 86400.0 + 180.0, 360.0)
-        lo = lower_barrier(canonical_day, params, grid)
-        hi = upper_barrier(canonical_day, params, grid)
+        _, _, lo, hi = barrier_curves(canonical_day, params, grid)
         assert lo[-1] == 0.0
         assert hi[-1] == params.b_max
 
@@ -109,8 +106,7 @@ class TestBarrierCurves:
             powers = rng.uniform(0.0, 1500.0, size=n)
             prof = SolarProfile(times=times, powers=powers)
             grid = times
-            deficit = energy_deficit(prof, params, grid)
-            surplus = energy_surplus(prof, params, grid)
+            deficit, surplus, lower, up = barrier_curves(prof, params, grid)
 
             lo_ref = np.zeros(n)
             head_ref = np.zeros(n)
@@ -118,8 +114,7 @@ class TestBarrierCurves:
                 lo_ref[i] = max(0.0, lo_ref[i + 1] + (deficit[i + 1] - deficit[i]))
                 head_ref[i] = max(0.0, head_ref[i + 1] + (surplus[i + 1] - surplus[i]))
 
-            assert lower_barrier(prof, params, grid).tolist() == lo_ref.tolist()
-            up = upper_barrier(prof, params, grid)
+            assert lower.tolist() == lo_ref.tolist()
             assert up.tolist() == (params.b_max - head_ref).tolist()
 
     def test_drift_rollout_from_floor_never_goes_negative(self, params):
@@ -130,8 +125,7 @@ class TestBarrierCurves:
             times = np.cumsum(rng.uniform(120.0, 2400.0, size=n))
             powers = rng.uniform(0.0, 40.0, size=n)  # mostly darker than hotel
             prof = SolarProfile(times=times, powers=powers)
-            deficit = energy_deficit(prof, params, times)
-            lo = lower_barrier(prof, params, times)
+            deficit, _, lo, _ = barrier_curves(prof, params, times)
             for i in range(n):
                 soc = lo[i] - (deficit[i:] - deficit[i])
                 assert np.min(soc) >= -1e-12
@@ -257,8 +251,22 @@ class TestBuildEnvelope:
         assert env.lower.tolist() == (1500.0 + env0.lower).tolist()
         assert env.upper.tolist() == env0.upper.tolist()
         if mode == "horizon":
-            lower = lower_barrier(canonical_day, raised, grid)
+            lower = barrier_curves(canonical_day, raised, grid).lower
             assert env.lower.tolist() == lower.tolist()
+
+    @pytest.mark.parametrize("mode", ["horizon", "periodic-day"])
+    def test_samples_the_profile_once(self, params, canonical_day, mode, monkeypatch):
+        calls = []
+
+        def counted(profile, times):
+            calls.append(len(times))
+            return sample_array(profile, times)
+
+        monkeypatch.setattr(barrier, "sample_array", counted)
+        grid = np.arange(0.0, 86400.0, 360.0)
+        build_envelope(canonical_day, params, grid, mode=mode)
+        window = grid.size if mode == "horizon" else 2 * grid.size + 1
+        assert calls == [window]
 
     def test_periodic_day_infeasible_profiles(self, params):
         grid = np.arange(0.0, 86400.0, 360.0)

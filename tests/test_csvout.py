@@ -41,3 +41,8 @@ def test_short_table_never_forks(tmp_path, monkeypatch, n):
     columns = _columns(n)
     write_columns(tmp_path / "t.csv", "i,x,s", columns)
     assert (tmp_path / "t.csv").read_text(encoding="utf-8") == _row_by_row("i,x,s", columns)
+
+
+def test_columns_of_different_lengths_are_refused(tmp_path):
+    with pytest.raises(ValueError, match="i,x: columns differ in length \\(3, 2\\)"):
+        write_columns(tmp_path / "t.csv", "i,x", (np.arange(3), [0.5, 1.5]))

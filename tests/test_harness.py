@@ -268,6 +268,21 @@ class TestStepLoop:
         with pytest.raises(ValueError, match="one value per step"):
             simulate(policy, [0.0] * 3, [0.0] * 2, [6500.0] * 3, 3000.0, params, 360.0)
 
+        # noise holds n + 1 values, and a cycle end needs a cycle length;
+        # both are refused before the first control call
+        def never(b, b_l, b_u, i):
+            raise AssertionError("control called")
+
+        n = 30
+        args = ([0.0] * n, [0.0] * n, [6500.0] * n, 3000.0, params, 360.0)
+        learner = Policy("learner", never, 10, lambda b_meas, b: None)
+        for size in (n, n - 5, n + 2):
+            with pytest.raises(ValueError, match="noise must hold"):
+                simulate(learner, *args, [0.0] * size)
+        for cycle in (0, -1):
+            with pytest.raises(ValueError, match="cycle_steps >= 1"):
+                simulate(learner._replace(cycle_steps=cycle), *args)
+
     def test_loop_memory_does_not_grow_with_the_mission(self):
         """A year of ilc steps peaks under 4 MB of traced heap.
 
@@ -804,6 +819,21 @@ class TestExports:
         series = (tmp_path / "distance_series.csv").read_text().splitlines()
         assert series[0] == "day,distance_m_constant-unconstrained,distance_m_ilc"
         assert len(series) == 2 + 1  # header and two full days
+
+    def test_comparison_series_keeps_the_longest_days(self, tmp_path):
+        """A strategy without whole days leaves its cells empty, not the rows."""
+        ilc = SimConfig(mission_length=3 * DAY)
+        odd = SimConfig(
+            mission_length=3 * DAY, dt=3 * DAY / 37, strategy="constant-unconstrained"
+        )
+        results = compare_strategies([odd, ilc])
+        export_comparison(results, tmp_path)
+        series = (tmp_path / "distance_series.csv").read_text().splitlines()
+        ilc_days = daily_cumulative_distance(results[1]).tolist()
+        assert len(ilc_days) == 3
+        assert series == ["day,distance_m_constant-unconstrained,distance_m_ilc"] + [
+            f"{day},,{distance!r}" for day, distance in enumerate(ilc_days)
+        ]
 
 
 # ======================================================================
