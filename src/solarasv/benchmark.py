@@ -47,15 +47,18 @@ no velocity lands on) and takes the max; no stage keeps an argmax.
 A plan's DP depends only on its start step, never on the SOC, and every plan
 that contains a stage sees there the same shifts, best rewards and envelope.
 So the planner solves a block of plans, those at step, step + R, ... (R the
-replan interval), in one backward sweep: each plan is one row of 2-D value
-and padded arrays, and at each stage the rows whose plans contain it step
-back in lockstep as one band, with the same slice operations a single
-vector would take. Rows never interact, so each plan is bitwise the plan it
-would be alone. A block has at most ceil(H / R) rows, fewer when a stage
-would touch more than ``_STAGE_CELLS`` cells; later calls at the block's
-steps read their row. The stages a plan executes before its next replan
-store the value vector they read, and the rollout re-derives each action
-from the U candidates at the current state alone.
+replan interval), in one backward sweep: each plan is one padded row, the
+rows lie back to back in one flat buffer, and at each stage the rows whose
+plans contain it step back in lockstep as one band. A shift's windows over
+those rows are one contiguous run of that buffer, so a stage is one add
+over all shifts and one max, whatever the number of rows. The run's
+positions that straddle two rows compute on pad cells and are never read;
+rows never interact otherwise, so each plan is bitwise the plan it would be
+alone. A block has at most ceil(H / R) rows, fewer when a stage would touch
+more than ``_STAGE_CELLS`` cells; later calls at the block's steps read
+their row. The stages a plan executes before its next replan store the
+value vector they read, and the rollout re-derives each action from the U
+candidates at the current state alone.
 
 If no action is feasible from the current state the controller falls back to
 the switching law on the step loop's bounds with u_min as the interior
@@ -76,9 +79,19 @@ from .controller import _switching_velocity
 from .solar import SolarProfile, integrate_power, sample_array, whole_steps  # noqa: F401
 from .vessel import VesselParams
 
-# cells one lockstep stage may touch (rows x windows x SOC levels): from about
-# this size numpy's per-call overhead is paid off, and the cap keeps a block of
-# every-step plans on a large lattice from allocating hundreds of MB
+# cells one lockstep stage may touch (rows x windows x SOC levels); the cap
+# keeps a block of every-step plans on a large lattice from allocating hundreds
+# of MB. Re-measured with the flat band (2-core Xeon, 2 MB L2 per core, numpy
+# 2.4; replan_interval = 1, 12 h horizon, best-of-3 plan times):
+#   131 x 24, 2 days: 2^15 62 rows 40.8 ms, 2^16 and 2^17 120 rows 37.8, 36.3;
+#     perfbench mpc-every-step wall_s 0.040 vs 0.0355 ref s, but peak_rss_mb
+#     36.4-36.5 vs 37.1-37.4 MB (the parent read 36.1-36.2)
+#   651 x 24, 2 days: 2^15 4 rows 690 ms, 2^16 8 rows 331, 2^17 16 rows 298
+#   1301 x 24, 1 day: 2^15 1 row 1091 ms, 2^16 2 rows 1005, 2^17 4 rows 464,
+#     2^18 9 rows 648 (past 1 MB the work array crowds the cache)
+#   3251 x 48, 1 day, 48-step horizon: one row up to 2^18, 1399 ms; 2^19
+#     3 rows 2091 ms
+# 2^15 stays: a larger cap buys speed with memory, ~1 MB on mpc-every-step
 _STAGE_CELLS = 2 ** 15
 
 
@@ -145,10 +158,13 @@ class MpcController:
     Plans are solved in blocks (see ``_sweep``), and the controller keeps the
     last block: its root values per row and the stored vectors each row's
     rollout reads. The buffers a block works in are allocated here, once, for
-    the most rows any block can have: ``min(ceil(H / R), max(1,
+    the most rows any block can have: ``rows = min(ceil(H / R), max(1,
     _STAGE_CELLS // (W * S)))`` with H the horizon in steps (capped at the
     mission), R the replan interval, W the widest run of shifts the mission
-    allows and S the lattice size.
+    allows and S the lattice size. Padded rows are L = lo pad + S + hi pad +
+    W cells long and lie back to back in one flat buffer; one sliding-window
+    view of it serves every stage's band, and the value rows keep the same
+    stride L in a second flat buffer, so a band's max lands on them in place.
     """
 
     def __init__(
@@ -197,13 +213,23 @@ class MpcController:
         n_soc = cfg.soc_grid
         span = min(self.horizon_steps, len(self.p_in))
         interval = cfg.replan_interval
-        self._rows = min(-(-span // interval), max(1, _STAGE_CELLS // (width * n_soc)))
-        self._padded = np.full((self._rows, self._lo + n_soc + hi + width), -np.inf)
-        self._windows = sliding_window_view(self._padded, n_soc, axis=1)
+        rows = min(-(-span // interval), max(1, _STAGE_CELLS // (width * n_soc)))
+        # a band of rows a:z reads windows (z - a - 1) * L + S long, so the
+        # flat buffer runs (rows - 1) * L cells past the last row, where the
+        # view's widest windows end; no stage reads those cells
+        length = self._lo + n_soc + hi + width
+        widest = (rows - 1) * length + n_soc
+        flat = np.full((2 * rows - 1) * length, -np.inf)
+        self._rows = rows
+        self._length = length
+        self._padded = flat[:rows * length].reshape(rows, length)
+        self._bands = sliding_window_view(flat, widest)
         self._middle = self._padded[:, self._lo:self._lo + n_soc]
-        self._tmp = np.empty(self._rows * width * n_soc)
-        self._values = np.empty((self._rows, n_soc))
-        self._stored = np.empty((self._rows, min(interval, span), n_soc))
+        self._tmp = np.empty((width, widest))
+        # the cells between the value rows take a band's unread positions
+        self._flat_values = np.empty(rows * length)
+        self._values = self._flat_values.reshape(rows, length)[:, :n_soc]
+        self._stored = np.empty((rows, min(interval, span), n_soc))
         # the block swept last (see _sweep): its first step and row starts
         self._step = 0
         self._starts: list[int] = []
@@ -279,15 +305,22 @@ class MpcController:
         row is the length-S window starting at its cell shift. u descends, so
         each stage's shifts ascend and span a run of W windows (W is the
         widest run of the block); a (K, W) table holds the largest reward
-        landing on each shift, ``-inf`` where none does. A stage is then one
-        basic-slice read of a band of W windows per row, one add of that
-        table's row and a max over the windows. Dropping the slower
+        landing on each shift, ``-inf`` where none does. Dropping the slower
         velocities of a shared shift leaves the max bitwise unchanged, since
         float addition of a larger reward never rounds below a smaller one.
-        Rows never interact, and each does the float64 adds and maxes of a
-        one-plan DP in its order, so every plan is bitwise the same whichever
-        block solves it. Before stage k, the row whose first ``take`` stages
-        include k stores its unmasked V_{k+1} for the rollout.
+
+        The padded rows lie L cells apart in one flat buffer, so shift w's
+        windows over rows a:z are one contiguous run of it, m = (z - a - 1)
+        * L + S cells from a * L + start + w. A stage is one basic-slice read
+        of W such runs from the sliding-window view, one (W, m) add of the
+        table's column and one max over the W runs, written to the value
+        rows in place (their stride is L too). Positions between two rows'
+        S valid cells read one row's top pad and the next row's low pad and
+        middle; their sums land between the value rows and are never read.
+        Each valid cell gets the float64 adds and maxes of a one-plan DP in
+        its order, so every plan is bitwise the same whichever block solves
+        it. Before stage k, the row whose first ``take`` stages include k
+        stores its unmasked V_{k+1} for the rollout.
         """
         n = len(self.p_in)
         interval = self.cfg.replan_interval
@@ -329,9 +362,11 @@ class MpcController:
 
         count = len(starts)
         values = self._values
-        tmp = self._tmp[:count * width * n_soc].reshape(count, width, n_soc)
+        flat_values = self._flat_values
+        length = self._length
+        bands = self._bands
+        tmp = self._tmp[:width]
         terminal = self.cfg.terminal_reward_slope * lattice
-        windows = self._windows
         a = count
         for k in range(stop - step - 1, -1, -1):
             # rows [a, z) hold stage step + k; rows [entered, a) start there
@@ -344,10 +379,11 @@ class MpcController:
             if row < count:
                 self._stored[row, i] = values[row]
             self._load(values[a:z], first[k], end[k], a, z)
-            start = run[k]
-            band = tmp[:z - a]
-            np.add(windows[a:z, start:start + width], best[k], out=band)
-            np.max(band, axis=1, out=values[a:z])
+            m = (z - a - 1) * length + n_soc
+            start = a * length + run[k]
+            band = tmp[:, :m]
+            np.add(bands[start:start + width, :m], best[k], out=band)
+            np.maximum.reduce(band, axis=0, out=flat_values[a * length:a * length + m])
 
         self._step = step
         self._starts = starts

@@ -301,6 +301,55 @@ class TestPlanValues:
         assert actions.tolist() == [0.5, 0.5, 0.5, 0.0, 0.0, 0.0]
         assert np.array_equal(actions, dp_gather_plan(ctl, 3.0, 0)[1])
 
+    def test_lockstep_rows_reach_both_pads(self):
+        """Every row of a four-row block, at every root, against the gather loop.
+
+        1 Wh cells and dt = 1 h: 3-6 W of input against draws of 0, 1 and
+        8 W move the state by +3..+5, +2..+4 and -5..-3 cells, so at every
+        stage each row's run of windows reaches below cell 0 (the ``-inf``
+        underflow) and past the top cell (its repeat). Both pads decide
+        plans: at 2000 m/Wh a cell is worth more than the 1800 m that 1 m/s
+        gains over 0.5 m/s, so from the top cell 0.5 m/s clamped there is
+        best while the ceiling is at the top; where it dips to cell 2, the
+        low cells have only 1 m/s left, and it underflows. A pad that leaked
+        between rows or was left stale changes a plan here. Plans at 0, 2, 4
+        and 6 with an 8-step horizon on a 13-step mission stop at 8, 10, 12
+        and 13: the sweep starts with one row, the others enter one by one,
+        and each leaves at its start while the later rows go on.
+        """
+        params = VesselParams(k_h=0.0, k_m=8.0, b_min=0.0, b_max=32.0, u_min=0.0, u_max=1.0)
+        rng = np.random.default_rng(7)
+        n = 13
+        p_in = rng.uniform(3.0, 6.0, n)
+        lower = np.zeros(n + 1)
+        upper = np.full(n + 1, 32.0)
+        upper[[6, 12]] = 2.0  # each row's horizon holds a dip
+        cfg = MpcConfig(
+            horizon=8 * 3600.0,
+            soc_grid=33,
+            u_grid=3,
+            terminal_reward_slope=2000.0,
+            replan_interval=2,
+        )
+        ctl = MpcController(cfg, p_in, lower, upper, params, 3600.0)
+        shifts = np.floor(p_in[:, None] - ctl.draw_desc)
+        assert (shifts[:, 0] < 0).all() and (shifts[:, -1] > 0).all()
+        ctl.plan(0.0, 0)
+        assert ctl._starts == [0, 2, 4, 6] and ctl._stops == [8, 10, 12, 13]
+        feasible = 0
+        for s in ctl._starts:
+            for root in range(33):
+                got, actions = ctl.plan(float(root), s)
+                want, ref_actions = dp_gather_plan(ctl, float(root), s)
+                assert got == want
+                if ref_actions is None:
+                    assert actions is None
+                    continue
+                feasible += 1
+                assert np.array_equal(actions, ref_actions)
+        assert ctl._step == 0  # every plan read a row of the one block
+        assert feasible >= 40, feasible
+
     def test_zero_terminal_slope_goes_full_throttle(self, params):
         """Stored energy worth nothing and inputs abundant: run at u_max."""
         ctl = _make_controller(*_flat(1200.0, 10), 360.0, 131, 24, 0.0, params)
@@ -422,11 +471,14 @@ def _plan_instance(draw):
 @settings(max_examples=60, deadline=None)
 @given(_plan_instance())
 def test_plan_matches_gather_reference_property(instance):
-    """Bitwise value and actions against the gather loop, at step and step + R."""
+    """Bitwise value and actions against the gather loop, on every row of a block.
+
+    The plans at step, step + R, ... are the rows of the block swept for
+    step; a pad cell leaking between rows of the flat buffer shows in one.
+    """
     ctl, step, roots = instance
-    # the plan at step + R is a row of the block swept for step, if it has two
-    for s in range(step, min(step + 2 * ctl.cfg.replan_interval, len(ctl.p_in)),
-                   ctl.cfg.replan_interval):
+    interval = ctl.cfg.replan_interval
+    for s in range(step, min(step + ctl._rows * interval, len(ctl.p_in)), interval):
         for b in roots:
             got, actions = ctl.plan(b, s)
             want, ref_actions = dp_gather_plan(ctl, b, s)
@@ -435,6 +487,7 @@ def test_plan_matches_gather_reference_property(instance):
                 assert actions is None
             else:
                 assert np.array_equal(actions, ref_actions)
+    assert ctl._step == step  # one sweep served every row
 
 
 # ======================================================================

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from solarasv import cli
+from solarasv import benchmark, cli
 from solarasv.cli import main
 from solarasv.config import SimConfig
 from solarasv.harness import compare_strategies, run_mission
@@ -72,6 +72,16 @@ class TestExampleConfigs:
         assert main(["barriers", "--config", cfg, "--output", str(tmp_path)]) == 0
         assert "mode=periodic-day" in capsys.readouterr().out
 
+    def test_every_step_planner_example_runs_in_blocks(self, tmp_path, capsys, monkeypatch):
+        """mpc.cfg re-plans at every step: 62-plan blocks, bytes of one-plan blocks."""
+        cfg = str(self.CONFIGS / "mpc.cfg")
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "block")]) == 0
+        assert capsys.readouterr().out.startswith("strategy=mpc ")
+        monkeypatch.setattr(benchmark, "_STAGE_CELLS", 1)  # one row per block
+        assert main(["run", "--config", cfg, "--output", str(tmp_path / "row")]) == 0
+        trace = (tmp_path / "block" / "trace.csv").read_bytes()
+        assert len(trace.splitlines()) == 1 + 480
+        assert trace == (tmp_path / "row" / "trace.csv").read_bytes()
 
     def test_noisy_example_runs_and_repeats(self, tmp_path, capsys):
         cfg = str(self.CONFIGS / "noisy.cfg")
