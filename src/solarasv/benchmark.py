@@ -40,9 +40,9 @@ cells, so every velocity's successor values form a shifted window of one
 padded value vector (``-inf`` below cell 0, the top cell repeated above it).
 The shift falls as u rises, so a stage's velocities land on one contiguous
 run of shifts, and velocities sharing a shift share a window; only the
-fastest of them can win. A stage masks the vector to the envelope, reads the
-run of windows (a view), adds each shift's best reward (``-inf`` for a shift
-no velocity lands on) and takes the max; no stage keeps an argmax.
+fastest of them can win. A stage sets the pads and the cells outside the
+envelope, adds each shift's best reward (``-inf`` if no velocity lands on
+it) to the run of windows and maxes in place; no stage keeps an argmax.
 
 A plan's DP depends only on its start step, never on the SOC, and every plan
 that contains a stage sees there the same shifts, best rewards and envelope.
@@ -56,9 +56,9 @@ positions that straddle two rows compute on pad cells and are never read;
 rows never interact otherwise, so each plan is bitwise the plan it would be
 alone. A block has at most ceil(H / R) rows, fewer when a stage would touch
 more than ``_STAGE_CELLS`` cells; later calls at the block's steps read
-their row. The stages a plan executes before its next replan store the
-value vector they read, and the rollout re-derives each action from the U
-candidates at the current state alone.
+their row's root values. The stages a plan executes before its next replan
+store the masked vector they read, and the rollout re-derives each action
+from the U candidates at the current state, applying the pads by index.
 
 If no action is feasible from the current state the controller falls back to
 the switching law on the step loop's bounds with u_min as the interior
@@ -68,7 +68,6 @@ velocity: u_max at or above the upper barrier, u_min otherwise.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -81,17 +80,17 @@ from .vessel import VesselParams
 
 # cells one lockstep stage may touch (rows x windows x SOC levels); the cap
 # keeps a block of every-step plans on a large lattice from allocating hundreds
-# of MB. Re-measured with the flat band (2-core Xeon, 2 MB L2 per core, numpy
-# 2.4; replan_interval = 1, 12 h horizon, best-of-3 plan times):
-#   131 x 24, 2 days: 2^15 62 rows 40.8 ms, 2^16 and 2^17 120 rows 37.8, 36.3;
-#     perfbench mpc-every-step wall_s 0.040 vs 0.0355 ref s, but peak_rss_mb
-#     36.4-36.5 vs 37.1-37.4 MB (the parent read 36.1-36.2)
-#   651 x 24, 2 days: 2^15 4 rows 690 ms, 2^16 8 rows 331, 2^17 16 rows 298
-#   1301 x 24, 1 day: 2^15 1 row 1091 ms, 2^16 2 rows 1005, 2^17 4 rows 464,
-#     2^18 9 rows 648 (past 1 MB the work array crowds the cache)
-#   3251 x 48, 1 day, 48-step horizon: one row up to 2^18, 1399 ms; 2^19
-#     3 rows 2091 ms
-# 2^15 stays: a larger cap buys speed with memory, ~1 MB on mpc-every-step
+# of MB. Re-measured with the values in their padded rows (2-core Xeon, 2 MB
+# L2 per core, numpy 2.4; replan_interval = 1, 12 h horizon, best plan times):
+#   131 x 24, 2 days (configs/mpc.cfg): 2^15 62 rows 25.7 ms, 2^16 and 2^17
+#     120 rows 23.2 ms; perfbench mpc-every-step wall_s 0.0293-0.0306 vs
+#     0.0253-0.0273 ref s, but peak_rss_mb 36.18-36.30 vs 36.76-37.01 MB
+#   651 x 24, 2 days: 2^15 4 rows 669 ms, 2^16 8 rows 298, 2^17 16 rows 281
+#   1301 x 24, 1 day: 2^15 1 row 1029 ms, 2^16 2 rows 973, 2^17 4 rows 402,
+#     2^18 9 rows 551 (past 1 MB the work array crowds the cache)
+#   3251 x 48, 1 day, 48-step horizon: one row up to 2^18, 1076-1177 ms;
+#     2^19 3 rows 1831 ms
+# 2^15 stays: a larger cap buys speed with memory, ~0.6 MB on mpc-every-step
 _STAGE_CELLS = 2 ** 15
 
 
@@ -156,15 +155,15 @@ class MpcController:
     after the final step. Plans stop at the last step.
 
     Plans are solved in blocks (see ``_sweep``), and the controller keeps the
-    last block: its root values per row and the stored vectors each row's
-    rollout reads. The buffers a block works in are allocated here, once, for
-    the most rows any block can have: ``rows = min(ceil(H / R), max(1,
-    _STAGE_CELLS // (W * S)))`` with H the horizon in steps (capped at the
-    mission), R the replan interval, W the widest run of shifts the mission
-    allows and S the lattice size. Padded rows are L = lo pad + S + hi pad +
-    W cells long and lie back to back in one flat buffer; one sliding-window
-    view of it serves every stage's band, and the value rows keep the same
-    stride L in a second flat buffer, so a band's max lands on them in place.
+    last block: each row's root values, in the middle of its padded row, and
+    the stored vectors its rollout reads. Its buffers are allocated here,
+    once, for the most rows a block can have: ``rows = min(ceil(H / R),
+    max(1, _STAGE_CELLS // (W * S)))`` with H the horizon in steps (capped at
+    the mission), R the replan interval, W the widest run of shifts the
+    mission allows and S the lattice size. Padded rows are L = lo pad + S +
+    hi pad + W cells long and lie back to back in one flat buffer; one
+    sliding-window view of it serves every stage's band, whose max lands in
+    the rows' middles in place. A (W, (rows - 1) * L + S) array takes its sums.
     """
 
     def __init__(
@@ -209,7 +208,7 @@ class MpcController:
         hi = max(0, math.floor((self.p_in.max() - draw_min) * dtf / self.res))
         width = math.floor((draw_max - draw_min) * dtf / self.res) + 2
         # a block holds the plans at step, step + R, ...: each row of these
-        # buffers is one plan's padded vector, value vector and stored vectors
+        # buffers is one plan's padded row and stored vectors
         n_soc = cfg.soc_grid
         span = min(self.horizon_steps, len(self.p_in))
         interval = cfg.replan_interval
@@ -221,15 +220,12 @@ class MpcController:
         widest = (rows - 1) * length + n_soc
         flat = np.full((2 * rows - 1) * length, -np.inf)
         self._rows = rows
-        self._length = length
         self._padded = flat[:rows * length].reshape(rows, length)
+        self._values = flat[self._lo:]  # row r's values: S cells from r * L
         self._bands = sliding_window_view(flat, widest)
-        self._middle = self._padded[:, self._lo:self._lo + n_soc]
         self._tmp = np.empty((width, widest))
-        # the cells between the value rows take a band's unread positions
-        self._flat_values = np.empty(rows * length)
-        self._values = self._flat_values.reshape(rows, length)[:, :n_soc]
         self._stored = np.empty((rows, min(interval, span), n_soc))
+        self._rewards = self.u_desc * self.dt
         # the block swept last (see _sweep): its first step and row starts
         self._step = 0
         self._starts: list[int] = []
@@ -248,11 +244,13 @@ class MpcController:
         The plan is one row of a block (see ``_sweep``): if ``step`` is not a
         row of the block solved last, a new block starting at ``step`` is
         swept first. The root snaps down to a lattice cell and reads the
-        row's root values. No stage keeps an argmax: the rollout loads each
-        of the first ``take = min(replan_interval, K)`` stored vectors again
-        and takes the argmax over all U candidates at the current state, the
-        same float64 sums the stage maxed over; the first maximum is always
-        the fastest velocity of its shift. Ties go to the higher velocity.
+        row's root values. No stage keeps an argmax: for each of the first
+        ``take = min(replan_interval, K)`` stages the rollout reads the U
+        candidates at the current state from the stage's stored masked
+        vector, applying the pads by index (``-inf`` below cell 0, the top
+        cell above it), and takes the argmax of the same float64 sums the
+        stage maxed over; the first maximum is always the fastest velocity
+        of its shift. Ties go to the higher velocity. A plan writes no buffer.
 
         ``step`` must lie in [0, len(p_in)); anything else is a ValueError.
         Returns (optimal lattice value, the first ``take`` planned velocities)
@@ -266,25 +264,25 @@ class MpcController:
             self._sweep(step)
             row = 0
         root = self._snap(b)
-        value = self._values[row, root]
+        value = self._padded[row, self._lo + root]
         if not np.isfinite(value):
             return float("-inf"), None
 
         # each executed action is the argmax over all U candidates at the
-        # current state: the same padded vector, the same float64 sums
+        # current state: the stage's masked vector with its pads applied by
+        # index, the same float64 sums the stage maxed over
         k0 = step - self._step
         take = min(self.cfg.replan_interval, self._stops[row] - step)
-        rewards = self.u_desc * self.dt
-        shifts = self._shifts[k0:k0 + take]
-        starts = shifts + self._lo
+        top = self.lattice.size - 1
         actions = np.empty(take)
         state = root
-        for i in range(take):
-            k = k0 + i
-            self._load(self._stored[row, i], self._first[k], self._end[k], 0, 1)
-            j = int((self._padded[0, starts[i] + state] + rewards).argmax())
+        for i, shifts in enumerate(self._shifts[k0:k0 + take]):
+            cells = state + shifts
+            sums = self._stored[row, i].take(cells, mode="clip") + self._rewards
+            sums[cells < 0] = -np.inf
+            j = int(sums.argmax())
             actions[i] = self.u_desc[j]
-            state = min(max(state + int(shifts[i, j]), 0), self.lattice.size - 1)
+            state = min(max(int(cells[j]), 0), top)
         return float(value), actions
 
     def _sweep(self, step: int) -> None:
@@ -298,36 +296,38 @@ class MpcController:
         and stops both ascend); a row enters with the terminal values at
         k = stop_b - 1 and leaves at k = s_b holding its root values.
 
-        Each stage copies the active rows' values inside the envelope
-        [b_l, b_u] into the middle of their padded rows (``-inf`` at the
-        other cells); the cells below it hold ``-inf`` (underflow) and those
-        above it copies of the top cell (the clamp). Velocity j's candidate
-        row is the length-S window starting at its cell shift. u descends, so
-        each stage's shifts ascend and span a run of W windows (W is the
-        widest run of the block); a (K, W) table holds the largest reward
-        landing on each shift, ``-inf`` where none does. Dropping the slower
+        Each row's values live in the middle of its padded row. Before stage
+        k's add, two writes over rows a:z set ``-inf`` up to the envelope's
+        first cell (underflow) and past its last cell, or, if it reaches the
+        top cell, copies of that cell across the high pad (the clamp).
+        Velocity j's candidate row is the length-S window starting at its
+        cell shift. u descends, so stage k's shifts ascend and span a run of
+        W_k windows; a (K, W) table (W the widest run of the block) holds the
+        largest reward landing on each shift, ``-inf`` where none does, and
+        a stage reads only its own W_k windows. Dropping the slower
         velocities of a shared shift leaves the max bitwise unchanged, since
         float addition of a larger reward never rounds below a smaller one.
 
         The padded rows lie L cells apart in one flat buffer, so shift w's
         windows over rows a:z are one contiguous run of it, m = (z - a - 1)
         * L + S cells from a * L + start + w. A stage is one basic-slice read
-        of W such runs from the sliding-window view, one (W, m) add of the
-        table's column and one max over the W runs, written to the value
-        rows in place (their stride is L too). Positions between two rows'
-        S valid cells read one row's top pad and the next row's low pad and
-        middle; their sums land between the value rows and are never read.
+        of W_k such runs from the sliding-window view, one (W_k, m) add of
+        the table's column into the work array and one max over those runs,
+        written to the middles of rows a:z. Positions between two rows' S
+        valid cells read one row's high pad and the next row's low pad and
+        middle; their maxes land in those pads, which the next stage sets
+        again before reading. Neither the max nor the pad writes reach past
+        row z - 1, so a row that has left the band keeps its root values.
         Each valid cell gets the float64 adds and maxes of a one-plan DP in
         its order, so every plan is bitwise the same whichever block solves
-        it. Before stage k, the row whose first ``take`` stages include k
-        stores its unmasked V_{k+1} for the rollout.
+        it. After stage k's pad writes, the row whose first ``take`` stages
+        include k stores its masked V_{k+1} for the rollout.
         """
         n = len(self.p_in)
         interval = self.cfg.replan_interval
         starts = list(range(step, min(step + self._rows * interval, n), interval))
         stops = [min(s + self.horizon_steps, n) for s in starts]
         stop = stops[-1]
-        dtf = self.dt / 3600.0
         p = self.p_in[step:stop]
         bl = self.lower[step + 1:stop + 1]
         bu = self.upper[step + 1:stop + 1]
@@ -337,22 +337,21 @@ class MpcController:
         # quantized per-stage cell shifts, one row per stage, u descending;
         # floor biases toward energy loss so the plan stays physically coverable
         shifts = np.floor(
-            (p[:, None] - self.draw_desc[None, :]) * dtf / self.res
+            (p[:, None] - self.draw_desc[None, :]) * (self.dt / 3600.0) / self.res
         ).astype(np.int64)
 
         # u descends, so each row of shifts ascends: stage k's velocities land
-        # in the run of shifts lo[k] + [0, width), and best[k, w] is the
+        # in the run of shifts lo[k] + [0, width[k]), and best[k, w] is the
         # largest reward among those landing on lo[k] + w (-inf if none does)
-        rewards = self.u_desc * self.dt
         lo = shifts[:, 0]
         offset = shifts - lo[:, None]
-        width = int(offset[:, -1].max()) + 1
+        width = (offset[:, -1] + 1).tolist()
         fastest = np.empty(shifts.shape, dtype=bool)
         fastest[:, 0] = True
         np.not_equal(shifts[:, 1:], shifts[:, :-1], out=fastest[:, 1:])
         stages, cols = np.nonzero(fastest)
-        best = np.full((stop - step, width, 1), -np.inf)
-        best[stages, offset[stages, cols], 0] = rewards[cols]
+        best = np.full((stop - step, max(width), 1), -np.inf)
+        best[stages, offset[stages, cols], 0] = self._rewards[cols]
         run = (lo + self._lo).tolist()
 
         # the lattice ascends, so stage k's envelope [b_l, b_u] is the cell
@@ -361,43 +360,44 @@ class MpcController:
         end = np.searchsorted(lattice, bu, side="right").tolist()
 
         count = len(starts)
+        # stage k's band is rows [entered[k], ends[k]): the plans containing it
+        ks = np.arange(step, stop)
+        entered = np.searchsorted(stops, ks, side="right").tolist()
+        ends = np.searchsorted(starts, ks, side="right").tolist()
+        lo_pad = self._lo
+        high = lo_pad + n_soc  # the high pad's first cell
+        padded = self._padded
         values = self._values
-        flat_values = self._flat_values
-        length = self._length
+        length = padded.shape[1]
         bands = self._bands
-        tmp = self._tmp[:width]
+        tmp = self._tmp
         terminal = self.cfg.terminal_reward_slope * lattice
         a = count
         for k in range(stop - step - 1, -1, -1):
-            # rows [a, z) hold stage step + k; rows [entered, a) start there
-            entered = bisect_right(stops, step + k)
-            z = bisect_right(starts, step + k)
-            if entered < a:
-                values[entered:a] = terminal
-                a = entered
+            if entered[k] < a:
+                padded[entered[k]:a, lo_pad:high] = terminal
+                a = entered[k]
+            z = ends[k]
+            rows = padded[a:z]
+            rows[:, :lo_pad + first[k]] = -np.inf
+            if end[k] < n_soc:
+                rows[:, lo_pad + end[k]:] = -np.inf
+            else:
+                rows[:, high:] = rows[:, high - 1:high]
             row, i = divmod(k, interval)
             if row < count:
-                self._stored[row, i] = values[row]
-            self._load(values[a:z], first[k], end[k], a, z)
+                self._stored[row, i] = padded[row, lo_pad:high]
             m = (z - a - 1) * length + n_soc
             start = a * length + run[k]
-            band = tmp[:, :m]
-            np.add(bands[start:start + width, :m], best[k], out=band)
-            np.maximum.reduce(band, axis=0, out=flat_values[a * length:a * length + m])
+            w = width[k]
+            band = tmp[:w, :m]
+            np.add(bands[start:start + w, :m], best[k, :w], out=band)
+            np.maximum.reduce(band, axis=0, out=values[a * length:a * length + m])
 
         self._step = step
         self._starts = starts
         self._stops = stops
         self._shifts = shifts
-        self._first = first
-        self._end = end
-
-    def _load(self, value: np.ndarray, first: int, end: int, a: int, z: int) -> None:
-        """Pad ``value`` masked to the cells [first, end) into rows a:z for a window read."""
-        middle = self._middle[a:z]
-        middle.fill(-np.inf)
-        middle[:, first:end] = value[..., first:end]
-        self._padded[a:z, self._lo + middle.shape[1]:] = middle[:, -1:]
 
     def __call__(self, b: float, b_l: float, b_u: float, step: int) -> float:
         if self._next == len(self._actions):

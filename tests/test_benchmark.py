@@ -315,7 +315,10 @@ class TestPlanValues:
         between rows or was left stale changes a plan here. Plans at 0, 2, 4
         and 6 with an 8-step horizon on a 13-step mission stop at 8, 10, 12
         and 13: the sweep starts with one row, the others enter one by one,
-        and each leaves at its start while the later rows go on.
+        and each leaves at its start while the later rows go on. The rows
+        are read in start order and then in reverse: a root value that a
+        later row's stages or rollout overwrote shows only in a row read
+        after a later one.
         """
         params = VesselParams(k_h=0.0, k_m=8.0, b_min=0.0, b_max=32.0, u_min=0.0, u_max=1.0)
         rng = np.random.default_rng(7)
@@ -337,7 +340,7 @@ class TestPlanValues:
         ctl.plan(0.0, 0)
         assert ctl._starts == [0, 2, 4, 6] and ctl._stops == [8, 10, 12, 13]
         feasible = 0
-        for s in ctl._starts:
+        for s in ctl._starts + ctl._starts[::-1]:
             for root in range(33):
                 got, actions = ctl.plan(float(root), s)
                 want, ref_actions = dp_gather_plan(ctl, float(root), s)
@@ -475,10 +478,13 @@ def test_plan_matches_gather_reference_property(instance):
 
     The plans at step, step + R, ... are the rows of the block swept for
     step; a pad cell leaking between rows of the flat buffer shows in one.
+    They are read in start order and then in reverse, so a write that
+    reached a row after it left the band shows too.
     """
     ctl, step, roots = instance
     interval = ctl.cfg.replan_interval
-    for s in range(step, min(step + ctl._rows * interval, len(ctl.p_in)), interval):
+    rows = range(step, min(step + ctl._rows * interval, len(ctl.p_in)), interval)
+    for s in [*rows, *reversed(rows)]:
         for b in roots:
             got, actions = ctl.plan(b, s)
             want, ref_actions = dp_gather_plan(ctl, b, s)
