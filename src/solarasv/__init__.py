@@ -11,13 +11,8 @@ their submodules.
 """
 
 from .benchmark import MpcConfig
-from .config import (
-    ConfigError,
-    IlcSettings,
-    SimConfig,
-    load_compare_configs,
-    load_sim_config,
-)
+from .config import ConfigError, SimConfig, load_compare_configs, load_sim_config
+from .controller import IlcSettings
 from .harness import (
     SimResult,
     compare_strategies,

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -123,9 +124,9 @@ class MpcConfig:
     horizon: lookahead in seconds (truncated at the mission's last step); it
       must be a whole number of steps, and ``MpcController`` rejects any
       other horizon.
-    soc_grid / u_grid: lattice sizes (>= 2 each).
+    soc_grid / u_grid: lattice sizes (integers >= 2 each).
     terminal_reward_slope: value of terminal stored energy, m per Wh.
-    replan_interval: steps executed from each plan before re-solving.
+    replan_interval: whole steps executed from each plan before re-solving.
     """
 
     horizon: float = 172800.0
@@ -137,6 +138,9 @@ class MpcConfig:
     def __post_init__(self) -> None:
         if not 0 < self.horizon < math.inf:
             raise ValueError("horizon must be finite and > 0")
+        sizes = (self.soc_grid, self.u_grid, self.replan_interval)
+        if not all(isinstance(n, Integral) for n in sizes):
+            raise ValueError("soc_grid, u_grid and replan_interval must be integers")
         if self.soc_grid < 2 or self.u_grid < 2:
             raise ValueError("soc_grid and u_grid must be >= 2")
         if not 0 <= self.terminal_reward_slope < math.inf:

@@ -8,11 +8,11 @@
 summary.csv and daily.csv. ``compare`` runs every strategy in
 sim.strategies over the shared source and writes comparison.csv and
 distance_series.csv. ``barriers`` only builds the tightened-SOC envelope and
-writes envelope.csv; it reads a compare file too, whose sim.strategies
-``run`` rejects. All outputs land in sim.output_dir unless --output
-overrides it. Each command writes its files before it prints, so when a
-reader closes stdout early (head, a pager) nothing is lost and the command
-still exits 0.
+writes envelope.csv; it reads a compare file too, as its first strategy's
+config, so it accepts every file ``compare`` accepts. All outputs land in
+sim.output_dir unless --output overrides it. Each command writes its files
+before it prints, so when a reader closes stdout early (head, a pager)
+nothing is lost and the command still exits 0.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .barrier import write_envelope_csv
-from .config import ConfigError, load_compare_configs, load_sim_config
+from .config import ConfigError, load_compare_configs, load_sim_config, parse_kv_file
 from .harness import (
     compare_strategies,
     export_comparison,
@@ -85,7 +85,9 @@ def _cmd_compare(config: str, output: str | None) -> int:
 
 
 def _cmd_barriers(config: str, output: str | None) -> int:
-    cfg = load_sim_config(config, compare_file=True)
+    # the strategies of a compare file share its envelope
+    compare = "sim.strategies" in parse_kv_file(config)
+    cfg = load_compare_configs(config)[0] if compare else load_sim_config(config)
     env = tabulate_mission(cfg).env
     out_dir = Path(cfg.output_dir if output is None else output)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,8 +17,8 @@ function its text converts through; keys are namespaced by module:
     solar.table                             CSV of per-day rows day,d0,d1
     solar.file solar.scale solar.interpolation solar.periodic
     barrier.mode (horizon | periodic-day)
-    controller.k_p controller.k_d controller.delta controller.u_init
-    controller.b_des (number | cycle-start)
+    controller.<field>                      every field of IlcSettings,
+                                            b_des as a number or cycle-start
     mpc.<field>                             every field of MpcConfig
     sim.dt sim.mission_length sim.initial_soc sim.strategy sim.strategies
     sim.rng_seed sim.noise_std sim.output_dir
@@ -50,6 +50,7 @@ from typing import Callable, get_type_hints
 
 from .barrier import MODES as BARRIER_MODES
 from .benchmark import MpcConfig
+from .controller import IlcSettings
 from .solar import FileSource, IdealizedSource, _finite_problems, read_rows, whole_steps
 from .vessel import VesselParams
 
@@ -65,17 +66,6 @@ def _raise_problems(problems: list[str]) -> None:
     """Raise one ConfigError that lists every problem; do nothing if none."""
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
-
-
-@dataclass(frozen=True)
-class IlcSettings:
-    """Learned-controller gains and buffer width."""
-
-    k_p: float = 5e-5    # (m/s)/Wh per cycle
-    k_d: float = 1e-5    # (m/s)/Wh per step
-    delta: float = 100.0  # blending band, Wh
-    u_init: float = 1.0   # initial velocity estimate, m/s
-    b_des: float | None = None  # fixed terminal target; None tracks cycle start
 
 
 @dataclass(frozen=True)
@@ -221,10 +211,7 @@ _KEYS: dict[str, Callable[[str], object]] = {
     "solar.interpolation": str,
     "solar.periodic": _flag,
     "barrier.mode": str,
-    "controller.k_p": float,
-    "controller.k_d": float,
-    "controller.delta": float,
-    "controller.u_init": float,
+    **_field_keys("controller", IlcSettings),
     "controller.b_des": _b_des,
     **_field_keys("mpc", MpcConfig),
     "sim.dt": float,
@@ -372,18 +359,15 @@ def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
     return SimConfig(solar=solar, vessel=vessel, ilc=ilc, mpc=mpc, **sim)
 
 
-def load_sim_config(path: str | Path, compare_file: bool = False) -> SimConfig:
+def load_sim_config(path: str | Path) -> SimConfig:
     """Parse a config file into a single-run SimConfig.
 
     A file that sets sim.strategies is a compare file, and one mission run
-    from it would silently ignore the list, so it is rejected unless
-    ``compare_file`` says the caller reads only the keys its strategies
-    share (the envelope does).
+    from it would silently ignore the list, so it is rejected.
     """
     p = Path(path)
     values = parse_kv_file(p)
-    if not compare_file:
-        _reject_keys(values, ("sim.strategies",), "solarasv compare runs the file")
+    _reject_keys(values, ("sim.strategies",), "solarasv compare runs the file")
     return build_sim_config(values, p.parent.resolve())
 
 

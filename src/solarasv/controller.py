@@ -28,14 +28,16 @@ solved from a forecast (:class:`IlcPolicy`):
       u_cmd(t) = u_hat + k_d * (b(t) - b_prev(t))
   applied to the cycle-frozen u_hat (corrections do not compound).
 
-Both updates project onto [u_min, u_max]. The harness's step loop calls these
-laws with the measured SOC; they are the only implementations.
+Both updates project onto [u_min, u_max]. :class:`IlcSettings` configures the
+learner, which reports each cycle as an :class:`IterationRecord`. The step
+loop calls these laws with the measured SOC; they are the only implementations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,6 +139,26 @@ def validate_buffer(env: BarrierEnvelope, delta: float) -> None:
 # iterative learning
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class IlcSettings:
+    """Learned-controller gains and buffer width."""
+
+    k_p: float = 5e-5    # (m/s)/Wh per cycle
+    k_d: float = 1e-5    # (m/s)/Wh per step
+    delta: float = 100.0  # blending band, Wh
+    u_init: float = 1.0   # initial velocity estimate, m/s
+    b_des: float | None = None  # fixed terminal target; None tracks cycle start
+
+
+class IterationRecord(NamedTuple):
+    """One closed cycle: the updated u_hat, its costate and the true terminal SOC."""
+
+    iteration: int
+    u_hat: float
+    p1: float  # nan when u_hat == 0, where the costate diverges
+    terminal_soc: float
+
+
 class IlcPolicy:
     """The learned-velocity controller as the step loop runs it.
 
@@ -144,11 +166,13 @@ class IlcPolicy:
     the measurement in the running cycle's trace, applies the rate correction
     against the previous cycle's trace and passes the result through the
     buffered law. :meth:`end_cycle` is called once per cycle with the
-    measured cycle-end SOC and applies the proportional update.
+    measured and the true cycle-end SOC, applies the proportional update and
+    returns the cycle's record.
 
     u_hat: current interior velocity estimate, m/s (within vessel limits).
-    b_des: terminal-SOC target of the running cycle, Wh. With
-        ``retarget=True`` it moves to each cycle's measured terminal SOC.
+    b_des: terminal-SOC target of the running cycle, Wh. When the settings'
+        b_des is None it starts at the initial SOC and moves to each cycle's
+        measured terminal SOC.
     prev_soc: the previous cycle's measured SOC per step, None during the
         first cycle.
     iteration: completed cycles.
@@ -156,33 +180,26 @@ class IlcPolicy:
 
     __slots__ = (
         "cycle_steps", "k_p", "k_d", "delta", "u_min", "u_max", "retarget",
-        "u_hat", "b_des", "prev_soc", "cycle_soc", "iteration",
+        "u_hat", "b_des", "prev_soc", "cycle_soc", "iteration", "params",
     )
 
     def __init__(
-        self,
-        params: VesselParams,
-        cycle_steps: int,
-        u_init: float,
-        k_p: float,
-        k_d: float,
-        delta: float,
-        b_des: float,
-        retarget: bool,
+        self, settings: IlcSettings, params: VesselParams, cycle_steps: int, initial_soc: float
     ) -> None:
         if cycle_steps < 1:
             raise ValueError("cycle_steps must be >= 1")
-        if delta <= 0:
+        if settings.delta <= 0:
             raise ValueError("delta must be > 0")
         self.cycle_steps = cycle_steps
-        self.k_p = k_p
-        self.k_d = k_d
-        self.delta = delta
+        self.k_p = settings.k_p
+        self.k_d = settings.k_d
+        self.delta = settings.delta
         self.u_min = params.u_min
         self.u_max = params.u_max
-        self.retarget = retarget
-        self.u_hat = float(u_init)
-        self.b_des = float(b_des)
+        self.params = params
+        self.retarget = settings.b_des is None
+        self.u_hat = float(settings.u_init)
+        self.b_des = float(initial_soc if self.retarget else settings.b_des)
         self.prev_soc: list[float] | None = None
         self.cycle_soc = [0.0] * cycle_steps
         self.iteration = 0
@@ -204,9 +221,9 @@ class IlcPolicy:
             b, b_l, b_u, u_star, self.delta, self.u_min, self.u_max
         )
 
-    def end_cycle(self, b_tf: float) -> None:
-        """Close one cycle: proportional update on the terminal-SOC error."""
-        u = self.u_hat + self.k_p * (b_tf - self.b_des)
+    def end_cycle(self, b_meas: float, b: float) -> IterationRecord:
+        """Close one cycle: update on the measured SOC, record the true one."""
+        u = self.u_hat + self.k_p * (b_meas - self.b_des)
         if u < self.u_min:
             u = self.u_min
         elif u > self.u_max:
@@ -215,5 +232,7 @@ class IlcPolicy:
         self.prev_soc = self.cycle_soc
         self.cycle_soc = [0.0] * self.cycle_steps
         if self.retarget:
-            self.b_des = b_tf
+            self.b_des = b_meas
         self.iteration += 1
+        p1 = costate_from_velocity(u, self.params).p1 if u > 0 else math.nan
+        return IterationRecord(self.iteration, u, p1, b)

@@ -20,9 +20,9 @@ the violation integral. The loop holds its inputs and traces as Python
 floats for one block of steps at a time (``_BLOCK``), so its working set
 does not grow with the mission; the finished traces are float arrays.
 :func:`build_policy` maps a config onto a policy: the learned controller
-(:class:`~solarasv.controller.IlcPolicy`, which also gets an end-of-cycle
-hook), the switching law around the energy-balance constant, the bare
-constant, or the receding-horizon planner.
+(:class:`~solarasv.controller.IlcPolicy`, built from the config's IlcSettings
+and returning each cycle's record), the switching law around the
+energy-balance constant, the bare constant, or the receding-horizon planner.
 
 The exports write each float as its ``repr``, so a CSV reads back bit for
 bit; every table goes through :mod:`solarasv.csvout`, which streams the
@@ -63,22 +63,10 @@ from ._fork import beside
 from .barrier import BarrierEnvelope, build_envelope
 from .benchmark import MpcController, energy_balance_velocity
 from .config import DAY_S, ConfigError, SimConfig
-from .controller import (
-    IlcPolicy,
-    _switching_velocity,
-    costate_from_velocity,
-    validate_buffer,
-)
+from .controller import IlcPolicy, IterationRecord, _switching_velocity, validate_buffer
 from .csvout import write_columns
 from .solar import SolarProfile, period_grid, sample_array, whole_steps
 from .vessel import VesselParams
-
-
-class IterationRecord(NamedTuple):
-    iteration: int
-    u_hat: float
-    p1: float
-    terminal_soc: float
 
 
 @dataclass
@@ -197,26 +185,9 @@ def build_policy(cfg: SimConfig, tab: MissionTabulation) -> Policy:
     """
     p = cfg.vessel
     if cfg.strategy == "ilc":
-        s = cfg.ilc
-        validate_buffer(tab.env, s.delta)
-        learner = IlcPolicy(
-            p,
-            cycle_steps=whole_steps(DAY_S, cfg.dt),
-            u_init=s.u_init,
-            k_p=s.k_p,
-            k_d=s.k_d,
-            delta=s.delta,
-            b_des=cfg.initial_soc if s.b_des is None else s.b_des,
-            retarget=s.b_des is None,
-        )
-
-        def end_cycle(b_meas: float, b: float) -> IterationRecord:
-            learner.end_cycle(b_meas)
-            u_hat = learner.u_hat
-            p1 = costate_from_velocity(u_hat, p).p1 if u_hat > 0 else float("nan")
-            return IterationRecord(learner.iteration, u_hat, p1, b)
-
-        return Policy(cfg.strategy, learner.velocity, learner.cycle_steps, end_cycle)
+        validate_buffer(tab.env, cfg.ilc.delta)
+        ilc = IlcPolicy(cfg.ilc, p, whole_steps(DAY_S, cfg.dt), cfg.initial_soc)
+        return Policy(cfg.strategy, ilc.velocity, ilc.cycle_steps, ilc.end_cycle)
 
     if cfg.strategy == "mpc":
         planner = MpcController(cfg.mpc, tab.p_in, tab.lower, tab.upper, p, cfg.dt)

@@ -111,11 +111,20 @@ class TestMpcConfig:
             {"horizon": float("inf")},
             {"terminal_reward_slope": float("nan")},
             {"terminal_reward_slope": float("inf")},
+            {"soc_grid": 10.5},
+            {"u_grid": 4.0},
+            {"replan_interval": 1.5},
         ],
     )
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             MpcConfig(**kw)
+
+    def test_lattice_sizes_may_be_numpy_integers(self):
+        cfg = MpcConfig(
+            soc_grid=np.int64(11), u_grid=np.int32(4), replan_interval=np.int8(2)
+        )
+        assert (cfg.soc_grid, cfg.u_grid, cfg.replan_interval) == (11, 4, 2)
 
     def test_controller_construction_validation(self, params):
         cfg = MpcConfig(horizon=3600.0)

@@ -143,6 +143,17 @@ class TestCompareFile:
         assert main(["barriers", "--config", cfg]) == 0
         assert (tmp_path / "out" / "envelope.csv").is_file()
 
+    def test_barriers_accepts_what_compare_accepts(self, tmp_path, capsys):
+        # a dt that does not divide a day is rejected for the ilc strategy
+        # only, and this file does not list it
+        text = FAST_COMPARE.replace("sim.dt = 360", "sim.dt = 700").replace(
+            "sim.mission_length = 86400", "sim.mission_length = 86100"
+        )
+        cfg = _write(tmp_path, text + "barrier.mode = periodic-day\n")
+        assert main(["compare", "--config", cfg]) == 0
+        assert main(["barriers", "--config", cfg]) == 0
+        assert "grid_points=" in capsys.readouterr().out
+
 
 class TestOneCheckPerConfig:
     """A SimConfig checks itself once, when built; nothing checks it again."""

@@ -9,6 +9,7 @@ from solarasv.barrier import BarrierEnvelope
 from solarasv.controller import (
     Costate,
     IlcPolicy,
+    IlcSettings,
     _buffered_velocity,
     _switching_velocity,
     costate_from_velocity,
@@ -173,43 +174,65 @@ class TestBufferedControl:
 WIDE = (-1e12, 1e12)  # bounds far from any SOC used here: the law returns u_star
 
 
-def _policy(params, **kw) -> IlcPolicy:
-    base = dict(
-        cycle_steps=2, u_init=1.0, k_p=5e-5, k_d=1e-5, delta=100.0,
-        b_des=3000.0, retarget=False,
-    )
-    base.update(kw)
-    return IlcPolicy(params, **base)
+def _policy(params, cycle_steps=2, initial_soc=3000.0, **kw) -> IlcPolicy:
+    settings = dict(u_init=1.0, k_p=5e-5, k_d=1e-5, delta=100.0, b_des=3000.0)
+    settings.update(kw)
+    return IlcPolicy(IlcSettings(**settings), params, cycle_steps, initial_soc)
 
 
 class TestIlcUpdates:
     def test_daily_update_proportional(self, params):
         pol = _policy(params)
-        pol.end_cycle(3400.0)
+        pol.end_cycle(3400.0, 3400.0)
         assert pol.u_hat == pytest.approx(1.0 + 5e-5 * 400.0)
         assert pol.iteration == 1
         assert pol.b_des == 3000.0
 
     def test_daily_update_fixed_point(self, params):
         pol = _policy(params)
-        pol.end_cycle(3000.0)
+        pol.end_cycle(3000.0, 3000.0)
         assert pol.u_hat == 1.0
 
     def test_daily_update_clamps(self, params):
         pol = _policy(params, u_init=2.3)
-        pol.end_cycle(1e9)
+        pol.end_cycle(1e9, 1e9)
         assert pol.u_hat == params.u_max
         pol = _policy(params, u_init=0.01)
-        pol.end_cycle(-1e9)
+        pol.end_cycle(-1e9, -1e9)
         assert pol.u_hat == params.u_min
 
     def test_daily_update_stores_trace_and_retargets(self, params):
-        pol = _policy(params, cycle_steps=3, retarget=True)
+        pol = _policy(params, cycle_steps=3, b_des=None)
         for i, b in enumerate((3000.0, 3100.0, 3200.0)):
             pol.velocity(b, *WIDE, i)
-        pol.end_cycle(3333.0)
+        pol.end_cycle(3333.0, 3333.0)
         assert pol.prev_soc == [3000.0, 3100.0, 3200.0]
         assert pol.b_des == 3333.0
+
+    def test_target_starts_at_initial_soc_without_b_des(self, params):
+        pol = _policy(params, b_des=None, initial_soc=3200.0)
+        assert pol.b_des == 3200.0
+        pol.end_cycle(3400.0, 3400.0)
+        assert pol.u_hat == pytest.approx(1.0 + 5e-5 * 200.0)
+
+    def test_record_carries_true_soc_update_uses_measured(self, params):
+        pol = _policy(params, b_des=None)
+        rec = pol.end_cycle(3400.0, 3100.0)
+        assert rec.iteration == 1 == pol.iteration
+        assert rec.u_hat == pol.u_hat == pytest.approx(1.0 + 5e-5 * 400.0)
+        assert rec.terminal_soc == 3100.0
+        assert pol.b_des == 3400.0  # retargets on the measurement too
+
+    def test_record_costate_is_the_dual_of_u_hat(self, params):
+        pol = _policy(params)
+        rec = pol.end_cycle(3400.0, 3400.0)
+        assert rec.p1 == costate_from_velocity(rec.u_hat, params).p1
+        # clamped to u_min = 0 the costate diverges: the record holds nan
+        assert params.u_min == 0.0
+        rec = pol.end_cycle(-1e9, -1e9)
+        assert rec.u_hat == 0.0
+        assert np.isnan(rec.p1)
+        assert rec.iteration == 2
 
     def test_rate_update_first_cycle_passthrough(self, params):
         pol = _policy(params)
@@ -220,7 +243,7 @@ class TestIlcUpdates:
         pol = _policy(params)
         pol.velocity(3000.0, *WIDE, 0)
         pol.velocity(3100.0, *WIDE, 1)
-        pol.end_cycle(3000.0)  # on target: u_hat stays 1.0
+        pol.end_cycle(3000.0, 3000.0)  # on target: u_hat stays 1.0
         assert pol.velocity(3150.0, *WIDE, 3) == pytest.approx(1.0 + 1e-5 * 50.0)
         # deficit versus the previous cycle slows the vessel down
         assert pol.velocity(2900.0, *WIDE, 2) == pytest.approx(1.0 - 1e-5 * 100.0)
@@ -228,7 +251,7 @@ class TestIlcUpdates:
     def test_rate_update_clamps(self, params):
         pol = _policy(params, u_init=2.3, cycle_steps=1)
         pol.velocity(3000.0, *WIDE, 0)
-        pol.end_cycle(3000.0)
+        pol.end_cycle(3000.0, 3000.0)
         assert pol.velocity(3000.0 + 1e9, *WIDE, 1) == params.u_max
         assert pol.velocity(3000.0 - 1e9, *WIDE, 2) == params.u_min
 
