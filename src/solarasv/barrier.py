@@ -142,7 +142,10 @@ class BarrierEnvelope:
         return self.period is not None
 
     def bounds_arrays(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) in Wh at each query time."""
+        """(lower, upper) in Wh at each query time.
+
+        Queried at the envelope's own grid, its read-only arrays come back.
+        """
         t = np.asarray(times, dtype=float)
         if not self.periodic and np.any((t < self.times[0]) | (t > self.times[-1])):
             raise ValueError("query time outside the envelope grid")

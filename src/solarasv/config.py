@@ -128,6 +128,11 @@ class SimConfig:
                 errors.append("sim.dt: must divide 86400 s for the ilc strategy")
             if self.ilc.delta <= 0:
                 errors.append("controller.delta: must be > 0")
+            # a negative gain learns away from the target, down to u_min
+            if self.ilc.k_p < 0:
+                errors.append("controller.k_p: must be >= 0")
+            if self.ilc.k_d < 0:
+                errors.append("controller.k_d: must be >= 0")
             if not p.u_min <= self.ilc.u_init <= p.u_max:
                 errors.append(
                     f"controller.u_init: {self.ilc.u_init} outside velocity limits"

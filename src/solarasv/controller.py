@@ -14,10 +14,10 @@ the control saturates (:func:`_switching_velocity`):
     u = u_min   if b <= b_l(t)     (hold: protect the feasible future)
     u = u*      otherwise
 
-The buffered variant (:func:`_buffered_velocity`) linearly blends between the
-saturated and interior commands over a band of width delta Wh inside each
-bound, which removes chattering and makes the commanded velocity continuous
-in b.
+The learner runs the buffered variant (``IlcPolicy.velocity``), which
+linearly blends between the saturated and interior commands over a band of
+width delta Wh inside each bound; that removes chattering and makes the
+commanded velocity continuous in b.
 
 The interior velocity itself is learned across daily cycles instead of being
 solved from a forecast (:class:`IlcPolicy`):
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,7 +79,7 @@ def stationarity_residual(u: float, costate: Costate, params: VesselParams) -> f
 
 
 # ---------------------------------------------------------------------------
-# switching / buffered control
+# switching control
 # ---------------------------------------------------------------------------
 
 def _switching_velocity(
@@ -91,36 +91,6 @@ def _switching_velocity(
     if b <= b_l:
         return u_min
     return u_hat
-
-
-def _buffered_velocity(
-    b: float,
-    b_l: float,
-    b_u: float,
-    u_star: float,
-    delta: float,
-    u_min: float,
-    u_max: float,
-) -> float:
-    """Switching law with linear blending bands of width ``delta`` Wh.
-
-    Continuous in b: equals u_min at b_l, u_star at b_l + delta, u_star at
-    b_u - delta and u_max at b_u. The caller must ensure delta > 0 and that
-    the bands fit (see :func:`validate_buffer`).
-    """
-    if b <= b_l:
-        return u_min
-    if b >= b_u:
-        return u_max
-    gap_l = b - b_l
-    if gap_l < delta:
-        w = gap_l / delta
-        return w * u_star + (1.0 - w) * u_min
-    gap_u = b_u - b
-    if gap_u < delta:
-        w = gap_u / delta
-        return w * u_star + (1.0 - w) * u_max
-    return u_star
 
 
 def validate_buffer(env: BarrierEnvelope, delta: float) -> None:
@@ -162,12 +132,19 @@ class IterationRecord(NamedTuple):
 class IlcPolicy:
     """The learned-velocity controller as the step loop runs it.
 
-    :meth:`velocity` is called once per step with the measured SOC: it stores
-    the measurement in the running cycle's trace, applies the rate correction
-    against the previous cycle's trace and passes the result through the
-    buffered law. :meth:`end_cycle` is called once per cycle with the
-    measured and the true cycle-end SOC, applies the proportional update and
-    returns the cycle's record.
+    ``velocity(b, b_l, b_u, step)`` is called once per step with the measured
+    SOC: it stores the measurement in the running cycle's trace, applies the
+    rate correction against the previous cycle's trace and passes the result
+    through the buffered law, which blends linearly over a band of width
+    delta Wh inside each bound: u_min at and below b_l, the corrected u_hat
+    from b_l + delta to b_u - delta, u_max at and above b_u. It is the one
+    body of that law, built once per policy with the gains, the limits and
+    delta bound in, so a step reads none of them from the instance. The
+    caller must ensure the bands fit (see :func:`validate_buffer`).
+    :meth:`end_cycle` is called once per cycle with the measured and the
+    true cycle-end SOC, applies the proportional update and returns the
+    cycle's record. Negative gains, delta <= 0 and cycle_steps < 1 raise
+    ValueError.
 
     u_hat: current interior velocity estimate, m/s (within vessel limits).
     b_des: terminal-SOC target of the running cycle, Wh. When the settings'
@@ -179,8 +156,8 @@ class IlcPolicy:
     """
 
     __slots__ = (
-        "cycle_steps", "k_p", "k_d", "delta", "u_min", "u_max", "retarget",
-        "u_hat", "b_des", "prev_soc", "cycle_soc", "iteration", "params",
+        "cycle_steps", "k_p", "u_min", "u_max", "retarget", "params", "velocity",
+        "u_hat", "b_des", "prev_soc", "cycle_soc", "iteration",
     )
 
     def __init__(
@@ -190,10 +167,12 @@ class IlcPolicy:
             raise ValueError("cycle_steps must be >= 1")
         if settings.delta <= 0:
             raise ValueError("delta must be > 0")
+        if settings.k_p < 0:
+            raise ValueError("k_p must be >= 0")
+        if settings.k_d < 0:
+            raise ValueError("k_d must be >= 0")
         self.cycle_steps = cycle_steps
         self.k_p = settings.k_p
-        self.k_d = settings.k_d
-        self.delta = settings.delta
         self.u_min = params.u_min
         self.u_max = params.u_max
         self.params = params
@@ -203,23 +182,42 @@ class IlcPolicy:
         self.prev_soc: list[float] | None = None
         self.cycle_soc = [0.0] * cycle_steps
         self.iteration = 0
+        self.velocity = self._buffered_law(settings.k_d, settings.delta)
 
-    def velocity(self, b: float, b_l: float, b_u: float, step: int) -> float:
-        """Commanded velocity at mission step ``step`` from the measured SOC."""
-        j = step % self.cycle_steps
-        self.cycle_soc[j] = b
-        prev = self.prev_soc
-        if prev is None:
-            u_star = self.u_hat
-        else:
-            u_star = self.u_hat + self.k_d * (b - prev[j])
-            if u_star < self.u_min:
-                u_star = self.u_min
-            elif u_star > self.u_max:
-                u_star = self.u_max
-        return _buffered_velocity(
-            b, b_l, b_u, u_star, self.delta, self.u_min, self.u_max
-        )
+    def _buffered_law(
+        self, k_d: float, delta: float
+    ) -> Callable[[float, float, float, int], float]:
+        """``velocity`` with the settings bound; it reads only per-cycle state."""
+        cycle_steps, u_min, u_max = self.cycle_steps, self.u_min, self.u_max
+
+        def velocity(b: float, b_l: float, b_u: float, step: int) -> float:
+            """Commanded velocity at mission step ``step`` from the measured SOC."""
+            j = step % cycle_steps
+            self.cycle_soc[j] = b
+            if b <= b_l:
+                return u_min
+            if b >= b_u:
+                return u_max
+            prev = self.prev_soc
+            if prev is None:
+                u_star = self.u_hat
+            else:
+                u_star = self.u_hat + k_d * (b - prev[j])
+                if u_star < u_min:
+                    u_star = u_min
+                elif u_star > u_max:
+                    u_star = u_max
+            gap_l = b - b_l
+            if gap_l < delta:
+                w = gap_l / delta
+                return w * u_star + (1.0 - w) * u_min
+            gap_u = b_u - b
+            if gap_u < delta:
+                w = gap_u / delta
+                return w * u_star + (1.0 - w) * u_max
+            return u_star
+
+        return velocity
 
     def end_cycle(self, b_meas: float, b: float) -> IterationRecord:
         """Close one cycle: update on the measured SOC, record the true one."""

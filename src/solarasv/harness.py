@@ -9,9 +9,9 @@ each step boundary. Tabulation makes the one check that needs the source's
 data: a non-periodic profile must cover the mission. :func:`compare_strategies`
 shares one tabulation among all configs that agree in solar source, mission
 length, dt, vessel and barrier mode, and returns one result per config. Once
-the tabulations are built, a forked child (:mod:`solarasv._fork`) runs every
-other config while the caller runs the rest, unless the process may use one
-CPU only; the results are the same either way.
+the tabulations are built, the caller and a forked child
+(:mod:`solarasv._fork`) each run the next config whenever they are free,
+unless the process may use one CPU only; the results are the same either way.
 
 Every strategy runs through one step loop, :func:`simulate`. Each step it
 hands the measured SOC and the envelope bounds to the strategy's
@@ -59,7 +59,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._fork import beside
+from ._fork import on_demand
 from .barrier import BarrierEnvelope, build_envelope
 from .benchmark import MpcController, energy_balance_velocity
 from .config import DAY_S, ConfigError, SimConfig
@@ -156,7 +156,9 @@ def tabulate_mission(cfg: SimConfig) -> MissionTabulation:
     env = build_mission_envelope(cfg, profile)
     times = _step_times(cfg)
     lower, upper = env.bounds_arrays(times)
-    p_in = sample_array(profile, times[:-1])
+    # the full step grid, like the envelope's: read on the profile's own knots,
+    # it comes back as the profile's array, and p_in a view of it
+    p_in = sample_array(profile, times)[:-1]
     for arr in (p_in, lower, upper):
         arr.setflags(write=False)
     return MissionTabulation(_tabulation_key(cfg), profile, env, p_in, lower, upper)
@@ -383,9 +385,11 @@ def compare_strategies(cfgs: Sequence[SimConfig]) -> list[SimResult]:
     distances are comparable. Configs that also agree in dt, vessel and
     barrier_mode share one :func:`tabulate_mission`, so a result's wall_time
     covers its policy build and step loop but not that shared tabulation.
-    The 2nd, 4th, ... configs run in a forked child beside the others
-    (:func:`solarasv._fork.beside`); each result's p_in_trace is its
-    tabulation's p_in either way.
+    The configs are handed out in order to this process and a forked child,
+    each taking the next one when it is free
+    (:func:`solarasv._fork.on_demand`), so which process runs a config varies
+    from run to run and its result does not; each result's p_in_trace is its
+    tabulation's p_in.
     """
     if len(cfgs) < 2:
         raise ConfigError("compare needs at least two configurations")
@@ -404,16 +408,11 @@ def compare_strategies(cfgs: Sequence[SimConfig]) -> list[SimResult]:
         key = _tabulation_key(cfg)
         tab = next((t for t in tabs if t.key == key), None)
         tabs.append(tabulate_mission(cfg) if tab is None else tab)
-    runs = list(zip(cfgs, tabs))
-    # p_in_trace is the tabulation's p_in: the child does not send it back
-    theirs, mine = beside(
-        lambda: [replace(run_mission(c, t), p_in_trace=None) for c, t in runs[1::2]],
-        lambda: [run_mission(c, t) for c, t in runs[0::2]],
+    # p_in_trace is the tabulation's p_in: a forked child does not send it back
+    bare = on_demand(
+        len(cfgs), lambda i: replace(run_mission(cfgs[i], tabs[i]), p_in_trace=None)
     )
-    results = [None] * len(runs)
-    results[0::2] = mine
-    results[1::2] = [replace(r, p_in_trace=t.p_in) for r, t in zip(theirs, tabs[1::2])]
-    return results
+    return [replace(r, p_in_trace=t.p_in) for r, t in zip(bare, tabs)]
 
 
 # ---------------------------------------------------------------------------

@@ -230,15 +230,18 @@ class IdealizedSource:
             raise ValueError("; ".join(problems))
         if self.periodic:
             times = period_grid(self.period, dt)
+            in_period = np.mod(times, self.period)
             d0, d1, period = self.d0, self.d1, self.period
         else:
             n = len(self.d0_by_day)
             times = np.arange(self.table_steps(dt) + 1) * dt
-            day = np.minimum((times // self.period).astype(int), n - 1)
+            # one pass gives both: bitwise the same as // and np.mod
+            day, in_period = np.divmod(times, self.period)
+            day = np.minimum(day.astype(int), n - 1)
             d0 = np.asarray(self.d0_by_day, dtype=float)[day]
             d1 = np.asarray(self.d1_by_day, dtype=float)[day]
             period = None
-        phase = _TWO_PI * np.mod(times, self.period) / self.period
+        phase = _TWO_PI * in_period / self.period
         return SolarProfile(
             times=times,
             powers=np.maximum(0.0, d0 + d1 * np.cos(phase)),
@@ -310,10 +313,15 @@ def _resample(
     With a period, ``t`` wraps into [xp[0], xp[0] + period) first. Linear
     reading interpolates, closing a periodic curve's loop with its first value
     at xp[0] + period; hold reading takes the latest sample at or before ``t``.
-    Outside [xp[0], xp[-1]] a non-periodic curve holds its end values.
+    Outside [xp[0], xp[-1]] a non-periodic curve holds its end values. Read
+    at its own knots (``t`` equal to ``xp``), a curve is returned as it is:
+    both rules give back each knot's value exactly, so there is nothing to
+    copy.
     """
     if period is not None:
         t = xp[0] + np.mod(t - xp[0], period)
+    if np.array_equal(t, xp):
+        return tuple(curves)
     if hold:
         idx = np.clip(np.searchsorted(xp, t, side="right") - 1, 0, xp.size - 1)
         return tuple(c[idx] for c in curves)
@@ -329,6 +337,8 @@ def sample_array(profile: SolarProfile, times: Iterable[float]) -> np.ndarray:
     sample on non-periodic profiles). Linear mode interpolates between
     bracketing samples; past the last sample the value is held for
     non-periodic profiles and wraps to the first sample for periodic ones.
+    Sampled at its own sample times, the profile's read-only ``powers`` array
+    itself comes back.
     """
     t = np.asarray(times, dtype=float)
     if not profile.periodic and np.any(t < profile.times[0]):

@@ -18,7 +18,7 @@ from solarasv.barrier import barrier_curves
 from solarasv.benchmark import MpcConfig, MpcController, energy_balance_velocity
 from solarasv.controller import (
     Costate,
-    _buffered_velocity,
+    IlcPolicy,
     stationarity_residual,
     velocity_from_costate,
 )
@@ -288,11 +288,11 @@ def test_criterion_8_buffer_continuity():
     inc = 1e-3
     u_star = velocity_from_costate(Costate(p1=-0.0012), params)
     bs = np.arange(b_l - delta, b_u + delta + inc / 2, inc)
-    # the scalar law the step loop executes, point by point
-    u_min, u_max = params.u_min, params.u_max
-    us = np.array(
-        [_buffered_velocity(b, b_l, b_u, u_star, delta, u_min, u_max) for b in bs.tolist()]
-    )
+    # the learner's own step, point by point: in its first cycle it passes
+    # u_init through the buffered law uncorrected
+    settings = IlcSettings(delta=delta, u_init=u_star)
+    velocity = IlcPolicy(settings, params, 1, 3000.0).velocity
+    us = np.array([velocity(b, b_l, b_u, 0) for b in bs.tolist()])
     max_jump = float(np.max(np.abs(np.diff(us))))
     bound = inc * (params.u_max - params.u_min) / delta
     _record(8, max_jump < bound,

@@ -196,6 +196,30 @@ class TestBarrierEnvelope:
         assert hi[3] == hi[2]
 
 
+    @pytest.mark.parametrize("period", [None, 300.0], ids=["non-periodic", "periodic"])
+    def test_own_grid_reads_back_exactly(self, period):
+        env = BarrierEnvelope(
+            times=np.array([0.0, 1.0, 2.0]),
+            lower=np.array([0.0, 1e6, 0.0]),
+            upper=np.array([2e6, 3e6, 2e6]),
+            period=period,
+        )
+        lo, hi = env.bounds_arrays(env.times.copy())
+        assert lo.tobytes() == env.lower.tobytes() and hi.tobytes() == env.upper.tobytes()
+        assert np.shares_memory(lo, env.lower) and np.shares_memory(hi, env.upper)
+
+        off = np.nextafter(env.times, -np.inf)[1:]  # one ulp below each knot but the first
+        lo, hi = env.bounds_arrays(off)
+        xp = env.times
+        fl, fu = env.lower, env.upper
+        if period is not None:
+            xp, fl, fu = np.append(xp, period), np.append(fl, fl[0]), np.append(fu, fu[0])
+        want = np.interp(off, xp, fl)
+        assert lo.tobytes() == want.tobytes()
+        assert hi.tobytes() == np.interp(off, xp, fu).tobytes()
+        assert not np.array_equal(want, env.lower[1:])
+
+
 # ======================================================================
 # Envelope construction
 # ======================================================================

@@ -10,7 +10,6 @@ from solarasv.controller import (
     Costate,
     IlcPolicy,
     IlcSettings,
-    _buffered_velocity,
     _switching_velocity,
     costate_from_velocity,
     stationarity_residual,
@@ -121,7 +120,9 @@ class TestSwitchingControl:
 
 
 def _buffered(b, params, u_star=1.83, delta=100.0, b_l=1000.0, b_u=5000.0):
-    return _buffered_velocity(b, b_l, b_u, u_star, delta, params.u_min, params.u_max)
+    """The learner's step in its first cycle: u_init through the buffered law."""
+    settings = IlcSettings(delta=delta, u_init=u_star)
+    return IlcPolicy(settings, params, 1, 3000.0).velocity(b, b_l, b_u, 0)
 
 
 class TestBufferedControl:
@@ -157,6 +158,12 @@ class TestBufferedControl:
             _policy(params, delta=0.0)
         with pytest.raises(ValueError, match="delta must be > 0"):
             _policy(params, delta=-1.0)
+
+    @pytest.mark.parametrize("gain", ["k_p", "k_d"])
+    def test_negative_gain_validation(self, params, gain):
+        with pytest.raises(ValueError, match=f"{gain} must be >= 0"):
+            _policy(params, **{gain: -5e-5})
+        _policy(params, **{gain: 0.0})  # a zero gain switches that update off
 
     def test_validate_buffer(self):
         env = _flat_env(b_l=1000.0, b_u=1100.0)  # gap 100

@@ -7,6 +7,7 @@ import hashlib
 import os
 import re
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -144,6 +145,8 @@ class TestValidation:
                 {"dt": 3600.0, "solar": FileSource(path="x.csv", period=3600.0)},
                 "barrier.mode: periodic-day needs sim.dt below",
             ),
+            ({"ilc": IlcSettings(k_p=-5e-5, b_des=4590.0)}, "controller.k_p: must be >= 0"),
+            ({"ilc": IlcSettings(k_d=-1.0)}, "controller.k_d: must be >= 0"),
         ],
     )
     def test_each_field_reports_itself(self, kw, fragment):
@@ -663,6 +666,19 @@ class TestSharedTabulation:
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 0.0
 
+    def test_day_table_tabulates_without_copies(self):
+        # a table that ends at the mission end: the profile's knots, the
+        # envelope grid and the step grid are the same times
+        days = IdealizedSource(d0_by_day=(300.0,) * 3, d1_by_day=(500.0,) * 3)
+        tab = tabulate_mission(
+            _cfg(mission_length=3 * DAY, solar=days, barrier_mode="horizon")
+        )
+        assert tab.profile.end == 3 * DAY
+        assert np.shares_memory(tab.lower, tab.env.lower)
+        assert np.shares_memory(tab.upper, tab.env.upper)
+        assert np.shares_memory(tab.p_in, tab.profile.powers)
+        assert tab.p_in.size == tab.lower.size - 1
+
     def test_foreign_tabulation_is_refused(self):
         tab = tabulate_mission(_cfg())
         with pytest.raises(ValueError, match="different mission"):
@@ -729,7 +745,16 @@ class TestForkedShare:
                 tmp_path / "one" / name
             ).read_bytes(), name
 
-    def test_compare_matches_single_cpu(self, forks, monkeypatch):
+    def test_compare_matches_single_cpu(self, forks, monkeypatch, tmp_path):
+        self._compare_both_ways(forks, monkeypatch, tmp_path, slow_first=False)
+
+    def test_compare_with_slow_first_config_matches_single_cpu(
+        self, forks, monkeypatch, tmp_path
+    ):
+        # the child runs the configs the caller cannot take while held up
+        self._compare_both_ways(forks, monkeypatch, tmp_path, slow_first=True)
+
+    def _compare_both_ways(self, forks, monkeypatch, tmp_path, slow_first: bool) -> None:
         tabs = []
         original = harness.tabulate_mission
 
@@ -738,10 +763,27 @@ class TestForkedShare:
             return tabs[-1]
 
         monkeypatch.setattr(harness, "tabulate_mission", keeping)
+        me, ran = os.getpid(), tmp_path / "ran.log"
+        original_run = harness.run_mission
+
+        def logging_run(cfg, tab):
+            """run_mission, logging which process ran which config; with
+            slow_first the caller is held up on the first config it takes
+            (the first config, as the caller claims before its child starts)."""
+            if slow_first and os.getpid() == me and not ran.exists():
+                time.sleep(0.5)
+            fd = os.open(ran, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{os.getpid()} {cfgs.index(cfg)}\n".encode())
+            finally:
+                os.close(fd)
+            return original_run(cfg, tab)
+
+        monkeypatch.setattr(harness, "run_mission", logging_run)
         base = _cfg(mission_length=3 * DAY, solar=_GATE_SOLAR, barrier_mode="horizon")
         cfgs = [
             dataclasses.replace(base, noise_std=5.0, rng_seed=3),
-            # its own tabulation, run in the child
+            # its own tabulation
             dataclasses.replace(base, strategy="constant-constrained", dt=720.0),
             dataclasses.replace(base, strategy="constant-unconstrained"),
             dataclasses.replace(
@@ -754,12 +796,20 @@ class TestForkedShare:
         for two in (True, False):
             monkeypatch.setattr(_fork, "_two_cpus", lambda: two)
             tabs.clear()
+            ran.unlink(missing_ok=True)
             runs[two] = compare_strategies(cfgs)
             assert len(forks) == 1
             assert [r.strategy for r in runs[two]] == [c.strategy for c in cfgs]
             shared, own = tabs
             for r, tab in zip(runs[two], (shared, own, shared, shared)):
                 assert r.p_in_trace is tab.p_in
+            by = [line.split() for line in ran.read_text().splitlines()]
+            assert sorted(int(i) for _, i in by) == [0, 1, 2, 3]  # each config once
+            in_child = sum(int(pid) != me for pid, _ in by)
+            if not two:
+                assert in_child == 0
+            elif slow_first:
+                assert in_child > 1
         for a, b in zip(runs[True], runs[False]):
             _assert_same_run(a, b)
 

@@ -143,6 +143,34 @@ class TestSolarProfile:
         assert before == last
 
 
+# steep steps between unit-spaced knots: a value one ulp past a knot moves off
+# the knot's value under linear reading
+_KNOTS = np.array([0.0, 1.0, 2.0, 3.0])
+_STEEP = np.array([0.0, 1e6, 0.0, 5e5])
+
+
+@pytest.mark.parametrize("period", [None, 10.0], ids=["non-periodic", "periodic"])
+@pytest.mark.parametrize("interpolation", ["linear", "hold"])
+def test_own_knots_read_back_exactly(interpolation, period):
+    prof = SolarProfile(_KNOTS, _STEEP, interpolation=interpolation, period=period)
+    got = sample_array(prof, _KNOTS.copy())
+    assert got.tobytes() == prof.powers.tobytes()
+    assert np.shares_memory(got, prof.powers)  # returned as it is, not copied
+
+    off = np.nextafter(_KNOTS, np.inf)
+    got = sample_array(prof, off)
+    assert not np.shares_memory(got, prof.powers)
+    if interpolation == "hold":
+        want = _STEEP  # still the latest knot at or before each time
+    else:
+        xp, fp = _KNOTS, _STEEP
+        if period is not None:
+            xp, fp = np.append(xp, period), np.append(fp, fp[0])
+        want = np.interp(off, xp, fp)
+        assert not np.array_equal(want, _STEEP)
+    assert got.tobytes() == want.tobytes()
+
+
 # ======================================================================
 # File ingestion
 # ======================================================================
