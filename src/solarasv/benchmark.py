@@ -38,11 +38,16 @@ must match the DP value exactly):
 The DP never gathers: each action moves the state by a whole number of
 cells, so every velocity's successor values form a shifted window of one
 padded value vector (``-inf`` below cell 0, the top cell repeated above it).
-The shift falls as u rises, so a stage's velocities land on one contiguous
-run of shifts, and velocities sharing a shift share a window; only the
-fastest of them can win. A stage sets the pads and the cells outside the
-envelope, adds each shift's best reward (``-inf`` if no velocity lands on
-it) to the run of windows and maxes in place; no stage keeps an argmax.
+The shift falls as u rises, so a stage's velocities land on one run of
+shifts, and velocities sharing a shift share a window; only the fastest of
+them can win. A stage sets the pads and the cells outside the envelope, adds
+each landed shift's best reward to its window and maxes in place; no stage
+keeps an argmax. Where fast velocities lie more than a cell apart the run
+has holes, shifts no velocity lands on: their reward would be ``-inf``,
+which never wins a max, so the stage skips them and reads its landed
+windows as a few strided runs, one per arithmetic progression of their
+shifts. On 3251 x 48 a stage's run is about 52 windows wide and about 31
+are landed; on 131 x 24 no stage has holes.
 
 A plan's DP depends only on its start step, never on the SOC, and every plan
 that contains a stage sees there the same shifts, best rewards and envelope.
@@ -51,14 +56,15 @@ replan interval), in one backward sweep: each plan is one padded row, the
 rows lie back to back in one flat buffer, and at each stage the rows whose
 plans contain it step back in lockstep as one band. A shift's windows over
 those rows are one contiguous run of that buffer, so a stage is one add
-over all shifts and one max, whatever the number of rows. The run's
-positions that straddle two rows compute on pad cells and are never read;
-rows never interact otherwise, so each plan is bitwise the plan it would be
-alone. A block has at most ceil(H / R) rows, fewer when a stage would touch
-more than ``_STAGE_CELLS`` cells; later calls at the block's steps read
-their row's root values. The stages a plan executes before its next replan
-store the masked vector they read, and the rollout re-derives each action
-from the U candidates at the current state, applying the pads by index.
+per progression of landed shifts (one if it has no holes) and one max,
+whatever the number of rows. The run's positions that straddle two rows
+compute on pad cells and are never read; rows never interact otherwise, so
+each plan is bitwise the plan it would be alone. A block has at most
+ceil(H / R) rows, fewer when a stage could touch more than ``_STAGE_CELLS``
+cells; later calls at the block's steps read their row's root values. The
+stages a plan executes before its next replan store the masked vector they
+read, and the rollout re-derives each action from the U candidates at the
+current state, applying the pads by index.
 
 If no action is feasible from the current state the controller falls back to
 the switching law on the step loop's bounds with u_min as the interior
@@ -79,18 +85,22 @@ from .controller import _switching_velocity
 from .solar import SolarProfile, integrate_power, sample_array, whole_steps  # noqa: F401
 from .vessel import VesselParams
 
-# cells one lockstep stage may touch (rows x windows x SOC levels); the cap
-# keeps a block of every-step plans on a large lattice from allocating hundreds
-# of MB. Re-measured with the values in their padded rows (2-core Xeon, 2 MB
-# L2 per core, numpy 2.4; replan_interval = 1, 12 h horizon, best plan times):
-#   131 x 24, 2 days (configs/mpc.cfg): 2^15 62 rows 25.7 ms, 2^16 and 2^17
-#     120 rows 23.2 ms; perfbench mpc-every-step wall_s 0.0293-0.0306 vs
-#     0.0253-0.0273 ref s, but peak_rss_mb 36.18-36.30 vs 36.76-37.01 MB
-#   651 x 24, 2 days: 2^15 4 rows 669 ms, 2^16 8 rows 298, 2^17 16 rows 281
-#   1301 x 24, 1 day: 2^15 1 row 1029 ms, 2^16 2 rows 973, 2^17 4 rows 402,
-#     2^18 9 rows 551 (past 1 MB the work array crowds the cache)
-#   3251 x 48, 1 day, 48-step horizon: one row up to 2^18, 1076-1177 ms;
-#     2^19 3 rows 1831 ms
+# cells one lockstep stage may touch: rows x min(W, U) x SOC levels, W the
+# widest run of shifts and U the velocities, since a stage adds at most one
+# window per velocity. The cap keeps a block of every-step plans on a large
+# lattice from allocating hundreds of MB. Re-measured with holed stages adding
+# only their landed windows (2-core Xeon, 2 MB L2 per core, numpy 2.4;
+# replan_interval = 1, 12 h horizon, best run_mission time of 3-9 runs; a
+# range spans separate runs, over which this shared host's speed drifted):
+#   131 x 24, 2 days (configs/mpc.cfg; no stage has holes): 2^15 62 rows
+#     38.8-40.3 ms, 2^16 and 2^17 120 rows 24.2-34.9 ms; perfbench
+#     mpc-every-step wall_s 0.0293-0.0306 vs 0.0253-0.0273 ref s, but
+#     peak_rss_mb 36.18-36.30 vs 36.76-37.01 MB (same kernel, measured before)
+#   651 x 24, 2 days: 2^15 4 rows 607 ms, 2^16 8 rows 308, 2^17 16 rows 255
+#   1301 x 24, 1 day: 2^15 1 row 815 ms, 2^16 2 rows 742, 2^17 4 rows 324,
+#     2^18 9 rows 319
+#   3251 x 48, 1 day, 48-step horizon: one row up to 2^18, 805-1194 ms;
+#     2^19 3 rows 1235-1242 ms
 # 2^15 stays: a larger cap buys speed with memory, ~0.6 MB on mpc-every-step
 _STAGE_CELLS = 2 ** 15
 
@@ -115,6 +125,31 @@ def energy_balance_velocity(
         e_in -= params.k_h * t_f
     u = (max(0.0, e_in) / (params.k_m * t_f)) ** (1.0 / 3.0)
     return min(max(u, params.u_min), params.u_max)
+
+
+# runs of windows (o, e, d, r, s): windows range(o, e, d) into work rows r:s
+_Runs = tuple[tuple[int, int, int, int, int], ...]
+
+
+def _progressions(offsets: list[int]) -> _Runs:
+    """Split ascending window offsets into arithmetic runs, in order.
+
+    Each run (o, e, d, r, s) is ``offsets[r:s] == range(o, e, d)``, so one
+    strided basic slice reads its windows and the runs fill rows 0, 1, ... of
+    a work array in offset order. Greedy from the left: a run takes the step
+    to its second offset and extends while the step holds; a lone last offset
+    is a run of step 1.
+    """
+    runs = []
+    r = 0
+    while r < len(offsets):
+        s = r + 1
+        d = offsets[s] - offsets[r] if s < len(offsets) else 1
+        while s < len(offsets) and offsets[s] - offsets[s - 1] == d:
+            s += 1
+        runs.append((offsets[r], offsets[s - 1] + 1, d, r, s))
+        r = s
+    return tuple(runs)
 
 
 @dataclass(frozen=True)
@@ -162,12 +197,14 @@ class MpcController:
     last block: each row's root values, in the middle of its padded row, and
     the stored vectors its rollout reads. Its buffers are allocated here,
     once, for the most rows a block can have: ``rows = min(ceil(H / R),
-    max(1, _STAGE_CELLS // (W * S)))`` with H the horizon in steps (capped at
-    the mission), R the replan interval, W the widest run of shifts the
-    mission allows and S the lattice size. Padded rows are L = lo pad + S +
-    hi pad + W cells long and lie back to back in one flat buffer; one
-    sliding-window view of it serves every stage's band, whose max lands in
-    the rows' middles in place. A (W, (rows - 1) * L + S) array takes its sums.
+    max(1, _STAGE_CELLS // (min(W, U) * S)))`` with H the horizon in steps
+    (capped at the mission), R the replan interval, W the widest run of
+    shifts the mission allows, U the velocities and S the lattice size.
+    Padded rows are L = lo pad + S + hi pad + W cells long and lie back to
+    back in one flat buffer; one sliding-window view of it serves every
+    stage's band, whose max lands in the rows' middles in place. A stage
+    adds at most min(W, U) windows, one per landed shift, so a
+    (min(W, U), (rows - 1) * L + S) array takes its sums.
     """
 
     def __init__(
@@ -216,7 +253,10 @@ class MpcController:
         n_soc = cfg.soc_grid
         span = min(self.horizon_steps, len(self.p_in))
         interval = cfg.replan_interval
-        rows = min(-(-span // interval), max(1, _STAGE_CELLS // (width * n_soc)))
+        # a stage adds at most min(W, U) windows: W bounds its run of shifts
+        # and each window it adds has a velocity landing on it
+        added = min(width, cfg.u_grid)
+        rows = min(-(-span // interval), max(1, _STAGE_CELLS // (added * n_soc)))
         # a band of rows a:z reads windows (z - a - 1) * L + S long, so the
         # flat buffer runs (rows - 1) * L cells past the last row, where the
         # view's widest windows end; no stage reads those cells
@@ -227,9 +267,11 @@ class MpcController:
         self._padded = flat[:rows * length].reshape(rows, length)
         self._values = flat[self._lo:]  # row r's values: S cells from r * L
         self._bands = sliding_window_view(flat, widest)
-        self._tmp = np.empty((width, widest))
+        self._tmp = np.empty((added, widest))
         self._stored = np.empty((rows, min(interval, span), n_soc))
         self._rewards = self.u_desc * self.dt
+        # a holed stage's runs of windows by its pattern of landed windows
+        self._runs: dict[bytes, _Runs] = {}
         # the block swept last (see _sweep): its first step and row starts
         self._step = 0
         self._starts: list[int] = []
@@ -307,20 +349,29 @@ class MpcController:
         Velocity j's candidate row is the length-S window starting at its
         cell shift. u descends, so stage k's shifts ascend and span a run of
         W_k windows; a (K, W) table (W the widest run of the block) holds the
-        largest reward landing on each shift, ``-inf`` where none does, and
-        a stage reads only its own W_k windows. Dropping the slower
-        velocities of a shared shift leaves the max bitwise unchanged, since
-        float addition of a larger reward never rounds below a smaller one.
+        largest reward landing on each shift, ``-inf`` where none does.
+        Dropping the slower velocities of a shared shift leaves the max
+        bitwise unchanged, since float addition of a larger reward never
+        rounds below a smaller one. Dropping a window no velocity lands on
+        (a hole) leaves it unchanged too: values are finite or ``-inf``,
+        never NaN, so that window's sums are all ``-inf`` and cannot raise
+        the max of the landed windows (offset 0 always lands). One compare
+        per sweep finds the stages with holes (fewer landed shifts than
+        W_k); each reads only its landed windows, whose ascending offsets
+        ``_progressions`` splits into arithmetic runs (o, e, d). A stage
+        without holes reads its W_k windows as one run (0, W_k, 1).
 
         The padded rows lie L cells apart in one flat buffer, so shift w's
         windows over rows a:z are one contiguous run of it, m = (z - a - 1)
-        * L + S cells from a * L + start + w. A stage is one basic-slice read
-        of W_k such runs from the sliding-window view, one (W_k, m) add of
-        the table's column into the work array and one max over those runs,
-        written to the middles of rows a:z. Positions between two rows' S
-        valid cells read one row's high pad and the next row's low pad and
-        middle; their maxes land in those pads, which the next stage sets
-        again before reading. Neither the max nor the pad writes reach past
+        * L + S cells from a * L + start + w. A stage reads each of its runs
+        of windows as one strided basic slice of the sliding-window view,
+        ``start + o:start + e:d``, a view, adds the table's entries
+        ``o:e:d`` into the next free rows of the work array, and takes one
+        max over the rows filled, written to the middles of rows a:z. On
+        3251 x 48 a holed stage adds about 31 of about 52 windows in about
+        7 runs. Positions between two rows' S valid cells read one row's
+        high pad and the next row's low pad and middle; their maxes land in
+        those pads, which the next stage sets again before reading. Neither the max nor the pad writes reach past
         row z - 1, so a row that has left the band keeps its root values.
         Each valid cell gets the float64 adds and maxes of a one-plan DP in
         its order, so every plan is bitwise the same whichever block solves
@@ -357,6 +408,18 @@ class MpcController:
         best = np.full((stop - step, max(width), 1), -np.inf)
         best[stages, offset[stages, cols], 0] = self._rewards[cols]
         run = (lo + self._lo).tolist()
+        # a stage with holes adds only its landed windows: holes[k] lists
+        # their strided runs (o, e, d, r, s), windows lo[k] + range(o, e, d)
+        # into rows r:s of the work array; it stays None for the other stages.
+        # The holes follow p's position within a cell, so few patterns recur,
+        # and each is split once per controller
+        holes: list[_Runs | None] = [None] * len(width)
+        holed = np.flatnonzero(np.count_nonzero(fastest, axis=1) != offset[:, -1] + 1)
+        for k, landed in zip(holed.tolist(), best[holed, :, 0] > -np.inf):
+            key = landed[:width[k]].tobytes()
+            if key not in self._runs:
+                self._runs[key] = _progressions(np.flatnonzero(landed).tolist())
+            holes[k] = self._runs[key]
 
         # the lattice ascends, so stage k's envelope [b_l, b_u] is the cell
         # range [first[k], end[k])
@@ -393,9 +456,14 @@ class MpcController:
                 self._stored[row, i] = padded[row, lo_pad:high]
             m = (z - a - 1) * length + n_soc
             start = a * length + run[k]
-            w = width[k]
-            band = tmp[:w, :m]
-            np.add(bands[start:start + w, :m], best[k, :w], out=band)
+            if holes[k] is None:
+                w = width[k]
+                band = tmp[:w, :m]
+                np.add(bands[start:start + w, :m], best[k, :w], out=band)
+            else:
+                for o, e, d, r, s in holes[k]:
+                    np.add(bands[start + o:start + e:d, :m], best[k, o:e:d], out=tmp[r:s, :m])
+                band = tmp[:s, :m]
             np.maximum.reduce(band, axis=0, out=values[a * length:a * length + m])
 
         self._step = step

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solarasv.benchmark import MpcConfig, MpcController, energy_balance_velocity
+from solarasv.benchmark import (
+    MpcConfig,
+    MpcController,
+    _progressions,
+    energy_balance_velocity,
+)
 from solarasv.config import SimConfig
 from solarasv.controller import _switching_velocity
 from solarasv.harness import (
@@ -362,6 +367,78 @@ class TestPlanValues:
         assert ctl._step == 0  # every plan read a row of the one block
         assert feasible >= 40, feasible
 
+    @pytest.mark.parametrize(
+        "k_m, p_in, stage_runs",
+        [
+            # 1 Wh cells: the draws 3.75 u^3 for u = 1.75 ... 1.0 lie 3.5 to
+            # 1.3 cells apart, so a stage lands on 0,3,6,9 | 11,13,15 | 16
+            # (p a quarter into its cell), 0,4 | 7,10 | 12,14 | 15,17 (p at
+            # a cell edge) or 0,4 | 7,9 | 12,14 | 15,17 (three quarters in):
+            # stride-3 and stride-2 runs and a lone window; fast velocities
+            # more than two cells apart leave no stage without holes
+            (
+                3.75,
+                [20.25, 10.0, 5.375, 24.75, 12.5, 0.0, 30.125, 8.875, 14.5, 3.25],
+                [
+                    ((0, 10, 3, 0, 4), (11, 16, 2, 4, 7), (16, 17, 1, 7, 8)),
+                    ((0, 5, 4, 0, 2), (7, 11, 3, 2, 4), (12, 15, 2, 4, 6), (15, 18, 2, 6, 8)),
+                    ((0, 5, 4, 0, 2), (7, 10, 2, 2, 4), (12, 15, 2, 4, 6), (15, 18, 2, 6, 8)),
+                ],
+            ),
+            # 1.5 u^3 lies at most 1.4 cells apart: a stage lands on every
+            # shift of 0..6 (p an eighth into its cell), or skips shift 1 (p
+            # at a cell edge) or 3 (three eighths in); one sweep mixes them
+            (
+                1.5,
+                [20.125, 10.0, 5.25, 24.375, 12.0, 0.125, 30.375, 8.25, 14.0, 3.125],
+                [
+                    ((0, 7, 1, 0, 7),),
+                    ((0, 3, 2, 0, 2), (3, 8, 1, 2, 7)),
+                    ((0, 3, 1, 0, 3), (4, 7, 1, 3, 6)),
+                ],
+            ),
+        ],
+        ids=["strides-2-and-3", "with-and-without-holes"],
+    )
+    def test_holed_stages_match_gather_reference(self, k_m, p_in, stage_runs):
+        """Stages whose runs of shifts have holes, every row and root, bitwise.
+
+        Each instance's stages split into the runs listed beside it. Plans at
+        0, 3, 6 and 9 with an 8-step horizon are two blocks, the first of
+        three rows, so the strided runs read bands across rows. The terminal
+        slope, near the distance a Wh buys, makes plans mix velocities.
+        """
+        params = VesselParams(k_h=0.0, k_m=k_m, b_min=0.0, b_max=40.0, u_min=1.0, u_max=1.75)
+        p_in = np.array(p_in)
+        n = p_in.size
+        lower = np.full(n + 1, 2.0)
+        upper = np.full(n + 1, 40.0)
+        upper[[4, 8]] = 12.0
+        cfg = MpcConfig(
+            horizon=8 * 3600.0, soc_grid=41, u_grid=8,
+            terminal_reward_slope=180.0, replan_interval=3,
+        )
+        ctl = MpcController(cfg, p_in, lower, upper, params, 3600.0)
+        shifts = np.floor((p_in[:, None] - ctl.draw_desc) / ctl.res)  # dt = 1 h
+        runs = [_progressions(np.unique(row - row[0]).astype(int).tolist()) for row in shifts]
+        assert set(runs) == set(stage_runs)
+        feasible = 0
+        taken = set()
+        starts = list(range(0, n, 3))
+        for s in starts + starts[::-1]:
+            for root in range(41):
+                got, actions = ctl.plan(float(root), s)
+                want, ref_actions = dp_gather_plan(ctl, float(root), s)
+                assert got == want
+                if ref_actions is None:
+                    assert actions is None
+                    continue
+                feasible += 1
+                taken.update(actions.tolist())
+                assert np.array_equal(actions, ref_actions)
+        assert ctl._rows == 3
+        assert feasible >= 60 and len(taken) >= 6, (feasible, taken)
+
     def test_zero_terminal_slope_goes_full_throttle(self, params):
         """Stored energy worth nothing and inputs abundant: run at u_max."""
         ctl = _make_controller(*_flat(1200.0, 10), 360.0, 131, 24, 0.0, params)
@@ -503,6 +580,19 @@ def test_plan_matches_gather_reference_property(instance):
             else:
                 assert np.array_equal(actions, ref_actions)
     assert ctl._step == step  # one sweep served every row
+
+
+@given(st.lists(st.integers(0, 200), min_size=1, unique=True).map(sorted))
+def test_progressions_cover_the_offsets_in_order(offsets):
+    """Runs cover exactly the ascending offsets, in order, without overlap."""
+    runs = _progressions(offsets)
+    assert [w for o, e, d, _, _ in runs for w in range(o, e, d)] == offsets
+    assert [r for *_, r, _ in runs] == [0] + [s for *_, s in runs[:-1]]
+    for o, e, d, r, s in runs:
+        assert d >= 1
+        assert offsets[r:s] == list(range(o, e, d))
+        # greedy from the left: only the last run may hold one window
+        assert s - r >= 2 or s == len(offsets)
 
 
 # ======================================================================

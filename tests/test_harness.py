@@ -957,6 +957,40 @@ def test_simulated_numbers_match_recorded_digests():
             assert [rec.u_hat for rec in r.per_iteration] == _GATE_U_HAT
 
 
+def test_holed_lattice_matches_recorded_digest():
+    """Two days of the planner on 3251 x 48, bitwise as recorded.
+
+    The 131 x 24 lattice above has no stage whose run of shifts has a hole;
+    on 2 Wh cells the fast velocities land several cells apart, so here
+    every stage skips windows no velocity lands on.
+    """
+    mpc = MpcConfig(horizon=86400.0, soc_grid=3251, u_grid=48, replan_interval=240)
+    cfg = _cfg(
+        mission_length=2 * DAY, strategy="mpc", solar=_GATE_SOLAR,
+        barrier_mode="horizon", mpc=mpc,
+    )
+    r = run_mission(cfg)
+    v = cfg.vessel
+    draws = v.k_h + v.k_m * np.linspace(v.u_max, v.u_min, mpc.u_grid) ** 3
+    res = (v.b_max - v.b_min) / (mpc.soc_grid - 1)
+    shifts = np.floor((r.p_in_trace[:, None] - draws) * cfg.dt / 3600.0 / res)
+    distinct = 1 + (np.diff(shifts, axis=1) != 0).sum(axis=1)
+    assert (shifts[:, -1] - shifts[:, 0] + 1 > distinct).all()
+    got = tuple(
+        hashlib.sha256(a.tobytes()).hexdigest()
+        for a in (r.soc_trace, r.velocity_trace, r.p_in_trace)
+    )
+    assert got == (
+        "a9953b03ea013dc5ea87185ae1dad5bd7e3492fdd4e27e37f574916f1467de2f",
+        "03ea7322cfa40b41e3c6ea80c734e5f25cc0fa4b706b5125d4c7ef4d4a7a153c",
+        "ed6727b615a49bc1988a0dae91617d27f57d649a7c6d03aa9a54bdf5f8c172e9",
+    )
+    assert (
+        r.distance, r.terminal_soc, r.violation,
+        r.curtailed_wh, r.floor_added_wh, r.battery_failed,
+    ) == (270482.62978723523, 105.08851302206298, 0.0, 0.0, 0.0, False)
+
+
 # ======================================================================
 # Result container hygiene
 # ======================================================================
