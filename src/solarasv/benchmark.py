@@ -38,33 +38,16 @@ must match the DP value exactly):
 The DP never gathers: each action moves the state by a whole number of
 cells, so every velocity's successor values form a shifted window of one
 padded value vector (``-inf`` below cell 0, the top cell repeated above it).
-The shift falls as u rises, so a stage's velocities land on one run of
-shifts, and velocities sharing a shift share a window; only the fastest of
-them can win. A stage sets the pads and the cells outside the envelope, adds
-each landed shift's best reward to its window and maxes in place; no stage
-keeps an argmax. Where fast velocities lie more than a cell apart the run
-has holes, shifts no velocity lands on: their reward would be ``-inf``,
-which never wins a max, so the stage skips them and reads its landed
-windows as a few strided runs, one per arithmetic progression of their
-shifts. On 3251 x 48 a stage's run is about 52 windows wide and about 31
-are landed; on 131 x 24 no stage has holes.
-
-A plan's DP depends only on its start step, never on the SOC, and every plan
-that contains a stage sees there the same shifts, best rewards and envelope.
-So the planner solves a block of plans, those at step, step + R, ... (R the
-replan interval), in one backward sweep: each plan is one padded row, the
-rows lie back to back in one flat buffer, and at each stage the rows whose
-plans contain it step back in lockstep as one band. A shift's windows over
-those rows are one contiguous run of that buffer, so a stage is one add
-per progression of landed shifts (one if it has no holes) and one max,
-whatever the number of rows. The run's positions that straddle two rows
-compute on pad cells and are never read; rows never interact otherwise, so
-each plan is bitwise the plan it would be alone. A block has at most
-ceil(H / R) rows, fewer when a stage could touch more than ``_STAGE_CELLS``
-cells; later calls at the block's steps read their row's root values. The
-stages a plan executes before its next replan store the masked vector they
-read, and the rollout re-derives each action from the U candidates at the
-current state, applying the pads by index.
+Only the fastest velocity landing on a window can win there, and a window no
+velocity lands on cannot win at all, so a stage adds the best reward of each
+landed window and maxes in place; no stage keeps an argmax. A plan's DP
+depends only on its start step, never on the SOC, so the planner solves the
+plans at step, step + R, ... (R the replan interval) in one backward sweep,
+one padded row each, and every plan is bitwise the plan it would be alone.
+``MpcController._sweep`` describes the mechanism. The stages a plan executes
+before its next replan store the masked vector they read, and the rollout
+re-derives each action from the U candidates at the current state, applying
+the pads by index.
 
 If no action is feasible from the current state the controller falls back to
 the switching law on the step loop's bounds with u_min as the interior
@@ -88,11 +71,11 @@ from .vessel import VesselParams
 # cells one lockstep stage may touch: rows x min(W, U) x SOC levels, W the
 # widest run of shifts and U the velocities, since a stage adds at most one
 # window per velocity. The cap keeps a block of every-step plans on a large
-# lattice from allocating hundreds of MB. Re-measured with holed stages adding
-# only their landed windows (2-core Xeon, 2 MB L2 per core, numpy 2.4;
+# lattice from allocating hundreds of MB. Measured with each stage adding only
+# its landed windows (2-core Xeon, 2 MB L2 per core, numpy 2.4;
 # replan_interval = 1, 12 h horizon, best run_mission time of 3-9 runs; a
 # range spans separate runs, over which this shared host's speed drifted):
-#   131 x 24, 2 days (configs/mpc.cfg; no stage has holes): 2^15 62 rows
+#   131 x 24, 2 days (configs/mpc.cfg; 3-4 windows a stage): 2^15 62 rows
 #     38.8-40.3 ms, 2^16 and 2^17 120 rows 24.2-34.9 ms; perfbench
 #     mpc-every-step wall_s 0.0293-0.0306 vs 0.0253-0.0273 ref s, but
 #     peak_rss_mb 36.18-36.30 vs 36.76-37.01 MB (same kernel, measured before)
@@ -152,6 +135,19 @@ def _progressions(offsets: list[int]) -> _Runs:
     return tuple(runs)
 
 
+def _stage_windows(offsets: np.ndarray, rewards: np.ndarray) -> tuple[_Runs, np.ndarray]:
+    """A stage's landed windows as runs, and the best reward landing on each.
+
+    ``offsets`` ascend from 0, velocity j (u descending) landing on window
+    ``offsets[j]``. The runs (see ``_progressions``) cover the distinct
+    offsets in order; row i of the (n, 1) rewards is the largest reward
+    landing on the i-th of them, that of its first velocity, the fastest, so
+    ties go to the higher velocity.
+    """
+    landed, fastest = np.unique(offsets, return_index=True)
+    return _progressions(landed.tolist()), rewards[fastest][:, None]
+
+
 @dataclass(frozen=True)
 class MpcConfig:
     """Receding-horizon planner knobs.
@@ -201,10 +197,9 @@ class MpcController:
     (capped at the mission), R the replan interval, W the widest run of
     shifts the mission allows, U the velocities and S the lattice size.
     Padded rows are L = lo pad + S + hi pad + W cells long and lie back to
-    back in one flat buffer; one sliding-window view of it serves every
-    stage's band, whose max lands in the rows' middles in place. A stage
-    adds at most min(W, U) windows, one per landed shift, so a
-    (min(W, U), (rows - 1) * L + S) array takes its sums.
+    back in one flat buffer, read through one sliding-window view. A stage
+    adds at most min(W, U) windows, so a (min(W, U), (rows - 1) * L + S)
+    array takes its sums.
     """
 
     def __init__(
@@ -270,8 +265,8 @@ class MpcController:
         self._tmp = np.empty((added, widest))
         self._stored = np.empty((rows, min(interval, span), n_soc))
         self._rewards = self.u_desc * self.dt
-        # a holed stage's runs of windows by its pattern of landed windows
-        self._runs: dict[bytes, _Runs] = {}
+        # a stage's windows (see _stage_windows) by its row of shift offsets
+        self._windows: dict[bytes, tuple[_Runs, np.ndarray]] = {}
         # the block swept last (see _sweep): its first step and row starts
         self._step = 0
         self._starts: list[int] = []
@@ -347,36 +342,35 @@ class MpcController:
         first cell (underflow) and past its last cell, or, if it reaches the
         top cell, copies of that cell across the high pad (the clamp).
         Velocity j's candidate row is the length-S window starting at its
-        cell shift. u descends, so stage k's shifts ascend and span a run of
-        W_k windows; a (K, W) table (W the widest run of the block) holds the
-        largest reward landing on each shift, ``-inf`` where none does.
-        Dropping the slower velocities of a shared shift leaves the max
-        bitwise unchanged, since float addition of a larger reward never
-        rounds below a smaller one. Dropping a window no velocity lands on
-        (a hole) leaves it unchanged too: values are finite or ``-inf``,
-        never NaN, so that window's sums are all ``-inf`` and cannot raise
-        the max of the landed windows (offset 0 always lands). One compare
-        per sweep finds the stages with holes (fewer landed shifts than
-        W_k); each reads only its landed windows, whose ascending offsets
-        ``_progressions`` splits into arithmetic runs (o, e, d). A stage
-        without holes reads its W_k windows as one run (0, W_k, 1).
+        cell shift. u descends, so stage k's shifts ascend from lo[k], and
+        the stage reads one window per distinct offset, with the largest
+        reward landing on it (``_stage_windows``, memoised per controller by
+        the stage's row of offsets). Dropping the slower velocities of a
+        shared offset leaves the max bitwise unchanged, since float addition
+        of a larger reward never rounds below a smaller one. Skipping an
+        offset no velocity lands on leaves it unchanged too: values are
+        finite or ``-inf``, never NaN, so with a ``-inf`` reward that
+        window's sums could not raise the max.
 
-        The padded rows lie L cells apart in one flat buffer, so shift w's
+        The padded rows lie L cells apart in one flat buffer, so offset w's
         windows over rows a:z are one contiguous run of it, m = (z - a - 1)
-        * L + S cells from a * L + start + w. A stage reads each of its runs
-        of windows as one strided basic slice of the sliding-window view,
-        ``start + o:start + e:d``, a view, adds the table's entries
-        ``o:e:d`` into the next free rows of the work array, and takes one
-        max over the rows filled, written to the middles of rows a:z. On
-        3251 x 48 a holed stage adds about 31 of about 52 windows in about
-        7 runs. Positions between two rows' S valid cells read one row's
-        high pad and the next row's low pad and middle; their maxes land in
-        those pads, which the next stage sets again before reading. Neither the max nor the pad writes reach past
-        row z - 1, so a row that has left the band keeps its root values.
-        Each valid cell gets the float64 adds and maxes of a one-plan DP in
-        its order, so every plan is bitwise the same whichever block solves
-        it. After stage k's pad writes, the row whose first ``take`` stages
-        include k stores its masked V_{k+1} for the rollout.
+        * L + S cells from a * L + start + w. A stage reads each arithmetic
+        run (o, e, d, r, s) of its offsets as one strided basic slice of the
+        sliding-window view, ``start + o:start + e:d``, a view, adds its
+        rewards into work rows r:s, and takes one max over the rows filled,
+        written to the middles of rows a:z. A stage whose offsets leave no
+        gap is the one run (0, W_k, 1): on 131 x 24 every stage, 3-4
+        windows. On 3251 x 48 fast velocities land cells apart, and a stage
+        adds about 31 windows of a run about 52 wide, in about 7 runs.
+        Positions between two rows' S valid cells read one row's high pad
+        and the next row's low pad and middle; their maxes land in those
+        pads, which the next stage sets again before reading. Neither the
+        max nor the pad writes reach past row z - 1, so a row that has left
+        the band keeps its root values. Each valid cell gets the float64
+        adds and maxes of a one-plan DP in its order, so every plan is
+        bitwise the same whichever block solves it. After stage k's pad
+        writes, the row whose first ``take`` stages include k stores its
+        masked V_{k+1} for the rollout.
         """
         n = len(self.p_in)
         interval = self.cfg.replan_interval
@@ -395,31 +389,15 @@ class MpcController:
             (p[:, None] - self.draw_desc[None, :]) * (self.dt / 3600.0) / self.res
         ).astype(np.int64)
 
-        # u descends, so each row of shifts ascends: stage k's velocities land
-        # in the run of shifts lo[k] + [0, width[k]), and best[k, w] is the
-        # largest reward among those landing on lo[k] + w (-inf if none does)
+        # u descends, so each row of shifts ascends from lo[k]; a stage's
+        # windows follow from its offsets alone, which follow p's position
+        # within a cell, so few distinct rows occur and each is worked out
+        # once per controller
         lo = shifts[:, 0]
-        offset = shifts - lo[:, None]
-        width = (offset[:, -1] + 1).tolist()
-        fastest = np.empty(shifts.shape, dtype=bool)
-        fastest[:, 0] = True
-        np.not_equal(shifts[:, 1:], shifts[:, :-1], out=fastest[:, 1:])
-        stages, cols = np.nonzero(fastest)
-        best = np.full((stop - step, max(width), 1), -np.inf)
-        best[stages, offset[stages, cols], 0] = self._rewards[cols]
+        offsets = shifts - lo[:, None]
         run = (lo + self._lo).tolist()
-        # a stage with holes adds only its landed windows: holes[k] lists
-        # their strided runs (o, e, d, r, s), windows lo[k] + range(o, e, d)
-        # into rows r:s of the work array; it stays None for the other stages.
-        # The holes follow p's position within a cell, so few patterns recur,
-        # and each is split once per controller
-        holes: list[_Runs | None] = [None] * len(width)
-        holed = np.flatnonzero(np.count_nonzero(fastest, axis=1) != offset[:, -1] + 1)
-        for k, landed in zip(holed.tolist(), best[holed, :, 0] > -np.inf):
-            key = landed[:width[k]].tobytes()
-            if key not in self._runs:
-                self._runs[key] = _progressions(np.flatnonzero(landed).tolist())
-            holes[k] = self._runs[key]
+        memo = self._windows
+        rewards = self._rewards
 
         # the lattice ascends, so stage k's envelope [b_l, b_u] is the cell
         # range [first[k], end[k])
@@ -455,16 +433,16 @@ class MpcController:
             if row < count:
                 self._stored[row, i] = padded[row, lo_pad:high]
             m = (z - a - 1) * length + n_soc
-            start = a * length + run[k]
-            if holes[k] is None:
-                w = width[k]
-                band = tmp[:w, :m]
-                np.add(bands[start:start + w, :m], best[k, :w], out=band)
-            else:
-                for o, e, d, r, s in holes[k]:
-                    np.add(bands[start + o:start + e:d, :m], best[k, o:e:d], out=tmp[r:s, :m])
-                band = tmp[:s, :m]
-            np.maximum.reduce(band, axis=0, out=values[a * length:a * length + m])
+            base = a * length
+            start = base + run[k]
+            key = offsets[k].tobytes()
+            windows = memo.get(key)
+            if windows is None:
+                windows = memo[key] = _stage_windows(offsets[k], rewards)
+            runs, best = windows
+            for o, e, d, r, s in runs:
+                np.add(bands[start + o:start + e:d, :m], best[r:s], out=tmp[r:s, :m])
+            np.maximum.reduce(tmp[:len(best), :m], axis=0, out=values[base:base + m])
 
         self._step = step
         self._starts = starts

@@ -143,8 +143,10 @@ class IlcPolicy:
     caller must ensure the bands fit (see :func:`validate_buffer`).
     :meth:`end_cycle` is called once per cycle with the measured and the
     true cycle-end SOC, applies the proportional update and returns the
-    cycle's record. Negative gains, delta <= 0 and cycle_steps < 1 raise
-    ValueError.
+    cycle's record. The settings follow the rules ``SimConfig`` applies to
+    the controller keys: a NaN or infinite setting, a negative gain, delta
+    <= 0, a u_init outside [u_min, u_max], a b_des outside [b_min, b_max]
+    and cycle_steps < 1 raise ValueError.
 
     u_hat: current interior velocity estimate, m/s (within vessel limits).
     b_des: terminal-SOC target of the running cycle, Wh. When the settings'
@@ -165,12 +167,21 @@ class IlcPolicy:
     ) -> None:
         if cycle_steps < 1:
             raise ValueError("cycle_steps must be >= 1")
+        for name in ("k_p", "k_d", "delta", "u_init", "b_des"):
+            value = getattr(settings, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if settings.delta <= 0:
             raise ValueError("delta must be > 0")
         if settings.k_p < 0:
             raise ValueError("k_p must be >= 0")
         if settings.k_d < 0:
             raise ValueError("k_d must be >= 0")
+        if not params.u_min <= settings.u_init <= params.u_max:
+            raise ValueError(f"u_init {settings.u_init} outside velocity limits")
+        b_des = settings.b_des
+        if b_des is not None and not params.b_min <= b_des <= params.b_max:
+            raise ValueError(f"b_des {b_des} outside battery window")
         self.cycle_steps = cycle_steps
         self.k_p = settings.k_p
         self.u_min = params.u_min

@@ -14,6 +14,7 @@ from solarasv.benchmark import (
     MpcConfig,
     MpcController,
     _progressions,
+    _stage_windows,
     energy_balance_velocity,
 )
 from solarasv.config import SimConfig
@@ -593,6 +594,36 @@ def test_progressions_cover_the_offsets_in_order(offsets):
         assert offsets[r:s] == list(range(o, e, d))
         # greedy from the left: only the last run may hold one window
         assert s - r >= 2 or s == len(offsets)
+
+
+@st.composite
+def _stage_row(draw):
+    """A stage's shift offsets (ascending from 0, with repeats) and rewards (descending)."""
+    steps = draw(st.lists(st.integers(0, 4), min_size=1, max_size=47).filter(lambda d: 0 in d))
+    offsets = np.cumsum([0, *steps])
+    rewards = draw(st.lists(
+        st.floats(0.0, 1e4), min_size=offsets.size, max_size=offsets.size
+    ).map(lambda r: sorted(r, reverse=True)))
+    return offsets, np.array(rewards)
+
+
+@given(_stage_row())
+def test_stage_windows_hold_the_best_reward_of_each_landed_offset(row):
+    """Runs cover the distinct offsets in order; each carries its largest reward."""
+    offsets, rewards = row
+    runs, best = _stage_windows(offsets, rewards)
+    landed = np.unique(offsets).tolist()
+    assert [w for o, e, d, _, _ in runs for w in range(o, e, d)] == landed
+    assert best.shape == (len(landed), 1)
+    # the per-stage row of the table a sweep used to scatter: the fastest
+    # velocity of each equal-offset group, -inf where none lands
+    fastest = np.ones(offsets.size, dtype=bool)
+    fastest[1:] = offsets[1:] != offsets[:-1]
+    table = np.full(offsets[-1] + 1, -np.inf)
+    table[offsets[fastest]] = rewards[fastest]
+    for o, e, d, r, s in runs:
+        assert np.array_equal(best[r:s, 0], table[o:e:d])
+    assert best[:, 0].tolist() == [rewards[offsets == w].max() for w in landed]
 
 
 # ======================================================================

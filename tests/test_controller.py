@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from solarasv.controller import (
     validate_buffer,
     velocity_from_costate,
 )
-from solarasv.config import SimConfig
+from solarasv.config import ConfigError, SimConfig
 from solarasv.harness import Policy, simulate
 from solarasv.vessel import VesselParams
 
@@ -164,6 +166,34 @@ class TestBufferedControl:
         with pytest.raises(ValueError, match=f"{gain} must be >= 0"):
             _policy(params, **{gain: -5e-5})
         _policy(params, **{gain: 0.0})  # a zero gain switches that update off
+
+    @pytest.mark.parametrize(
+        "setting, match",
+        [
+            ({"u_init": 5.0}, "u_init 5.0 outside velocity limits"),
+            ({"u_init": -0.1}, "outside velocity limits"),
+            ({"u_init": math.nan}, "u_init must be finite"),
+            ({"k_p": math.nan}, "k_p must be finite"),
+            ({"k_d": math.nan}, "k_d must be finite"),
+            ({"k_p": math.inf}, "k_p must be finite"),
+            ({"delta": math.nan}, "delta must be finite"),
+            ({"delta": math.inf}, "delta must be finite"),
+            ({"b_des": math.nan}, "b_des must be finite"),
+            ({"b_des": 6500.5}, "b_des 6500.5 outside battery window"),
+            ({"b_des": -1.0}, "outside battery window"),
+        ],
+    )
+    def test_settings_follow_the_config_rules(self, params, setting, match):
+        """What SimConfig rejects for controller.* the policy rejects too."""
+        with pytest.raises(ValueError, match=match):
+            _policy(params, **setting)
+        (key,) = setting
+        with pytest.raises(ConfigError, match=f"controller.{key}: "):
+            SimConfig(strategy="ilc", ilc=IlcSettings(**{"b_des": 3000.0, **setting}))
+
+    def test_settings_on_the_limits_are_allowed(self, params):
+        _policy(params, u_init=params.u_max, b_des=params.b_min)
+        _policy(params, u_init=params.u_min, b_des=params.b_max)
 
     def test_validate_buffer(self):
         env = _flat_env(b_l=1000.0, b_u=1100.0)  # gap 100
