@@ -43,6 +43,7 @@ config file's directory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral
 from pathlib import Path
@@ -98,7 +99,7 @@ class SimConfig:
             errors.append("sim.mission_length: must be > 0")
         elif self.dt > 0 and whole_steps(self.mission_length, self.dt) is None:
             errors.append("sim.mission_length: must be a positive multiple of sim.dt")
-        if not p.b_min <= self.initial_soc <= p.b_max:
+        if math.isfinite(self.initial_soc) and not p.b_min <= self.initial_soc <= p.b_max:
             errors.append(
                 f"sim.initial_soc: {self.initial_soc} outside battery window "
                 f"[{p.b_min}, {p.b_max}]"
@@ -126,23 +127,7 @@ class SimConfig:
         if self.strategy == "ilc":
             if self.dt > 0 and whole_steps(DAY_S, self.dt) is None:
                 errors.append("sim.dt: must divide 86400 s for the ilc strategy")
-            if self.ilc.delta <= 0:
-                errors.append("controller.delta: must be > 0")
-            # a negative gain learns away from the target, down to u_min
-            if self.ilc.k_p < 0:
-                errors.append("controller.k_p: must be >= 0")
-            if self.ilc.k_d < 0:
-                errors.append("controller.k_d: must be >= 0")
-            if not p.u_min <= self.ilc.u_init <= p.u_max:
-                errors.append(
-                    f"controller.u_init: {self.ilc.u_init} outside velocity limits"
-                )
-            b_des = self.ilc.b_des
-            if b_des is not None and not p.b_min <= b_des <= p.b_max:
-                errors.append(
-                    f"controller.b_des: {b_des} outside battery window "
-                    f"[{p.b_min}, {p.b_max}]"
-                )
+            errors += [f"controller.{name}: {why}" for name, why in self.ilc.problems(p)]
         if self.strategy == "mpc" and self.dt > 0:
             if whole_steps(self.mpc.horizon, self.dt) is None:
                 errors.append("mpc.horizon: must be a positive multiple of sim.dt")
@@ -160,7 +145,8 @@ class SimConfig:
                     f"solar.table: its days end at t={end} s, before "
                     f"sim.mission_length ({self.mission_length} s)"
                 )
-        return errors + solar
+        # under ilc, a non-finite controller.* key is in both lists above
+        return list(dict.fromkeys(errors + solar))
 
     def _numeric_fields(self) -> list[tuple[str, float]]:
         """(key, value) of each float sim.* or controller.* key, b_des if set."""

@@ -119,6 +119,35 @@ class IlcSettings:
     u_init: float = 1.0   # initial velocity estimate, m/s
     b_des: float | None = None  # fixed terminal target; None tracks cycle start
 
+    def problems(self, params: VesselParams) -> list[tuple[str, str]]:
+        """A (field, reason) pair for each rule these settings break; [] if valid.
+
+        The one statement of the learner's rules: ``SimConfig`` reports each
+        pair as ``controller.<field>: <reason>`` and :class:`IlcPolicy`
+        raises them. A NaN or infinite field is reported only as not finite.
+        """
+        p, u_init, b_des = params, self.u_init, self.b_des
+        rules = (
+            # a negative gain learns away from the target, down to u_min
+            ("k_p", self.k_p >= 0, "must be >= 0"),
+            ("k_d", self.k_d >= 0, "must be >= 0"),
+            ("delta", self.delta > 0, "must be > 0"),
+            ("u_init", p.u_min <= u_init <= p.u_max, f"{u_init} outside velocity limits"),
+            (
+                "b_des",
+                b_des is None or p.b_min <= b_des <= p.b_max,
+                f"{b_des} outside battery window [{p.b_min}, {p.b_max}]",
+            ),
+        )
+        out = []
+        for name, holds, reason in rules:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                out.append((name, "must be finite"))
+            elif not holds:
+                out.append((name, reason))
+        return out
+
 
 class IterationRecord(NamedTuple):
     """One closed cycle: the updated u_hat, its costate and the true terminal SOC."""
@@ -143,10 +172,9 @@ class IlcPolicy:
     caller must ensure the bands fit (see :func:`validate_buffer`).
     :meth:`end_cycle` is called once per cycle with the measured and the
     true cycle-end SOC, applies the proportional update and returns the
-    cycle's record. The settings follow the rules ``SimConfig`` applies to
-    the controller keys: a NaN or infinite setting, a negative gain, delta
-    <= 0, a u_init outside [u_min, u_max], a b_des outside [b_min, b_max]
-    and cycle_steps < 1 raise ValueError.
+    cycle's record. Settings that break a rule of
+    :meth:`IlcSettings.problems` raise one ValueError naming each, and so
+    does cycle_steps < 1.
 
     u_hat: current interior velocity estimate, m/s (within vessel limits).
     b_des: terminal-SOC target of the running cycle, Wh. When the settings'
@@ -165,23 +193,11 @@ class IlcPolicy:
     def __init__(
         self, settings: IlcSettings, params: VesselParams, cycle_steps: int, initial_soc: float
     ) -> None:
+        problems = [f"{name} {reason}" for name, reason in settings.problems(params)]
         if cycle_steps < 1:
-            raise ValueError("cycle_steps must be >= 1")
-        for name in ("k_p", "k_d", "delta", "u_init", "b_des"):
-            value = getattr(settings, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-        if settings.delta <= 0:
-            raise ValueError("delta must be > 0")
-        if settings.k_p < 0:
-            raise ValueError("k_p must be >= 0")
-        if settings.k_d < 0:
-            raise ValueError("k_d must be >= 0")
-        if not params.u_min <= settings.u_init <= params.u_max:
-            raise ValueError(f"u_init {settings.u_init} outside velocity limits")
-        b_des = settings.b_des
-        if b_des is not None and not params.b_min <= b_des <= params.b_max:
-            raise ValueError(f"b_des {b_des} outside battery window")
+            problems.append("cycle_steps must be >= 1")
+        if problems:
+            raise ValueError("; ".join(problems))
         self.cycle_steps = cycle_steps
         self.k_p = settings.k_p
         self.u_min = params.u_min

@@ -52,6 +52,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -234,9 +235,9 @@ def simulate(
     i, and noise[i + 1] to the cycle-end SOC handed to end_cycle after step
     i (so the last cycle-end measurement uses noise[n]). The battery, the
     clamp ledgers and the violation integral use the true SOC. A noise of
-    another length, or an end_cycle without cycle_steps >= 1, raises
-    ValueError before the first control call. wall_time covers this call
-    only.
+    another length, an end_cycle without cycle_steps >= 1, a dt that is not
+    finite and > 0 or a non-finite initial_soc raises ValueError before the
+    first control call. wall_time covers this call only.
     """
     wall0 = time.perf_counter()
     p_in_trace = np.asarray(p_in, dtype=float)
@@ -251,6 +252,10 @@ def simulate(
             raise ValueError("noise must hold one value per step and one more")
     if policy.end_cycle is not None and policy.cycle_steps < 1:
         raise ValueError("a policy with end_cycle must set cycle_steps >= 1")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not math.isfinite(initial_soc):
+        raise ValueError(f"initial_soc must be finite, got {initial_soc}")
     control = policy.control
     end_cycle = policy.end_cycle
     cycle = policy.cycle_steps

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solarasv.barrier import BarrierEnvelope
 from solarasv.controller import (
@@ -195,6 +197,16 @@ class TestBufferedControl:
         _policy(params, u_init=params.u_max, b_des=params.b_min)
         _policy(params, u_init=params.u_min, b_des=params.b_max)
 
+    def test_every_broken_rule_is_named(self, params):
+        bad = IlcSettings(k_p=-1.0, delta=math.inf, u_init=9.0, b_des=math.nan)
+        assert [name for name, _ in bad.problems(params)] == ["k_p", "delta", "u_init", "b_des"]
+        with pytest.raises(ValueError) as exc:
+            IlcPolicy(bad, params, 0, 3000.0)
+        assert str(exc.value) == (
+            "k_p must be >= 0; delta must be finite; u_init 9.0 outside velocity "
+            "limits; b_des must be finite; cycle_steps must be >= 1"
+        )
+
     def test_validate_buffer(self):
         env = _flat_env(b_l=1000.0, b_u=1100.0)  # gap 100
         validate_buffer(env, 49.9)
@@ -202,6 +214,53 @@ class TestBufferedControl:
             validate_buffer(env, 50.0)
         with pytest.raises(ValueError, match="delta must be > 0"):
             validate_buffer(env, 0.0)
+
+
+@st.composite
+def _settings_case(draw):
+    """IlcSettings with NaN, +-inf, negative, boundary and in-range values, and a vessel."""
+    b_min = draw(st.floats(0.0, 1000.0))
+    u_min = draw(st.floats(0.0, 1.0))
+    params = VesselParams(
+        b_min=b_min,
+        b_max=b_min + draw(st.floats(1.0, 6500.0)),
+        u_min=u_min,
+        u_max=u_min + draw(st.floats(0.1, 3.0)),
+    )
+
+    def value(low, high, *limits):
+        special = [math.nan, math.inf, -math.inf, -1.0, 0.0, *limits]
+        return draw(st.sampled_from(special) | st.floats(low, high))
+
+    ilc = IlcSettings(
+        k_p=value(-1e-4, 1e-4),
+        k_d=value(-1e-4, 1e-4),
+        delta=value(-10.0, 200.0),
+        u_init=value(u_min - 1.0, params.u_max + 1.0, u_min, params.u_max),
+        b_des=draw(st.none())
+        if draw(st.booleans())
+        else value(b_min - 100.0, params.b_max + 100.0, b_min, params.b_max),
+    )
+    return ilc, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(_settings_case())
+def test_config_and_policy_reject_the_same_settings(case):
+    """SimConfig and IlcPolicy read one set of rules: same verdict, same fields."""
+    ilc, params = case
+    config_names = policy_names = set()
+    try:
+        SimConfig(strategy="ilc", ilc=ilc, vessel=params, initial_soc=params.b_min)
+    except ConfigError as exc:
+        lines = str(exc).splitlines()[1:]
+        config_names = {line.strip().split(":")[0] for line in lines}
+    try:
+        IlcPolicy(ilc, params, 1, params.b_min)
+    except ValueError as exc:
+        policy_names = {"controller." + part.split()[0] for part in str(exc).split("; ")}
+    assert config_names == policy_names
+    assert config_names == {f"controller.{name}" for name, _ in ilc.problems(params)}
 
 
 # ======================================================================

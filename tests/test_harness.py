@@ -153,6 +153,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(fragment)):
             _cfg(**kw)
 
+    @pytest.mark.parametrize(
+        "kw, key",
+        [
+            ({"initial_soc": NAN}, "sim.initial_soc"),
+            ({"ilc": IlcSettings(u_init=NAN)}, "controller.u_init"),
+            ({"ilc": IlcSettings(b_des=NAN)}, "controller.b_des"),
+            ({"ilc": IlcSettings(k_p=NAN)}, "controller.k_p"),
+            ({"ilc": IlcSettings(k_d=-INF)}, "controller.k_d"),
+            ({"ilc": IlcSettings(delta=-INF)}, "controller.delta"),
+        ],
+    )
+    def test_each_bad_key_is_named_once(self, kw, key):
+        """A non-finite value is reported as such, not also as out of range."""
+        with pytest.raises(ConfigError) as exc:
+            _cfg(strategy="ilc", **kw)
+        assert str(exc.value).count(f"{key}:") == 1
+
     def test_ilc_needs_day_aligned_dt(self):
         with pytest.raises(ConfigError, match="must divide 86400"):
             _cfg(dt=700.0, mission_length=700.0 * 1000)
@@ -285,6 +302,15 @@ class TestStepLoop:
         for cycle in (0, -1):
             with pytest.raises(ValueError, match="cycle_steps >= 1"):
                 simulate(learner._replace(cycle_steps=cycle), *args)
+        # a step that is not a positive, finite time, or a non-finite start SOC
+        # (unchecked, they give a negative, zero or NaN distance, or a NaN SOC)
+        fixed = Policy("never", never)
+        for dt in (-360.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt must be finite and > 0"):
+                simulate(fixed, *args[:5], dt)
+        for soc in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="initial_soc must be finite"):
+                simulate(fixed, *args[:3], soc, params, 360.0)
 
     def test_loop_memory_does_not_grow_with_the_mission(self):
         """A year of ilc steps peaks under 4 MB of traced heap.
