@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -66,6 +65,7 @@ from .controller import _switching_velocity
 # sample_array is not called here; it stays importable because perfbench
 # hooks solarasv.benchmark.sample_array and its self-tests resolve every hook
 from .solar import SolarProfile, integrate_power, sample_array, whole_steps  # noqa: F401
+from .solar import broken_rules, integer_rule, raise_broken
 from .vessel import VesselParams
 
 # cells one lockstep stage may touch: rows x min(W, U) x SOC levels, W the
@@ -167,17 +167,19 @@ class MpcConfig:
     replan_interval: int = 1
 
     def __post_init__(self) -> None:
-        if not 0 < self.horizon < math.inf:
-            raise ValueError("horizon must be finite and > 0")
-        sizes = (self.soc_grid, self.u_grid, self.replan_interval)
-        if not all(isinstance(n, Integral) for n in sizes):
-            raise ValueError("soc_grid, u_grid and replan_interval must be integers")
-        if self.soc_grid < 2 or self.u_grid < 2:
-            raise ValueError("soc_grid and u_grid must be >= 2")
-        if not 0 <= self.terminal_reward_slope < math.inf:
-            raise ValueError("terminal_reward_slope must be finite and >= 0")
-        if self.replan_interval < 1:
-            raise ValueError("replan_interval must be >= 1")
+        raise_broken(self.problems())
+
+    def problems(self) -> list[tuple[str, str]]:
+        """A (field, reason) pair for each rule these knobs break; [] if valid."""
+        horizon, slope = self.horizon, self.terminal_reward_slope
+        rules = (
+            ("horizon", horizon > 0, "must be > 0"),
+            integer_rule("soc_grid", self.soc_grid, 2),
+            integer_rule("u_grid", self.u_grid, 2),
+            ("terminal_reward_slope", slope >= 0, "must be >= 0"),
+            integer_rule("replan_interval", self.replan_interval, 1),
+        )
+        return broken_rules({"horizon": horizon, "terminal_reward_slope": slope}, rules)
 
 
 class MpcController:

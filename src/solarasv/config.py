@@ -30,9 +30,10 @@ false and a period of DAY_S for a periodic log.
 
 Unknown and duplicate keys are reported together by line number. Then the
 file's value problems are reported together by key: every value its
-converter rejects, every solar key the selected source does not read and a
-missing solar.file. solar.d0, solar.d1 and solar.table belong to the
-idealized source, which ignores solar.d0 and solar.d1 under a table;
+converter rejects, every solar key the selected source does not read, a
+missing solar.file and every rule the vessel.* and mpc.* keys break.
+solar.d0, solar.d1 and solar.table belong to the idealized source, which
+ignores solar.d0 and solar.d1 under a table;
 solar.file, solar.scale, solar.interpolation and solar.periodic belong to
 the file source, which reads solar.period only when solar.periodic is true.
 A compare file lists at least two known strategies in sim.strategies, none
@@ -43,16 +44,17 @@ config file's directory.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
-from numbers import Integral
 from pathlib import Path
 from typing import Callable, get_type_hints
 
 from .barrier import MODES as BARRIER_MODES
 from .benchmark import MpcConfig
 from .controller import IlcSettings
-from .solar import FileSource, IdealizedSource, _finite_problems, read_rows, whole_steps
+from .solar import (
+    NOT_FINITE, FileSource, IdealizedSource, broken_rules, integer_rule, read_rows,
+    whole_steps,
+)
 from .vessel import VesselParams
 
 STRATEGIES = ("ilc", "constant-unconstrained", "constant-constrained", "mpc")
@@ -90,75 +92,68 @@ class SimConfig:
         _raise_problems(self._problems())
 
     def _problems(self) -> list[str]:
-        """Every 'config.key: problem' string for these settings; [] if valid."""
-        errors = _finite_problems(self._numeric_fields())
-        p = self.vessel
-        if self.dt <= 0:
-            errors.append("sim.dt: must be > 0")
-        if self.mission_length <= 0:
-            errors.append("sim.mission_length: must be > 0")
-        elif self.dt > 0 and whole_steps(self.mission_length, self.dt) is None:
-            errors.append("sim.mission_length: must be a positive multiple of sim.dt")
-        if math.isfinite(self.initial_soc) and not p.b_min <= self.initial_soc <= p.b_max:
-            errors.append(
-                f"sim.initial_soc: {self.initial_soc} outside battery window "
-                f"[{p.b_min}, {p.b_max}]"
-            )
-        if self.strategy not in STRATEGIES:
-            errors.append(f"sim.strategy: {self.strategy!r} not one of {STRATEGIES}")
-        if self.barrier_mode not in BARRIER_MODES:
-            errors.append(
-                f"barrier.mode: {self.barrier_mode!r} not one of {BARRIER_MODES}"
-            )
-        elif self.barrier_mode == "periodic-day" and not self.solar.periodic:
+        """Every 'config.key: problem' string for these settings; [] if valid.
+
+        The sim.* fields' own rules go through the rule loop. A rule that
+        reads several fields is checked only when the sim.* fields among them
+        have no problem of their own.
+        """
+        p, dt, length, soc, noise = (
+            self.vessel, self.dt, self.mission_length, self.initial_soc, self.noise_std
+        )
+        strategy, mode, source = self.strategy, self.barrier_mode, self.solar
+        outside = f"{soc} outside battery window [{p.b_min}, {p.b_max}]"
+        rules = (
+            ("dt", dt > 0, "must be > 0"),
+            ("mission_length", length > 0, "must be > 0"),
+            ("initial_soc", p.b_min <= soc <= p.b_max, outside),
+            ("strategy", strategy in STRATEGIES, f"{strategy!r} not one of {STRATEGIES}"),
+            ("noise_std", noise >= 0, "must be >= 0"),
+            integer_rule("rng_seed", self.rng_seed, 0),
+        )
+        floats = dict(dt=dt, mission_length=length, initial_soc=soc, noise_std=noise)
+        own = broken_rules(floats, rules)
+        errors = [f"sim.{name}: {why}" for name, why in own]
+        bad = {name for name, _ in own}
+        if mode not in BARRIER_MODES:
+            errors.append(f"barrier.mode: {mode!r} not one of {BARRIER_MODES}")
+        elif mode == "periodic-day" and not source.periodic:
             errors.append(
                 "barrier.mode: periodic-day repeats one period of the solar source, "
                 "but a solar.table or a log without solar.periodic has none; use horizon"
             )
-        elif self.barrier_mode == "periodic-day" and 0 < self.solar.period <= self.dt:
+        elif mode == "periodic-day" and "dt" not in bad and 0 < source.period <= dt:
             errors.append(
                 "barrier.mode: periodic-day needs sim.dt below the solar source's "
-                f"period ({self.solar.period} s); use horizon or a smaller sim.dt"
+                f"period ({source.period} s); use horizon or a smaller sim.dt"
             )
-        if self.noise_std < 0:
-            errors.append("sim.noise_std: must be >= 0")
-        if not isinstance(self.rng_seed, Integral) or self.rng_seed < 0:
-            errors.append(f"sim.rng_seed: must be an integer >= 0, got {self.rng_seed!r}")
-        if self.strategy == "ilc":
-            if self.dt > 0 and whole_steps(DAY_S, self.dt) is None:
+        if "dt" not in bad:  # finite and > 0, so the step count rules can divide by it
+            if "mission_length" not in bad and whole_steps(length, dt) is None:
+                errors.append("sim.mission_length: must be a positive multiple of sim.dt")
+            if strategy == "ilc" and whole_steps(DAY_S, dt) is None:
                 errors.append("sim.dt: must divide 86400 s for the ilc strategy")
-            errors += [f"controller.{name}: {why}" for name, why in self.ilc.problems(p)]
-        if self.strategy == "mpc" and self.dt > 0:
-            if whole_steps(self.mpc.horizon, self.dt) is None:
+            if strategy == "mpc" and whole_steps(self.mpc.horizon, dt) is None:
                 errors.append("mpc.horizon: must be a positive multiple of sim.dt")
-        solar = self.solar.problems()
+        # the learner's range rules hold under ilc only, but its settings are numbers
+        errors += [
+            f"controller.{name}: {why}" for name, why in self.ilc.problems(p)
+            if strategy == "ilc" or why == NOT_FINITE
+        ]
+        solar = source.problems()
         if (
-            isinstance(self.solar, IdealizedSource)
-            and not self.solar.periodic
+            isinstance(source, IdealizedSource)
+            and not source.periodic
             and not solar
-            and whole_steps(self.mission_length, self.dt) is not None
+            and whole_steps(length, dt) is not None
         ):
             # the coverage rule of harness.tabulate_mission, on the table's profile
-            end = self.solar.table_steps(self.dt) * self.dt
-            if end < self.mission_length:
+            end = source.table_steps(dt) * dt
+            if end < length:
                 errors.append(
                     f"solar.table: its days end at t={end} s, before "
-                    f"sim.mission_length ({self.mission_length} s)"
+                    f"sim.mission_length ({length} s)"
                 )
-        # under ilc, a non-finite controller.* key is in both lists above
-        return list(dict.fromkeys(errors + solar))
-
-    def _numeric_fields(self) -> list[tuple[str, float]]:
-        """(key, value) of each float sim.* or controller.* key, b_des if set."""
-        owners = {"sim": self, "controller": self.ilc}
-        out = []
-        for key, convert in _KEYS.items():
-            section, _, name = key.partition(".")
-            if section in owners and convert in (float, _b_des):
-                value = getattr(owners[section], name)
-                if value is not None:
-                    out.append((key, value))
-        return out
+        return errors + solar
 
 
 def _field_keys(prefix: str, cls: type) -> dict[str, type]:
@@ -291,12 +286,15 @@ def _section(v: dict[str, object], prefix: str, *names: str) -> dict[str, object
     return {name: v[f"{prefix}.{name}"] for name in names if f"{prefix}.{name}" in v}
 
 
-def _fields_section(cls: type, v: dict[str, object], prefix: str):
-    """``cls`` built from the ``prefix.<field>`` keys v sets; errors name the prefix."""
+def _fields_section(cls: type, v: dict[str, object], prefix: str, problems: list[str]):
+    """``cls`` built from the ``prefix.<field>`` keys v sets, or None.
+
+    When ``cls`` rejects them, its message joins ``problems``, led by the prefix.
+    """
     try:
         return cls(**_section(v, prefix, *(f.name for f in fields(cls))))
     except ValueError as exc:
-        raise ConfigError(f"{prefix}.*: {exc}") from exc
+        problems.append(f"{prefix}.*: {exc}")
 
 
 def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
@@ -320,9 +318,11 @@ def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
         if "solar.table" in v:
             unread += [(key, "there is no solar.table") for key in ("solar.d0", "solar.d1")]
     problems += [f"{key}: only read when {when}" for key, when in unread if key in values]
+    vessel = _fields_section(VesselParams, v, "vessel", problems)
+    ilc = _fields_section(IlcSettings, v, "controller", problems)
+    mpc = _fields_section(MpcConfig, v, "mpc", problems)
     _raise_problems(problems)
 
-    vessel = _fields_section(VesselParams, v, "vessel")
     solar: IdealizedSource | FileSource
     if file_source:
         solar = FileSource(
@@ -340,8 +340,6 @@ def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
             d0_by_day=d0_by_day,
             d1_by_day=d1_by_day,
         )
-    ilc = _fields_section(IlcSettings, v, "controller")
-    mpc = _fields_section(MpcConfig, v, "mpc")
 
     sim = _section(v, "sim", *(f.name for f in fields(SimConfig)))
     sim["output_dir"] = str(base_dir / sim.get("output_dir", SimConfig.output_dir))

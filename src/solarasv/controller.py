@@ -42,6 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .barrier import BarrierEnvelope
+from .solar import broken_rules, raise_broken
 from .vessel import VesselParams
 
 
@@ -139,14 +140,7 @@ class IlcSettings:
                 f"{b_des} outside battery window [{p.b_min}, {p.b_max}]",
             ),
         )
-        out = []
-        for name, holds, reason in rules:
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                out.append((name, "must be finite"))
-            elif not holds:
-                out.append((name, reason))
-        return out
+        return broken_rules(vars(self), rules)
 
 
 class IterationRecord(NamedTuple):
@@ -193,11 +187,10 @@ class IlcPolicy:
     def __init__(
         self, settings: IlcSettings, params: VesselParams, cycle_steps: int, initial_soc: float
     ) -> None:
-        problems = [f"{name} {reason}" for name, reason in settings.problems(params)]
+        problems = settings.problems(params)
         if cycle_steps < 1:
-            problems.append("cycle_steps must be >= 1")
-        if problems:
-            raise ValueError("; ".join(problems))
+            problems.append(("cycle_steps", "must be >= 1"))
+        raise_broken(problems)
         self.cycle_steps = cycle_steps
         self.k_p = settings.k_p
         self.u_min = params.u_min

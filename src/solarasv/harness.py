@@ -1,7 +1,9 @@
 """Closed-loop mission harness: tabulation, policies, stepping loop, exports.
 
 A mission runs from a :class:`~solarasv.config.SimConfig`. A SimConfig
-checks its settings when it is built, so nothing here checks them again.
+checks its settings when it is built, so the mission functions check none
+of them again; :func:`simulate`, which also runs without a config, checks
+its own ``dt`` and ``initial_soc``.
 Its solar source builds the input profile itself. The mission is tabulated
 once (:func:`tabulate_mission`): the input profile, the envelope, and
 read-only arrays of the input power at each step start and the bounds at

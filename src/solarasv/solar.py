@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -157,10 +158,40 @@ def period_grid(period: float, dt: float) -> np.ndarray:
     return times[times < period]
 
 
-def _finite_problems(values: Iterable[tuple[str, float]]) -> list[str]:
-    """'key: must be finite' once for each key with a NaN or infinite value."""
-    bad = (key for key, v in values if not math.isfinite(v))
-    return list(dict.fromkeys(f"{key}: must be finite" for key in bad))
+NOT_FINITE = "must be finite"
+
+
+def broken_rules(
+    values: dict[str, float | None], rules: Sequence[tuple[str, bool, str]]
+) -> list[tuple[str, str]]:
+    """A ``(field, reason)`` pair for each rule that does not hold; [] if all do.
+
+    The one rule loop of every settings class. ``values`` holds each float
+    field of the class, None for an optional one left unset; each row
+    ``(field, holds, reason)`` states one rule. A NaN or infinite value is
+    named once, as :data:`NOT_FINITE`, and no row of its field is checked.
+    Pairs come in the order of ``values``, then of the rows of other fields.
+    """
+    out = []
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            out.append((name, NOT_FINITE))
+        else:
+            out += [(name, why) for f, holds, why in rules if f == name and not holds]
+    rest = [(f, why) for f, holds, why in rules if f not in values and not holds]
+    return out + rest
+
+
+def integer_rule(name: str, n: object, least: int) -> tuple[str, bool, str]:
+    """The rule row: field ``name``, valued n, is an integer (numpy's too) >= least."""
+    holds = isinstance(n, Integral) and n >= least
+    return name, holds, f"must be an integer >= {least}, got {n!r}"
+
+
+def raise_broken(problems: list[tuple[str, str]]) -> None:
+    """Raise one ValueError naming each ``(field, reason)`` pair; do nothing if none."""
+    if problems:
+        raise ValueError("; ".join(f"{name} {why}" for name, why in problems))
 
 
 @dataclass(frozen=True)
@@ -187,17 +218,16 @@ class IdealizedSource:
 
     def problems(self) -> list[str]:
         """Every 'solar.key: problem' message for these settings; [] if valid."""
-        numbers = [
-            ("solar.d0", self.d0), ("solar.d1", self.d1), ("solar.period", self.period)
-        ]
-        for days in (self.d0_by_day, self.d1_by_day):
-            numbers += [("solar.table", v) for v in days or ()]
-        out = _finite_problems(numbers)
-        if self.period <= 0:
-            out.append("solar.period: must be > 0")
-        if self.d1 < 0:
-            out.append("solar.d1: must be >= 0")
+        rules = (
+            ("d1", self.d1 >= 0, "must be >= 0"),
+            ("period", self.period > 0, "must be > 0"),
+        )
+        floats = {"d0": self.d0, "d1": self.d1, "period": self.period}
+        out = [f"solar.{name}: {why}" for name, why in broken_rules(floats, rules)]
         d0s, d1s = self.d0_by_day, self.d1_by_day
+        finite = all(map(math.isfinite, (*(d0s or ()), *(d1s or ()))))
+        if not finite:
+            out.append(f"solar.table: {NOT_FINITE}")
         if (d0s is None) != (d1s is None):
             out.append("solar.table: d0_by_day and d1_by_day must come together")
         elif d0s is not None:
@@ -205,7 +235,7 @@ class IdealizedSource:
                 out.append("solar.table: d0_by_day and d1_by_day lengths differ")
             elif not d0s:
                 out.append("solar.table: no days")
-            if any(v < 0 for v in d1s):
+            if finite and any(v < 0 for v in d1s):
                 out.append("solar.table: d1 values must be >= 0")
         return out
 
@@ -266,19 +296,14 @@ class FileSource:
 
     def problems(self) -> list[str]:
         """Every 'solar.key: problem' message for these settings; [] if valid."""
-        numbers = [("solar.scale", self.scale)]
-        if self.period is not None:
-            numbers.append(("solar.period", self.period))
-        out = _finite_problems(numbers)
-        if self.period is not None and self.period <= 0:
-            out.append("solar.period: must be > 0")
-        if self.scale <= 0:
-            out.append("solar.scale: must be > 0")
-        if self.interpolation not in INTERPOLATIONS:
-            out.append(
-                f"solar.interpolation: {self.interpolation!r} not one of {INTERPOLATIONS}"
-            )
-        return out
+        unknown = f"{self.interpolation!r} not one of {INTERPOLATIONS}"
+        rules = (
+            ("scale", self.scale > 0, "must be > 0"),
+            ("period", self.period is None or self.period > 0, "must be > 0"),
+            ("interpolation", self.interpolation in INTERPOLATIONS, unknown),
+        )
+        floats = {"scale": self.scale, "period": self.period}
+        return [f"solar.{name}: {why}" for name, why in broken_rules(floats, rules)]
 
     def profile(self, dt: float) -> SolarProfile:
         """The log as :func:`load_profile` reads it, on its own grid (dt unused).

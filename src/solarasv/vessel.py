@@ -13,7 +13,9 @@ the physical window [b_min, b_max]; that step lives in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+from .solar import broken_rules, raise_broken
 
 
 @dataclass(frozen=True)
@@ -28,17 +30,23 @@ class VesselParams:
     u_max: float = 2.315   # m/s
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
-        if self.k_h < 0:
-            raise ValueError("k_h must be >= 0")
-        if self.k_m <= 0:
-            raise ValueError("k_m must be > 0")
-        if self.b_min < 0:
-            raise ValueError("b_min must be >= 0")
-        if not self.b_min < self.b_max:
-            raise ValueError("b_min must be strictly below b_max")
-        if not 0.0 <= self.u_min < self.u_max:
-            raise ValueError("velocity limits must satisfy 0 <= u_min < u_max")
+        raise_broken(self.problems())
 
+    def problems(self) -> list[tuple[str, str]]:
+        """A (field, reason) pair for each rule these constants break; [] if valid.
+
+        ``b_max`` and ``u_max`` are checked against their minimum only when
+        every constant is finite.
+        """
+        rules = [
+            ("k_h", self.k_h >= 0, "must be >= 0"),
+            ("k_m", self.k_m > 0, "must be > 0"),
+            ("b_min", self.b_min >= 0, "must be >= 0"),
+            ("u_min", self.u_min >= 0, "must be >= 0"),
+        ]
+        if all(map(math.isfinite, vars(self).values())):
+            rules += [
+                ("b_max", self.b_min < self.b_max, "must be above b_min"),
+                ("u_max", self.u_min < self.u_max, "must be above u_min"),
+            ]
+        return broken_rules(vars(self), rules)

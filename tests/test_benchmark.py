@@ -96,6 +96,34 @@ class TestConstrainedConstantController:
 # ======================================================================
 
 
+def _integer(v, least: int) -> bool:
+    return isinstance(v, (int, np.integer)) and v >= least
+
+
+_MPC_FLOATS = ("horizon", "terminal_reward_slope")
+_MPC_RULES = {
+    "horizon": lambda v: v > 0,
+    "soc_grid": lambda v: _integer(v, 2),
+    "u_grid": lambda v: _integer(v, 2),
+    "terminal_reward_slope": lambda v: v >= 0,
+    "replan_interval": lambda v: _integer(v, 1),
+}
+
+
+@st.composite
+def _mpc_fields(draw):
+    """Each field NaN, +-inf, negative, on its boundary or in range; sizes may be floats."""
+    special = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0])
+    sizes = special | st.sampled_from([2.0, 2.5, np.int64(2)]) | st.integers(-2, 300)
+    return {
+        "horizon": draw(special | st.floats(-10.0, 3e5)),
+        "soc_grid": draw(sizes),
+        "u_grid": draw(sizes),
+        "terminal_reward_slope": draw(special | st.floats(-1.0, 10.0)),
+        "replan_interval": draw(sizes),
+    }
+
+
 class TestMpcConfig:
     def test_defaults(self):
         cfg = MpcConfig()
@@ -125,6 +153,23 @@ class TestMpcConfig:
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             MpcConfig(**kw)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mpc_fields())
+    def test_every_broken_rule_is_named_once(self, fields):
+        """MpcConfig raises exactly when a rule of the table breaks, naming each field once."""
+        not_finite = {name for name in _MPC_FLOATS if not math.isfinite(fields[name])}
+        broken = not_finite | {
+            name for name, holds in _MPC_RULES.items()
+            if name not in not_finite and not holds(fields[name])
+        }
+        try:
+            MpcConfig(**fields)
+            parts = []
+        except ValueError as exc:
+            parts = str(exc).split("; ")
+        assert sorted(part.split()[0] for part in parts) == sorted(broken)
+        assert {f"{name} must be finite" for name in not_finite} <= set(parts)
 
     def test_lattice_sizes_may_be_numpy_integers(self):
         cfg = MpcConfig(

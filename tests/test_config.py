@@ -20,6 +20,16 @@ from solarasv.harness import tabulate_mission
 from solarasv.solar import FileSource, IdealizedSource
 
 
+# every key whose value is a number: a NaN or infinite one must fail the load
+_FLOAT_KEYS = [
+    key for key, kind in config._KEYS.items() if kind is float or key == "controller.b_des"
+]
+_LOG = "solar.source = file\nsolar.file = log.csv\n"
+# keys only a log source reads; the log need not exist to load the file
+_FLOAT_CONTEXT = {"solar.scale": f"{_LOG}barrier.mode = horizon\n"}
+_PERIODIC_LOG = f"{_LOG}solar.periodic = true\n"
+
+
 def _write(tmp_path, text: str, name: str = "mission.cfg"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -157,22 +167,27 @@ class TestLoadSimConfig:
             seen |= {key for key, _, _, _ in rows}
         assert seen == set(config._KEYS)
 
-    def test_every_float_key_is_checked_finite(self):
-        """Each float key SimConfig checks itself is one of its numeric fields.
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key, context",
+        [pytest.param(key, _FLOAT_CONTEXT.get(key, ""), id=key) for key in _FLOAT_KEYS]
+        + [pytest.param("solar.period", _PERIODIC_LOG, id="solar.period-log")],
+    )
+    def test_a_float_key_that_is_not_finite_is_named_once(self, tmp_path, key, context, raw):
+        """The one problem of the file is the key, as not finite: no rule reads it."""
+        p = _write(tmp_path, f"{context}{key} = {raw}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_sim_config(p)
+        section, _, name = key.partition(".")
+        if section in ("vessel", "mpc"):
+            expected = f"{section}.*: {name} must be finite"
+        else:
+            expected = f"{key}: must be finite"
+        assert [line.strip() for line in str(exc.value).splitlines()[1:]] == [expected]
 
-        A float key missing there would load NaN or inf with no error. The
-        VesselParams and MpcConfig dataclasses check vessel.* and mpc.*, and
-        the source's problems() checks solar.*; controller.b_des is a number
-        only when it is set.
-        """
-        elsewhere = ("vessel.", "mpc.", "solar.")
-        floats = {
-            key for key, kind in config._KEYS.items()
-            if kind is float and not key.startswith(elsewhere)
-        }
-        cfg = replace(SimConfig(), ilc=replace(SimConfig().ilc, b_des=3000.0))
-        checked = {key for key, _ in cfg._numeric_fields()}
-        assert checked == floats | {"controller.b_des"}
+    def test_float_keys_cover_every_section(self):
+        sections = {key.partition(".")[0] for key in _FLOAT_KEYS}
+        assert sections == {"vessel", "solar", "controller", "mpc", "sim"}
 
     def test_typed_overrides(self, tmp_path):
         cfg = load_sim_config(
@@ -228,6 +243,22 @@ class TestLoadSimConfig:
         assert "solar.scale: expected a number" in msg
         assert "solar.d0: only read when solar.source = idealized" in msg
         assert "solar.file: required when solar.source = file" in msg
+
+    def test_vessel_and_mpc_problems_join_the_other_value_problems(self, tmp_path):
+        p = _write(
+            tmp_path,
+            "vessel.k_m = -1\nvessel.k_h = -1\nmpc.soc_grid = 1\n"
+            "sim.noise_std = loud\nsolar.scale = 2\n",
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_sim_config(p)
+        lines = [line.strip() for line in str(exc.value).splitlines()[1:]]
+        assert lines == [
+            "sim.noise_std: expected a number, got 'loud'",
+            "solar.scale: only read when solar.source = file",
+            "vessel.*: k_h must be >= 0; k_m must be > 0",
+            "mpc.*: soc_grid must be an integer >= 2, got 1",
+        ]
 
     def test_b_des_spelling(self, tmp_path):
         cfg = load_sim_config(_write(tmp_path, "controller.b_des = cycle-start\n"))

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -47,6 +51,59 @@ class TestVesselParams:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             VesselParams(**kwargs)
+
+
+# each field's rule; those of b_max and u_max compare two fields, so they
+# apply only when every field is finite
+_VESSEL_RULES = {
+    "k_h": lambda v: v["k_h"] >= 0,
+    "k_m": lambda v: v["k_m"] > 0,
+    "b_min": lambda v: v["b_min"] >= 0,
+    "b_max": lambda v: v["b_min"] < v["b_max"],
+    "u_min": lambda v: v["u_min"] >= 0,
+    "u_max": lambda v: v["u_min"] < v["u_max"],
+}
+_PAIRWISE = ("b_max", "u_max")
+
+
+def _special_or(low, high, *limits):
+    """NaN, +-inf, -1, 0 and ``limits``, or a float in [low, high]."""
+    special = [math.nan, math.inf, -math.inf, -1.0, 0.0, *limits]
+    return st.sampled_from(special) | st.floats(low, high)
+
+
+@st.composite
+def _vessel_fields(draw):
+    b_min = draw(_special_or(-100.0, 7000.0, 6500.0))
+    u_min = draw(_special_or(-1.0, 3.0, 2.315))
+    return {
+        "k_h": draw(_special_or(-5.0, 50.0)),
+        "k_m": draw(_special_or(-5.0, 200.0)),
+        "b_min": b_min,
+        "b_max": draw(_special_or(-100.0, 7000.0, 6500.0, b_min)),
+        "u_min": u_min,
+        "u_max": draw(_special_or(-1.0, 3.0, 2.315, u_min)),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(_vessel_fields())
+def test_vessel_params_name_every_broken_rule_once(fields):
+    """VesselParams raises exactly when a rule of the table breaks, naming each field once."""
+    not_finite = {name for name, v in fields.items() if not math.isfinite(v)}
+    broken = not_finite | {
+        name for name, holds in _VESSEL_RULES.items()
+        if name not in not_finite
+        and not (not_finite and name in _PAIRWISE)
+        and not holds(fields)
+    }
+    try:
+        VesselParams(**fields)
+        parts = []
+    except ValueError as exc:
+        parts = str(exc).split("; ")
+    assert sorted(part.split()[0] for part in parts) == sorted(broken)
+    assert {f"{name} must be finite" for name in not_finite} <= set(parts)
 
 
 def _draw(u: float, params: VesselParams) -> float:
