@@ -44,10 +44,11 @@ landed window and maxes in place; no stage keeps an argmax. A plan's DP
 depends only on its start step, never on the SOC, so the planner solves the
 plans at step, step + R, ... (R the replan interval) in one backward sweep,
 one padded row each, and every plan is bitwise the plan it would be alone.
-``MpcController._sweep`` describes the mechanism. The stages a plan executes
-before its next replan store the masked vector they read, and the rollout
-re-derives each action from the U candidates at the current state, applying
-the pads by index.
+A sweep may span many horizons of plans; each stage adds to the at most
+ceil(H / R) of them that contain it. ``MpcController._sweep`` describes the
+mechanism. The stages a plan executes before its next replan store the
+masked vector they read, and the rollout re-derives each action from the
+stage's landed windows at the current state, applying the pads by index.
 
 If no action is feasible from the current state the controller falls back to
 the switching law on the step loop's bounds with u_min as the interior
@@ -57,6 +58,7 @@ velocity: u_max at or above the upper barrier, u_min otherwise.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,24 +70,27 @@ from .solar import SolarProfile, integrate_power, sample_array, whole_steps  # n
 from .solar import broken_rules, integer_rule, raise_broken
 from .vessel import VesselParams
 
-# cells one lockstep stage may touch: rows x min(W, U) x SOC levels, W the
-# widest run of shifts and U the velocities, since a stage adds at most one
-# window per velocity. The cap keeps a block of every-step plans on a large
-# lattice from allocating hundreds of MB. Measured with each stage adding only
-# its landed windows (2-core Xeon, 2 MB L2 per core, numpy 2.4;
-# replan_interval = 1, 12 h horizon, best run_mission time of 3-9 runs; a
-# range spans separate runs, over which this shared host's speed drifted):
-#   131 x 24, 2 days (configs/mpc.cfg; 3-4 windows a stage): 2^15 62 rows
-#     38.8-40.3 ms, 2^16 and 2^17 120 rows 24.2-34.9 ms; perfbench
-#     mpc-every-step wall_s 0.0293-0.0306 vs 0.0253-0.0273 ref s, but
-#     peak_rss_mb 36.18-36.30 vs 36.76-37.01 MB (same kernel, measured before)
-#   651 x 24, 2 days: 2^15 4 rows 607 ms, 2^16 8 rows 308, 2^17 16 rows 255
-#   1301 x 24, 1 day: 2^15 1 row 815 ms, 2^16 2 rows 742, 2^17 4 rows 324,
-#     2^18 9 rows 319
-#   3251 x 48, 1 day, 48-step horizon: one row up to 2^18, 805-1194 ms;
-#     2^19 3 rows 1235-1242 ms
-# 2^15 stays: a larger cap buys speed with memory, ~0.6 MB on mpc-every-step
-_STAGE_CELLS = 2 ** 15
+# bytes of the planner's buffers (padded rows, stored vectors and work array,
+# see MpcController), which bound the plans one sweep holds. Measured with
+# replan_interval = 1 and a 12 h horizon as the best run_mission time of 5
+# runs, a range spanning two such measurements (2-core Xeon, numpy 2.4);
+# "before" is the earlier cap of 2^15 cells a stage, which cut every-step
+# plans into blocks of at most one horizon:
+#   131 x 24, 2 days (configs/mpc.cfg): before 62 plans 23.0-34.1 ms; 2^20
+#     238 plans 19.6-19.8, 9 * 2^17 299 plans 19.4-19.6, 3 * 2^19 one sweep
+#     of all 480 17.8-18.0
+#   651 x 24, 2 days: before 4 plans 475-476 ms; 2^20 13 plans 234-235,
+#     9 * 2^17 15 plans 245-257, 2^21 27 plans 254-271
+#   1301 x 24, 1 day: before 1 plan 643-653 ms; 2^20 and 9 * 2^17 4 plans
+#     274-285, 2^21 8 plans 289-301
+#   3251 x 48, 1 day, 48-step horizon: one plan at each, 701-756 ms (756-760)
+# 2^20 + 2^14 holds 246 plans on 131 x 24, 14 on 651 x 24 and 4 on 1301 x 24:
+# the least round budget that sweeps perfbench mpc-every-step's 480 plans in
+# two sweeps (599 stages, 1229 before), where 2^20 needs three. Its buffers
+# take 1.06 MB there, 0.48 MB before; 9 * 2^17 read +1.1 MB of peak RSS over
+# 10 runs, and one sweep of all 480 plans (3 * 2^19), about 6 % faster
+# again, costs +1.4 MB.
+_SWEEP_BYTES = 2 ** 20 + 2 ** 14
 
 
 def energy_balance_velocity(
@@ -112,6 +117,8 @@ def energy_balance_velocity(
 
 # runs of windows (o, e, d, r, s): windows range(o, e, d) into work rows r:s
 _Runs = tuple[tuple[int, int, int, int, int], ...]
+# a stage's windows: runs, best rewards (n, 1), landed offsets, fastest velocities
+_Windows = tuple[_Runs, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _progressions(offsets: list[int]) -> _Runs:
@@ -135,17 +142,18 @@ def _progressions(offsets: list[int]) -> _Runs:
     return tuple(runs)
 
 
-def _stage_windows(offsets: np.ndarray, rewards: np.ndarray) -> tuple[_Runs, np.ndarray]:
-    """A stage's landed windows as runs, and the best reward landing on each.
+def _stage_windows(offsets: np.ndarray, rewards: np.ndarray) -> _Windows:
+    """A stage's landed windows as runs, and the best velocity landing on each.
 
     ``offsets`` ascend from 0, velocity j (u descending) landing on window
-    ``offsets[j]``. The runs (see ``_progressions``) cover the distinct
-    offsets in order; row i of the (n, 1) rewards is the largest reward
-    landing on the i-th of them, that of its first velocity, the fastest, so
-    ties go to the higher velocity.
+    ``offsets[j]``. Returns the runs (see ``_progressions``) over the n
+    distinct offsets in order, the (n, 1) rewards, the n offsets and the n
+    velocity indices: entry i is the i-th distinct offset, its first
+    velocity, the fastest, and that velocity's reward, the largest landing
+    there, so ties go to the higher velocity.
     """
     landed, fastest = np.unique(offsets, return_index=True)
-    return _progressions(landed.tolist()), rewards[fastest][:, None]
+    return _progressions(landed.tolist()), rewards[fastest][:, None], landed, fastest
 
 
 @dataclass(frozen=True)
@@ -191,17 +199,24 @@ class MpcController:
     entry k is the bound at the start of step k, and the last entry the bound
     after the final step. Plans stop at the last step.
 
-    Plans are solved in blocks (see ``_sweep``), and the controller keeps the
-    last block: each row's root values, in the middle of its padded row, and
-    the stored vectors its rollout reads. Its buffers are allocated here,
-    once, for the most rows a block can have: ``rows = min(ceil(H / R),
-    max(1, _STAGE_CELLS // (min(W, U) * S)))`` with H the horizon in steps
-    (capped at the mission), R the replan interval, W the widest run of
-    shifts the mission allows, U the velocities and S the lattice size.
+    Plans are solved in sweeps (see ``_sweep``), and the controller keeps
+    the last sweep: each row's root values, in the middle of its padded row,
+    and the stored vectors its rollout reads. Its buffers are allocated here,
+    once, for the most rows a sweep can have: the most plans whose buffers
+    fit in ``_SWEEP_BYTES``, at least one and at most the mission's
+    ceil(n / R), with n the mission's steps, H the horizon in steps (capped
+    at the mission) and R the replan interval. With R >= H no stage is
+    shared, so each plan is swept alone. A stage lies in at most
+    B = ceil(H / R) plans, its band; let b = min(rows, B), W the widest run
+    of shifts the mission allows, U the velocities and S the lattice size.
     Padded rows are L = lo pad + S + hi pad + W cells long and lie back to
-    back in one flat buffer, read through one sliding-window view. A stage
-    adds at most min(W, U) windows, so a (min(W, U), (rows - 1) * L + S)
-    array takes its sums.
+    back in one flat buffer, read through one sliding-window view of
+    windows (b - 1) * L + S long. Those run up to (b - 1) * L cells past the
+    last row, into cells no stage reads, where the rows * min(R, H) * S
+    stored cells lie. A stage adds at most min(W, U) windows, so a
+    (min(W, U), (b - 1) * L + S) array takes its sums. The budget counts
+    rows * L + max((b - 1) * L, stored) + min(W, U) * ((b - 1) * L + S)
+    float64 cells.
     """
 
     def __init__(
@@ -245,31 +260,47 @@ class MpcController:
         self._lo = max(0, -math.floor((self.p_in.min() - draw_max) * dtf / self.res))
         hi = max(0, math.floor((self.p_in.max() - draw_min) * dtf / self.res))
         width = math.floor((draw_max - draw_min) * dtf / self.res) + 2
-        # a block holds the plans at step, step + R, ...: each row of these
-        # buffers is one plan's padded row and stored vectors
+        # a sweep holds the plans at step, step + R, ...: each row of these
+        # buffers is one plan's padded row and stored vectors. A stage lies in
+        # at most ceil(H / R) of them, its band of rows, however many the
+        # sweep holds, and adds at most min(W, U) windows: W bounds its run
+        # of shifts and each window it adds has a velocity landing on it
         n_soc = cfg.soc_grid
-        span = min(self.horizon_steps, len(self.p_in))
         interval = cfg.replan_interval
-        # a stage adds at most min(W, U) windows: W bounds its run of shifts
-        # and each window it adds has a velocity landing on it
+        span = min(self.horizon_steps, len(self.p_in))
+        band = -(-span // interval)
         added = min(width, cfg.u_grid)
-        rows = min(-(-span // interval), max(1, _STAGE_CELLS // (added * n_soc)))
-        # a band of rows a:z reads windows (z - a - 1) * L + S long, so the
-        # flat buffer runs (rows - 1) * L cells past the last row, where the
-        # view's widest windows end; no stage reads those cells
+        take = min(interval, span)
         length = self._lo + n_soc + hi + width
-        widest = (rows - 1) * length + n_soc
-        flat = np.full((2 * rows - 1) * length, -np.inf)
+
+        def cells(plans: int) -> int:
+            # float64 cells of flat and _tmp below for a sweep of plans
+            b = min(plans, band)
+            past = max((b - 1) * length, plans * take * n_soc)
+            return plans * length + past + added * ((b - 1) * length + n_soc)
+
+        # with R >= H no stage is shared, and those between plans belong to
+        # none, so each plan is swept alone
+        most = -(-len(self.p_in) // interval) if band > 1 else 1
+        rows = max(1, bisect_right(range(1, most + 1), _SWEEP_BYTES // 8, key=cells))
+        # a band of b rows from row a reads windows (b - 1) * L + S long, so
+        # the view's widest windows end up to (b - 1) * L cells past the last
+        # row, in cells no stage reads: the stored vectors lie there
+        b = min(rows, band)
+        widest = (b - 1) * length + n_soc
+        stored = rows * take * n_soc
+        flat = np.empty(rows * length + max((b - 1) * length, stored))
+        flat[:rows * length] = -np.inf
         self._rows = rows
         self._padded = flat[:rows * length].reshape(rows, length)
         self._values = flat[self._lo:]  # row r's values: S cells from r * L
+        self._stored = flat[rows * length:][:stored].reshape(rows, take, n_soc)
         self._bands = sliding_window_view(flat, widest)
         self._tmp = np.empty((added, widest))
-        self._stored = np.empty((rows, min(interval, span), n_soc))
         self._rewards = self.u_desc * self.dt
         # a stage's windows (see _stage_windows) by its row of shift offsets
-        self._windows: dict[bytes, tuple[_Runs, np.ndarray]] = {}
-        # the block swept last (see _sweep): its first step and row starts
+        self._windows: dict[bytes, _Windows] = {}
+        # the sweep run last (see _sweep): its first step and row starts
         self._step = 0
         self._starts: list[int] = []
         self._actions: list[float] = []
@@ -284,16 +315,19 @@ class MpcController:
     def plan(self, b: float, step: int) -> tuple[float, np.ndarray | None]:
         """Solve the lookahead DP from SOC b at the start of ``step``.
 
-        The plan is one row of a block (see ``_sweep``): if ``step`` is not a
-        row of the block solved last, a new block starting at ``step`` is
-        swept first. The root snaps down to a lattice cell and reads the
-        row's root values. No stage keeps an argmax: for each of the first
-        ``take = min(replan_interval, K)`` stages the rollout reads the U
-        candidates at the current state from the stage's stored masked
-        vector, applying the pads by index (``-inf`` below cell 0, the top
-        cell above it), and takes the argmax of the same float64 sums the
-        stage maxed over; the first maximum is always the fastest velocity
-        of its shift. Ties go to the higher velocity. A plan writes no buffer.
+        The plan is one row of a sweep (see ``_sweep``): if ``step`` is not a
+        row of the sweep solved last, a new sweep starting at ``step`` runs
+        first. The root snaps down to a lattice cell and reads the row's root
+        values. No stage keeps an argmax: for each of the first
+        ``take = min(replan_interval, K)`` stages the rollout reads, at the
+        current state, each of the stage's landed windows from its stored
+        masked vector, applying the pads by index (``-inf`` below cell 0,
+        the top cell above it), adds the best reward landing there
+        (``_stage_windows``) and takes the argmax of the same float64 sums
+        the stage maxed over. A slower velocity on a shared window never
+        beats the fastest, and the first maximum is the lowest window, so
+        ties go to the higher velocity, as over all U. A plan writes no
+        buffer.
 
         ``step`` must lie in [0, len(p_in)); anything else is a ValueError.
         Returns (optimal lattice value, the first ``take`` planned velocities)
@@ -307,37 +341,43 @@ class MpcController:
             self._sweep(step)
             row = 0
         root = self._snap(b)
-        value = self._padded[row, self._lo + root]
-        if not np.isfinite(value):
-            return float("-inf"), None
+        value = float(self._padded[row, self._lo + root])
+        if not math.isfinite(value):
+            return value, None
 
-        # each executed action is the argmax over all U candidates at the
-        # current state: the stage's masked vector with its pads applied by
-        # index, the same float64 sums the stage maxed over
+        # each executed action is the argmax over the stage's landed windows
+        # at the current state: the stage's masked vector with its pads
+        # applied by index, plus the best reward landing there, the same
+        # float64 sums the stage maxed over
         k0 = step - self._step
         take = min(self.cfg.replan_interval, self._stops[row] - step)
         top = self.lattice.size - 1
         actions = np.empty(take)
         state = root
-        for i, shifts in enumerate(self._shifts[k0:k0 + take]):
-            cells = state + shifts
-            sums = self._stored[row, i].take(cells, mode="clip") + self._rewards
-            sums[cells < 0] = -np.inf
+        for i in range(take):
+            _, best, landed, fastest = self._executed[k0 + i]
+            low = state + self._low[k0 + i]  # the cell the fastest velocity reaches
+            cells = landed + low
+            sums = self._stored[row, i].take(cells, mode="clip") + best[:, 0]
+            if low < 0:
+                sums[cells < 0] = -np.inf
             j = int(sums.argmax())
-            actions[i] = self.u_desc[j]
-            state = min(max(int(cells[j]), 0), top)
-        return float(value), actions
+            actions[i] = self.u_desc[fastest[j]]
+            state = min(max(low + int(landed[j]), 0), top)
+        return value, actions
 
     def _sweep(self, step: int) -> None:
-        """Solve the block of plans at step, step + R, ... in one backward pass.
+        """Solve the sweep of plans at step, step + R, ... in one backward pass.
 
         Plan b covers the stages [s_b, stop_b), stop_b = min(s_b + H, n), and
         every plan containing stage k sees the same shifts, rewards and
         envelope there, since a plan's DP does not depend on its root. So
-        the block's rows step back through their shared stages in lockstep:
-        at stage k the rows with s_b <= k < stop_b form one slice a:z (starts
-        and stops both ascend); a row enters with the terminal values at
-        k = stop_b - 1 and leaves at k = s_b holding its root values.
+        the sweep's rows step back through their shared stages in lockstep:
+        at stage k the rows with s_b <= k < stop_b, at most ceil(H / R) of
+        them, form one slice a:z (starts and stops both ascend); a row enters
+        with the terminal values at k = stop_b - 1 and leaves at k = s_b
+        holding its root values. A sweep spans many horizons when its budget
+        allows; with R < H every stage lies in some plan.
 
         Each row's values live in the middle of its padded row. Before stage
         k's add, two writes over rows a:z set ``-inf`` up to the envelope's
@@ -370,9 +410,10 @@ class MpcController:
         max nor the pad writes reach past row z - 1, so a row that has left
         the band keeps its root values. Each valid cell gets the float64
         adds and maxes of a one-plan DP in its order, so every plan is
-        bitwise the same whichever block solves it. After stage k's pad
+        bitwise the same whichever sweep solves it. After stage k's pad
         writes, the row whose first ``take`` stages include k stores its
-        masked V_{k+1} for the rollout.
+        masked V_{k+1} for the rollout, and the stage's windows are kept for
+        it too.
         """
         n = len(self.p_in)
         interval = self.cfg.replan_interval
@@ -395,9 +436,9 @@ class MpcController:
         # windows follow from its offsets alone, which follow p's position
         # within a cell, so few distinct rows occur and each is worked out
         # once per controller
-        lo = shifts[:, 0]
-        offsets = shifts - lo[:, None]
-        run = (lo + self._lo).tolist()
+        lo = shifts[:, 0].tolist()
+        run = (shifts[:, 0] + self._lo).tolist()
+        offsets = np.subtract(shifts, shifts[:, :1], out=shifts)
         memo = self._windows
         rewards = self._rewards
 
@@ -419,6 +460,7 @@ class MpcController:
         bands = self._bands
         tmp = self._tmp
         terminal = self.cfg.terminal_reward_slope * lattice
+        executed: dict[int, _Windows] = {}  # the windows of each stage a plan executes
         a = count
         for k in range(stop - step - 1, -1, -1):
             if entered[k] < a:
@@ -431,17 +473,18 @@ class MpcController:
                 rows[:, lo_pad + end[k]:] = -np.inf
             else:
                 rows[:, high:] = rows[:, high - 1:high]
-            row, i = divmod(k, interval)
-            if row < count:
-                self._stored[row, i] = padded[row, lo_pad:high]
-            m = (z - a - 1) * length + n_soc
-            base = a * length
-            start = base + run[k]
             key = offsets[k].tobytes()
             windows = memo.get(key)
             if windows is None:
                 windows = memo[key] = _stage_windows(offsets[k], rewards)
-            runs, best = windows
+            row, i = divmod(k, interval)
+            if row < count:
+                self._stored[row, i] = padded[row, lo_pad:high]
+                executed[k] = windows
+            m = (z - a - 1) * length + n_soc
+            base = a * length
+            start = base + run[k]
+            runs, best, _, _ = windows
             for o, e, d, r, s in runs:
                 np.add(bands[start + o:start + e:d, :m], best[r:s], out=tmp[r:s, :m])
             np.maximum.reduce(tmp[:len(best), :m], axis=0, out=values[base:base + m])
@@ -449,7 +492,8 @@ class MpcController:
         self._step = step
         self._starts = starts
         self._stops = stops
-        self._shifts = shifts
+        self._low = lo
+        self._executed = executed
 
     def __call__(self, b: float, b_l: float, b_u: float, step: int) -> float:
         if self._next == len(self._actions):

@@ -71,6 +71,11 @@ def _raise_problems(problems: list[str]) -> None:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
 
 
+def _keyed(section: str, pairs: list[tuple[str, str]]) -> list[str]:
+    """Each (field, reason) pair as its 'section.field: reason' line."""
+    return [f"{section}.{name}: {why}" for name, why in pairs]
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One mission's settings; raises ConfigError listing every problem when built."""
@@ -94,26 +99,29 @@ class SimConfig:
     def _problems(self) -> list[str]:
         """Every 'config.key: problem' string for these settings; [] if valid.
 
-        The sim.* fields' own rules go through the rule loop. A rule that
-        reads several fields is checked only when the sim.* fields among them
-        have no problem of their own.
+        A vessel or mpc the loader built unchecked names each rule it breaks
+        as ``vessel.<field>`` or ``mpc.<field>``, and no rule that reads its
+        values is checked then; every other rule still is. The sim.* fields'
+        own rules go through the rule loop. A rule that reads several fields
+        is checked only when the sim.* fields among them have no problem of
+        their own.
         """
-        p, dt, length, soc, noise = (
-            self.vessel, self.dt, self.mission_length, self.initial_soc, self.noise_std
-        )
+        dt, length, soc, noise = self.dt, self.mission_length, self.initial_soc, self.noise_std
         strategy, mode, source = self.strategy, self.barrier_mode, self.solar
-        outside = f"{soc} outside battery window [{p.b_min}, {p.b_max}]"
+        vessel, mpc = self.vessel.problems(), self.mpc.problems()
+        p = None if vessel else self.vessel
+        outside = f"{soc} outside battery window [{self.vessel.b_min}, {self.vessel.b_max}]"
         rules = (
             ("dt", dt > 0, "must be > 0"),
             ("mission_length", length > 0, "must be > 0"),
-            ("initial_soc", p.b_min <= soc <= p.b_max, outside),
+            ("initial_soc", p is None or p.b_min <= soc <= p.b_max, outside),
             ("strategy", strategy in STRATEGIES, f"{strategy!r} not one of {STRATEGIES}"),
             ("noise_std", noise >= 0, "must be >= 0"),
             integer_rule("rng_seed", self.rng_seed, 0),
         )
         floats = dict(dt=dt, mission_length=length, initial_soc=soc, noise_std=noise)
         own = broken_rules(floats, rules)
-        errors = [f"sim.{name}: {why}" for name, why in own]
+        errors = _keyed("vessel", vessel) + _keyed("mpc", mpc) + _keyed("sim", own)
         bad = {name for name, _ in own}
         if mode not in BARRIER_MODES:
             errors.append(f"barrier.mode: {mode!r} not one of {BARRIER_MODES}")
@@ -132,13 +140,14 @@ class SimConfig:
                 errors.append("sim.mission_length: must be a positive multiple of sim.dt")
             if strategy == "ilc" and whole_steps(DAY_S, dt) is None:
                 errors.append("sim.dt: must divide 86400 s for the ilc strategy")
-            if strategy == "mpc" and whole_steps(self.mpc.horizon, dt) is None:
+            horizon_ok = all(name != "horizon" for name, _ in mpc)
+            if strategy == "mpc" and horizon_ok and whole_steps(self.mpc.horizon, dt) is None:
                 errors.append("mpc.horizon: must be a positive multiple of sim.dt")
         # the learner's range rules hold under ilc only, but its settings are numbers
-        errors += [
-            f"controller.{name}: {why}" for name, why in self.ilc.problems(p)
+        errors += _keyed("controller", [
+            (name, why) for name, why in self.ilc.problems(p)
             if strategy == "ilc" or why == NOT_FINITE
-        ]
+        ])
         solar = source.problems()
         if (
             isinstance(source, IdealizedSource)
@@ -286,15 +295,17 @@ def _section(v: dict[str, object], prefix: str, *names: str) -> dict[str, object
     return {name: v[f"{prefix}.{name}"] for name in names if f"{prefix}.{name}" in v}
 
 
-def _fields_section(cls: type, v: dict[str, object], prefix: str, problems: list[str]):
-    """``cls`` built from the ``prefix.<field>`` keys v sets, or None.
+def _unchecked(cls: type, v: dict[str, object], prefix: str):
+    """Dataclass ``cls`` from the ``prefix.<field>`` keys v sets, unchecked.
 
-    When ``cls`` rejects them, its message joins ``problems``, led by the prefix.
+    Its own checks are skipped, so its ``problems()`` can name every rule the
+    values break; the SimConfig built from it reports them, or refuses it.
+    Every field of ``cls`` has a plain default.
     """
-    try:
-        return cls(**_section(v, prefix, *(f.name for f in fields(cls))))
-    except ValueError as exc:
-        problems.append(f"{prefix}.*: {exc}")
+    obj = object.__new__(cls)
+    for f in fields(cls):
+        object.__setattr__(obj, f.name, v.get(f"{prefix}.{f.name}", f.default))
+    return obj
 
 
 def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
@@ -318,10 +329,12 @@ def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
         if "solar.table" in v:
             unread += [(key, "there is no solar.table") for key in ("solar.d0", "solar.d1")]
     problems += [f"{key}: only read when {when}" for key, when in unread if key in values]
-    vessel = _fields_section(VesselParams, v, "vessel", problems)
-    ilc = _fields_section(IlcSettings, v, "controller", problems)
-    mpc = _fields_section(MpcConfig, v, "mpc", problems)
-    _raise_problems(problems)
+    vessel = _unchecked(VesselParams, v, "vessel")
+    ilc = _unchecked(IlcSettings, v, "controller")
+    mpc = _unchecked(MpcConfig, v, "mpc")
+    if problems:  # no solar source to build; the vessel and mpc rules join these
+        _raise_problems(problems + _keyed("vessel", vessel.problems())
+                        + _keyed("mpc", mpc.problems()))
 
     solar: IdealizedSource | FileSource
     if file_source:

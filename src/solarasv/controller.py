@@ -120,26 +120,31 @@ class IlcSettings:
     u_init: float = 1.0   # initial velocity estimate, m/s
     b_des: float | None = None  # fixed terminal target; None tracks cycle start
 
-    def problems(self, params: VesselParams) -> list[tuple[str, str]]:
+    def problems(self, params: VesselParams | None) -> list[tuple[str, str]]:
         """A (field, reason) pair for each rule these settings break; [] if valid.
 
         The one statement of the learner's rules: ``SimConfig`` reports each
         pair as ``controller.<field>: <reason>`` and :class:`IlcPolicy`
         raises them. A NaN or infinite field is reported only as not finite.
+        Without ``params`` (a vessel whose own values are bad) the rules that
+        read its limits, those of u_init and b_des, are left out.
         """
         p, u_init, b_des = params, self.u_init, self.b_des
-        rules = (
+        rules = [
             # a negative gain learns away from the target, down to u_min
             ("k_p", self.k_p >= 0, "must be >= 0"),
             ("k_d", self.k_d >= 0, "must be >= 0"),
             ("delta", self.delta > 0, "must be > 0"),
-            ("u_init", p.u_min <= u_init <= p.u_max, f"{u_init} outside velocity limits"),
-            (
-                "b_des",
-                b_des is None or p.b_min <= b_des <= p.b_max,
-                f"{b_des} outside battery window [{p.b_min}, {p.b_max}]",
-            ),
-        )
+        ]
+        if p is not None:
+            rules += [
+                ("u_init", p.u_min <= u_init <= p.u_max, f"{u_init} outside velocity limits"),
+                (
+                    "b_des",
+                    b_des is None or p.b_min <= b_des <= p.b_max,
+                    f"{b_des} outside battery window [{p.b_min}, {p.b_max}]",
+                ),
+            ]
         return broken_rules(vars(self), rules)
 
 

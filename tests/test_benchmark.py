@@ -362,7 +362,7 @@ class TestPlanValues:
         assert np.array_equal(actions, dp_gather_plan(ctl, 3.0, 0)[1])
 
     def test_lockstep_rows_reach_both_pads(self):
-        """Every row of a four-row block, at every root, against the gather loop.
+        """Every row of a seven-row sweep, at every root, against the gather loop.
 
         1 Wh cells and dt = 1 h: 3-6 W of input against draws of 0, 1 and
         8 W move the state by +3..+5, +2..+4 and -5..-3 cells, so at every
@@ -372,13 +372,14 @@ class TestPlanValues:
         gains over 0.5 m/s, so from the top cell 0.5 m/s clamped there is
         best while the ceiling is at the top; where it dips to cell 2, the
         low cells have only 1 m/s left, and it underflows. A pad that leaked
-        between rows or was left stale changes a plan here. Plans at 0, 2, 4
-        and 6 with an 8-step horizon on a 13-step mission stop at 8, 10, 12
-        and 13: the sweep starts with one row, the others enter one by one,
-        and each leaves at its start while the later rows go on. The rows
-        are read in start order and then in reverse: a root value that a
-        later row's stages or rollout overwrote shows only in a row read
-        after a later one.
+        between rows or was left stale changes a plan here. Plans at 0, 2,
+        ..., 12 with an 8-step horizon on a 13-step mission stop at 8, 10, 12
+        and 13 (the last four): one sweep holds all seven, more than the four
+        any stage's band holds. It starts with four rows, the others enter
+        one by one, and each leaves at its start while the later rows go on.
+        The rows are read in start order and then in reverse: a root value
+        that a later row's stages or rollout overwrote shows only in a row
+        read after a later one.
         """
         params = VesselParams(k_h=0.0, k_m=8.0, b_min=0.0, b_max=32.0, u_min=0.0, u_max=1.0)
         rng = np.random.default_rng(7)
@@ -398,7 +399,8 @@ class TestPlanValues:
         shifts = np.floor(p_in[:, None] - ctl.draw_desc)
         assert (shifts[:, 0] < 0).all() and (shifts[:, -1] > 0).all()
         ctl.plan(0.0, 0)
-        assert ctl._starts == [0, 2, 4, 6] and ctl._stops == [8, 10, 12, 13]
+        assert ctl._starts == [0, 2, 4, 6, 8, 10, 12]
+        assert ctl._stops == [8, 10, 12, 13, 13, 13, 13]
         feasible = 0
         for s in ctl._starts + ctl._starts[::-1]:
             for root in range(33):
@@ -410,8 +412,8 @@ class TestPlanValues:
                     continue
                 feasible += 1
                 assert np.array_equal(actions, ref_actions)
-        assert ctl._step == 0  # every plan read a row of the one block
-        assert feasible >= 40, feasible
+        assert ctl._step == 0  # every plan read a row of the one sweep
+        assert feasible >= 70, feasible
 
     @pytest.mark.parametrize(
         "k_m, p_in, stage_runs",
@@ -450,9 +452,10 @@ class TestPlanValues:
         """Stages whose runs of shifts have holes, every row and root, bitwise.
 
         Each instance's stages split into the runs listed beside it. Plans at
-        0, 3, 6 and 9 with an 8-step horizon are two blocks, the first of
-        three rows, so the strided runs read bands across rows. The terminal
-        slope, near the distance a Wh buys, makes plans mix velocities.
+        0, 3, 6 and 9 with an 8-step horizon are one sweep of four rows, up
+        to three in a stage's band, so the strided runs read bands across
+        rows. The terminal slope, near the distance a Wh buys, makes plans
+        mix velocities.
         """
         params = VesselParams(k_h=0.0, k_m=k_m, b_min=0.0, b_max=40.0, u_min=1.0, u_max=1.75)
         p_in = np.array(p_in)
@@ -482,7 +485,7 @@ class TestPlanValues:
                 feasible += 1
                 taken.update(actions.tolist())
                 assert np.array_equal(actions, ref_actions)
-        assert ctl._rows == 3
+        assert ctl._rows == 4 and ctl._step == 0
         assert feasible >= 60 and len(taken) >= 6, (feasible, taken)
 
     def test_zero_terminal_slope_goes_full_throttle(self, params):
@@ -656,10 +659,14 @@ def _stage_row(draw):
 def test_stage_windows_hold_the_best_reward_of_each_landed_offset(row):
     """Runs cover the distinct offsets in order; each carries its largest reward."""
     offsets, rewards = row
-    runs, best = _stage_windows(offsets, rewards)
+    runs, best, distinct, fastest = _stage_windows(offsets, rewards)
     landed = np.unique(offsets).tolist()
     assert [w for o, e, d, _, _ in runs for w in range(o, e, d)] == landed
+    assert distinct.tolist() == landed
+    # each offset's first velocity, the fastest, which carries its reward
+    assert fastest.tolist() == [offsets.tolist().index(w) for w in landed]
     assert best.shape == (len(landed), 1)
+    assert np.array_equal(best[:, 0], rewards[fastest])
     # the per-stage row of the table a sweep used to scatter: the fastest
     # velocity of each equal-offset group, -inf where none lands
     fastest = np.ones(offsets.size, dtype=bool)
@@ -714,9 +721,9 @@ class TestRecedingHorizon:
     def test_every_step_block_memory_is_capped(self, params):
         """Every-step plans on a large lattice keep one plan's memory.
 
-        On 3251 x 48 with a 240-step horizon and replan_interval = 1, a block
+        On 3251 x 48 with a 240-step horizon and replan_interval = 1, a sweep
         of all 240 overlapping plans would allocate about 330 MB of buffers;
-        the stage-cell cap leaves one row there, about 2 MB. The buffers are
+        the byte budget leaves one row there, about 1.3 MB. The buffers are
         allocated with the controller, so its construction is traced too.
         """
         cfg = MpcConfig(horizon=240 * 360.0, soc_grid=3251, u_grid=48, replan_interval=1)
@@ -730,6 +737,82 @@ class TestRecedingHorizon:
             tracemalloc.stop()
         assert len(actions) == 1
         assert peak < 16 * 2**20, peak
+
+    @pytest.mark.parametrize("budget", [2**21, 2**18], ids=["one-sweep", "sweep-edges"])
+    @pytest.mark.parametrize("interval", [1, 3])
+    def test_sweep_across_horizons_matches_one_row_sweeps(
+        self, params, monkeypatch, interval, budget
+    ):
+        """Sweeps holding many horizons of plans, bitwise as one plan per sweep.
+
+        480 steps on 131 x 24 with a 20-step horizon: a stage lies in at most
+        ceil(20 / R) plans, and a sweep holds many more, so rows enter and
+        leave its band all the way down while the flat buffer's later rows
+        wait or keep their root values. A 2 MiB budget holds the whole
+        mission in one sweep; 256 KiB holds about four horizons of plans, so
+        the mission crosses sweep edges. Each plan's value and actions, at
+        three roots, equal those of a controller whose budget holds one row
+        per sweep.
+        """
+        rng = np.random.default_rng(5)
+        n = 480
+        p_in = rng.uniform(0.0, 1200.0, n)
+        lower = rng.uniform(0.0, 800.0, n + 1)
+        upper = params.b_max - rng.uniform(0.0, 800.0, n + 1)
+        cfg = MpcConfig(horizon=20 * 360.0, replan_interval=interval)
+        monkeypatch.setattr("solarasv.benchmark._SWEEP_BYTES", budget)
+        wide = MpcController(cfg, p_in, lower, upper, params, 360.0)
+        monkeypatch.setattr("solarasv.benchmark._SWEEP_BYTES", 1)
+        alone = MpcController(cfg, p_in, lower, upper, params, 360.0)
+        assert alone._rows == 1 and wide._rows > 2 * -(-20 // interval)
+        feasible = 0
+        sweeps = set()
+        for s in range(0, n, interval):
+            for b in (500.0, 3250.0, 6400.0):
+                got, actions = wide.plan(b, s)
+                want, ref_actions = alone.plan(b, s)
+                sweeps.add(wide._step)
+                assert got == want
+                if ref_actions is None:
+                    assert actions is None
+                    continue
+                feasible += 1
+                assert np.array_equal(actions, ref_actions)
+        assert len(sweeps) == -(-n // (interval * wide._rows))
+        assert (len(sweeps) == 1) == (budget == 2**21)
+        assert feasible >= n // interval, feasible
+
+    def test_replan_interval_past_the_horizon(self, params):
+        """R > H: the stages between two plans belong to neither, one plan a sweep.
+
+        A 4-step horizon replanned every 6 steps: each plan matches the
+        gather loop and yields its 4 actions, so the policy plans again when
+        they run out, 4 steps on, and each of those plans is a sweep of its own.
+        """
+        rng = np.random.default_rng(8)
+        n = 20
+        p_in = rng.uniform(0.0, 1200.0, n)
+        lower = np.full(n + 1, 500.0)
+        upper = np.full(n + 1, params.b_max - 500.0)
+        cfg = MpcConfig(horizon=4 * 360.0, replan_interval=6)
+        ctl = MpcController(cfg, p_in, lower, upper, params, 360.0)
+        assert ctl._rows == 1
+        for s in range(0, n, 6):
+            for b in (1000.0, 3250.0, 6000.0):
+                got, actions = ctl.plan(b, s)
+                want, ref_actions = dp_gather_plan(ctl, b, s)
+                assert got == want
+                assert np.array_equal(actions, ref_actions)
+                assert len(actions) == min(4, n - s)
+            assert ctl._starts == [s]
+        live = MpcController(cfg, p_in, lower, upper, params, 360.0)
+        solves = []
+        orig = live.plan
+        live.plan = lambda b, step: solves.append(step) or orig(b, step)
+        for i in range(n):
+            live(3250.0, lower[i], upper[i], i)
+        assert solves == [0, 4, 8, 12, 16]
+        assert _drive_matches_gather(ctl, np.random.default_rng(9)) >= 0
 
     def test_replan_interval_batches_solves(self, params):
         ctl = MpcController(

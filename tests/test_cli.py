@@ -73,11 +73,11 @@ class TestExampleConfigs:
         assert "mode=periodic-day" in capsys.readouterr().out
 
     def test_every_step_planner_example_runs_in_blocks(self, tmp_path, capsys, monkeypatch):
-        """mpc.cfg re-plans at every step: 62-plan blocks, bytes of one-plan blocks."""
+        """mpc.cfg re-plans at every step: 246-plan sweeps, bytes of one-plan sweeps."""
         cfg = str(self.CONFIGS / "mpc.cfg")
         assert main(["run", "--config", cfg, "--output", str(tmp_path / "block")]) == 0
         assert capsys.readouterr().out.startswith("strategy=mpc ")
-        monkeypatch.setattr(benchmark, "_STAGE_CELLS", 1)  # one row per block
+        monkeypatch.setattr(benchmark, "_SWEEP_BYTES", 1)  # one row per sweep
         assert main(["run", "--config", cfg, "--output", str(tmp_path / "row")]) == 0
         trace = (tmp_path / "block" / "trace.csv").read_bytes()
         assert len(trace.splitlines()) == 1 + 480
@@ -215,6 +215,21 @@ class TestErrorHandling:
         cfg = _write(tmp_path, "sim.dt = quick\n")
         assert main(["compare", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_keys_of_every_section_exit_2_one_line_each(self, tmp_path, capsys):
+        # the learner's range rules hold under ilc
+        text = FAST_RUN.replace("constant-unconstrained", "ilc")
+        text = text.replace("sim.dt = 360", "sim.dt = 0")
+        cfg = _write(tmp_path, text + "vessel.k_m = -1\nmpc.soc_grid = 1\ncontroller.k_p = -1\n")
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        for line in (
+            "vessel.k_m: must be > 0",
+            "mpc.soc_grid: must be an integer >= 2, got 1",
+            "controller.k_p: must be >= 0",
+            "sim.dt: must be > 0",
+        ):
+            assert sum(line in e for e in err) == 1, (line, err)
 
     @pytest.mark.parametrize(
         "command, text, horizon",
