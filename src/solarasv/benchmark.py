@@ -71,25 +71,12 @@ from .solar import broken_rules, integer_rule, raise_broken
 from .vessel import VesselParams
 
 # bytes of the planner's buffers (padded rows, stored vectors and work array,
-# see MpcController), which bound the plans one sweep holds. Measured with
-# replan_interval = 1 and a 12 h horizon as the best run_mission time of 5
-# runs, a range spanning two such measurements (2-core Xeon, numpy 2.4);
-# "before" is the earlier cap of 2^15 cells a stage, which cut every-step
-# plans into blocks of at most one horizon:
-#   131 x 24, 2 days (configs/mpc.cfg): before 62 plans 23.0-34.1 ms; 2^20
-#     238 plans 19.6-19.8, 9 * 2^17 299 plans 19.4-19.6, 3 * 2^19 one sweep
-#     of all 480 17.8-18.0
-#   651 x 24, 2 days: before 4 plans 475-476 ms; 2^20 13 plans 234-235,
-#     9 * 2^17 15 plans 245-257, 2^21 27 plans 254-271
-#   1301 x 24, 1 day: before 1 plan 643-653 ms; 2^20 and 9 * 2^17 4 plans
-#     274-285, 2^21 8 plans 289-301
-#   3251 x 48, 1 day, 48-step horizon: one plan at each, 701-756 ms (756-760)
-# 2^20 + 2^14 holds 246 plans on 131 x 24, 14 on 651 x 24 and 4 on 1301 x 24:
+# see MpcController), which bound the plans one sweep holds. 2^20 + 2^14 is
 # the least round budget that sweeps perfbench mpc-every-step's 480 plans in
-# two sweeps (599 stages, 1229 before), where 2^20 needs three. Its buffers
-# take 1.06 MB there, 0.48 MB before; 9 * 2^17 read +1.1 MB of peak RSS over
-# 10 runs, and one sweep of all 480 plans (3 * 2^19), about 6 % faster
-# again, costs +1.4 MB.
+# two sweeps, where 2^20 needs three; one sweep of all 480 (3 * 2^19) plans
+# about 6 % faster but costs +1.4 MB of peak RSS. With replan_interval = 1 and
+# a 12 h horizon it holds 246 plans on 131 x 24, 14 on 651 x 24 and 4 on
+# 1301 x 24; with a 48-step horizon, one on 3251 x 48.
 _SWEEP_BYTES = 2 ** 20 + 2 ** 14
 
 

@@ -13,7 +13,7 @@ function its text converts through; keys are namespaced by module:
 
     vessel.<field>                          every field of VesselParams
     solar.source (idealized | file)
-    solar.d0 solar.d1 solar.period          idealized constants
+    solar.d0 solar.d1                       idealized constants
     solar.table                             CSV of per-day rows day,d0,d1
     solar.file solar.scale solar.interpolation solar.periodic
     barrier.mode (horizon | periodic-day)
@@ -25,8 +25,8 @@ function its text converts through; keys are namespaced by module:
 
 Each section's dataclass is built from the keys the file sets, so every
 other field keeps its dataclass default. The loader itself supplies only
-the defaults no field holds: solar.source = idealized, solar.periodic =
-false and a period of DAY_S for a periodic log.
+the default no field holds: solar.source = idealized. A periodic source
+repeats every DAY_S (:mod:`solarasv.solar`); no key sets its period.
 
 Unknown and duplicate keys are reported together by line number. Then the
 file's value problems are reported together by key: every value its
@@ -35,7 +35,7 @@ missing solar.file and every rule the vessel.* and mpc.* keys break.
 solar.d0, solar.d1 and solar.table belong to the idealized source, which
 ignores solar.d0 and solar.d1 under a table;
 solar.file, solar.scale, solar.interpolation and solar.periodic belong to
-the file source, which reads solar.period only when solar.periodic is true.
+the file source.
 A compare file lists at least two known strategies in sim.strategies, none
 twice, and sets no sim.strategy; a single-run file sets no sim.strategies.
 Relative paths (solar.file, solar.table, sim.output_dir) resolve against the
@@ -52,13 +52,12 @@ from .barrier import MODES as BARRIER_MODES
 from .benchmark import MpcConfig
 from .controller import IlcSettings
 from .solar import (
-    NOT_FINITE, FileSource, IdealizedSource, broken_rules, integer_rule, read_rows,
-    whole_steps,
+    DAY_S, NOT_FINITE, FileSource, IdealizedSource, broken_rules, integer_rule,
+    read_rows, whole_steps,
 )
 from .vessel import VesselParams
 
 STRATEGIES = ("ilc", "constant-unconstrained", "constant-constrained", "mpc")
-DAY_S = 86400.0
 
 
 class ConfigError(ValueError):
@@ -130,10 +129,10 @@ class SimConfig:
                 "barrier.mode: periodic-day repeats one period of the solar source, "
                 "but a solar.table or a log without solar.periodic has none; use horizon"
             )
-        elif mode == "periodic-day" and "dt" not in bad and 0 < source.period <= dt:
+        elif mode == "periodic-day" and "dt" not in bad and dt >= DAY_S:
             errors.append(
                 "barrier.mode: periodic-day needs sim.dt below the solar source's "
-                f"period ({source.period} s); use horizon or a smaller sim.dt"
+                f"period ({DAY_S} s); use horizon or a smaller sim.dt"
             )
         if "dt" not in bad:  # finite and > 0, so the step count rules can divide by it
             if "mission_length" not in bad and whole_steps(length, dt) is None:
@@ -148,7 +147,7 @@ class SimConfig:
             (name, why) for name, why in self.ilc.problems(p)
             if strategy == "ilc" or why == NOT_FINITE
         ])
-        solar = source.problems()
+        solar = _keyed("solar", source.problems())
         if (
             isinstance(source, IdealizedSource)
             and not source.periodic
@@ -199,7 +198,6 @@ _KEYS: dict[str, Callable[[str], object]] = {
     "solar.source": _source,
     "solar.d0": float,
     "solar.d1": float,
-    "solar.period": float,
     "solar.table": str,
     "solar.file": str,
     "solar.scale": float,
@@ -317,11 +315,8 @@ def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
     problems: list[str] = []
     v = _typed(values, problems)
     file_source = v.get("solar.source") == "file"
-    periodic = v.get("solar.periodic", False)
     if file_source:
         unread = [(key, "solar.source = idealized") for key in _IDEALIZED_KEYS]
-        if not periodic:
-            unread.append(("solar.period", "solar.periodic = true"))
         if "solar.file" not in v:
             problems.append("solar.file: required when solar.source = file")
     else:
@@ -340,8 +335,7 @@ def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
     if file_source:
         solar = FileSource(
             path=str((base_dir / v["solar.file"]).resolve()),
-            period=v.get("solar.period", DAY_S) if periodic else None,
-            **_section(v, "solar", "scale", "interpolation"),
+            **_section(v, "solar", "scale", "interpolation", "periodic"),
         )
     else:
         d0_by_day = d1_by_day = None
@@ -349,7 +343,7 @@ def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
             table_path = (base_dir / v["solar.table"]).resolve()
             d0_by_day, d1_by_day = _load_day_table(table_path)
         solar = IdealizedSource(
-            **_section(v, "solar", "d0", "d1", "period"),
+            **_section(v, "solar", "d0", "d1"),
             d0_by_day=d0_by_day,
             d1_by_day=d1_by_day,
         )

@@ -40,8 +40,9 @@ Conventions
   the step. Trace arrays have one entry per step: velocity_trace[i] and
   p_in_trace[i] belong to the step start, soc_trace[i] is the SOC at the step
   END, so soc_trace[-1] is the terminal SOC.
-* Iteration (learning-cycle) boundaries align with solar-cycle boundaries:
-  every 86400 s of mission time.
+* Iteration (learning-cycle) boundaries align with solar-cycle boundaries
+  by construction: the learner's cycle and a periodic source's period are
+  both ``solar.DAY_S`` (86400 s) of mission time.
 * distance = sum(velocity_trace) * dt exactly (the discretized path length).
 * The controller sees the measured SOC (true SOC plus optional seeded
   Gaussian noise), including the cycle-end SOC the learner updates from;
@@ -65,10 +66,10 @@ import numpy as np
 from ._fork import on_demand
 from .barrier import BarrierEnvelope, build_envelope
 from .benchmark import MpcController, energy_balance_velocity
-from .config import DAY_S, ConfigError, SimConfig
+from .config import ConfigError, SimConfig
 from .controller import IlcPolicy, IterationRecord, _switching_velocity, validate_buffer
 from .csvout import write_columns
-from .solar import SolarProfile, period_grid, sample_array, whole_steps
+from .solar import DAY_S, SolarProfile, period_grid, sample_array, whole_steps
 from .vessel import VesselParams
 
 

@@ -4,11 +4,13 @@ A :class:`SolarProfile` holds sampled (time_s, power_w) pairs with
 zero-order-hold or linear interpolation, optionally periodic with a stated
 period. Each solar source turns its settings into one with
 ``profile(dt)``, lists what is wrong with those settings with
-``problems()``, and says with ``periodic`` whether that profile repeats:
+``problems()``, and says with ``periodic`` whether that profile repeats.
+A source that repeats does so every :data:`DAY_S`, the one solar cycle the
+learner and the daily exports count in too:
 
 1. :class:`IdealizedSource`, a clear-sky day, the clipped cosine
 
-       P_in(t) = max(0, d0 + d1 * cos(2*pi*t / period))
+       P_in(t) = max(0, d0 + d1 * cos(2*pi*t / DAY_S))
 
    d0 and d1 are configuration constants in W, optionally given per day by a
    day table to model seasons; nothing is derived from latitude or date.
@@ -29,6 +31,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 _TWO_PI = 2.0 * math.pi
+
+DAY_S = 86400.0  # s, one solar cycle
 
 INTERPOLATIONS = ("hold", "linear")
 
@@ -199,44 +203,42 @@ class IdealizedSource:
     """Clear-sky input: the clipped cosine, optionally with per-day constants.
 
     Without a day table, d0 and d1 hold for every day and :meth:`profile`
-    tabulates one period, marked periodic. With d0_by_day and d1_by_day, day
-    k (t in [k*period, (k+1)*period)) uses row k instead, and the profile
-    covers the table's n days, non-periodic; the sample at t = n*period uses
+    tabulates one day, marked periodic. With d0_by_day and d1_by_day, day
+    k (t in [k*DAY_S, (k+1)*DAY_S)) uses row k instead, and the profile
+    covers the table's n days, non-periodic; the sample at t = n*DAY_S uses
     the last row.
     """
 
     d0: float = 300.0        # mean term, W
     d1: float = 500.0        # oscillation amplitude, W
-    period: float = 86400.0  # s
     d0_by_day: tuple[float, ...] | None = None
     d1_by_day: tuple[float, ...] | None = None
 
     @property
     def periodic(self) -> bool:
-        """Whether :meth:`profile` repeats one period: true without a day table."""
+        """Whether :meth:`profile` repeats one day: true without a day table."""
         return self.d0_by_day is None
 
-    def problems(self) -> list[str]:
-        """Every 'solar.key: problem' message for these settings; [] if valid."""
-        rules = (
-            ("d1", self.d1 >= 0, "must be >= 0"),
-            ("period", self.period > 0, "must be > 0"),
-        )
-        floats = {"d0": self.d0, "d1": self.d1, "period": self.period}
-        out = [f"solar.{name}: {why}" for name, why in broken_rules(floats, rules)]
+    def problems(self) -> list[tuple[str, str]]:
+        """A ``(field, reason)`` pair for each broken rule; [] if valid.
+
+        The day table's pairs name ``table``, after its config key solar.table.
+        """
+        rules = (("d1", self.d1 >= 0, "must be >= 0"),)
+        out = broken_rules({"d0": self.d0, "d1": self.d1}, rules)
         d0s, d1s = self.d0_by_day, self.d1_by_day
         finite = all(map(math.isfinite, (*(d0s or ()), *(d1s or ()))))
         if not finite:
-            out.append(f"solar.table: {NOT_FINITE}")
+            out.append(("table", NOT_FINITE))
         if (d0s is None) != (d1s is None):
-            out.append("solar.table: d0_by_day and d1_by_day must come together")
+            out.append(("table", "d0_by_day and d1_by_day must come together"))
         elif d0s is not None:
             if len(d0s) != len(d1s):
-                out.append("solar.table: d0_by_day and d1_by_day lengths differ")
+                out.append(("table", "d0_by_day and d1_by_day lengths differ"))
             elif not d0s:
-                out.append("solar.table: no days")
+                out.append(("table", "no days"))
             if finite and any(v < 0 for v in d1s):
-                out.append("solar.table: d1 values must be >= 0")
+                out.append(("table", "d1 values must be >= 0"))
         return out
 
     def table_steps(self, dt: float) -> int:
@@ -246,7 +248,7 @@ class IdealizedSource:
         the table's n days plus dt / 2, so it ends at ``table_steps(dt) * dt``.
         Needs a valid table (:meth:`problems` empty) and a finite dt > 0.
         """
-        return math.ceil((len(self.d0_by_day) * self.period + dt / 2) / dt) - 1
+        return math.ceil((len(self.d0_by_day) * DAY_S + dt / 2) / dt) - 1
 
     def profile(self, dt: float) -> SolarProfile:
         """The clipped cosine sampled every ``dt`` seconds from t = 0.
@@ -255,23 +257,22 @@ class IdealizedSource:
         """
         problems = self.problems()
         if not dt > 0:
-            problems.append(f"dt must be > 0, got {dt}")
-        if problems:
-            raise ValueError("; ".join(problems))
+            problems.append(("dt", f"must be > 0, got {dt}"))
+        raise_broken(problems)
         if self.periodic:
-            times = period_grid(self.period, dt)
-            in_period = np.mod(times, self.period)
-            d0, d1, period = self.d0, self.d1, self.period
+            times = period_grid(DAY_S, dt)
+            in_day = np.mod(times, DAY_S)
+            d0, d1, period = self.d0, self.d1, DAY_S
         else:
             n = len(self.d0_by_day)
             times = np.arange(self.table_steps(dt) + 1) * dt
             # one pass gives both: bitwise the same as // and np.mod
-            day, in_period = np.divmod(times, self.period)
+            day, in_day = np.divmod(times, DAY_S)
             day = np.minimum(day.astype(int), n - 1)
             d0 = np.asarray(self.d0_by_day, dtype=float)[day]
             d1 = np.asarray(self.d1_by_day, dtype=float)[day]
             period = None
-        phase = _TWO_PI * in_period / self.period
+        phase = _TWO_PI * in_day / DAY_S
         return SolarProfile(
             times=times,
             powers=np.maximum(0.0, d0 + d1 * np.cos(phase)),
@@ -282,44 +283,43 @@ class IdealizedSource:
 
 @dataclass(frozen=True)
 class FileSource:
-    """Input power read from a two-column time_s,power file."""
+    """Input power read from a two-column time_s,power file.
+
+    periodic: whether the log repeats every :data:`DAY_S`; a periodic log
+        must span less than one day.
+    """
 
     path: str
     scale: float = 1.0
     interpolation: str = "linear"
-    period: float | None = None  # s; None reads the log as non-periodic
+    periodic: bool = False
 
-    @property
-    def periodic(self) -> bool:
-        """Whether :meth:`profile` repeats one period: true when period is set."""
-        return self.period is not None
-
-    def problems(self) -> list[str]:
-        """Every 'solar.key: problem' message for these settings; [] if valid."""
+    def problems(self) -> list[tuple[str, str]]:
+        """A ``(field, reason)`` pair for each broken rule; [] if valid."""
         unknown = f"{self.interpolation!r} not one of {INTERPOLATIONS}"
         rules = (
             ("scale", self.scale > 0, "must be > 0"),
-            ("period", self.period is None or self.period > 0, "must be > 0"),
             ("interpolation", self.interpolation in INTERPOLATIONS, unknown),
         )
-        floats = {"scale": self.scale, "period": self.period}
-        return [f"solar.{name}: {why}" for name, why in broken_rules(floats, rules)]
+        return broken_rules({"scale": self.scale}, rules)
 
     def profile(self, dt: float) -> SolarProfile:
         """The log as :func:`load_profile` reads it, on its own grid (dt unused).
 
-        With a period, the log repeats; raises ValueError naming solar.period
-        and the log when it spans a whole period or more.
+        A periodic log repeats every day. Raises ValueError if
+        :meth:`problems` finds any, and one naming solar.periodic and the log
+        when a periodic log spans a whole day or more.
         """
+        raise_broken(self.problems())
         log = load_profile(self.path, scale=self.scale, interpolation=self.interpolation)
-        if self.period is None:
+        if not self.periodic:
             return log
-        if log.end - log.start >= self.period:
+        if log.end - log.start >= DAY_S:
             raise ValueError(
-                f"solar.period: {self.path} spans {log.end - log.start} s, but a "
-                f"periodic log must span less than one period ({self.period} s)"
+                f"solar.periodic: {self.path} spans {log.end - log.start} s, but a "
+                f"periodic log must span less than one day ({DAY_S} s)"
             )
-        return replace(log, period=self.period)
+        return replace(log, period=DAY_S)
 
 
 def _closed(

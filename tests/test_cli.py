@@ -205,11 +205,14 @@ class TestErrorHandling:
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_invalid_config_key(self, tmp_path, capsys):
-        cfg = _write(tmp_path, "sim.speed = 2\n")
+    # solar.period is no key: every periodic source repeats every day
+    @pytest.mark.parametrize("line", ["sim.speed = 2", "solar.period = 43200"])
+    def test_invalid_config_key(self, tmp_path, capsys, line):
+        cfg = _write(tmp_path, f"{line}\n")
         assert main(["barriers", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert "error:" in err and "unknown key" in err
+        key = line.partition(" =")[0]
+        assert "error:" in err and err.count(f"unknown key {key!r}") == 1
 
     def test_unparseable_value(self, tmp_path, capsys):
         cfg = _write(tmp_path, "sim.dt = quick\n")
@@ -321,7 +324,7 @@ class TestErrorHandling:
         )
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: solar.period:")
+        assert err.startswith("error: solar.periodic:")
         assert str(tmp_path / "log.csv") in err
         assert not (tmp_path / "out").exists()
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from dataclasses import fields, replace
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
 from solarasv import config
 from solarasv.config import (
-    DAY_S,
     ConfigError,
     SimConfig,
     load_compare_configs,
@@ -17,7 +17,7 @@ from solarasv.config import (
     parse_kv_file,
 )
 from solarasv.harness import tabulate_mission
-from solarasv.solar import FileSource, IdealizedSource
+from solarasv.solar import DAY_S, FileSource, IdealizedSource
 
 
 # every key whose value is a number: a NaN or infinite one must fail the load
@@ -27,13 +27,24 @@ _FLOAT_KEYS = [
 _LOG = "solar.source = file\nsolar.file = log.csv\n"
 # keys only a log source reads; the log need not exist to load the file
 _FLOAT_CONTEXT = {"solar.scale": f"{_LOG}barrier.mode = horizon\n"}
-_PERIODIC_LOG = f"{_LOG}solar.periodic = true\n"
 
 
 def _write(tmp_path, text: str, name: str = "mission.cfg"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", _CONFIGS, ids=[p.name for p in _CONFIGS])
+def test_every_example_config_loads(path):
+    """Each file in configs/ loads through its loader: compare files list strategies."""
+    if "sim.strategies" in parse_kv_file(path):
+        assert len(load_compare_configs(path)) >= 2
+    else:
+        assert isinstance(load_sim_config(path), SimConfig)
 
 
 # ======================================================================
@@ -134,19 +145,16 @@ class TestLoadSimConfig:
                 ("solar.source", "idealized", "solar.__class__", IdealizedSource),
                 ("solar.d0", "250", "solar.d0", 250.0),
                 ("solar.d1", "450", "solar.d1", 450.0),
-                ("solar.period", "43200", "solar.period", 43200.0),
             ],
             "table": [
                 ("solar.table", "days.csv", "solar.d0_by_day", (250.0, 260.0, 270.0, 280.0)),
-                ("solar.period", "43200", "solar.period", 43200.0),
             ],
             "file": [
                 ("solar.source", "file", "solar.__class__", FileSource),
                 ("solar.file", "input.csv", "solar.path", str(tmp_path / "input.csv")),
                 ("solar.scale", "2", "solar.scale", 2.0),
                 ("solar.interpolation", "hold", "solar.interpolation", "hold"),
-                ("solar.periodic", "true", "solar.period", 43200.0),
-                ("solar.period", "43200", "solar.period", 43200.0),
+                ("solar.periodic", "true", "solar.periodic", True),
             ],
         }
         seen = {"sim.strategies"}
@@ -170,8 +178,7 @@ class TestLoadSimConfig:
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "key, context",
-        [pytest.param(key, _FLOAT_CONTEXT.get(key, ""), id=key) for key in _FLOAT_KEYS]
-        + [pytest.param("solar.period", _PERIODIC_LOG, id="solar.period-log")],
+        [pytest.param(key, _FLOAT_CONTEXT.get(key, ""), id=key) for key in _FLOAT_KEYS],
     )
     def test_a_float_key_that_is_not_finite_is_named_once(self, tmp_path, key, context, raw):
         """The one problem of the file is the key, as not finite: no rule reads it."""
@@ -315,7 +322,7 @@ class TestLoadSimConfig:
         assert isinstance(cfg.solar, FileSource)
         assert cfg.solar.path == str(tmp_path / "input.csv")
         assert cfg.solar.scale == 2.0
-        assert cfg.solar.period == 86400.0
+        assert cfg.solar.periodic is True
 
     @pytest.mark.parametrize(
         "line, fragment",
@@ -332,16 +339,16 @@ class TestLoadSimConfig:
             load_sim_config(p)
 
     @pytest.mark.parametrize(
-        "spelling, period", [("yes", 86400.0), ("1", 86400.0), ("No", None)]
+        "spelling, periodic", [("yes", True), ("1", True), ("No", False)]
     )
-    def test_periodic_spellings(self, tmp_path, spelling, period):
+    def test_periodic_spellings(self, tmp_path, spelling, periodic):
         (tmp_path / "input.csv").write_text("0,100\n86400,100\n")
         p = _write(
             tmp_path,
             "barrier.mode = horizon\nsolar.source = file\nsolar.file = input.csv\n"
             f"solar.periodic = {spelling}\n",
         )
-        assert load_sim_config(p).solar.period == period
+        assert load_sim_config(p).solar.periodic is periodic
 
     @pytest.mark.parametrize(
         "lines, fragment",
@@ -366,15 +373,6 @@ class TestLoadSimConfig:
                 "solar.table: only read when solar.source = idealized",
             ),
             (
-                "solar.source = file\nsolar.file = input.csv\nsolar.period = 3600",
-                "solar.period: only read when solar.periodic = true",
-            ),
-            (
-                "solar.source = file\nsolar.file = input.csv\nsolar.periodic = no\n"
-                "solar.period = 3600",
-                "solar.period: only read when solar.periodic = true",
-            ),
-            (
                 "solar.table = days.csv\nsolar.d0 = 999",
                 "solar.d0: only read when there is no solar.table",
             ),
@@ -385,7 +383,7 @@ class TestLoadSimConfig:
         ],
         ids=[
             "file", "scale", "interpolation", "periodic", "d0", "d1", "table",
-            "period-unset-periodic", "period-not-periodic", "d0-table", "d1-table",
+            "d0-table", "d1-table",
         ],
     )
     def test_unread_solar_keys_rejected(self, tmp_path, lines, fragment):
@@ -426,11 +424,10 @@ class TestLoadSimConfig:
         "lines",
         [
             "sim.dt = 86400\nsim.mission_length = 172800",
-            "solar.period = 3600\nsim.dt = 3600\nsim.mission_length = 86400",
             "solar.source = file\nsolar.file = absent.csv\nsolar.periodic = true\n"
-            "solar.period = 3600\nsim.dt = 3600\nsim.mission_length = 86400",
+            "sim.dt = 86400\nsim.mission_length = 172800",
         ],
-        ids=["day-step", "short-period", "log"],
+        ids=["day-step", "log"],
     )
     def test_periodic_day_needs_two_steps_per_period(self, tmp_path, lines):
         # the log does not exist: the rule is decided before anything reads it

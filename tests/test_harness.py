@@ -30,7 +30,9 @@ from solarasv.harness import (
 )
 from solarasv import _fork, harness
 from solarasv.barrier import build_envelope, write_envelope_csv
-from solarasv.solar import FileSource, IdealizedSource, load_profile, sample_array
+from solarasv.solar import (
+    DAY_S, FileSource, IdealizedSource, load_profile, sample_array, whole_steps,
+)
 from solarasv.vessel import VesselParams
 
 from conftest import simulate_whole_lists
@@ -78,7 +80,6 @@ class TestValidation:
             ({"noise_std": -1.0}, "sim.noise_std"),
             ({"ilc": IlcSettings(delta=0.0)}, "controller.delta"),
             ({"ilc": IlcSettings(u_init=5.0)}, "controller.u_init"),
-            ({"solar": IdealizedSource(period=0.0)}, "solar.period"),
             ({"solar": IdealizedSource(d1=-1.0)}, "solar.d1"),
             (
                 {"solar": IdealizedSource(d0_by_day=[100.0])},
@@ -101,16 +102,11 @@ class TestValidation:
             ({"ilc": IlcSettings(b_des=-INF)}, "controller.b_des: must be finite"),
             ({"solar": IdealizedSource(d0=NAN)}, "solar.d0: must be finite"),
             ({"solar": IdealizedSource(d1=INF)}, "solar.d1: must be finite"),
-            ({"solar": IdealizedSource(period=INF)}, "solar.period: must be finite"),
             (
                 {"solar": IdealizedSource(d0_by_day=(1.0, NAN), d1_by_day=(1.0, 1.0))},
                 "solar.table: must be finite",
             ),
             ({"solar": FileSource(path="x.csv", scale=INF)}, "solar.scale: must be finite"),
-            (
-                {"solar": FileSource(path="x.csv", period=NAN)},
-                "solar.period: must be finite",
-            ),
             ({"rng_seed": -1}, "sim.rng_seed"),
             (
                 {"strategy": "mpc", "mpc": MpcConfig(horizon=900.0)},
@@ -125,7 +121,6 @@ class TestValidation:
                 "solar.table: d1 values must be >= 0",
             ),
             ({"solar": IdealizedSource(d0_by_day=(), d1_by_day=())}, "solar.table: no days"),
-            ({"solar": FileSource(path="x.csv", period=-5.0)}, "solar.period: must be > 0"),
             (
                 {"ilc": IlcSettings(b_des=99999.0)},
                 "controller.b_des: 99999.0 outside battery window [0.0, 6500.0]",
@@ -142,7 +137,8 @@ class TestValidation:
                 "barrier.mode: periodic-day needs sim.dt below",
             ),
             (
-                {"dt": 3600.0, "solar": FileSource(path="x.csv", period=3600.0)},
+                {"dt": DAY, "mission_length": 2 * DAY,
+                 "solar": FileSource(path="x.csv", periodic=True)},
                 "barrier.mode: periodic-day needs sim.dt below",
             ),
             ({"ilc": IlcSettings(k_p=-5e-5, b_des=4590.0)}, "controller.k_p: must be >= 0"),
@@ -362,6 +358,18 @@ class TestAssembly:
         assert prof.periodic and prof.period == DAY
         assert sample_array(prof, [0.0])[0] == 800.0
 
+    @pytest.mark.parametrize("dt", [360.0, 3600.0 / 7])
+    def test_sources_and_learner_share_one_day(self, tmp_path, dt):
+        """Each periodic source repeats every DAY_S, the learner's cycle too."""
+        log = tmp_path / "day.csv"
+        log.write_text("0,0\n30000,0\n43200,400\n56400,0\n")
+        for source in (IdealizedSource(), FileSource(path=str(log), periodic=True)):
+            assert source.profile(dt).period == DAY_S
+        cfg = _cfg(dt=dt)
+        policy = harness.build_policy(cfg, tabulate_mission(cfg))
+        assert policy.cycle_steps == whole_steps(DAY_S, dt)
+        assert policy.cycle_steps * dt == pytest.approx(DAY_S, rel=1e-12)
+
     def test_seasonal_table_switches_by_day(self):
         cfg = _cfg(
             solar=IdealizedSource(d0_by_day=[100.0, 200.0], d1_by_day=[0.0, 0.0]),
@@ -381,7 +389,7 @@ class TestAssembly:
         # an overcast day: a short low midday peak, nothing like the clear sky
         f = tmp_path / "day.csv"
         f.write_text("0,0\n30000,0\n43200,400\n56400,0\n")
-        cfg = _cfg(solar=FileSource(path=str(f), period=DAY))
+        cfg = _cfg(solar=FileSource(path=str(f), periodic=True))
         env = build_mission_envelope(cfg, build_input_profile(cfg))
         want = build_envelope(
             dataclasses.replace(load_profile(f), period=DAY), params,
@@ -1145,8 +1153,8 @@ def test_periodic_day_bytes_match_recorded_digests(tmp_path, source):
     log.write_text(_PERIODIC_LOG)
     solar = {
         "clear-sky": IdealizedSource(d0=300.0, d1=500.0),
-        "linear": FileSource(path=str(log), period=DAY),
-        "hold": FileSource(path=str(log), period=DAY, interpolation="hold"),
+        "linear": FileSource(path=str(log), periodic=True),
+        "hold": FileSource(path=str(log), periodic=True, interpolation="hold"),
     }[source]
     cfg = _cfg(mission_length=3 * DAY, solar=solar, vessel=VesselParams(u_max=1.8))
     tab = tabulate_mission(cfg)

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solarasv.solar import (
+    DAY_S,
+    FileSource,
     IdealizedSource,
     SolarProfile,
     integrate_power,
@@ -25,9 +27,9 @@ from solarasv.solar import (
 # ======================================================================
 
 
-def _clear_sky(t: float, d0: float, d1: float, period: float = 86400.0) -> float:
+def _clear_sky(t: float, d0: float, d1: float) -> float:
     """The clipped cosine at one instant, in scalar arithmetic."""
-    return max(0.0, d0 + d1 * math.cos(2.0 * math.pi * t / period))
+    return max(0.0, d0 + d1 * math.cos(2.0 * math.pi * t / DAY_S))
 
 
 class TestIdealizedModel:
@@ -49,7 +51,7 @@ class TestIdealizedModel:
         prof = src.profile(360.0)
         ts = np.array([0.0, 12345.0, 50000.0])
         np.testing.assert_allclose(
-            sample_array(prof, ts + src.period), sample_array(prof, ts), rtol=0, atol=1e-9
+            sample_array(prof, ts + DAY_S), sample_array(prof, ts), rtol=0, atol=1e-9
         )
 
     def test_array_matches_scalar(self):
@@ -57,10 +59,8 @@ class TestIdealizedModel:
         assert prof.powers.tolist() == [_clear_sky(t, 300.0, 500.0) for t in prof.times]
 
     def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            IdealizedSource(period=0.0).profile(360.0)
-        with pytest.raises(ValueError):
-            IdealizedSource(d1=-1.0).profile(360.0)
+        with pytest.raises(ValueError, match="^d1 must be >= 0; dt must be > 0, got 0.0$"):
+            IdealizedSource(d1=-1.0).profile(0.0)
 
 
 # ======================================================================
@@ -216,6 +216,13 @@ class TestLoadProfile:
         with pytest.raises(OSError):
             load_profile(tmp_path / "absent.csv")
 
+    def test_file_source_checks_its_settings(self, tmp_path):
+        # a zero scale would silently read the log as a dark sky
+        f = tmp_path / "log.csv"
+        f.write_text("0,100\n3600,200\n")
+        with pytest.raises(ValueError, match="^scale must be > 0$"):
+            FileSource(path=str(f), scale=0.0).profile(360.0)
+
 
 class TestReadRows:
     def test_columns_come_back_as_rows(self, tmp_path):
@@ -285,16 +292,14 @@ class TestTabulate:
         assert later == first
 
     def test_non_periodic_duration(self):
-        """A day table tabulates its days through t = n*period, non-periodic."""
-        prof = IdealizedSource(
-            period=7200.0, d0_by_day=(300.0,), d1_by_day=(500.0,)
-        ).profile(3600.0)
+        """A day table tabulates its days through t = n*DAY_S, non-periodic."""
+        prof = IdealizedSource(d0_by_day=(300.0,), d1_by_day=(500.0,)).profile(DAY_S / 2)
         assert not prof.periodic
-        assert prof.times.tolist() == [0.0, 3600.0, 7200.0]
+        assert prof.times.tolist() == [0.0, DAY_S / 2, DAY_S]
 
     def test_day_table_needs_a_row(self):
         src = IdealizedSource(d0_by_day=(), d1_by_day=())
-        assert src.problems() == ["solar.table: no days"]
+        assert src.problems() == [("table", "no days")]
         with pytest.raises(ValueError, match="no days"):
             src.profile(360.0)
 
@@ -317,19 +322,17 @@ def _idealized_case(draw):
     """A clear-sky source, with or without a day table, and a step dt."""
     coef = st.floats(-1000.0, 1500.0)
     amp = st.floats(0.0, 1500.0)
-    # integer periods (and one half-integer) keep k * period exact
-    period = draw(st.integers(3600, 172800).map(float) | st.just(43210.5))
     on_grid = draw(st.booleans())
     if on_grid:
-        dt = period / draw(st.integers(24, 400))
+        dt = DAY_S / draw(st.integers(24, 400))
     else:
-        dt = draw(st.floats(period / 400.0, period / 24.0))
+        dt = draw(st.floats(DAY_S / 400.0, DAY_S / 24.0))
     days = draw(st.none() | st.lists(st.tuples(coef, amp), min_size=1, max_size=6))
     if days is None:
-        src = IdealizedSource(d0=draw(coef), d1=draw(amp), period=period)
+        src = IdealizedSource(d0=draw(coef), d1=draw(amp))
     else:
         d0s, d1s = (tuple(c) for c in zip(*days))
-        src = IdealizedSource(period=period, d0_by_day=d0s, d1_by_day=d1s)
+        src = IdealizedSource(d0_by_day=d0s, d1_by_day=d1s)
     return src, dt, on_grid
 
 
@@ -340,25 +343,24 @@ def _idealized_case(draw):
 def test_profile_is_the_clipped_cosine(case):
     """Bitwise the clipped cosine on the profile's grid; a table picks rows by day."""
     src, dt, on_grid = case
-    period = src.period
     prof = src.profile(dt)
     if src.d0_by_day is None:
-        assert prof.period == period
-        grid = np.arange(0.0, period, dt)
-        np.testing.assert_array_equal(prof.times, grid[grid < period])
-        want = np.maximum(0.0, src.d0 + src.d1 * np.cos(2 * np.pi * prof.times / period))
+        assert prof.period == DAY_S
+        grid = np.arange(0.0, DAY_S, dt)
+        np.testing.assert_array_equal(prof.times, grid[grid < DAY_S])
+        want = np.maximum(0.0, src.d0 + src.d1 * np.cos(2 * np.pi * prof.times / DAY_S))
     else:
         n = len(src.d0_by_day)
         assert not prof.periodic
-        np.testing.assert_array_equal(prof.times, np.arange(0.0, n * period + dt / 2, dt))
+        np.testing.assert_array_equal(prof.times, np.arange(0.0, n * DAY_S + dt / 2, dt))
         if on_grid:
-            assert prof.end == pytest.approx(n * period)
-        # row k on [k*period, (k+1)*period); from (n-1)*period on, through
-        # the sample at n*period, the last row
-        row = np.searchsorted(np.arange(1, n) * period, prof.times, side="right")
+            assert prof.end == pytest.approx(n * DAY_S)
+        # row k on [k*DAY_S, (k+1)*DAY_S); from (n-1)*DAY_S on, through
+        # the sample at n*DAY_S, the last row
+        row = np.searchsorted(np.arange(1, n) * DAY_S, prof.times, side="right")
         d0 = np.asarray(src.d0_by_day)[row]
         d1 = np.asarray(src.d1_by_day)[row]
-        phase = 2 * np.pi * np.mod(prof.times, period) / period
+        phase = 2 * np.pi * np.mod(prof.times, DAY_S) / DAY_S
         want = np.maximum(0.0, d0 + d1 * np.cos(phase))
     np.testing.assert_array_equal(prof.powers, want)
 
