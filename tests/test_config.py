@@ -393,6 +393,21 @@ class TestLoadSimConfig:
         with pytest.raises(ConfigError, match=fragment):
             load_sim_config(p)
 
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "solar.period = 43200",
+            "solar.source = file\nsolar.file = input.csv\nsolar.periodic = true\n"
+            "solar.period = 43200",
+        ],
+        ids=["idealized", "log"],
+    )
+    def test_solar_period_is_not_a_key(self, tmp_path, lines):
+        # the solar day is DAY_S, for every source
+        p = _write(tmp_path, f"{lines}\n")
+        with pytest.raises(ConfigError, match="unknown key 'solar.period'"):
+            load_sim_config(p)
+
     def test_unknown_source_kind(self, tmp_path):
         p = _write(tmp_path, "solar.source = oracle\n")
         with pytest.raises(ConfigError, match="solar.source"):

@@ -223,6 +223,33 @@ class TestLoadProfile:
         with pytest.raises(ValueError, match="^scale must be > 0$"):
             FileSource(path=str(f), scale=0.0).profile(360.0)
 
+    def test_file_source_problems_are_field_reason_pairs(self):
+        src = FileSource(path="unread.csv", scale=-1.0, interpolation="cubic")
+        assert src.problems() == [
+            ("scale", "must be > 0"),
+            ("interpolation", "'cubic' not one of ('hold', 'linear')"),
+        ]
+        assert FileSource(path="unread.csv").problems() == []
+
+    def test_periodic_log_repeats_every_day(self, tmp_path):
+        f = tmp_path / "log.csv"
+        f.write_text("0,100\n43200,700\n86399,100\n")
+        prof = FileSource(path=str(f), periodic=True).profile(360.0)
+        assert prof.period == DAY_S
+        ts = np.array([10.0, 43200.0, 86000.0])
+        got = sample_array(prof, ts + DAY_S)
+        assert got.tobytes() == sample_array(prof, ts).tobytes()
+        assert not FileSource(path=str(f)).profile(360.0).periodic
+
+    @pytest.mark.parametrize("end", [86400, 172800], ids=["one-day", "two-days"])
+    def test_periodic_log_of_a_day_or_more_is_refused(self, tmp_path, end):
+        f = tmp_path / "log.csv"
+        f.write_text(f"0,100\n{end},200\n")
+        with pytest.raises(ValueError, match=f"^solar.periodic: {f} spans {end}.0 s"):
+            FileSource(path=str(f), periodic=True).profile(360.0)
+        # read as it is, the same log loads
+        assert FileSource(path=str(f)).profile(360.0).end == end
+
 
 class TestReadRows:
     def test_columns_come_back_as_rows(self, tmp_path):
