@@ -43,12 +43,13 @@ velocity lands on cannot win at all, so a stage adds the best reward of each
 landed window and maxes in place; no stage keeps an argmax. A plan's DP
 depends only on its start step, never on the SOC, so the planner solves the
 plans at step, step + R, ... (R the replan interval) in one backward sweep,
-one padded row each, and every plan is bitwise the plan it would be alone.
-A sweep may span many horizons of plans; each stage adds to the at most
-ceil(H / R) of them that contain it. ``MpcController._sweep`` describes the
-mechanism. The stages a plan executes before its next replan store the
-masked vector they read, and the rollout re-derives each action from the
-stage's landed windows at the current state, applying the pads by index.
+and every plan is bitwise the plan it would be alone. A sweep may span many
+horizons of plans; each stage adds to the at most ceil(H / R) of them that
+contain it, its band, whose padded rows take turns in a ring of slots.
+``MpcController._sweep`` describes the mechanism. The stages a plan executes
+before its next replan store the masked vector they read, and the rollout
+re-derives the plan's value and each action from the stage's landed windows
+at the current state, applying the pads by index.
 
 If no action is feasible from the current state the controller falls back to
 the switching law on the step loop's bounds with u_min as the interior
@@ -70,13 +71,16 @@ from .solar import SolarProfile, integrate_power, sample_array, whole_steps  # n
 from .solar import broken_rules, integer_rule, raise_broken
 from .vessel import VesselParams
 
-# bytes of the planner's buffers (padded rows, stored vectors and work array,
-# see MpcController), which bound the plans one sweep holds. 2^20 + 2^14 is
-# the least round budget that sweeps perfbench mpc-every-step's 480 plans in
-# two sweeps, where 2^20 needs three; one sweep of all 480 (3 * 2^19) plans
-# about 6 % faster but costs +1.4 MB of peak RSS. With replan_interval = 1 and
-# a 12 h horizon it holds 246 plans on 131 x 24, 14 on 651 x 24 and 4 on
-# 1301 x 24; with a 48-step horizon, one on 3251 x 48.
+# bytes the planner may give each of two parts of a sweep (see
+# MpcController): what a stage touches (its band's ring of padded rows, the
+# overhang of the view over them and the work array), and what the sweep
+# stores for its rollouts (one masked vector per executed stage). The first
+# keeps a stage's band in cache: it alone bounds a mid-size lattice's band,
+# and doubling it (28 plans a sweep in place of 14 on 651 x 24) ran a 1-day
+# every-step mission 4-12 % slower. The second bounds the plans of a sweep
+# where bands are narrow. With replan_interval = 1 and a 12 h horizon a
+# sweep holds all 480 plans of a 2-day mission on 131 x 24, 14 on 651 x 24
+# and 4 on 1301 x 24; with a 48-step horizon, one on 3251 x 48.
 _SWEEP_BYTES = 2 ** 20 + 2 ** 14
 
 
@@ -187,23 +191,25 @@ class MpcController:
     after the final step. Plans stop at the last step.
 
     Plans are solved in sweeps (see ``_sweep``), and the controller keeps
-    the last sweep: each row's root values, in the middle of its padded row,
-    and the stored vectors its rollout reads. Its buffers are allocated here,
-    once, for the most rows a sweep can have: the most plans whose buffers
-    fit in ``_SWEEP_BYTES``, at least one and at most the mission's
-    ceil(n / R), with n the mission's steps, H the horizon in steps (capped
-    at the mission) and R the replan interval. With R >= H no stage is
-    shared, so each plan is swept alone. A stage lies in at most
-    B = ceil(H / R) plans, its band; let b = min(rows, B), W the widest run
-    of shifts the mission allows, U the velocities and S the lattice size.
-    Padded rows are L = lo pad + S + hi pad + W cells long and lie back to
-    back in one flat buffer, read through one sliding-window view of
-    windows (b - 1) * L + S long. Those run up to (b - 1) * L cells past the
-    last row, into cells no stage reads, where the rows * min(R, H) * S
-    stored cells lie. A stage adds at most min(W, U) windows, so a
-    (min(W, U), (b - 1) * L + S) array takes its sums. The budget counts
-    rows * L + max((b - 1) * L, stored) + min(W, U) * ((b - 1) * L + S)
-    float64 cells.
+    the last sweep's stored vectors, which its rollouts read. Its buffers
+    are allocated here, once, for the most rows a sweep can have, with n the
+    mission's steps, H the horizon in steps (capped at the mission) and R
+    the replan interval. With R >= H no stage is shared, so each plan is
+    swept alone. A stage lies in at most B = ceil(H / R) plans, its band;
+    let b = min(rows, B), W the widest run of shifts the mission allows, U
+    the velocities and S the lattice size. Padded rows are L = lo pad + S +
+    hi pad + W cells long. Only a band's rows have one: they take turns in a
+    ring of b to 2b - 1 slots that lie back to back in one flat buffer, read
+    through one sliding-window view of windows (b - 1) * L + S long. Those
+    run up to (b - 1) * L cells past the last slot, into cells no stage
+    reads, where the rows * min(R, H) * S stored cells lie. A stage adds at
+    most min(W, U) windows, so a (min(W, U), (b - 1) * L + S) array takes
+    its sums. ``_SWEEP_BYTES`` is charged twice, in float64 cells: what a
+    stage touches, slots * L + (b - 1) * L + min(W, U) * ((b - 1) * L + S),
+    and what the sweep stores, rows * min(R, H) * S. Rows are the most
+    plans, at least one and at most the mission's ceil(n / R), for which
+    both parts fit with b slots; the ring then takes as many slots up to
+    2b - 1 as the first part has room for.
     """
 
     def __init__(
@@ -247,11 +253,11 @@ class MpcController:
         self._lo = max(0, -math.floor((self.p_in.min() - draw_max) * dtf / self.res))
         hi = max(0, math.floor((self.p_in.max() - draw_min) * dtf / self.res))
         width = math.floor((draw_max - draw_min) * dtf / self.res) + 2
-        # a sweep holds the plans at step, step + R, ...: each row of these
-        # buffers is one plan's padded row and stored vectors. A stage lies in
-        # at most ceil(H / R) of them, its band of rows, however many the
-        # sweep holds, and adds at most min(W, U) windows: W bounds its run
-        # of shifts and each window it adds has a velocity landing on it
+        # a sweep holds the plans at step, step + R, ...: each stores the
+        # vectors its rollout reads. A stage lies in at most ceil(H / R) of
+        # them, its band of rows, however many the sweep holds, and adds at
+        # most min(W, U) windows: W bounds its run of shifts and each window
+        # it adds has a velocity landing on it
         n_soc = cfg.soc_grid
         interval = cfg.replan_interval
         span = min(self.horizon_steps, len(self.p_in))
@@ -259,29 +265,41 @@ class MpcController:
         added = min(width, cfg.u_grid)
         take = min(interval, span)
         length = self._lo + n_soc + hi + width
+        budget = _SWEEP_BYTES // 8
+
+        def touched(slots: int, b: int) -> int:
+            # float64 cells a stage's band of b rows touches: a ring of
+            # slots padded rows, the view's overhang past it and _tmp
+            return slots * length + (b - 1) * length + added * ((b - 1) * length + n_soc)
 
         def cells(plans: int) -> int:
-            # float64 cells of flat and _tmp below for a sweep of plans
+            # the larger part of a sweep of plans: its band in the least
+            # ring, or its stored vectors; each must fit the budget
             b = min(plans, band)
-            past = max((b - 1) * length, plans * take * n_soc)
-            return plans * length + past + added * ((b - 1) * length + n_soc)
+            return max(touched(b, b), plans * take * n_soc)
 
         # with R >= H no stage is shared, and those between plans belong to
         # none, so each plan is swept alone
         most = -(-len(self.p_in) // interval) if band > 1 else 1
-        rows = max(1, bisect_right(range(1, most + 1), _SWEEP_BYTES // 8, key=cells))
-        # a band of b rows from row a reads windows (b - 1) * L + S long, so
-        # the view's widest windows end up to (b - 1) * L cells past the last
-        # row, in cells no stage reads: the stored vectors lie there
+        rows = max(1, bisect_right(range(1, most + 1), budget, key=cells))
+        # the ring: 2b - 1 slots copy fewer rows when the band moves up than
+        # enter before it moves again, and more would only add cells
         b = min(rows, band)
+        slots = max(b, min(rows, 2 * b - 1, (budget - touched(0, b)) // length))
+        # a band of b rows from slot a reads windows (b - 1) * L + S long, so
+        # the view's widest windows end up to (b - 1) * L cells past the last
+        # slot, in cells no stage reads: the stored vectors lie there
         widest = (b - 1) * length + n_soc
         stored = rows * take * n_soc
-        flat = np.empty(rows * length + max((b - 1) * length, stored))
-        flat[:rows * length] = -np.inf
+        flat = np.empty(slots * length + max((b - 1) * length, stored))
+        # no stage reads a cell it has not written (see _sweep), but a ring
+        # filled here measured faster than one first written by the sweep
+        flat[:slots * length] = -np.inf
         self._rows = rows
-        self._padded = flat[:rows * length].reshape(rows, length)
-        self._values = flat[self._lo:]  # row r's values: S cells from r * L
-        self._stored = flat[rows * length:][:stored].reshape(rows, take, n_soc)
+        self._slots = slots
+        self._padded = flat[:slots * length].reshape(slots, length)
+        self._values = flat[self._lo:]  # slot r's values: S cells from r * L
+        self._stored = flat[slots * length:][:stored].reshape(rows, take, n_soc)
         self._bands = sliding_window_view(flat, widest)
         self._tmp = np.empty((added, widest))
         self._rewards = self.u_desc * self.dt
@@ -304,17 +322,17 @@ class MpcController:
 
         The plan is one row of a sweep (see ``_sweep``): if ``step`` is not a
         row of the sweep solved last, a new sweep starting at ``step`` runs
-        first. The root snaps down to a lattice cell and reads the row's root
-        values. No stage keeps an argmax: for each of the first
-        ``take = min(replan_interval, K)`` stages the rollout reads, at the
-        current state, each of the stage's landed windows from its stored
-        masked vector, applying the pads by index (``-inf`` below cell 0,
-        the top cell above it), adds the best reward landing there
-        (``_stage_windows``) and takes the argmax of the same float64 sums
-        the stage maxed over. A slower velocity on a shared window never
-        beats the fastest, and the first maximum is the lowest window, so
-        ties go to the higher velocity, as over all U. A plan writes no
-        buffer.
+        first. The root snaps down to a lattice cell. No stage keeps an
+        argmax: for each of the first ``take = min(replan_interval, K)``
+        stages the rollout reads, at the current state, each of the stage's
+        landed windows from its stored masked vector, applying the pads by
+        index (``-inf`` below cell 0, the top cell above it), adds the best
+        reward landing there (``_stage_windows``) and takes the argmax of the
+        same float64 sums the stage maxed over. At the root, the first
+        stage's maximum is the plan's value, bitwise the root value the
+        sweep computed. A slower velocity on a shared window never beats the
+        fastest, and the first maximum is the lowest window, so ties go to
+        the higher velocity, as over all U. A plan writes no buffer.
 
         ``step`` must lie in [0, len(p_in)); anything else is a ValueError.
         Returns (optimal lattice value, the first ``take`` planned velocities)
@@ -327,20 +345,16 @@ class MpcController:
         if skip or not 0 <= row < len(self._starts):
             self._sweep(step)
             row = 0
-        root = self._snap(b)
-        value = float(self._padded[row, self._lo + root])
-        if not math.isfinite(value):
-            return value, None
-
         # each executed action is the argmax over the stage's landed windows
         # at the current state: the stage's masked vector with its pads
         # applied by index, plus the best reward landing there, the same
-        # float64 sums the stage maxed over
+        # float64 sums the stage maxed over; at the root their max is the
+        # plan's value
         k0 = step - self._step
         take = min(self.cfg.replan_interval, self._stops[row] - step)
         top = self.lattice.size - 1
         actions = np.empty(take)
-        state = root
+        state = self._snap(b)
         for i in range(take):
             _, best, landed, fastest = self._executed[k0 + i]
             low = state + self._low[k0 + i]  # the cell the fastest velocity reaches
@@ -349,6 +363,10 @@ class MpcController:
             if low < 0:
                 sums[cells < 0] = -np.inf
             j = int(sums.argmax())
+            if i == 0:
+                value = float(sums[j])
+                if not math.isfinite(value):
+                    return value, None
             actions[i] = self.u_desc[fastest[j]]
             state = min(max(low + int(landed[j]), 0), top)
         return value, actions
@@ -362,9 +380,19 @@ class MpcController:
         the sweep's rows step back through their shared stages in lockstep:
         at stage k the rows with s_b <= k < stop_b, at most ceil(H / R) of
         them, form one slice a:z (starts and stops both ascend); a row enters
-        with the terminal values at k = stop_b - 1 and leaves at k = s_b
-        holding its root values. A sweep spans many horizons when its budget
-        allows; with R < H every stage lies in some plan.
+        at the low end with the terminal values at k = stop_b - 1 and leaves
+        at the high end at k = s_b, its root values computed. A sweep spans
+        many horizons when its budget allows; with R < H every stage lies in
+        some plan.
+
+        Only the band's rows have padded rows, in a ring of slots: row r
+        lies in slot r - off. The first band takes the top slots; each row
+        that enters takes the slot below the band, and a row that leaves
+        frees its slot at the top. When a row would enter below slot 0, the
+        band's rows are copied up to the top slots and off moves with them,
+        so a band is always one run of consecutive slots. With 2b - 1 slots,
+        the most a ring gets (see ``MpcController``), a copy moves fewer rows
+        than enter before the next one.
 
         Each row's values live in the middle of its padded row. Before stage
         k's add, two writes over rows a:z set ``-inf`` up to the envelope's
@@ -381,26 +409,28 @@ class MpcController:
         finite or ``-inf``, never NaN, so with a ``-inf`` reward that
         window's sums could not raise the max.
 
-        The padded rows lie L cells apart in one flat buffer, so offset w's
+        The slots lie L cells apart in one flat buffer, so offset w's
         windows over rows a:z are one contiguous run of it, m = (z - a - 1)
-        * L + S cells from a * L + start + w. A stage reads each arithmetic
-        run (o, e, d, r, s) of its offsets as one strided basic slice of the
-        sliding-window view, ``start + o:start + e:d``, a view, adds its
-        rewards into work rows r:s, and takes one max over the rows filled,
-        written to the middles of rows a:z. A stage whose offsets leave no
-        gap is the one run (0, W_k, 1): on 131 x 24 every stage, 3-4
+        * L + S cells from (a - off) * L + start + w. A stage reads each
+        arithmetic run (o, e, d, r, s) of its offsets as one strided basic
+        slice of the sliding-window view, ``start + o:start + e:d``, a view,
+        adds its rewards into work rows r:s, and takes one max over the rows
+        filled, written to the middles of rows a:z. A stage whose offsets
+        leave no gap is the one run (0, W_k, 1): on 131 x 24 every stage, 3-4
         windows. On 3251 x 48 fast velocities land cells apart, and a stage
         adds about 31 windows of a run about 52 wide, in about 7 runs.
         Positions between two rows' S valid cells read one row's high pad
         and the next row's low pad and middle; their maxes land in those
         pads, which the next stage sets again before reading. Neither the
-        max nor the pad writes reach past row z - 1, so a row that has left
-        the band keeps its root values. Each valid cell gets the float64
-        adds and maxes of a one-plan DP in its order, so every plan is
-        bitwise the same whichever sweep solves it. After stage k's pad
+        max nor the pad writes reach past row z - 1, and no stage reads a
+        cell of the band that it or an earlier stage has not written, so a
+        slot's stale cells never reach a value. Each valid cell gets the
+        float64 adds and maxes of a one-plan DP in its order, so every plan
+        is bitwise the same whichever sweep solves it. After stage k's pad
         writes, the row whose first ``take`` stages include k stores its
         masked V_{k+1} for the rollout, and the stage's windows are kept for
-        it too.
+        it too: a row's root values are the max of its first stored vector's
+        sums, which ``plan`` forms anyway, so they are not kept.
         """
         n = len(self.p_in)
         interval = self.cfg.replan_interval
@@ -443,18 +473,24 @@ class MpcController:
         high = lo_pad + n_soc  # the high pad's first cell
         padded = self._padded
         values = self._values
-        length = padded.shape[1]
+        slots, length = padded.shape
         bands = self._bands
         tmp = self._tmp
         terminal = self.cfg.terminal_reward_slope * lattice
         executed: dict[int, _Windows] = {}  # the windows of each stage a plan executes
         a = count
+        off = count - slots  # row r lies in slot r - off
         for k in range(stop - step - 1, -1, -1):
-            if entered[k] < a:
-                padded[entered[k]:a, lo_pad:high] = terminal
-                a = entered[k]
             z = ends[k]
-            rows = padded[a:z]
+            if entered[k] < a:
+                if entered[k] < off:
+                    # a row would enter below slot 0: copy the band's rows
+                    # up to the top slots
+                    padded[a - z + slots:slots] = padded[a - off:z - off]
+                    off = z - slots
+                padded[entered[k] - off:a - off, lo_pad:high] = terminal
+                a = entered[k]
+            rows = padded[a - off:z - off]
             rows[:, :lo_pad + first[k]] = -np.inf
             if end[k] < n_soc:
                 rows[:, lo_pad + end[k]:] = -np.inf
@@ -466,10 +502,10 @@ class MpcController:
                 windows = memo[key] = _stage_windows(offsets[k], rewards)
             row, i = divmod(k, interval)
             if row < count:
-                self._stored[row, i] = padded[row, lo_pad:high]
+                self._stored[row, i] = padded[row - off, lo_pad:high]
                 executed[k] = windows
             m = (z - a - 1) * length + n_soc
-            base = a * length
+            base = (a - off) * length
             start = base + run[k]
             runs, best, _, _ = windows
             for o, e, d, r, s in runs:

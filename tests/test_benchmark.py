@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from solarasv.benchmark import (
     _stage_windows,
     energy_balance_velocity,
 )
-from solarasv.config import SimConfig
+from solarasv.config import SimConfig, load_sim_config
 from solarasv.controller import _switching_velocity
 from solarasv.harness import (
     Policy,
@@ -377,9 +378,9 @@ class TestPlanValues:
         and 13 (the last four): one sweep holds all seven, more than the four
         any stage's band holds. It starts with four rows, the others enter
         one by one, and each leaves at its start while the later rows go on.
-        The rows are read in start order and then in reverse: a root value
-        that a later row's stages or rollout overwrote shows only in a row
-        read after a later one.
+        The rows are read in start order and then in reverse: a stored
+        vector that a later row's stages or rollout overwrote shows only in
+        a row read after a later one.
         """
         params = VesselParams(k_h=0.0, k_m=8.0, b_min=0.0, b_max=32.0, u_min=0.0, u_max=1.0)
         rng = np.random.default_rng(7)
@@ -614,7 +615,7 @@ def test_plan_matches_gather_reference_property(instance):
     The plans at step, step + R, ... are the rows of the block swept for
     step; a pad cell leaking between rows of the flat buffer shows in one.
     They are read in start order and then in reverse, so a write that
-    reached a row after it left the band shows too.
+    reached a row's stored vectors after it left the band shows too.
     """
     ctl, step, roots = instance
     interval = ctl.cfg.replan_interval
@@ -746,13 +747,14 @@ class TestRecedingHorizon:
         """Sweeps holding many horizons of plans, bitwise as one plan per sweep.
 
         480 steps on 131 x 24 with a 20-step horizon: a stage lies in at most
-        ceil(20 / R) plans, and a sweep holds many more, so rows enter and
-        leave its band all the way down while the flat buffer's later rows
-        wait or keep their root values. A 2 MiB budget holds the whole
-        mission in one sweep; 256 KiB holds about four horizons of plans, so
-        the mission crosses sweep edges. Each plan's value and actions, at
-        three roots, equal those of a controller whose budget holds one row
-        per sweep.
+        B = ceil(20 / R) plans, and a sweep holds many more, so rows enter
+        and leave its band all the way down, taking turns in a ring of
+        2B - 1 slots. Bands this narrow leave the stored vectors as the part
+        of the budget that bounds a sweep's plans: a 2 MiB budget holds the
+        whole mission in one sweep; 256 KiB holds 250 plans at R = 1 and 83
+        at R = 3, so the mission crosses a sweep edge. Each plan's value and
+        actions, at three roots, equal those of a controller whose budget
+        holds one row per sweep.
         """
         rng = np.random.default_rng(5)
         n = 480
@@ -764,7 +766,10 @@ class TestRecedingHorizon:
         wide = MpcController(cfg, p_in, lower, upper, params, 360.0)
         monkeypatch.setattr("solarasv.benchmark._SWEEP_BYTES", 1)
         alone = MpcController(cfg, p_in, lower, upper, params, 360.0)
-        assert alone._rows == 1 and wide._rows > 2 * -(-20 // interval)
+        band = -(-20 // interval)
+        assert alone._rows == alone._slots == 1
+        assert wide._rows == min(-(-n // interval), budget // 8 // (min(interval, 20) * 131))
+        assert wide._slots == 2 * band - 1 and wide._rows > 2 * band
         feasible = 0
         sweeps = set()
         for s in range(0, n, interval):
@@ -781,6 +786,113 @@ class TestRecedingHorizon:
         assert len(sweeps) == -(-n // (interval * wide._rows))
         assert (len(sweeps) == 1) == (budget == 2**21)
         assert feasible >= n // interval, feasible
+
+    @pytest.mark.parametrize("interval", [1, 3])
+    def test_ring_moves_the_band_up_many_times(self, params, monkeypatch, interval):
+        """A sweep whose ring of band rows is copied up many times, bitwise.
+
+        480 steps on 131 x 24 with a 20-step horizon, in one sweep: its
+        rows take turns in a ring of 2B - 1 slots, B = ceil(20 / R), so the
+        band reaches slot 0 and is copied up to the top slots again and
+        again. Each copy makes room for at most slots - 1 rows, so a sweep
+        of more than four rings' worth of rows copies at least four times.
+        Every plan is read at two feasible roots and at an empty battery
+        under an envelope whose floor it cannot reach, whose value is
+        ``-inf``, against a controller that sweeps each plan alone.
+        """
+        rng = np.random.default_rng(11)
+        n = 480
+        p_in = rng.uniform(0.0, 1200.0, n)
+        lower = rng.uniform(100.0, 800.0, n + 1)
+        upper = params.b_max - rng.uniform(0.0, 800.0, n + 1)
+        cfg = MpcConfig(horizon=20 * 360.0, replan_interval=interval)
+        ring = MpcController(cfg, p_in, lower, upper, params, 360.0)
+        monkeypatch.setattr("solarasv.benchmark._SWEEP_BYTES", 1)
+        alone = MpcController(cfg, p_in, lower, upper, params, 360.0)
+        assert ring._rows == n // interval
+        assert ring._slots == 2 * -(-20 // interval) - 1
+        assert ring._rows > 4 * ring._slots
+        counts = {"feasible": 0, "infeasible": 0}
+        for s in range(0, n, interval):
+            for b in (0.0, 3250.0, 6400.0):
+                got, actions = ring.plan(b, s)
+                want, ref_actions = alone.plan(b, s)
+                assert got == want
+                if ref_actions is None:
+                    assert got == -math.inf and actions is None
+                    counts["infeasible"] += 1
+                    continue
+                counts["feasible"] += 1
+                assert np.array_equal(actions, ref_actions)
+        assert ring._step == 0  # one sweep served every plan
+        assert counts["infeasible"] >= n // interval // 2, counts
+        assert counts["feasible"] >= n // interval, counts
+
+    def test_every_step_example_plans_from_one_sweep(self, params, monkeypatch):
+        """configs/mpc.cfg: 480 every-step plans on 131 x 24 from one sweep.
+
+        The benchmark's every-step shape (2 days, 131 x 24, a 120-step
+        horizon, R = 1): the stored vectors of all 480 plans and a 120-row
+        band in a 239-slot ring fit the budget, so the first plan's sweep
+        serves every later one. Each plan's value and actions, at three
+        roots, equal those of one-plan sweeps.
+        """
+        cfg = load_sim_config(Path(__file__).resolve().parents[1] / "configs" / "mpc.cfg")
+        tab = tabulate_mission(cfg)
+        assert (cfg.mpc.soc_grid, cfg.mpc.u_grid, cfg.mpc.replan_interval) == (131, 24, 1)
+        args = (cfg.mpc, tab.p_in, tab.lower, tab.upper, cfg.vessel, cfg.dt)
+        ctl = MpcController(*args)
+        monkeypatch.setattr("solarasv.benchmark._SWEEP_BYTES", 1)
+        alone = MpcController(*args)
+        assert ctl.horizon_steps == 120 and len(ctl.p_in) == 480
+        assert ctl._rows == 480 and ctl._slots == 239
+        feasible = 0
+        for s in range(480):
+            for b in (1000.0, 3250.0, 6000.0):
+                got, actions = ctl.plan(b, s)
+                want, ref_actions = alone.plan(b, s)
+                assert got == want
+                if ref_actions is None:
+                    assert actions is None
+                    continue
+                feasible += 1
+                assert np.array_equal(actions, ref_actions)
+        assert ctl._step == 0
+        assert feasible >= 480, feasible
+
+    def test_mid_lattice_keeps_its_band(self, params, monkeypatch, tmp_path):
+        """On 651 x 24 the band's cells, not the stored vectors, bound a sweep.
+
+        A 1-day every-step mission (configs/mpc.cfg at 651 cells): a 120-row
+        band would not fit, so a sweep holds as many plans as one band of
+        that many rows fits, each row its own slot: at least 14, and no more
+        than the 14 that keep the band's cells in the budget. Its plans
+        equal one-plan sweeps.
+        """
+        text = (Path(__file__).resolve().parents[1] / "configs" / "mpc.cfg").read_text()
+        text = text.replace("mpc.soc_grid = 131", "mpc.soc_grid = 651")
+        text = text.replace("sim.mission_length = 172800", "sim.mission_length = 86400")
+        path = tmp_path / "mid.cfg"
+        path.write_text(text)
+        cfg = load_sim_config(path)
+        assert (cfg.mpc.soc_grid, cfg.mission_length) == (651, 86400.0)
+        tab = tabulate_mission(cfg)
+        args = (cfg.mpc, tab.p_in, tab.lower, tab.upper, cfg.vessel, cfg.dt)
+        ctl = MpcController(*args)
+        monkeypatch.setattr("solarasv.benchmark._SWEEP_BYTES", 1)
+        alone = MpcController(*args)
+        assert ctl._rows == ctl._slots == 14
+        sweeps = set()
+        for s in range(len(ctl.p_in)):
+            for b in (1000.0, 3250.0):
+                got, actions = ctl.plan(b, s)
+                want, ref_actions = alone.plan(b, s)
+                sweeps.add(ctl._step)
+                assert got == want
+                assert (actions is None) == (ref_actions is None)
+                if actions is not None:
+                    assert np.array_equal(actions, ref_actions)
+        assert len(sweeps) == -(-240 // 14)
 
     def test_replan_interval_past_the_horizon(self, params):
         """R > H: the stages between two plans belong to neither, one plan a sweep.

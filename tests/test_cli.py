@@ -73,7 +73,7 @@ class TestExampleConfigs:
         assert "mode=periodic-day" in capsys.readouterr().out
 
     def test_every_step_planner_example_runs_in_blocks(self, tmp_path, capsys, monkeypatch):
-        """mpc.cfg re-plans at every step: 246-plan sweeps, bytes of one-plan sweeps."""
+        """mpc.cfg re-plans at every step: one 480-plan sweep, bytes of one-plan sweeps."""
         cfg = str(self.CONFIGS / "mpc.cfg")
         assert main(["run", "--config", cfg, "--output", str(tmp_path / "block")]) == 0
         assert capsys.readouterr().out.startswith("strategy=mpc ")

@@ -71,78 +71,148 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kw, fragment",
         [
-            ({"dt": 0.0}, "sim.dt: must be > 0"),
-            ({"mission_length": 0.0}, "sim.mission_length: must be > 0"),
-            ({"mission_length": DAY + 1.0}, "multiple of sim.dt"),
-            ({"initial_soc": 9999.0}, "outside battery window"),
-            ({"strategy": "sail"}, "sim.strategy"),
-            ({"barrier_mode": "weekly"}, "barrier.mode"),
-            ({"noise_std": -1.0}, "sim.noise_std"),
-            ({"ilc": IlcSettings(delta=0.0)}, "controller.delta"),
-            ({"ilc": IlcSettings(u_init=5.0)}, "controller.u_init"),
-            ({"solar": IdealizedSource(d1=-1.0)}, "solar.d1"),
-            (
+            pytest.param({"dt": 0.0}, "sim.dt: must be > 0", id="dt-zero"),
+            pytest.param(
+                {"mission_length": 0.0}, "sim.mission_length: must be > 0",
+                id="mission_length-zero",
+            ),
+            pytest.param(
+                {"mission_length": DAY + 1.0}, "multiple of sim.dt",
+                id="mission_length-not-whole-steps",
+            ),
+            pytest.param(
+                {"initial_soc": 9999.0}, "outside battery window", id="initial_soc-outside",
+            ),
+            pytest.param({"strategy": "sail"}, "sim.strategy", id="strategy-unknown"),
+            pytest.param({"barrier_mode": "weekly"}, "barrier.mode", id="barrier_mode-unknown"),
+            pytest.param({"noise_std": -1.0}, "sim.noise_std", id="noise_std-negative"),
+            pytest.param(
+                {"ilc": IlcSettings(delta=0.0)}, "controller.delta", id="delta-zero",
+            ),
+            pytest.param(
+                {"ilc": IlcSettings(u_init=5.0)}, "controller.u_init", id="u_init-above-u_max",
+            ),
+            pytest.param({"solar": IdealizedSource(d1=-1.0)}, "solar.d1", id="d1-negative"),
+            pytest.param(
                 {"solar": IdealizedSource(d0_by_day=[100.0])},
                 "must come together",
+                id="table-d0-alone",
             ),
-            (
+            pytest.param(
                 {"solar": IdealizedSource(d0_by_day=[1.0], d1_by_day=[1.0, 2.0])},
                 "lengths differ",
+                id="table-lengths-differ",
             ),
-            ({"solar": FileSource(path="x.csv", scale=0.0)}, "solar.scale"),
-            ({"dt": NAN}, "sim.dt: must be finite"),
-            ({"mission_length": INF}, "sim.mission_length: must be finite"),
-            ({"mission_length": NAN}, "sim.mission_length: must be finite"),
-            ({"initial_soc": NAN}, "sim.initial_soc: must be finite"),
-            ({"noise_std": INF}, "sim.noise_std: must be finite"),
-            ({"ilc": IlcSettings(k_p=NAN)}, "controller.k_p: must be finite"),
-            ({"ilc": IlcSettings(k_d=INF)}, "controller.k_d: must be finite"),
-            ({"ilc": IlcSettings(delta=INF)}, "controller.delta: must be finite"),
-            ({"ilc": IlcSettings(u_init=NAN)}, "controller.u_init: must be finite"),
-            ({"ilc": IlcSettings(b_des=-INF)}, "controller.b_des: must be finite"),
-            ({"solar": IdealizedSource(d0=NAN)}, "solar.d0: must be finite"),
-            ({"solar": IdealizedSource(d1=INF)}, "solar.d1: must be finite"),
-            (
+            pytest.param(
+                {"solar": FileSource(path="x.csv", scale=0.0)}, "solar.scale",
+                id="scale-zero",
+            ),
+            pytest.param({"dt": NAN}, "sim.dt: must be finite", id="dt-nan"),
+            pytest.param(
+                {"mission_length": INF}, "sim.mission_length: must be finite",
+                id="mission_length-inf",
+            ),
+            pytest.param(
+                {"mission_length": NAN}, "sim.mission_length: must be finite",
+                id="mission_length-nan",
+            ),
+            pytest.param(
+                {"initial_soc": NAN}, "sim.initial_soc: must be finite", id="initial_soc-nan",
+            ),
+            pytest.param(
+                {"noise_std": INF}, "sim.noise_std: must be finite", id="noise_std-inf",
+            ),
+            pytest.param(
+                {"ilc": IlcSettings(k_p=NAN)}, "controller.k_p: must be finite", id="k_p-nan",
+            ),
+            pytest.param(
+                {"ilc": IlcSettings(k_d=INF)}, "controller.k_d: must be finite", id="k_d-inf",
+            ),
+            pytest.param(
+                {"ilc": IlcSettings(delta=INF)}, "controller.delta: must be finite",
+                id="delta-inf",
+            ),
+            pytest.param(
+                {"ilc": IlcSettings(u_init=NAN)}, "controller.u_init: must be finite",
+                id="u_init-nan",
+            ),
+            pytest.param(
+                {"ilc": IlcSettings(b_des=-INF)}, "controller.b_des: must be finite",
+                id="b_des-minus-inf",
+            ),
+            pytest.param(
+                {"solar": IdealizedSource(d0=NAN)}, "solar.d0: must be finite", id="d0-nan",
+            ),
+            pytest.param(
+                {"solar": IdealizedSource(d1=INF)}, "solar.d1: must be finite", id="d1-inf",
+            ),
+            pytest.param(
                 {"solar": IdealizedSource(d0_by_day=(1.0, NAN), d1_by_day=(1.0, 1.0))},
                 "solar.table: must be finite",
+                id="table-nan",
             ),
-            ({"solar": FileSource(path="x.csv", scale=INF)}, "solar.scale: must be finite"),
-            ({"rng_seed": -1}, "sim.rng_seed"),
-            (
+            pytest.param(
+                {"solar": FileSource(path="x.csv", scale=INF)}, "solar.scale: must be finite",
+                id="scale-inf",
+            ),
+            pytest.param({"rng_seed": -1}, "sim.rng_seed", id="rng_seed-negative"),
+            pytest.param(
                 {"strategy": "mpc", "mpc": MpcConfig(horizon=900.0)},
                 "mpc.horizon: must be a positive multiple of sim.dt",
+                id="mpc-horizon-not-whole-steps",
             ),
-            (
+            pytest.param(
                 {"solar": FileSource(path="x.csv", interpolation="cubic")},
                 "solar.interpolation: 'cubic' not one of ('hold', 'linear')",
+                id="interpolation-unknown",
             ),
-            (
+            pytest.param(
                 {"solar": IdealizedSource(d0_by_day=(1.0,), d1_by_day=(-1.0,))},
                 "solar.table: d1 values must be >= 0",
+                id="table-d1-negative",
             ),
-            ({"solar": IdealizedSource(d0_by_day=(), d1_by_day=())}, "solar.table: no days"),
-            (
+            pytest.param(
+                {"solar": IdealizedSource(d0_by_day=(), d1_by_day=())}, "solar.table: no days",
+                id="table-empty",
+            ),
+            pytest.param(
                 {"ilc": IlcSettings(b_des=99999.0)},
                 "controller.b_des: 99999.0 outside battery window [0.0, 6500.0]",
+                id="b_des-outside",
             ),
-            (
+            pytest.param(
                 {"solar": IdealizedSource(d0_by_day=(300.0,), d1_by_day=(500.0,))},
                 "barrier.mode: periodic-day",
+                id="periodic-day-on-a-table",
             ),
-            ({"solar": FileSource(path="absent.csv")}, "barrier.mode: periodic-day"),
+            pytest.param(
+                {"solar": FileSource(path="absent.csv")}, "barrier.mode: periodic-day",
+                id="periodic-day-on-a-log",
+            ),
             # numpy would raise a TypeError from inside run_mission
-            ({"rng_seed": 1.5, "noise_std": 1.0}, "sim.rng_seed: must be an integer >= 0"),
-            (
+            pytest.param(
+                {"rng_seed": 1.5, "noise_std": 1.0}, "sim.rng_seed: must be an integer >= 0",
+                id="rng_seed-not-integer",
+            ),
+            pytest.param(
                 {"dt": DAY, "mission_length": 2 * DAY},
                 "barrier.mode: periodic-day needs sim.dt below",
+                id="periodic-day-dt-a-day",
             ),
-            (
+            pytest.param(
                 {"dt": DAY, "mission_length": 2 * DAY,
                  "solar": FileSource(path="x.csv", periodic=True)},
                 "barrier.mode: periodic-day needs sim.dt below",
+                id="periodic-day-dt-a-day-periodic-log",
             ),
-            ({"ilc": IlcSettings(k_p=-5e-5, b_des=4590.0)}, "controller.k_p: must be >= 0"),
-            ({"ilc": IlcSettings(k_d=-1.0)}, "controller.k_d: must be >= 0"),
+            pytest.param(
+                {"ilc": IlcSettings(k_p=-5e-5, b_des=4590.0)}, "controller.k_p: must be >= 0",
+                id="k_p-negative",
+            ),
+            pytest.param(
+                {"ilc": IlcSettings(k_d=-1.0)}, "controller.k_d: must be >= 0",
+                id="k_d-negative",
+            ),
         ],
     )
     def test_each_field_reports_itself(self, kw, fragment):
