@@ -1,15 +1,14 @@
 """Share CPU-bound work between the caller and one forked child.
 
 :func:`beside` runs one call in the child while the caller does its own
-share; a large CSV export (:func:`solarasv.csvout.write_columns`) splits into
-two static halves this way. :func:`on_demand` hands a list of items out to
-the two processes as each one becomes free, so a long item does not leave
-the other CPU idle; a strategy comparison
-(:func:`solarasv.harness.compare_strategies`) runs its configs this way. The
-child is a plain ``os.fork`` that sends its pickled return value back
-through a pipe, so it starts with the caller's state and nothing is imported
-or re-built. Where ``os.fork`` is missing or the process may run on one CPU
-only, everything runs in the caller, in order, and returns the same values.
+share. A large CSV export (:func:`solarasv.csvout.write_columns`) splits into
+two static halves this way, and a strategy comparison
+(:func:`solarasv.harness.compare_strategies`) runs its first config in the
+child and the rest in the caller, in order. The child is a plain ``os.fork``
+that sends its pickled return value back through a pipe, so it starts with
+the caller's state and nothing is imported or re-built. Where ``os.fork`` is
+missing or the process may run on one CPU only, both calls run in the
+caller and return the same values.
 """
 
 from __future__ import annotations
@@ -85,43 +84,3 @@ def beside(child: Callable[[], T], own: Callable[[], U]) -> tuple[T, U]:
         raise value
     return value, mine
 
-
-# a write of at most PIPE_BUF bytes (>= 512 under POSIX) is atomic, and a new
-# pipe holds at least that much, so this many one-byte claim tokens go in at once
-_TOKENS = 256
-
-
-def on_demand(n: int, call: Callable[[int], T]) -> list[T]:
-    """``[call(0), ..., call(n - 1)]``, each run by whichever process is free.
-
-    A token pipe filled before the fork holds one byte per claim, in item
-    order; the caller and a forked child (:func:`beside`) each take the next
-    token when they finish an item, until the pipe is empty. A token claims
-    one item, or a run of ceil(n / 256) items when n exceeds 256. Every
-    return value must pickle. Errors, killing and reaping follow
-    :func:`beside`. Fewer than two items, no ``os.fork`` or a single CPU run
-    every item here, in order.
-    """
-    if n < 2 or not hasattr(os, "fork") or not _two_cpus():
-        return [call(i) for i in range(n)]
-    per_token = -(-n // _TOKENS)
-    read_fd, write_fd = os.pipe()
-    try:
-        try:
-            os.write(write_fd, bytes(range(-(-n // per_token))))
-        finally:
-            os.close(write_fd)  # an emptied pipe then reads as end of file
-
-        def claimed() -> dict[int, T]:
-            done = {}
-            while token := os.read(read_fd, 1):
-                first = token[0] * per_token
-                for i in range(first, min(first + per_token, n)):
-                    done[i] = call(i)
-            return done
-
-        theirs, mine = beside(claimed, claimed)
-    finally:
-        os.close(read_fd)
-    mine.update(theirs)
-    return [mine[i] for i in range(n)]

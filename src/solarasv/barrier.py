@@ -30,12 +30,11 @@ the curves are evaluated on before being cut back to the grid:
 * "horizon": the grid itself, which the profile must cover (used when the
   true future input is available, e.g. oracle tests and benchmark runs). The
   lower barrier always ends at b_min: nothing after t_f needs protecting.
-* "periodic-day": the grid is one period of the mission's own periodic
-  profile (the clear-sky day, or a log declared periodic), the window two
-  periods, and the envelope is declared periodic. Only a profile whose net
-  drift per period is non-positive for both curves has a bounded periodic
-  envelope (checked). A day table or a non-periodic log has no period to
-  repeat and needs "horizon".
+* "periodic-day": the grid is one day of the mission's own periodic profile
+  (the clear-sky day, or a log declared periodic), the window two days, and
+  the envelope is declared periodic. Only a profile whose net drift per day
+  is non-positive for both curves has a bounded periodic envelope (checked).
+  A day table or a non-periodic log does not repeat and needs "horizon".
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .csvout import write_columns
-from .solar import SolarProfile, _resample, sample_array
+from .solar import DAY_S, SolarProfile, _resample, sample_array
 from .vessel import VesselParams
 
 MODES = ("horizon", "periodic-day")
@@ -110,14 +109,15 @@ class BarrierEnvelope:
     """Tightened SOC bounds on a time grid.
 
     lower/upper are Wh curves aligned with ``times``. Queries between grid
-    points interpolate linearly; periodic envelopes wrap with ``period``.
+    points interpolate linearly; periodic envelopes repeat every
+    :data:`~solarasv.solar.DAY_S`.
     Invariant (checked): 0 <= lower <= upper everywhere on the grid.
     """
 
     times: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    period: float | None = None
+    periodic: bool = False
 
     def __post_init__(self) -> None:
         times = _check_grid(self.times)
@@ -125,8 +125,8 @@ class BarrierEnvelope:
         upper = np.asarray(self.upper, dtype=float)
         if lower.shape != times.shape or upper.shape != times.shape:
             raise ValueError("lower/upper must match the grid shape")
-        if self.period is not None and times[-1] - times[0] >= self.period:
-            raise ValueError("periodic envelope must span less than one period")
+        if self.periodic and times[-1] - times[0] >= DAY_S:
+            raise ValueError("periodic envelope must span less than one day")
         if np.any(lower < 0):
             raise ValueError("lower barrier must be >= 0")
         if np.any(lower > upper):
@@ -137,10 +137,6 @@ class BarrierEnvelope:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def periodic(self) -> bool:
-        return self.period is not None
-
     def bounds_arrays(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) in Wh at each query time.
 
@@ -149,7 +145,7 @@ class BarrierEnvelope:
         t = np.asarray(times, dtype=float)
         if not self.periodic and np.any((t < self.times[0]) | (t > self.times[-1])):
             raise ValueError("query time outside the envelope grid")
-        return _resample(t, self.times, (self.lower, self.upper), self.period)
+        return _resample(t, self.times, (self.lower, self.upper), self.periodic)
 
 
 def build_envelope(
@@ -161,41 +157,40 @@ def build_envelope(
     """Construct the tightened-SOC envelope for a mission.
 
     horizon mode evaluates both barriers on ``grid``, which must lie inside
-    the profile's domain. periodic-day mode treats ``grid`` as one period of a
-    periodic profile (span < period required), evaluates them on two periods
-    and returns a periodic envelope.
+    the profile's domain. periodic-day mode treats ``grid`` as one day of a
+    periodic profile (span < DAY_S required), evaluates them on two days and
+    returns a periodic envelope.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     g = _check_grid(grid)
     n = g.size
-    period = None
-    if mode == "horizon":
+    periodic = mode == "periodic-day"
+    if not periodic:
         if not profile.periodic and g[-1] > profile.end:
             raise ValueError("profile does not cover the requested grid")
         window = g
     elif not profile.periodic:
         raise ValueError("periodic-day mode requires a periodic profile")
+    elif g[-1] - g[0] >= DAY_S:
+        raise ValueError("periodic-day grid must span less than one day")
     else:
-        period = float(profile.period)
-        if g[-1] - g[0] >= period:
-            raise ValueError("periodic-day grid must span less than one period")
-        window = np.concatenate([g, g + period, [g[0] + 2.0 * period]])
+        window = np.concatenate([g, g + DAY_S, [g[0] + 2.0 * DAY_S]])
 
     deficit, surplus, lower, upper = barrier_curves(profile, params, window)
-    if period is not None:
+    if periodic:
         tol = 1e-9 * max(1.0, np.abs(deficit).max(), np.abs(surplus).max())
         if deficit[n] - deficit[0] > tol:
             raise ValueError(
-                "profile cannot sustain the hotel load over one period; "
+                "profile cannot sustain the hotel load over one day; "
                 "no bounded periodic lower barrier exists"
             )
         if surplus[n] - surplus[0] > tol:
             raise ValueError(
-                "profile oversupplies even at full speed over one period; "
+                "profile oversupplies even at full speed over one day; "
                 "no bounded periodic upper barrier exists"
             )
-    return BarrierEnvelope(times=g, lower=lower[:n], upper=upper[:n], period=period)
+    return BarrierEnvelope(times=g, lower=lower[:n], upper=upper[:n], periodic=periodic)
 
 
 def write_envelope_csv(env: BarrierEnvelope, path: str | Path) -> None:

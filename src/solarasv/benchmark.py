@@ -221,8 +221,8 @@ class MpcController:
         params: VesselParams,
         dt: float,
     ) -> None:
-        if dt <= 0:
-            raise ValueError("dt must be > 0")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {dt}")
         self.horizon_steps = whole_steps(cfg.horizon, dt)
         if self.horizon_steps is None:
             raise ValueError(

@@ -11,9 +11,9 @@ each step boundary. Tabulation makes the one check that needs the source's
 data: a non-periodic profile must cover the mission. :func:`compare_strategies`
 shares one tabulation among all configs that agree in solar source, mission
 length, dt, vessel and barrier mode, and returns one result per config. Once
-the tabulations are built, the caller and a forked child
-(:mod:`solarasv._fork`) each run the next config whenever they are free,
-unless the process may use one CPU only; the results are the same either way.
+the tabulations are built, a forked child (:mod:`solarasv._fork`) runs the
+first config while the caller runs the rest in order, unless the process may
+use one CPU only; the results are the same either way.
 
 Every strategy runs through one step loop, :func:`simulate`. Each step it
 hands the measured SOC and the envelope bounds to the strategy's
@@ -63,13 +63,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._fork import on_demand
+from ._fork import beside
 from .barrier import BarrierEnvelope, build_envelope
 from .benchmark import MpcController, energy_balance_velocity
 from .config import ConfigError, SimConfig
 from .controller import IlcPolicy, IterationRecord, _switching_velocity, validate_buffer
 from .csvout import write_columns
-from .solar import DAY_S, SolarProfile, period_grid, sample_array, whole_steps
+from .solar import DAY_S, SolarProfile, day_grid, sample_array, whole_steps
 from .vessel import VesselParams
 
 
@@ -112,12 +112,12 @@ def build_mission_envelope(cfg: SimConfig, profile: SolarProfile) -> BarrierEnve
     """The tightened-SOC envelope built from the mission's own input profile.
 
     horizon mode evaluates the barriers on the mission grid; periodic-day
-    mode on one period of the profile, and repeats them.
+    mode on one day of the profile, and repeats them.
     """
     if cfg.barrier_mode == "horizon":
         grid = _step_times(cfg)
     else:
-        grid = period_grid(float(profile.period), cfg.dt)
+        grid = day_grid(cfg.dt)
     return build_envelope(profile, cfg.vessel, grid, mode=cfg.barrier_mode)
 
 
@@ -393,11 +393,10 @@ def compare_strategies(cfgs: Sequence[SimConfig]) -> list[SimResult]:
     distances are comparable. Configs that also agree in dt, vessel and
     barrier_mode share one :func:`tabulate_mission`, so a result's wall_time
     covers its policy build and step loop but not that shared tabulation.
-    The configs are handed out in order to this process and a forked child,
-    each taking the next one when it is free
-    (:func:`solarasv._fork.on_demand`), so which process runs a config varies
-    from run to run and its result does not; each result's p_in_trace is its
-    tabulation's p_in.
+    A forked child runs the first config while this process runs the rest,
+    in order (:func:`solarasv._fork.beside`); on a single CPU this process
+    runs them all. The results are the same either way, and each result's
+    p_in_trace is its tabulation's p_in.
     """
     if len(cfgs) < 2:
         raise ConfigError("compare needs at least two configurations")
@@ -416,11 +415,12 @@ def compare_strategies(cfgs: Sequence[SimConfig]) -> list[SimResult]:
         key = _tabulation_key(cfg)
         tab = next((t for t in tabs if t.key == key), None)
         tabs.append(tabulate_mission(cfg) if tab is None else tab)
-    # p_in_trace is the tabulation's p_in: a forked child does not send it back
-    bare = on_demand(
-        len(cfgs), lambda i: replace(run_mission(cfgs[i], tabs[i]), p_in_trace=None)
+    forked, rest = beside(
+        # p_in_trace is the tabulation's p_in: the child does not send it back
+        lambda: replace(run_mission(cfgs[0], tabs[0]), p_in_trace=None),
+        lambda: [run_mission(c, t) for c, t in zip(cfgs[1:], tabs[1:])],
     )
-    return [replace(r, p_in_trace=t.p_in) for r, t in zip(bare, tabs)]
+    return [replace(forked, p_in_trace=tabs[0].p_in), *rest]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Solar input power: the sources of a mission and tabulated profiles.
 
 A :class:`SolarProfile` holds sampled (time_s, power_w) pairs with
-zero-order-hold or linear interpolation, optionally periodic with a stated
-period. Each solar source turns its settings into one with
+zero-order-hold or linear interpolation, optionally repeating every
+:data:`DAY_S`. Each solar source turns its settings into one with
 ``profile(dt)``, lists what is wrong with those settings with
 ``problems()``, and says with ``periodic`` whether that profile repeats.
 A source that repeats does so every :data:`DAY_S`, the one solar cycle the
@@ -44,15 +44,15 @@ class SolarProfile:
     times: sample instants in s, strictly increasing.
     powers: input power in W at each instant, >= 0.
     interpolation: "hold" (zero-order hold) or "linear".
-    period: repeat period in s for periodic profiles, None otherwise. A
-        periodic profile must span strictly less than one period; sampling
-        wraps t into [times[0], times[0] + period).
+    periodic: whether the profile repeats every :data:`DAY_S`. A periodic
+        profile must span strictly less than one day; sampling wraps t into
+        [times[0], times[0] + DAY_S).
     """
 
     times: np.ndarray
     powers: np.ndarray
     interpolation: str = "linear"
-    period: float | None = None
+    periodic: bool = False
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -73,19 +73,12 @@ class SolarProfile:
             raise ValueError(
                 f"interpolation must be one of {INTERPOLATIONS}, got {self.interpolation!r}"
             )
-        if self.period is not None:
-            if not 0 < self.period < math.inf:
-                raise ValueError("period must be finite and > 0")
-            if times[-1] - times[0] >= self.period:
-                raise ValueError("periodic profile must span less than one period")
+        if self.periodic and times[-1] - times[0] >= DAY_S:
+            raise ValueError("periodic profile must span less than one day")
         times.setflags(write=False)
         powers.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "powers", powers)
-
-    @property
-    def periodic(self) -> bool:
-        return self.period is not None
 
     @property
     def start(self) -> float:
@@ -152,14 +145,14 @@ def whole_steps(span: float, dt: float) -> int | None:
     return steps if steps >= 1 and abs(ratio - steps) <= 1e-9 else None
 
 
-def period_grid(period: float, dt: float) -> np.ndarray:
-    """Times 0, dt, 2*dt, ... below ``period``: one period of a uniform grid.
+def day_grid(dt: float) -> np.ndarray:
+    """Times 0, dt, 2*dt, ... below :data:`DAY_S`: one day of a uniform grid.
 
-    ``np.arange(0, period, dt)`` alone may end on t = period itself by
+    ``np.arange(0, DAY_S, dt)`` alone may end on t = DAY_S itself by
     rounding (e.g. dt = 86400 / 61), which a periodic profile cannot hold.
     """
-    times = np.arange(0.0, period, dt)
-    return times[times < period]
+    times = np.arange(0.0, DAY_S, dt)
+    return times[times < DAY_S]
 
 
 NOT_FINITE = "must be finite"
@@ -260,9 +253,9 @@ class IdealizedSource:
             problems.append(("dt", f"must be > 0, got {dt}"))
         raise_broken(problems)
         if self.periodic:
-            times = period_grid(DAY_S, dt)
+            times = day_grid(dt)
             in_day = np.mod(times, DAY_S)
-            d0, d1, period = self.d0, self.d1, DAY_S
+            d0, d1 = self.d0, self.d1
         else:
             n = len(self.d0_by_day)
             times = np.arange(self.table_steps(dt) + 1) * dt
@@ -271,13 +264,12 @@ class IdealizedSource:
             day = np.minimum(day.astype(int), n - 1)
             d0 = np.asarray(self.d0_by_day, dtype=float)[day]
             d1 = np.asarray(self.d1_by_day, dtype=float)[day]
-            period = None
         phase = _TWO_PI * in_day / DAY_S
         return SolarProfile(
             times=times,
             powers=np.maximum(0.0, d0 + d1 * np.cos(phase)),
             interpolation="linear",
-            period=period,
+            periodic=self.periodic,
         )
 
 
@@ -319,39 +311,39 @@ class FileSource:
                 f"solar.periodic: {self.path} spans {log.end - log.start} s, but a "
                 f"periodic log must span less than one day ({DAY_S} s)"
             )
-        return replace(log, period=DAY_S)
+        return replace(log, periodic=True)
 
 
 def _closed(
-    xp: np.ndarray, curves: Iterable[np.ndarray], period: float
+    xp: np.ndarray, curves: Iterable[np.ndarray]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``xp`` and each curve with the periodic loop closed: the first value again."""
-    return np.append(xp, xp[0] + period), [np.append(c, c[0]) for c in curves]
+    """``xp`` and each curve with the daily loop closed: the first value again."""
+    return np.append(xp, xp[0] + DAY_S), [np.append(c, c[0]) for c in curves]
 
 
 def _resample(
     t: np.ndarray, xp: np.ndarray, curves: Iterable[np.ndarray],
-    period: float | None, hold: bool = False,
+    periodic: bool, hold: bool = False,
 ) -> tuple[np.ndarray, ...]:
     """Each curve, sampled at the increasing times ``xp``, read at the times ``t``.
 
-    With a period, ``t`` wraps into [xp[0], xp[0] + period) first. Linear
+    Periodic curves wrap ``t`` into [xp[0], xp[0] + DAY_S) first. Linear
     reading interpolates, closing a periodic curve's loop with its first value
-    at xp[0] + period; hold reading takes the latest sample at or before ``t``.
+    at xp[0] + DAY_S; hold reading takes the latest sample at or before ``t``.
     Outside [xp[0], xp[-1]] a non-periodic curve holds its end values. Read
     at its own knots (``t`` equal to ``xp``), a curve is returned as it is:
     both rules give back each knot's value exactly, so there is nothing to
     copy.
     """
-    if period is not None:
-        t = xp[0] + np.mod(t - xp[0], period)
+    if periodic:
+        t = xp[0] + np.mod(t - xp[0], DAY_S)
     if np.array_equal(t, xp):
         return tuple(curves)
     if hold:
         idx = np.clip(np.searchsorted(xp, t, side="right") - 1, 0, xp.size - 1)
         return tuple(c[idx] for c in curves)
-    if period is not None:
-        xp, curves = _closed(xp, curves, period)
+    if periodic:
+        xp, curves = _closed(xp, curves)
     return tuple(np.interp(t, xp, c) for c in curves)
 
 
@@ -372,7 +364,7 @@ def sample_array(profile: SolarProfile, times: Iterable[float]) -> np.ndarray:
             f"(t0={profile.times[0]})"
         )
     hold = profile.interpolation == "hold"
-    return _resample(t, profile.times, (profile.powers,), profile.period, hold)[0]
+    return _resample(t, profile.times, (profile.powers,), profile.periodic, hold)[0]
 
 
 def integrate_power(profile: SolarProfile, t0: float, t1: float) -> float:
@@ -380,7 +372,7 @@ def integrate_power(profile: SolarProfile, t0: float, t1: float) -> float:
 
     Exact for the profile's own interpolation rule: rectangles for hold mode,
     trapezoids for linear mode, with periodic wrapping handled by splitting
-    whole periods.
+    whole days.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -388,14 +380,13 @@ def integrate_power(profile: SolarProfile, t0: float, t1: float) -> float:
         return 0.0
     if profile.periodic:
         start = profile.times[0]
-        period = float(profile.period)
-        per_period = _integral_in_base(profile, start, start + period)
-        # split [t0, t1] into whole periods plus a partial wrap segment
-        n0 = math.floor((t0 - start) / period)
-        n1 = math.floor((t1 - start) / period)
-        a = t0 - n0 * period
-        b = t1 - n1 * period
-        whole = (n1 - n0) * per_period
+        per_day = _integral_in_base(profile, start, start + DAY_S)
+        # split [t0, t1] into whole days plus a partial wrap segment
+        n0 = math.floor((t0 - start) / DAY_S)
+        n1 = math.floor((t1 - start) / DAY_S)
+        a = t0 - n0 * DAY_S
+        b = t1 - n1 * DAY_S
+        whole = (n1 - n0) * per_day
         return whole + _integral_in_base(profile, start, b) - _integral_in_base(
             profile, start, a
         )
@@ -407,15 +398,15 @@ def integrate_power(profile: SolarProfile, t0: float, t1: float) -> float:
 def _integral_in_base(profile: SolarProfile, a: float, b: float) -> float:
     """Integral over [a, b] with b allowed past the last sample (held value).
 
-    For periodic profiles a and b must lie within [start, start + period].
+    For periodic profiles a and b must lie within [start, start + DAY_S].
     """
     if b <= a:
         return 0.0
     xp, fp = profile.times, profile.powers
     if profile.periodic:
-        # hold reads the closing sample only past start + period, where the
+        # hold reads the closing sample only past start + DAY_S, where the
         # periodic profile is back at its first value
-        xp, (fp,) = _closed(xp, (fp,), profile.period)
+        xp, (fp,) = _closed(xp, (fp,))
     # knots strictly inside (a, b), plus the endpoints
     lo = np.searchsorted(xp, a, side="right")
     hi = np.searchsorted(xp, b, side="left")

@@ -12,7 +12,7 @@ from solarasv.barrier import (
     build_envelope,
     write_envelope_csv,
 )
-from solarasv.solar import SolarProfile, sample_array
+from solarasv.solar import DAY_S, SolarProfile, sample_array
 from solarasv.vessel import VesselParams
 
 
@@ -135,11 +135,13 @@ class TestBarrierCurves:
 # BarrierEnvelope container
 # ======================================================================
 
+_THIRD = DAY_S / 3
+
 
 class TestBarrierEnvelope:
     def _env(self, **kw):
         return BarrierEnvelope(
-            times=np.array([0.0, 100.0, 200.0]),
+            times=np.array([0.0, _THIRD, 2 * _THIRD]),
             lower=np.array([50.0, 20.0, 0.0]),
             upper=np.array([6400.0, 6450.0, 6500.0]),
             **kw,
@@ -168,41 +170,46 @@ class TestBarrierEnvelope:
                 lower=np.array([2.0, 0.0]),
                 upper=np.array([1.0, 1.0]),
             )
-        with pytest.raises(ValueError, match="less than one period"):
-            self._env(period=200.0)
+        with pytest.raises(ValueError, match="less than one day"):
+            BarrierEnvelope(
+                times=np.array([0.0, DAY_S]),
+                lower=np.array([0.0, 0.0]),
+                upper=np.array([1.0, 1.0]),
+                periodic=True,
+            )
 
     def test_interpolated_queries(self):
         env = self._env()
-        lo, hi = env.bounds_arrays(np.array([50.0, 150.0]))
+        lo, hi = env.bounds_arrays(np.array([0.5, 1.5]) * _THIRD)
         assert lo[0] == pytest.approx(35.0)
         assert hi[1] == pytest.approx(6475.0)
-        lo, hi = env.bounds_arrays(np.array([0.0, 200.0]))
+        lo, hi = env.bounds_arrays(np.array([0.0, 2 * _THIRD]))
         assert lo.tolist() == [50.0, 0.0]
         assert hi.tolist() == [6400.0, 6500.0]
 
     def test_non_periodic_rejects_out_of_range(self):
         env = self._env()
         with pytest.raises(ValueError, match="outside the envelope grid"):
-            env.bounds_arrays(np.array([201.0]))
+            env.bounds_arrays(np.array([2 * _THIRD + 1.0]))
         with pytest.raises(ValueError, match="outside the envelope grid"):
             env.bounds_arrays(np.array([-1.0]))
 
     def test_periodic_wrap(self):
-        env = self._env(period=300.0)
-        lo, hi = env.bounds_arrays(np.array([350.0, 50.0, 250.0, -50.0]))
+        env = self._env(periodic=True)
+        lo, hi = env.bounds_arrays(np.array([3.5, 0.5, 2.5, -0.5]) * _THIRD)
         assert lo[0] == lo[1]
         # wrap segment interpolates toward the first knot
         assert lo[2] == pytest.approx(25.0)
         assert hi[3] == hi[2]
 
 
-    @pytest.mark.parametrize("period", [None, 300.0], ids=["non-periodic", "periodic"])
-    def test_own_grid_reads_back_exactly(self, period):
+    @pytest.mark.parametrize("periodic", [False, True], ids=["non-periodic", "periodic"])
+    def test_own_grid_reads_back_exactly(self, periodic):
         env = BarrierEnvelope(
             times=np.array([0.0, 1.0, 2.0]),
             lower=np.array([0.0, 1e6, 0.0]),
             upper=np.array([2e6, 3e6, 2e6]),
-            period=period,
+            periodic=periodic,
         )
         lo, hi = env.bounds_arrays(env.times.copy())
         assert lo.tobytes() == env.lower.tobytes() and hi.tobytes() == env.upper.tobytes()
@@ -212,8 +219,8 @@ class TestBarrierEnvelope:
         lo, hi = env.bounds_arrays(off)
         xp = env.times
         fl, fu = env.lower, env.upper
-        if period is not None:
-            xp, fl, fu = np.append(xp, period), np.append(fl, fl[0]), np.append(fu, fu[0])
+        if periodic:
+            xp, fl, fu = np.append(xp, DAY_S), np.append(fl, fl[0]), np.append(fu, fu[0])
         want = np.interp(off, xp, fl)
         assert lo.tobytes() == want.tobytes()
         assert hi.tobytes() == np.interp(off, xp, fu).tobytes()
@@ -254,7 +261,7 @@ class TestBuildEnvelope:
     def test_periodic_day_envelope_wraps(self, params, canonical_day):
         grid = np.arange(0.0, 86400.0, 360.0)
         env = build_envelope(canonical_day, params, grid, mode="periodic-day")
-        assert env.periodic and env.period == 86400.0
+        assert env.periodic
         lo, _ = env.bounds_arrays(np.array([86400.0 + 1234.0, 1234.0]))
         assert lo[0] == lo[1]
 
@@ -295,12 +302,12 @@ class TestBuildEnvelope:
     def test_periodic_day_infeasible_profiles(self, params):
         grid = np.arange(0.0, 86400.0, 360.0)
         starving = SolarProfile(
-            times=grid, powers=np.full(grid.size, 5.0), period=86400.0
+            times=grid, powers=np.full(grid.size, 5.0), periodic=True
         )
         with pytest.raises(ValueError, match="cannot sustain the hotel load"):
             build_envelope(starving, params, grid, mode="periodic-day")
         flooding = SolarProfile(
-            times=grid, powers=np.full(grid.size, 1200.0), period=86400.0
+            times=grid, powers=np.full(grid.size, 1200.0), periodic=True
         )
         with pytest.raises(ValueError, match="oversupplies even at full speed"):
             build_envelope(flooding, params, grid, mode="periodic-day")

@@ -180,8 +180,9 @@ class TestMpcConfig:
 
     def test_controller_construction_validation(self, params):
         cfg = MpcConfig(horizon=3600.0)
-        with pytest.raises(ValueError, match="dt must be > 0"):
-            MpcController(cfg, *_flat(100.0, 10), params, dt=0.0)
+        for dt in (0.0, -360.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^dt must be finite and > 0, got {dt}$"):
+                MpcController(cfg, *_flat(100.0, 10), params, dt=dt)
         with pytest.raises(ValueError, match="cover at least one step"):
             MpcController(cfg, *_flat(100.0, 10), params, dt=7200.0)
         with pytest.raises(ValueError, match="p_in must cover at least one step"):

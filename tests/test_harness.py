@@ -7,7 +7,6 @@ import hashlib
 import os
 import re
 import struct
-import time
 import tracemalloc
 
 import numpy as np
@@ -425,7 +424,7 @@ class TestStepLoop:
 class TestAssembly:
     def test_idealized_profile_is_periodic(self):
         prof = build_input_profile(_cfg())
-        assert prof.periodic and prof.period == DAY
+        assert prof.periodic
         assert sample_array(prof, [0.0])[0] == 800.0
 
     @pytest.mark.parametrize("dt", [360.0, 3600.0 / 7])
@@ -434,7 +433,7 @@ class TestAssembly:
         log = tmp_path / "day.csv"
         log.write_text("0,0\n30000,0\n43200,400\n56400,0\n")
         for source in (IdealizedSource(), FileSource(path=str(log), periodic=True)):
-            assert source.profile(dt).period == DAY_S
+            assert source.profile(dt).periodic
         cfg = _cfg(dt=dt)
         policy = harness.build_policy(cfg, tabulate_mission(cfg))
         assert policy.cycle_steps == whole_steps(DAY_S, dt)
@@ -462,10 +461,10 @@ class TestAssembly:
         cfg = _cfg(solar=FileSource(path=str(f), periodic=True))
         env = build_mission_envelope(cfg, build_input_profile(cfg))
         want = build_envelope(
-            dataclasses.replace(load_profile(f), period=DAY), params,
+            dataclasses.replace(load_profile(f), periodic=True), params,
             np.arange(0.0, DAY, 360.0), mode="periodic-day",
         )
-        assert env.period == DAY
+        assert env.periodic
         np.testing.assert_array_equal(env.times, want.times)
         np.testing.assert_array_equal(env.lower, want.lower)
         np.testing.assert_array_equal(env.upper, want.upper)
@@ -850,15 +849,6 @@ class TestForkedShare:
             ).read_bytes(), name
 
     def test_compare_matches_single_cpu(self, forks, monkeypatch, tmp_path):
-        self._compare_both_ways(forks, monkeypatch, tmp_path, slow_first=False)
-
-    def test_compare_with_slow_first_config_matches_single_cpu(
-        self, forks, monkeypatch, tmp_path
-    ):
-        # the child runs the configs the caller cannot take while held up
-        self._compare_both_ways(forks, monkeypatch, tmp_path, slow_first=True)
-
-    def _compare_both_ways(self, forks, monkeypatch, tmp_path, slow_first: bool) -> None:
         tabs = []
         original = harness.tabulate_mission
 
@@ -871,11 +861,7 @@ class TestForkedShare:
         original_run = harness.run_mission
 
         def logging_run(cfg, tab):
-            """run_mission, logging which process ran which config; with
-            slow_first the caller is held up on the first config it takes
-            (the first config, as the caller claims before its child starts)."""
-            if slow_first and os.getpid() == me and not ran.exists():
-                time.sleep(0.5)
+            """run_mission, logging which process ran which config."""
             fd = os.open(ran, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
             try:
                 os.write(fd, f"{os.getpid()} {cfgs.index(cfg)}\n".encode())
@@ -902,18 +888,19 @@ class TestForkedShare:
             tabs.clear()
             ran.unlink(missing_ok=True)
             runs[two] = compare_strategies(cfgs)
-            assert len(forks) == 1
+            assert len(forks) == 1  # the two-CPU compare forks once, the other never
             assert [r.strategy for r in runs[two]] == [c.strategy for c in cfgs]
             shared, own = tabs
             for r, tab in zip(runs[two], (shared, own, shared, shared)):
                 assert r.p_in_trace is tab.p_in
             by = [line.split() for line in ran.read_text().splitlines()]
             assert sorted(int(i) for _, i in by) == [0, 1, 2, 3]  # each config once
-            in_child = sum(int(pid) != me for pid, _ in by)
-            if not two:
-                assert in_child == 0
-            elif slow_first:
-                assert in_child > 1
+            in_child = [int(i) for pid, i in by if int(pid) != me]
+            in_caller = [int(i) for pid, i in by if int(pid) == me]
+            # the child runs config 0 and the caller the rest in order; on one
+            # CPU the caller runs its own share first, then the child's
+            assert in_child == ([0] if two else [])
+            assert in_caller == ([1, 2, 3] if two else [1, 2, 3, 0])
         for a, b in zip(runs[True], runs[False]):
             _assert_same_run(a, b)
 

@@ -67,6 +67,17 @@ class TestIdealizedModel:
 # SolarProfile construction and sampling
 # ======================================================================
 
+_THIRD = DAY_S / 3
+
+
+def _thirds_of_a_day() -> SolarProfile:
+    """10, 20 and 30 W at the starts of a day's thirds, repeating every day."""
+    return SolarProfile(
+        times=np.array([0.0, _THIRD, 2 * _THIRD]),
+        powers=np.array([10.0, 20.0, 30.0]),
+        periodic=True,
+    )
+
 
 class TestSolarProfile:
     def test_validation_errors(self):
@@ -84,18 +95,15 @@ class TestSolarProfile:
         ):
             with pytest.raises(ValueError, match="must be finite"):
                 SolarProfile(times=np.array(times), powers=np.array(powers))
-        for period in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="period must be finite"):
-                SolarProfile(times=np.array([0.0]), powers=np.array([1.0]), period=period)
         with pytest.raises(ValueError, match="interpolation"):
             SolarProfile(
                 times=np.array([0.0]), powers=np.array([1.0]), interpolation="cubic"
             )
-        with pytest.raises(ValueError, match="less than one period"):
+        with pytest.raises(ValueError, match="less than one day"):
             SolarProfile(
-                times=np.array([0.0, 100.0]),
+                times=np.array([0.0, DAY_S]),
                 powers=np.array([1.0, 2.0]),
-                period=100.0,
+                periodic=True,
             )
 
     def test_arrays_are_read_only(self):
@@ -128,17 +136,13 @@ class TestSolarProfile:
             sample_array(prof, [0.0])
 
     def test_periodic_wrap_is_continuous(self):
-        prof = SolarProfile(
-            times=np.array([0.0, 100.0, 200.0]),
-            powers=np.array([10.0, 20.0, 30.0]),
-            period=300.0,
-        )
+        prof = _thirds_of_a_day()
         wrap, later, first, before, last = sample_array(
-            prof, [250.0, 350.0, 50.0, -100.0, 200.0]
+            prof, np.array([2.5, 3.5, 0.5, -1.0, 2.0]) * _THIRD
         )
         # inside the wrap segment the value interpolates back toward powers[0]
         assert wrap == pytest.approx(20.0)
-        # one full period later the sample repeats exactly
+        # one full day later the sample repeats exactly
         assert later == first
         assert before == last
 
@@ -149,10 +153,10 @@ _KNOTS = np.array([0.0, 1.0, 2.0, 3.0])
 _STEEP = np.array([0.0, 1e6, 0.0, 5e5])
 
 
-@pytest.mark.parametrize("period", [None, 10.0], ids=["non-periodic", "periodic"])
+@pytest.mark.parametrize("periodic", [False, True], ids=["non-periodic", "periodic"])
 @pytest.mark.parametrize("interpolation", ["linear", "hold"])
-def test_own_knots_read_back_exactly(interpolation, period):
-    prof = SolarProfile(_KNOTS, _STEEP, interpolation=interpolation, period=period)
+def test_own_knots_read_back_exactly(interpolation, periodic):
+    prof = SolarProfile(_KNOTS, _STEEP, interpolation=interpolation, periodic=periodic)
     got = sample_array(prof, _KNOTS.copy())
     assert got.tobytes() == prof.powers.tobytes()
     assert np.shares_memory(got, prof.powers)  # returned as it is, not copied
@@ -164,8 +168,8 @@ def test_own_knots_read_back_exactly(interpolation, period):
         want = _STEEP  # still the latest knot at or before each time
     else:
         xp, fp = _KNOTS, _STEEP
-        if period is not None:
-            xp, fp = np.append(xp, period), np.append(fp, fp[0])
+        if periodic:
+            xp, fp = np.append(xp, DAY_S), np.append(fp, fp[0])
         want = np.interp(off, xp, fp)
         assert not np.array_equal(want, _STEEP)
     assert got.tobytes() == want.tobytes()
@@ -235,7 +239,7 @@ class TestLoadProfile:
         f = tmp_path / "log.csv"
         f.write_text("0,100\n43200,700\n86399,100\n")
         prof = FileSource(path=str(f), periodic=True).profile(360.0)
-        assert prof.period == DAY_S
+        assert prof.periodic
         ts = np.array([10.0, 43200.0, 86000.0])
         got = sample_array(prof, ts + DAY_S)
         assert got.tobytes() == sample_array(prof, ts).tobytes()
@@ -372,7 +376,7 @@ def test_profile_is_the_clipped_cosine(case):
     src, dt, on_grid = case
     prof = src.profile(dt)
     if src.d0_by_day is None:
-        assert prof.period == DAY_S
+        assert prof.periodic
         grid = np.arange(0.0, DAY_S, dt)
         np.testing.assert_array_equal(prof.times, grid[grid < DAY_S])
         want = np.maximum(0.0, src.d0 + src.d1 * np.cos(2 * np.pi * prof.times / DAY_S))
@@ -431,28 +435,22 @@ class TestIntegratePower:
             integrate_power(self._hold(), -10.0, 50.0)
 
     def test_periodic_whole_periods(self):
-        prof = SolarProfile(
-            times=np.array([0.0, 100.0, 200.0]),
-            powers=np.array([10.0, 20.0, 30.0]),
-            period=300.0,
-        )
-        per = integrate_power(prof, 0.0, 300.0)
-        assert per == pytest.approx(6000.0)  # 1500 + 2500 + wrap segment 2000
-        assert integrate_power(prof, 0.0, 900.0) == pytest.approx(3 * per)
+        prof = _thirds_of_a_day()
+        per = integrate_power(prof, 0.0, DAY_S)
+        # 15 + 25 + wrap segment 20, each W times a third of a day
+        assert per == pytest.approx(60.0 * _THIRD)
+        assert integrate_power(prof, 0.0, 3 * DAY_S) == pytest.approx(3 * per)
 
     def test_periodic_any_one_period_window(self):
-        """A window of exactly one period integrates to the same total."""
-        prof = SolarProfile(
-            times=np.array([0.0, 100.0, 200.0]),
-            powers=np.array([10.0, 20.0, 30.0]),
-            period=300.0,
-        )
-        per = integrate_power(prof, 0.0, 300.0)
-        for t0 in (50.0, 130.0, 250.0, 310.0):
-            assert integrate_power(prof, t0, t0 + 300.0) == pytest.approx(per)
+        """A window of exactly one day integrates to the same total."""
+        prof = _thirds_of_a_day()
+        per = integrate_power(prof, 0.0, DAY_S)
+        for t0 in (0.5, 1.3, 2.5, 3.1):
+            t0 *= _THIRD
+            assert integrate_power(prof, t0, t0 + DAY_S) == pytest.approx(per)
 
     def test_idealized_day_mean_equals_d0(self):
-        """Unclipped cosine integrates to d0 * period over one period."""
+        """Unclipped cosine integrates to d0 * DAY_S over one day."""
         prof = IdealizedSource(d0=400.0, d1=300.0).profile(360.0)
         total = integrate_power(prof, 0.0, 86400.0)
         assert total / 86400.0 == pytest.approx(400.0, rel=1e-9)
