@@ -87,3 +87,53 @@ def test_raising_caller_kills_and_reaps_the_child(forks, no_leaks):
         beside(lambda: time.sleep(60), _fail(KeyError("own share")))
     assert time.perf_counter() - t0 < 30
 
+
+
+def test_raising_caller_with_base_exception_kills_and_reaps_the_child(forks, no_leaks):
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        beside(lambda: time.sleep(60), _fail(KeyboardInterrupt()))
+    assert time.perf_counter() - t0 < 30
+
+
+@pytest.mark.parametrize(
+    "value",
+    [None, {"a": [1, 2.5], "b": ("x", None)}, ValueError("a value, not raised"), 2.0**-1074],
+    ids=["none", "nested", "exception", "subnormal"],
+)
+def test_child_value_comes_back_equal(forks, no_leaks, value):
+    got, _ = beside(lambda: value, lambda: None)
+    if isinstance(value, BaseException):
+        assert type(got) is type(value) and got.args == value.args
+    else:
+        assert got == value and type(got) is type(value)
+    assert forks == [os.getpid()]
+
+
+def test_child_starts_with_the_callers_state_and_keeps_its_own(forks, no_leaks):
+    state = {"n": 1}
+
+    def child():
+        state["n"] += 10  # changes the child's copy only
+        return state["n"]
+
+    assert beside(child, lambda: state["n"]) == (11, 1)
+    assert state == {"n": 1}
+
+
+def test_without_os_fork_runs_both_here(monkeypatch, no_leaks):
+    monkeypatch.setattr(_fork, "_two_cpus", lambda: True)
+    monkeypatch.delattr(os, "fork")
+    order = []
+    assert beside(
+        lambda: order.append("child") or os.getpid(),
+        lambda: order.append("own") or os.getpid(),
+    ) == (os.getpid(), os.getpid())
+    assert order == ["own", "child"]
+
+
+@pytest.mark.parametrize("count, two", [(1, False), (4, True), (None, False)])
+def test_two_cpus_without_an_affinity_mask_reads_the_cpu_count(monkeypatch, count, two):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert _fork._two_cpus() is two

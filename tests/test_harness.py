@@ -7,6 +7,7 @@ import hashlib
 import os
 import re
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -849,6 +850,16 @@ class TestForkedShare:
             ).read_bytes(), name
 
     def test_compare_matches_single_cpu(self, forks, monkeypatch, tmp_path):
+        self._compare_both_ways(forks, monkeypatch, tmp_path, slow_first=False)
+
+    def test_compare_with_slow_first_config_matches_single_cpu(
+        self, forks, monkeypatch, tmp_path
+    ):
+        # the placement is fixed: a caller held up on its first config does
+        # not hand any of its configs to the child
+        self._compare_both_ways(forks, monkeypatch, tmp_path, slow_first=True)
+
+    def _compare_both_ways(self, forks, monkeypatch, tmp_path, slow_first: bool) -> None:
         tabs = []
         original = harness.tabulate_mission
 
@@ -861,7 +872,10 @@ class TestForkedShare:
         original_run = harness.run_mission
 
         def logging_run(cfg, tab):
-            """run_mission, logging which process ran which config."""
+            """run_mission, logging which process ran which config; with
+            slow_first the caller is held up on the first config it runs."""
+            if slow_first and os.getpid() == me and not ran.exists():
+                time.sleep(0.5)
             fd = os.open(ran, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
             try:
                 os.write(fd, f"{os.getpid()} {cfgs.index(cfg)}\n".encode())
