@@ -95,10 +95,10 @@ def energy_balance_velocity(
     Solves k_m * u^3 * t_f = E_in (include_hotel=False) or
     k_m * u^3 * t_f = E_in - k_h * t_f (include_hotel=True), both projected
     onto the vessel's velocity limits. E_in is the exact integral of the
-    profile over [0, t_f].
+    profile over [0, t_f]. A t_f that is not finite and > 0 raises ValueError.
     """
-    if t_f <= 0:
-        raise ValueError("t_f must be > 0")
+    if not (math.isfinite(t_f) and t_f > 0):
+        raise ValueError(f"t_f must be finite and > 0, got {t_f}")
     e_in = integrate_power(profile, 0.0, t_f)  # J
     if include_hotel:
         e_in -= params.k_h * t_f

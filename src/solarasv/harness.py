@@ -239,8 +239,9 @@ def simulate(
     i (so the last cycle-end measurement uses noise[n]). The battery, the
     clamp ledgers and the violation integral use the true SOC. A noise of
     another length, an end_cycle without cycle_steps >= 1, a dt that is not
-    finite and > 0 or a non-finite initial_soc raises ValueError before the
-    first control call. wall_time covers this call only.
+    finite and > 0, a non-finite initial_soc or a NaN or infinite value in
+    p_in, lower or upper raises ValueError before the first control call.
+    wall_time covers this call only.
     """
     wall0 = time.perf_counter()
     p_in_trace = np.asarray(p_in, dtype=float)
@@ -259,6 +260,9 @@ def simulate(
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if not math.isfinite(initial_soc):
         raise ValueError(f"initial_soc must be finite, got {initial_soc}")
+    for name, values in (("p_in", p_in_trace), ("lower", lower), ("upper", upper)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
     control = policy.control
     end_cycle = policy.end_cycle
     cycle = policy.cycle_steps

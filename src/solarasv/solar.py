@@ -2,18 +2,23 @@
 
 A :class:`SolarProfile` holds sampled (time_s, power_w) pairs with
 zero-order-hold or linear interpolation, optionally repeating every
-:data:`DAY_S`. Each solar source turns its settings into one with
-``profile(dt)``, lists what is wrong with those settings with
-``problems()``, and says with ``periodic`` whether that profile repeats.
-A source that repeats does so every :data:`DAY_S`, the one solar cycle the
-learner and the daily exports count in too:
+:data:`DAY_S`. :func:`sample_array` reads a profile; :func:`integrate_power`
+reads the knots of its window through it and sums them exactly under the
+profile's own rule, so both follow one wrap and one interpolation.
+
+Each solar source turns its settings into a profile with ``profile(dt)``,
+lists what is wrong with those settings with ``problems()``, and says with
+``periodic`` whether that profile repeats. A source that repeats does so
+every :data:`DAY_S`, the one solar cycle the learner and the daily exports
+count in too:
 
 1. :class:`IdealizedSource`, a clear-sky day, the clipped cosine
 
        P_in(t) = max(0, d0 + d1 * cos(2*pi*t / DAY_S))
 
    d0 and d1 are configuration constants in W, optionally given per day by a
-   day table to model seasons; nothing is derived from latitude or date.
+   day table to model seasons (without one, the day is a one-row table);
+   nothing is derived from latitude or date.
 
 2. :class:`FileSource`, a measured power log read by :func:`load_profile`.
 
@@ -246,24 +251,20 @@ class IdealizedSource:
     def profile(self, dt: float) -> SolarProfile:
         """The clipped cosine sampled every ``dt`` seconds from t = 0.
 
-        Raises ValueError if :meth:`problems` finds any, or dt is not > 0.
+        Without a day table the day is a one-row table on :func:`day_grid`.
+        Raises ValueError if :meth:`problems` finds any, or dt is not finite
+        and > 0.
         """
-        problems = self.problems()
-        if not dt > 0:
-            problems.append(("dt", f"must be > 0, got {dt}"))
-        raise_broken(problems)
-        if self.periodic:
-            times = day_grid(dt)
-            in_day = np.mod(times, DAY_S)
-            d0, d1 = self.d0, self.d1
-        else:
-            n = len(self.d0_by_day)
-            times = np.arange(self.table_steps(dt) + 1) * dt
-            # one pass gives both: bitwise the same as // and np.mod
-            day, in_day = np.divmod(times, DAY_S)
-            day = np.minimum(day.astype(int), n - 1)
-            d0 = np.asarray(self.d0_by_day, dtype=float)[day]
-            d1 = np.asarray(self.d1_by_day, dtype=float)[day]
+        dt_rule = (("dt", dt > 0, f"must be > 0, got {dt}"),)
+        raise_broken(self.problems() + broken_rules({"dt": dt}, dt_rule))
+        d0s = self.d0_by_day or (self.d0,)
+        d1s = self.d1_by_day or (self.d1,)
+        times = day_grid(dt) if self.periodic else np.arange(self.table_steps(dt) + 1) * dt
+        # one pass gives both: bitwise the same as // and np.mod
+        day, in_day = np.divmod(times, DAY_S)
+        row = np.minimum(day.astype(int), len(d0s) - 1)
+        d0 = np.asarray(d0s, dtype=float)[row]
+        d1 = np.asarray(d1s, dtype=float)[row]
         phase = _TWO_PI * in_day / DAY_S
         return SolarProfile(
             times=times,
@@ -314,36 +315,37 @@ class FileSource:
         return replace(log, periodic=True)
 
 
-def _closed(
-    xp: np.ndarray, curves: Iterable[np.ndarray]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``xp`` and each curve with the daily loop closed: the first value again."""
-    return np.append(xp, xp[0] + DAY_S), [np.append(c, c[0]) for c in curves]
-
-
 def _resample(
     t: np.ndarray, xp: np.ndarray, curves: Iterable[np.ndarray],
     periodic: bool, hold: bool = False,
 ) -> tuple[np.ndarray, ...]:
     """Each curve, sampled at the increasing times ``xp``, read at the times ``t``.
 
-    Periodic curves wrap ``t`` into [xp[0], xp[0] + DAY_S) first. Linear
-    reading interpolates, closing a periodic curve's loop with its first value
-    at xp[0] + DAY_S; hold reading takes the latest sample at or before ``t``.
-    Outside [xp[0], xp[-1]] a non-periodic curve holds its end values. Read
-    at its own knots (``t`` equal to ``xp``), a curve is returned as it is:
-    both rules give back each knot's value exactly, so there is nothing to
-    copy.
+    The one reader of sampled curves: profiles, envelopes and the knots of
+    :func:`integrate_power` all go through here. Periodic curves wrap ``t``
+    into [xp[0], xp[0] + DAY_S) first, keeping a time already there as it
+    is. Linear reading interpolates, closing a periodic curve's loop with its
+    first value at xp[0] + DAY_S; hold reading takes the latest sample at or
+    before ``t``. Outside [xp[0], xp[-1]] a non-periodic curve holds its end
+    values. Read at its own knots (``t`` equal to ``xp``), a curve is
+    returned as it is: both rules give back each knot's value exactly, so
+    there is nothing to copy. A NaN or infinite time raises ValueError.
     """
+    if not np.all(np.isfinite(t)):
+        raise ValueError("query times must be finite")
     if periodic:
-        t = xp[0] + np.mod(t - xp[0], DAY_S)
+        # xp[0] + (t - xp[0]) can round below t, and below a knot at t a hold
+        # reading takes the knot before
+        in_day = (t >= xp[0]) & (t < xp[0] + DAY_S)
+        t = np.where(in_day, t, xp[0] + np.mod(t - xp[0], DAY_S))
     if np.array_equal(t, xp):
         return tuple(curves)
     if hold:
         idx = np.clip(np.searchsorted(xp, t, side="right") - 1, 0, xp.size - 1)
         return tuple(c[idx] for c in curves)
     if periodic:
-        xp, curves = _closed(xp, curves)
+        xp = np.append(xp, xp[0] + DAY_S)
+        curves = [np.append(c, c[0]) for c in curves]
     return tuple(np.interp(t, xp, c) for c in curves)
 
 
@@ -355,7 +357,7 @@ def sample_array(profile: SolarProfile, times: Iterable[float]) -> np.ndarray:
     bracketing samples; past the last sample the value is held for
     non-periodic profiles and wraps to the first sample for periodic ones.
     Sampled at its own sample times, the profile's read-only ``powers`` array
-    itself comes back.
+    itself comes back. A NaN or infinite time raises ValueError.
     """
     t = np.asarray(times, dtype=float)
     if not profile.periodic and np.any(t < profile.times[0]):
@@ -370,10 +372,16 @@ def sample_array(profile: SolarProfile, times: Iterable[float]) -> np.ndarray:
 def integrate_power(profile: SolarProfile, t0: float, t1: float) -> float:
     """Exact integral of the interpolated profile over [t0, t1], in joules.
 
-    Exact for the profile's own interpolation rule: rectangles for hold mode,
-    trapezoids for linear mode, with periodic wrapping handled by splitting
-    whole days.
+    Exact for the profile's own interpolation rule: the window's ends and the
+    profile's knots between them are read with :func:`sample_array` and
+    summed as rectangles (hold) or trapezoids (linear). A periodic profile's
+    window is split into whole days, each worth one day's integral, and
+    parts of a day, so the knots read never exceed one day's. t0 and t1
+    must be finite with t0 <= t1, and a non-periodic window must start
+    inside the profile's domain (ValueError otherwise).
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if t1 == t0:
@@ -402,17 +410,12 @@ def _integral_in_base(profile: SolarProfile, a: float, b: float) -> float:
     """
     if b <= a:
         return 0.0
-    xp, fp = profile.times, profile.powers
-    if profile.periodic:
-        # hold reads the closing sample only past start + DAY_S, where the
-        # periodic profile is back at its first value
-        xp, (fp,) = _closed(xp, (fp,))
+    xp = profile.times
     # knots strictly inside (a, b), plus the endpoints
     lo = np.searchsorted(xp, a, side="right")
     hi = np.searchsorted(xp, b, side="left")
     knots = np.concatenate([[a], xp[lo:hi], [b]])
+    vals = sample_array(profile, knots)
     if profile.interpolation == "hold":
-        idx = np.clip(np.searchsorted(xp, knots[:-1], side="right") - 1, 0, fp.size - 1)
-        return float(np.sum(fp[idx] * np.diff(knots)))
-    vals = np.interp(knots, xp, fp)
+        return float(np.sum(vals[:-1] * np.diff(knots)))
     return float(np.sum((vals[1:] + vals[:-1]) * 0.5 * np.diff(knots)))

@@ -28,6 +28,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+# a periodic power log starting at t = 900 s on an uneven grid, so the
+# mission's steps fall between samples and its wrap interpolates across the
+# gap from the last sample to the first one a period later
+PERIODIC_LOG = (
+    "900,0\n18000,0\n25200,420\n36000,910\n43200,780\n"
+    "46800,260\n50400,700\n61200,380\n68400,40\n75600,0\n"
+)
+
+
 def step_fixed(
     params: VesselParams,
     b0: float,

@@ -193,6 +193,9 @@ class TestBarrierEnvelope:
             env.bounds_arrays(np.array([2 * _THIRD + 1.0]))
         with pytest.raises(ValueError, match="outside the envelope grid"):
             env.bounds_arrays(np.array([-1.0]))
+        for periodic in (False, True):
+            with pytest.raises(ValueError, match="^query times must be finite$"):
+                self._env(periodic=periodic).bounds_arrays(np.array([0.0, np.nan]))
 
     def test_periodic_wrap(self):
         env = self._env(periodic=True)

@@ -26,7 +26,7 @@ from solarasv.harness import (
     simulate,
     tabulate_mission,
 )
-from solarasv.solar import SolarProfile, integrate_power
+from solarasv.solar import IdealizedSource, SolarProfile, integrate_power
 from solarasv.vessel import VesselParams
 
 from conftest import dp_enum_bruteforce, dp_enum_value, dp_gather_plan, random_dp_instance
@@ -77,8 +77,12 @@ class TestEnergyBalanceVelocity:
         assert u == params.u_min  # input below hotel load: cube root of 0
 
     def test_window_validation(self, params):
-        with pytest.raises(ValueError, match="t_f must be > 0"):
-            energy_balance_velocity(_const_profile(100.0), 0.0, params)
+        table = IdealizedSource(d0_by_day=(300.0, 200.0), d1_by_day=(500.0, 400.0))
+        for profile in (_const_profile(100.0), table.profile(360.0)):
+            for t_f in (0.0, -3600.0, math.nan, math.inf):
+                message = f"^t_f must be finite and > 0, got {t_f}$"
+                with pytest.raises(ValueError, match=message):
+                    energy_balance_velocity(profile, t_f, params)
 
 
 class TestConstrainedConstantController:

@@ -35,7 +35,7 @@ from solarasv.solar import (
 )
 from solarasv.vessel import VesselParams
 
-from conftest import simulate_whole_lists
+from conftest import PERIODIC_LOG, simulate_whole_lists
 
 DAY = 86400.0
 NAN, INF = float("nan"), float("inf")
@@ -377,6 +377,14 @@ class TestStepLoop:
         for soc in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="initial_soc must be finite"):
                 simulate(fixed, *args[:3], soc, params, 360.0)
+        # a NaN input ends in a NaN SOC with no failure, a NaN bound charges
+        # no violation: each array is named before the first control call
+        for k, name in enumerate(("p_in", "lower", "upper")):
+            for bad in (np.nan, np.inf, -np.inf):
+                arrays = [np.array(a) for a in args[:3]]
+                arrays[k][n // 2] = bad
+                with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                    simulate(fixed, *arrays, *args[3:])
 
     def test_loop_memory_does_not_grow_with_the_mission(self):
         """A year of ilc steps peaks under 4 MB of traced heap.
@@ -1183,13 +1191,6 @@ def test_exported_bytes_match_recorded_digests(tmp_path):
     assert got == _EXPORT_DIGESTS
 
 
-# a periodic power log starting at t = 900 s on an uneven grid, so the
-# mission's steps fall between samples and its wrap interpolates across the
-# gap from the last sample to the first one a period later
-_PERIODIC_LOG = (
-    "900,0\n18000,0\n25200,420\n36000,910\n43200,780\n"
-    "46800,260\n50400,700\n61200,380\n68400,40\n75600,0\n"
-)
 # sha256 of envelope.csv, then of tabulate_mission's lower, upper and p_in
 _PERIODIC_DIGESTS = {
     "clear-sky": (
@@ -1221,7 +1222,7 @@ def test_periodic_day_bytes_match_recorded_digests(tmp_path, source):
     upper barrier leaves b_max and both curves are pinned.
     """
     log = tmp_path / "log.csv"
-    log.write_text(_PERIODIC_LOG)
+    log.write_text(PERIODIC_LOG)
     solar = {
         "clear-sky": IdealizedSource(d0=300.0, d1=500.0),
         "linear": FileSource(path=str(log), periodic=True),

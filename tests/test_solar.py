@@ -9,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from solarasv.benchmark import energy_balance_velocity
 from solarasv.solar import (
     DAY_S,
+    INTERPOLATIONS,
     FileSource,
     IdealizedSource,
     SolarProfile,
@@ -20,6 +22,9 @@ from solarasv.solar import (
     sample_array,
     whole_steps,
 )
+from solarasv.vessel import VesselParams
+
+from conftest import PERIODIC_LOG
 
 
 # ======================================================================
@@ -61,6 +66,12 @@ class TestIdealizedModel:
     def test_invalid_params(self):
         with pytest.raises(ValueError, match="^d1 must be >= 0; dt must be > 0, got 0.0$"):
             IdealizedSource(d1=-1.0).profile(0.0)
+        # a NaN or infinite step is named once, with or without a day table
+        table = IdealizedSource(d0_by_day=(300.0,), d1_by_day=(500.0,))
+        for src in (IdealizedSource(), table):
+            for dt in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="^dt must be finite$"):
+                    src.profile(dt)
 
 
 # ======================================================================
@@ -134,6 +145,26 @@ class TestSolarProfile:
         prof = SolarProfile(times=np.array([100.0, 200.0]), powers=np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="before its first sample"):
             sample_array(prof, [0.0])
+
+    @pytest.mark.parametrize("periodic", [False, True], ids=["non-periodic", "periodic"])
+    @pytest.mark.parametrize("interpolation", ["linear", "hold"])
+    def test_non_finite_query_times_are_refused(self, interpolation, periodic):
+        prof = SolarProfile(_KNOTS, _STEEP, interpolation=interpolation, periodic=periodic)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^query times must be finite$"):
+                sample_array(prof, [1.5, t])
+
+    @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+    def test_periodic_knot_reads_its_own_value(self, interpolation):
+        """A knot inside the first day is read where it is, not wrapped.
+
+        4096.287 + (36864.475 - 4096.287) rounds below 36864.475, where a
+        hold reading would take the knot before.
+        """
+        times = np.array([4096.287, 36864.475])
+        prof = SolarProfile(times, np.array([0.0, 1.0]), interpolation, periodic=True)
+        assert times[0] + (times[1] - times[0]) < times[1]
+        assert [sample_array(prof, [t])[0] for t in times] == [0.0, 1.0]
 
     def test_periodic_wrap_is_continuous(self):
         prof = _thirds_of_a_day()
@@ -401,6 +432,25 @@ def test_profile_is_the_clipped_cosine(case):
 # ======================================================================
 
 
+# (source, days) -> exact values, recorded once, of integrate_power from
+# t = 30000.5 s over that many days plus 4321.25 s, and of
+# energy_balance_velocity over that many days plus 34321.75 s
+_RECORDED_INTEGRALS = {
+    ("clear-sky", 1): (29273759.131046638, 1.6363837732294948),
+    ("clear-sky", 3.5): (95649308.25972931, 1.5802188310144318),
+    ("clear-sky", 30): (878113778.241225, 1.5999284277457564),
+    ("log-linear", 1): (29045700.286024306, 1.4892706509798472),
+    ("log-linear", 3.5): (99413014.43877316, 1.546963264796826),
+    ("log-linear", 30): (779159700.2860243, 1.5316194066005417),
+    ("log-hold", 1): (27230925.0, 1.4291349438856071),
+    ("log-hold", 3.5): (99647790.0, 1.5379397086990463),
+    ("log-hold", 30): (764294925.0, 1.5205231540479118),
+    ("day-table", 1): (26240642.755192272, 1.5766877747330783),
+    ("day-table", 3.5): (86520199.28137979, 1.5272211314236017),
+    ("day-table", 30): (991513053.4657775, 1.6641070873568173),
+}
+
+
 class TestIntegratePower:
     def _hold(self):
         return SolarProfile(
@@ -433,6 +483,12 @@ class TestIntegratePower:
             integrate_power(self._hold(), 100.0, 50.0)
         with pytest.raises(ValueError, match="before the profile domain"):
             integrate_power(self._hold(), -10.0, 50.0)
+        for t0, t1 in ((math.nan, 100.0), (0.0, math.inf), (-math.inf, 0.0)):
+            for prof in (self._hold(), _thirds_of_a_day()):
+                with pytest.raises(
+                    ValueError, match=f"^t0 and t1 must be finite, got {t0} and {t1}$"
+                ):
+                    integrate_power(prof, t0, t1)
 
     def test_periodic_whole_periods(self):
         prof = _thirds_of_a_day()
@@ -455,6 +511,30 @@ class TestIntegratePower:
         total = integrate_power(prof, 0.0, 86400.0)
         assert total / 86400.0 == pytest.approx(400.0, rel=1e-9)
 
+    @pytest.mark.parametrize("case", sorted(_RECORDED_INTEGRALS), ids=str)
+    def test_integrals_are_bitwise_as_recorded(self, tmp_path, case):
+        """Integrals and the speeds they give, exactly as first recorded.
+
+        Both ends of each window lie off the profile's knots; the periodic
+        profiles wrap through the whole-day split, the day table does not.
+        """
+        source, days = case
+        log = tmp_path / "log.csv"
+        log.write_text(PERIODIC_LOG)
+        prof = {
+            "clear-sky": IdealizedSource(d0=300.0, d1=500.0),
+            "log-linear": FileSource(path=str(log), periodic=True),
+            "log-hold": FileSource(path=str(log), periodic=True, interpolation="hold"),
+            "day-table": IdealizedSource(
+                d0_by_day=tuple(200.0 + 10.0 * k for k in range(31)),
+                d1_by_day=tuple(600.0 - 7.0 * k for k in range(31)),
+            ),
+        }[source].profile(360.0)
+        t0 = 30000.5
+        energy = integrate_power(prof, t0, t0 + days * DAY_S + 4321.25)
+        speed = energy_balance_velocity(prof, days * DAY_S + 34321.75, VesselParams())
+        assert (energy, speed) == _RECORDED_INTEGRALS[case]
+
     def test_matches_dense_riemann_sum(self):
         """Cross-check the exact integral against a fine Riemann sum."""
         prof = IdealizedSource(d0=200.0, d1=500.0).profile(600.0)
@@ -462,3 +542,53 @@ class TestIntegratePower:
         approx = float(np.sum(sample_array(prof, ts)))
         exact = integrate_power(prof, 0.0, 86400.0)
         assert exact == pytest.approx(approx, rel=1e-4)
+
+
+def _unrolled_integral(prof: SolarProfile, t0: float, t1: float) -> float:
+    """A periodic profile's integral over [t0, t1] with its knots laid out day by day."""
+    first = math.floor((t0 - prof.start) / DAY_S)
+    days = range(first, math.floor((t1 - prof.start) / DAY_S) + 2)
+    xp = np.concatenate([prof.times + k * DAY_S for k in days])
+    fp = np.tile(prof.powers, len(days))
+    knots = np.concatenate([[t0], xp[(xp > t0) & (xp < t1)], [t1]])
+    if prof.interpolation == "hold":
+        vals = fp[np.searchsorted(xp, knots[:-1], side="right") - 1]
+        return float(np.sum(vals * np.diff(knots)))
+    vals = np.interp(knots, xp, fp)
+    return float(np.sum((vals[1:] + vals[:-1]) / 2 * np.diff(knots)))
+
+
+@st.composite
+def _periodic_window(draw):
+    """A periodic profile of 1-12 knots and a window of one day to 40 days.
+
+    Knots lie on a 1 ms grid, far coarser than a float's resolution 40 days
+    out, so unrolling them day by day merges none; powers lie on a 1 mW
+    grid, so no product is subnormal.
+    """
+    start = draw(st.floats(0.0, 5000.0))
+    offsets = draw(st.lists(st.floats(0.0, DAY_S - 1.0), min_size=1, max_size=12))
+    times = np.unique(np.round(start + np.array(offsets), 3))
+    n = times.size
+    powers = np.round(draw(st.lists(st.floats(0.0, 1000.0), min_size=n, max_size=n)), 3)
+    interpolation = draw(st.sampled_from(INTERPOLATIONS))
+    prof = SolarProfile(times, powers, interpolation, periodic=True)
+    t0 = draw(st.floats(-3 * DAY_S, 3 * DAY_S))
+    return prof, t0, t0 + draw(st.floats(DAY_S, 40 * DAY_S))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_periodic_window())
+# a knot that wrapping would move below itself, read under hold
+@example((SolarProfile([4096.287, 36864.475], [0.0, 1.0], "hold", True), 0.0, DAY_S))
+def test_whole_day_split_matches_the_unrolled_knots(case):
+    """The periodic integral's split into whole days loses nothing to unrolling.
+
+    Equal within 1e-12, relative to the integral or to the window's span
+    times the peak power, whichever is larger: a knot a day out is rounded
+    to about 1e-11 s, which a nearly dark window cannot absorb.
+    """
+    prof, t0, t1 = case
+    want = _unrolled_integral(prof, t0, t1)
+    scale = (t1 - t0) * prof.powers.max()
+    assert integrate_power(prof, t0, t1) == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
