@@ -2,13 +2,13 @@
 
 The battery limits [b_min, b_max] alone do not guarantee a feasible future:
 a SOC that is legal at dusk may still be too low to cover the night's hotel
-load even with the motor off. The envelope computed here tightens the limits
+load even at the slowest speed. The envelope computed here tightens the limits
 so that feasibility, once achieved, can be kept with the saturated controls:
 
-* deficit(t) accumulates (k_h - P_in) / 3600 Wh: the energy the vessel
-  must supply from the battery if it drifts (u = 0) from time 0 to t.
-  The minimum SOC that survives every future drift window sits that deficit
-  above the battery floor:
+* deficit(t) accumulates (k_h + k_m u_min^3 - P_in) / 3600 Wh: the energy
+  the vessel must supply from the battery if it drifts at u_min (the motor
+  off when u_min = 0) from time 0 to t. The minimum SOC that survives every
+  future drift window sits that deficit above the battery floor:
 
       b_l(t1) = b_min + max(0, sup_{t2 >= t1} (deficit(t2) - deficit(t1)))
 
@@ -88,13 +88,15 @@ def barrier_curves(
 ) -> BarrierCurves:
     """Drift deficit, full-throttle surplus and the barriers b_l, b_u on ``grid``.
 
-    The profile is sampled once; lower = b_min + the deficit's suffix-sup
-    excess and upper = b_max - the surplus's.
+    The profile is sampled once; the deficit is taken at the draw at u_min,
+    the surplus at the draw at u_max. lower = b_min + the deficit's
+    suffix-sup excess and upper = b_max - the surplus's.
     """
     g = _check_grid(grid)
     p = sample_array(profile, g)
+    drift_draw = params.k_h + params.k_m * params.u_min ** 3
     full_draw = params.k_h + params.k_m * params.u_max ** 3
-    deficit = _cumtrapz(params.k_h - p, g) / 3600.0
+    deficit = _cumtrapz(drift_draw - p, g) / 3600.0
     surplus = _cumtrapz(p - full_draw, g) / 3600.0
     return BarrierCurves(
         deficit,

@@ -85,23 +85,17 @@ _SWEEP_BYTES = 2 ** 20 + 2 ** 14
 
 
 def energy_balance_velocity(
-    profile: SolarProfile,
-    t_f: float,
-    params: VesselParams,
-    include_hotel: bool = False,
+    profile: SolarProfile, t_f: float, params: VesselParams
 ) -> float:
     """Constant velocity that balances propulsive energy against solar input.
 
-    Solves k_m * u^3 * t_f = E_in (include_hotel=False) or
-    k_m * u^3 * t_f = E_in - k_h * t_f (include_hotel=True), both projected
-    onto the vessel's velocity limits. E_in is the exact integral of the
-    profile over [0, t_f]. A t_f that is not finite and > 0 raises ValueError.
+    Solves k_m * u^3 * t_f = E_in, projected onto the vessel's velocity
+    limits. E_in is the exact integral of the profile over [0, t_f]. A t_f
+    that is not finite and > 0 raises ValueError.
     """
     if not (math.isfinite(t_f) and t_f > 0):
         raise ValueError(f"t_f must be finite and > 0, got {t_f}")
     e_in = integrate_power(profile, 0.0, t_f)  # J
-    if include_hotel:
-        e_in -= params.k_h * t_f
     u = (max(0.0, e_in) / (params.k_m * t_f)) ** (1.0 / 3.0)
     return min(max(u, params.u_min), params.u_max)
 

@@ -9,11 +9,12 @@ once (:func:`tabulate_mission`): the input profile, the envelope, and
 read-only arrays of the input power at each step start and the bounds at
 each step boundary. Tabulation makes the one check that needs the source's
 data: a non-periodic profile must cover the mission. :func:`compare_strategies`
-shares one tabulation among all configs that agree in solar source, mission
-length, dt, vessel and barrier mode, and returns one result per config. Once
-the tabulations are built, a forked child (:mod:`solarasv._fork`) runs the
-first config while the caller runs the rest in order, unless the process may
-use one CPU only; the results are the same either way.
+runs strategies on one mission: it refuses configs that differ in solar
+source, mission length, dt, vessel or barrier mode, builds one tabulation for
+them all and returns one result per config. A forked child
+(:mod:`solarasv._fork`) runs the first config while the caller runs the rest
+in order, unless the process may use one CPU only; the results are the same
+either way.
 
 Every strategy runs through one step loop, :func:`simulate`. Each step it
 hands the measured SOC and the envelope bounds to the strategy's
@@ -391,40 +392,36 @@ def daily_cumulative_distance(result: SimResult) -> np.ndarray:
 
 
 def compare_strategies(cfgs: Sequence[SimConfig]) -> list[SimResult]:
-    """Run each config; one result per config, in order.
+    """Run each config on one mission; one result per config, in order.
 
-    All configs must share the solar source and mission length so the
-    distances are comparable. Configs that also agree in dt, vessel and
-    barrier_mode share one :func:`tabulate_mission`, so a result's wall_time
-    covers its policy build and step loop but not that shared tabulation.
-    A forked child runs the first config while this process runs the rest,
-    in order (:func:`solarasv._fork.beside`); on a single CPU this process
-    runs them all. The results are the same either way, and each result's
-    p_in_trace is its tabulation's p_in.
+    Every config must agree with the first in solar source, mission length,
+    dt, vessel and barrier_mode, so the strategies run the same mission and
+    their distances are comparable; the first config that differs raises
+    ConfigError, before anything is tabulated or run. The configs share one
+    :func:`tabulate_mission`, so a result's wall_time covers its policy
+    build and step loop but not that tabulation, and each result's
+    p_in_trace is its p_in. A forked child runs the first config while this
+    process runs the rest, in order (:func:`solarasv._fork.beside`); on a
+    single CPU this process runs them all. The results are the same either
+    way.
     """
     if len(cfgs) < 2:
         raise ConfigError("compare needs at least two configurations")
-    first = cfgs[0]
+    fields = ("solar source", "mission length", "dt", "vessel", "barrier mode")
+    first = _tabulation_key(cfgs[0])
     for i, cfg in enumerate(cfgs[1:], start=2):
-        if cfg.solar != first.solar:
-            raise ConfigError(
-                f"compare: config {i} has a different solar source than config 1"
-            )
-        if cfg.mission_length != first.mission_length:
-            raise ConfigError(
-                f"compare: config {i} has a different mission length than config 1"
-            )
-    tabs: list[MissionTabulation] = []
-    for cfg in cfgs:
-        key = _tabulation_key(cfg)
-        tab = next((t for t in tabs if t.key == key), None)
-        tabs.append(tabulate_mission(cfg) if tab is None else tab)
+        for name, a, b in zip(fields, _tabulation_key(cfg), first):
+            if a != b:
+                raise ConfigError(
+                    f"compare: config {i} has a different {name} than config 1"
+                )
+    tab = tabulate_mission(cfgs[0])
     forked, rest = beside(
         # p_in_trace is the tabulation's p_in: the child does not send it back
-        lambda: replace(run_mission(cfgs[0], tabs[0]), p_in_trace=None),
-        lambda: [run_mission(c, t) for c, t in zip(cfgs[1:], tabs[1:])],
+        lambda: replace(run_mission(cfgs[0], tab), p_in_trace=None),
+        lambda: [run_mission(cfg, tab) for cfg in cfgs[1:]],
     )
-    return [replace(forked, p_in_trace=tabs[0].p_in), *rest]
+    return [replace(forked, p_in_trace=tab.p_in), *rest]
 
 
 # ---------------------------------------------------------------------------
@@ -518,19 +515,12 @@ def export_comparison(results: Sequence[SimResult], out_dir: str | Path) -> list
         ],
     )
 
-    # one row per day of the longest series; a shorter one leaves cells empty
+    # one row per whole day of the mission, which every result shares
     series = out / "distance_series.csv"
     daily = [daily_cumulative_distance(r) for r in results]
-    days = max((d.size for d in daily), default=0)
-
-    def padded(d: np.ndarray) -> np.ndarray:
-        col = np.full(days, "", dtype=object)
-        col[: d.size] = d.tolist()
-        return col
-
     write_columns(
         series,
         "day," + ",".join(f"distance_m_{r.strategy}" for r in results),
-        (np.arange(days), *map(padded, daily)),
+        (np.arange(daily[0].size if daily else 0), *daily),
     )
     return [comparison, series]

@@ -326,10 +326,12 @@ def _resample(
     into [xp[0], xp[0] + DAY_S) first, keeping a time already there as it
     is. Linear reading interpolates, closing a periodic curve's loop with its
     first value at xp[0] + DAY_S; hold reading takes the latest sample at or
-    before ``t``. Outside [xp[0], xp[-1]] a non-periodic curve holds its end
-    values. Read at its own knots (``t`` equal to ``xp``), a curve is
-    returned as it is: both rules give back each knot's value exactly, so
-    there is nothing to copy. A NaN or infinite time raises ValueError.
+    before ``t`` (on a periodic curve, the latest whose image on t's day,
+    ``knot + k * DAY_S``, is). Outside [xp[0], xp[-1]] a non-periodic curve
+    holds its end values. Read at its own knots (``t`` equal to ``xp``), a
+    curve is returned as it is: both rules give back each knot's value
+    exactly, so there is nothing to copy. A NaN or infinite time raises
+    ValueError.
     """
     if not np.all(np.isfinite(t)):
         raise ValueError("query times must be finite")
@@ -337,11 +339,18 @@ def _resample(
         # xp[0] + (t - xp[0]) can round below t, and below a knot at t a hold
         # reading takes the knot before
         in_day = (t >= xp[0]) & (t < xp[0] + DAY_S)
-        t = np.where(in_day, t, xp[0] + np.mod(t - xp[0], DAY_S))
+        t, at = np.where(in_day, t, xp[0] + np.mod(t - xp[0], DAY_S)), t
     if np.array_equal(t, xp):
         return tuple(curves)
     if hold:
         idx = np.clip(np.searchsorted(xp, t, side="right") - 1, 0, xp.size - 1)
+        if periodic:
+            # the wrapped time can also round below the next knot where that
+            # knot's image on the same day, knot + day * DAY_S, is at or before
+            # the time read; the reading then takes that knot
+            day = np.floor_divide(at - xp[0], DAY_S)
+            nxt = (idx + 1) % xp.size
+            idx = np.where(xp[nxt] + (day + (nxt == 0)) * DAY_S <= at, nxt, idx)
         return tuple(c[idx] for c in curves)
     if periodic:
         xp = np.append(xp, xp[0] + DAY_S)

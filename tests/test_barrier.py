@@ -87,6 +87,39 @@ class TestBarrierCurves:
             [params.b_max - 2.0 * rate, params.b_max - rate, params.b_max], abs=1e-9
         )
 
+    def test_drift_at_u_min_keeps_criterion_3(self):
+        """Criterion 3's lower half for a vessel that cannot stop (u_min > 0):
+        b_l is b_min plus the suffix-sup of the deficit at the draw at u_min,
+        and a forward-Euler rollout at u_min from b_l stays within one step
+        of the floor."""
+        params = VesselParams(b_min=100.0, u_min=1.0)
+        drift_draw = params.k_h + params.k_m * params.u_min**3
+        rng = np.random.default_rng(1234)
+        dt = 600.0
+        grid = np.arange(0.0, 2 * DAY_S + dt / 2, dt)
+        dtf = dt / 3600.0
+        for _ in range(50):
+            n_seg = int(rng.integers(4, 24))
+            edges = np.sort(rng.uniform(0.0, 2 * DAY_S, size=n_seg))
+            times = np.concatenate([[0.0], edges])
+            powers = rng.uniform(0.0, 1500.0, size=n_seg + 1)
+            prof = SolarProfile(times=times, powers=powers, interpolation="hold")
+            deficit, _, lo, _ = barrier_curves(prof, params, grid)
+
+            p_s = sample_array(prof, grid)
+            net = drift_draw - p_s
+            trapezoids = np.cumsum((net[1:] + net[:-1]) * 0.5 * dt) / 3600.0
+            assert deficit.tolist() == [0.0, *trapezoids.tolist()]
+            lo_brute = params.b_min + np.array(
+                [max(0.0, float(np.max(deficit[i:] - deficit[i]))) for i in range(grid.size)]
+            )
+            assert lo.tolist() == lo_brute.tolist()
+
+            bound = float(p_s.max() - p_s.min()) * dtf / 2.0 + 1e-9
+            drift = np.concatenate([[0.0], np.cumsum((p_s[:-1] - drift_draw) * dtf)])
+            for i in range(grid.size):
+                assert float(np.min(lo[i] + drift[i:] - drift[i])) >= params.b_min - bound
+
     def test_terminal_values_are_untightened(self, params, canonical_day):
         grid = np.arange(0.0, 86400.0 + 180.0, 360.0)
         _, _, lo, hi = barrier_curves(canonical_day, params, grid)

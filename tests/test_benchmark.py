@@ -57,12 +57,6 @@ class TestEnergyBalanceVelocity:
         u = energy_balance_velocity(_const_profile(83.0), 86400.0, params)
         assert u == 1.0
 
-    def test_exact_fixed_point_with_hotel(self, params):
-        u = energy_balance_velocity(
-            _const_profile(93.0), 86400.0, params, include_hotel=True
-        )
-        assert u == 1.0
-
     def test_defining_balance_on_shaped_day(self, params, canonical_day):
         t_f = 86400.0
         u = energy_balance_velocity(canonical_day, t_f, params)
@@ -71,10 +65,8 @@ class TestEnergyBalanceVelocity:
 
     def test_projection(self, params):
         assert energy_balance_velocity(_const_profile(5000.0), 3600.0, params) == params.u_max
-        u = energy_balance_velocity(
-            _const_profile(5.0), 3600.0, params, include_hotel=True
-        )
-        assert u == params.u_min  # input below hotel load: cube root of 0
+        u = energy_balance_velocity(_const_profile(0.0), 3600.0, params)
+        assert u == params.u_min  # no input: cube root of 0
 
     def test_window_validation(self, params):
         table = IdealizedSource(d0_by_day=(300.0, 200.0), d1_by_day=(500.0, 400.0))

@@ -675,20 +675,52 @@ class TestMpcMission:
 # ======================================================================
 
 
+@pytest.fixture
+def tabulations(monkeypatch):
+    """The configs tabulate_mission is called with, in call order."""
+    seen = []
+    original = harness.tabulate_mission
+
+    def counting(cfg):
+        seen.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr(harness, "tabulate_mission", counting)
+    return seen
+
+
 class TestCompare:
     def test_needs_two_configs(self):
         with pytest.raises(ConfigError, match="at least two"):
             compare_strategies([_cfg()])
 
-    def test_rejects_mismatched_solar(self):
-        cfgs = [_cfg(), _cfg(solar=IdealizedSource(d0=200.0, d1=500.0))]
-        with pytest.raises(ConfigError, match="different solar source"):
+    @pytest.mark.parametrize(
+        "changes, index, field",
+        [
+            ([{"solar": IdealizedSource(d0=200.0, d1=500.0)}], 2, "solar source"),
+            ([{}, {"mission_length": DAY}], 3, "mission length"),
+            ([{"dt": 720.0}], 2, "dt"),
+            # its steps do not tile a day, so it would have no daily distances
+            ([{"dt": 2 * DAY / 37}], 2, "dt"),
+            ([{}, {"vessel": VesselParams(k_h=12.0)}], 3, "vessel"),
+            ([{"barrier_mode": "horizon"}], 2, "barrier mode"),
+        ],
+        ids=["solar", "mission_length", "dt", "dt-without-whole-days", "vessel",
+             "barrier_mode"],
+    )
+    def test_refuses_a_config_of_another_mission(
+        self, tabulations, forks, changes, index, field
+    ):
+        cfgs = [_cfg()] + [
+            _cfg(strategy="constant-unconstrained", **change) for change in changes
+        ]
+        with pytest.raises(
+            ConfigError,
+            match=f"^compare: config {index} has a different {field} than config 1$",
+        ):
             compare_strategies(cfgs)
-
-    def test_rejects_mismatched_mission_length(self):
-        cfgs = [_cfg(), _cfg(mission_length=DAY, strategy="constant-unconstrained")]
-        with pytest.raises(ConfigError, match="different mission length"):
-            compare_strategies(cfgs)
+        assert tabulations == []
+        assert forks == []
 
     def test_rows_align_with_results(self):
         results = compare_strategies(
@@ -702,19 +734,6 @@ class TestCompare:
 
 
 class TestSharedTabulation:
-    @pytest.fixture
-    def tabulations(self, monkeypatch):
-        """The configs tabulate_mission is called with, in call order."""
-        seen = []
-        original = harness.tabulate_mission
-
-        def counting(cfg):
-            seen.append(cfg)
-            return original(cfg)
-
-        monkeypatch.setattr(harness, "tabulate_mission", counting)
-        return seen
-
     def test_rows_equal_separate_runs(self, tabulations):
         base = _cfg(
             mission_length=3 * DAY,
@@ -734,26 +753,6 @@ class TestSharedTabulation:
         ]
         results = compare_strategies(cfgs)
         assert tabulations == [cfgs[0]]
-        for cfg, res in zip(cfgs, results):
-            _assert_same_run(res, run_mission(cfg))
-
-    @pytest.mark.parametrize(
-        "change",
-        [
-            {"barrier_mode": "horizon"},
-            {"dt": 720.0},
-            {"vessel": VesselParams(k_h=12.0)},
-        ],
-        ids=["barrier_mode", "dt", "vessel"],
-    )
-    def test_configs_that_differ_get_their_own(self, tabulations, change):
-        cfgs = [
-            _cfg(),
-            _cfg(strategy="constant-constrained"),
-            _cfg(strategy="constant-unconstrained", **change),
-        ]
-        results = compare_strategies(cfgs)
-        assert tabulations == [cfgs[0], cfgs[2]]
         for cfg, res in zip(cfgs, results):
             _assert_same_run(res, run_mission(cfg))
 
@@ -895,8 +894,7 @@ class TestForkedShare:
         base = _cfg(mission_length=3 * DAY, solar=_GATE_SOLAR, barrier_mode="horizon")
         cfgs = [
             dataclasses.replace(base, noise_std=5.0, rng_seed=3),
-            # its own tabulation
-            dataclasses.replace(base, strategy="constant-constrained", dt=720.0),
+            dataclasses.replace(base, strategy="constant-constrained"),
             dataclasses.replace(base, strategy="constant-unconstrained"),
             dataclasses.replace(
                 base,
@@ -912,8 +910,8 @@ class TestForkedShare:
             runs[two] = compare_strategies(cfgs)
             assert len(forks) == 1  # the two-CPU compare forks once, the other never
             assert [r.strategy for r in runs[two]] == [c.strategy for c in cfgs]
-            shared, own = tabs
-            for r, tab in zip(runs[two], (shared, own, shared, shared)):
+            (tab,) = tabs  # one tabulation, shared by all four
+            for r in runs[two]:
                 assert r.p_in_trace is tab.p_in
             by = [line.split() for line in ran.read_text().splitlines()]
             assert sorted(int(i) for _, i in by) == [0, 1, 2, 3]  # each config once
@@ -983,20 +981,18 @@ class TestExports:
         assert series[0] == "day,distance_m_constant-unconstrained,distance_m_ilc"
         assert len(series) == 2 + 1  # header and two full days
 
-    def test_comparison_series_keeps_the_longest_days(self, tmp_path):
-        """A strategy without whole days leaves its cells empty, not the rows."""
-        ilc = SimConfig(mission_length=3 * DAY)
-        odd = SimConfig(
-            mission_length=3 * DAY, dt=3 * DAY / 37, strategy="constant-unconstrained"
-        )
-        results = compare_strategies([odd, ilc])
-        export_comparison(results, tmp_path)
-        series = (tmp_path / "distance_series.csv").read_text().splitlines()
-        ilc_days = daily_cumulative_distance(results[1]).tolist()
-        assert len(ilc_days) == 3
-        assert series == ["day,distance_m_constant-unconstrained,distance_m_ilc"] + [
-            f"{day},,{distance!r}" for day, distance in enumerate(ilc_days)
+    def test_comparison_of_different_day_counts_is_refused(self, tmp_path):
+        """Results of missions with different day counts are not one table."""
+        results = [
+            run_mission(_cfg()),
+            run_mission(_cfg(mission_length=DAY, strategy="constant-unconstrained")),
         ]
+        with pytest.raises(
+            ValueError,
+            match=r"^day,distance_m_ilc,distance_m_constant-unconstrained: "
+            r"columns differ in length \(2, 2, 1\)$",
+        ):
+            export_comparison(results, tmp_path)
 
 
 # ======================================================================

@@ -156,15 +156,24 @@ class TestSolarProfile:
 
     @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
     def test_periodic_knot_reads_its_own_value(self, interpolation):
-        """A knot inside the first day is read where it is, not wrapped.
+        """A knot inside the first day is read where it is, not wrapped, and
+        a hold reading takes a knot on every later day too.
 
-        4096.287 + (36864.475 - 4096.287) rounds below 36864.475, where a
-        hold reading would take the knot before.
+        4096.287 + (36864.475 - 4096.287) rounds below 36864.475, and so does
+        36864.475 + k * DAY_S wrapped back into the first day for k >= 2,
+        where a hold reading would take the knot before. A linear reading is
+        continuous there, so it comes within a few ulps of the knot's value.
         """
         times = np.array([4096.287, 36864.475])
         prof = SolarProfile(times, np.array([0.0, 1.0]), interpolation, periodic=True)
         assert times[0] + (times[1] - times[0]) < times[1]
         assert [sample_array(prof, [t])[0] for t in times] == [0.0, 1.0]
+        later = [times[1] + k * DAY_S for k in range(1, 6)]
+        got = [sample_array(prof, [t])[0] for t in later]
+        if interpolation == "hold":
+            assert got == [1.0] * 5
+        else:
+            assert got == pytest.approx([1.0] * 5, rel=0, abs=1e-14)
 
     def test_periodic_wrap_is_continuous(self):
         prof = _thirds_of_a_day()
