@@ -40,12 +40,10 @@ the curves are evaluated on before being cut back to the grid:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .csvout import write_columns
 from .solar import DAY_S, SolarProfile, _resample, sample_array
 from .vessel import VesselParams
 
@@ -193,8 +191,3 @@ def build_envelope(
                 "no bounded periodic upper barrier exists"
             )
     return BarrierEnvelope(times=g, lower=lower[:n], upper=upper[:n], periodic=periodic)
-
-
-def write_envelope_csv(env: BarrierEnvelope, path: str | Path) -> None:
-    """Write the envelope as a delimited table (time_s, b_l_wh, b_u_wh)."""
-    write_columns(path, "time_s,b_l_wh,b_u_wh", (env.times, env.lower, env.upper))

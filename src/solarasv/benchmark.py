@@ -51,9 +51,9 @@ before its next replan store the masked vector they read, and the rollout
 re-derives the plan's value and each action from the stage's landed windows
 at the current state, applying the pads by index.
 
-If no action is feasible from the current state the controller falls back to
-the switching law on the step loop's bounds with u_min as the interior
-velocity: u_max at or above the upper barrier, u_min otherwise.
+If no action is feasible from the current state the controller falls back
+on the step loop's upper bound: u_max at or above the upper barrier, u_min
+otherwise.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .controller import _switching_velocity
 # sample_array is not called here; it stays importable because perfbench
 # hooks solarasv.benchmark.sample_array and its self-tests resolve every hook
 from .solar import SolarProfile, integrate_power, sample_array, whole_steps  # noqa: F401
@@ -516,8 +515,7 @@ class MpcController:
         if self._next == len(self._actions):
             _, actions = self.plan(b, step)
             if actions is None:
-                p = self.params
-                return _switching_velocity(b, b_l, b_u, p.u_min, p.u_min, p.u_max)
+                return self.params.u_max if b >= b_u else self.params.u_min
             self._actions = actions.tolist()
             self._next = 0
         u = self._actions[self._next]

@@ -20,13 +20,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
-from .barrier import write_envelope_csv
 from .config import ConfigError, load_compare_configs, load_sim_config, parse_kv_file
 from .harness import (
     compare_strategies,
     export_comparison,
+    export_envelope,
     export_traces,
     run_mission,
     tabulate_mission,
@@ -89,15 +88,13 @@ def _cmd_barriers(config: str, output: str | None) -> int:
     compare = "sim.strategies" in parse_kv_file(config)
     cfg = load_compare_configs(config)[0] if compare else load_sim_config(config)
     env = tabulate_mission(cfg).env
-    out_dir = Path(cfg.output_dir if output is None else output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / "envelope.csv"
-    write_envelope_csv(env, target)
+    written = export_envelope(env, cfg.output_dir if output is None else output)
     print(
         f"mode={cfg.barrier_mode} grid_points={env.times.size} "
         f"max_b_l_wh={float(env.lower.max()):.1f} min_b_u_wh={float(env.upper.min()):.1f}"
     )
-    print(f"wrote {target}")
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 

@@ -41,7 +41,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .barrier import BarrierEnvelope
 from .solar import broken_rules, raise_broken
 from .vessel import VesselParams
 
@@ -94,11 +93,16 @@ def _switching_velocity(
     return u_hat
 
 
-def validate_buffer(env: BarrierEnvelope, delta: float) -> None:
-    """Reject buffer widths whose bands would overlap anywhere on the grid."""
+def validate_buffer(lower: np.ndarray, upper: np.ndarray, delta: float) -> None:
+    """Reject buffer widths whose bands would overlap anywhere between the bounds.
+
+    lower and upper hold the barriers b_l and b_u in Wh, entry by entry, such
+    as an envelope's arrays; both bands of width delta must fit inside the
+    narrowest gap.
+    """
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    min_gap = float(np.min(env.upper - env.lower))
+    min_gap = float(np.min(upper - lower))
     if not 2.0 * delta < min_gap:
         raise ValueError(
             f"buffer width delta={delta} Wh does not fit: envelope gap narrows "
@@ -168,7 +172,8 @@ class IlcPolicy:
     from b_l + delta to b_u - delta, u_max at and above b_u. It is the one
     body of that law, built once per policy with the gains, the limits and
     delta bound in, so a step reads none of them from the instance. The
-    caller must ensure the bands fit (see :func:`validate_buffer`).
+    caller must ensure the bands fit between the bounds it passes
+    (:func:`validate_buffer` checks them as arrays).
     :meth:`end_cycle` is called once per cycle with the measured and the
     true cycle-end SOC, applies the proportional update and returns the
     cycle's record. Settings that break a rule of

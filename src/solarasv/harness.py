@@ -27,10 +27,13 @@ does not grow with the mission; the finished traces are float arrays.
 and returning each cycle's record), the switching law around the
 energy-balance constant, the bare constant, or the receding-horizon planner.
 
-The exports write each float as its ``repr``, so a CSV reads back bit for
-bit; every table goes through :mod:`solarasv.csvout`, which streams the
-per-step and per-day ones to disk in fixed-size row chunks and formats the
-second half of a large table (a long mission's trace.csv) in a forked child.
+Every CSV the package writes is written here: a run's traces
+(:func:`export_traces`), a comparison (:func:`export_comparison`) and an
+envelope (:func:`export_envelope`). The exports write each float as its
+``repr``, so a CSV reads back bit for bit; every table goes through
+:mod:`solarasv.csvout`, which streams the per-step and per-day ones to disk
+in fixed-size row chunks and formats the second half of a large table (a
+long mission's trace.csv) in a forked child.
 
 Conventions
 -----------
@@ -192,7 +195,7 @@ def build_policy(cfg: SimConfig, tab: MissionTabulation) -> Policy:
     """
     p = cfg.vessel
     if cfg.strategy == "ilc":
-        validate_buffer(tab.env, cfg.ilc.delta)
+        validate_buffer(tab.env.lower, tab.env.upper, cfg.ilc.delta)
         ilc = IlcPolicy(cfg.ilc, p, whole_steps(DAY_S, cfg.dt), cfg.initial_soc)
         return Policy(cfg.strategy, ilc.velocity, ilc.cycle_steps, ilc.end_cycle)
 
@@ -278,7 +281,6 @@ def simulate(
     sum_u = 0.0
     curtailed = 0.0
     floor_added = 0.0
-    failed = False
     per_iter: list[IterationRecord] = []
     for first in range(0, n, _BLOCK):
         stop = min(first + _BLOCK, n)
@@ -304,7 +306,6 @@ def simulate(
             if raw < b_min:
                 floor_added += b_min - raw
                 raw = b_min
-                failed = True
             elif raw > b_max:
                 curtailed += raw - b_max
                 raw = b_max
@@ -334,7 +335,9 @@ def simulate(
         wall_time=time.perf_counter() - wall0,
         curtailed_wh=curtailed,
         floor_added_wh=floor_added,
-        battery_failed=failed,
+        # every floor clamp adds b_min - raw > 0, so the ledger is > 0 exactly
+        # when the battery hit its floor
+        battery_failed=floor_added > 0.0,
     )
 
 
@@ -524,3 +527,12 @@ def export_comparison(results: Sequence[SimResult], out_dir: str | Path) -> list
         (np.arange(daily[0].size if daily else 0), *daily),
     )
     return [comparison, series]
+
+
+def export_envelope(env: BarrierEnvelope, out_dir: str | Path) -> list[Path]:
+    """Write envelope.csv: time_s, b_l_wh and b_u_wh at each grid point."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    envelope = out / "envelope.csv"
+    write_columns(envelope, "time_s,b_l_wh,b_u_wh", (env.times, env.lower, env.upper))
+    return [envelope]

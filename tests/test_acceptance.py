@@ -2,7 +2,7 @@
 
 Each test prints one ``criterion N: PASS/FAIL`` line (collected and echoed in
 the terminal summary) and then asserts it. The year-long strategy comparison
-is shared by criteria 5 and 9 through a module-scoped fixture; expect the
+is shared by criteria 5, 9 and 11 through a module-scoped fixture; expect the
 whole module to take about 14 s on a 2-core machine (Python 3.11, numpy 2.4),
 about 11 s of it in that fixture.
 """
@@ -23,7 +23,13 @@ from solarasv.controller import (
     velocity_from_costate,
 )
 from solarasv.config import IlcSettings, SimConfig
-from solarasv.harness import build_input_profile, compare_strategies, run_mission
+from solarasv.harness import (
+    Policy,
+    build_input_profile,
+    compare_strategies,
+    run_mission,
+    simulate,
+)
 from solarasv.solar import IdealizedSource, SolarProfile, integrate_power, sample_array
 from solarasv.vessel import VesselParams
 
@@ -165,7 +171,7 @@ def test_criterion_4_pmp_stationarity():
 
 
 # ======================================================================
-# 5 + 9 share one year-long comparison
+# 5, 9 and 11 share one year-long comparison
 # ======================================================================
 
 
@@ -320,3 +326,40 @@ def test_criterion_9_violation_accumulator(year_comparison):
     ok = all(x2[s] < bound for s in respecting) and x2["constant-unconstrained"] > 0.0
     _record(9, ok, "x2: " + ", ".join(f"{s}={x2[s]:.3g}" for s in x2)
                    + f"; barrier-respecting < {bound:.3g}, unconstrained > 0")
+
+
+# ======================================================================
+# 11. pointwise limits alone lose feasibility
+# (10 is kept for the offline optimum)
+# ======================================================================
+
+
+def test_criterion_11_pointwise_limits_lose_feasibility(year_comparison):
+    """The learner on the year's input, stepped once inside the tightened
+    envelope (the fixture's run) and once inside the raw battery limits.
+
+    Only the envelope keeps it off the floor: on the raw limits it meets the
+    night with too little stored energy and the b_min clamp adds energy.
+    """
+    params = VesselParams()
+    tightened = next(r for r in year_comparison if r.strategy == "ilc")
+    ilc = IlcPolicy(IlcSettings(b_des=3250.0), params, 240, 3250.0)
+    n = tightened.p_in_trace.size
+    raw = simulate(
+        Policy("ilc", ilc.velocity, ilc.cycle_steps, ilc.end_cycle),
+        tightened.p_in_trace,
+        np.full(n, params.b_min),
+        np.full(n, params.b_max),
+        3250.0,
+        params,
+        360.0,
+    )
+    at_floor = int(np.count_nonzero(raw.soc_trace == params.b_min))
+    ok = (
+        tightened.floor_added_wh == 0.0 and not tightened.battery_failed
+        and raw.floor_added_wh > 0.0 and raw.battery_failed
+    )
+    _record(11, ok, f"ilc year: tightened envelope {tightened.distance / 1e6:.4f} Mm, "
+                    f"{tightened.floor_added_wh:.1f} Wh at the floor; raw limits "
+                    f"{raw.distance / 1e6:.4f} Mm, {raw.floor_added_wh:.1f} Wh at the "
+                    f"floor, SOC at b_min on {at_floor} steps")

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from solarasv import barrier
-from solarasv.barrier import (
-    BarrierEnvelope,
-    barrier_curves,
-    build_envelope,
-    write_envelope_csv,
-)
+from solarasv.barrier import BarrierEnvelope, barrier_curves, build_envelope
 from solarasv.solar import DAY_S, SolarProfile, sample_array
 from solarasv.vessel import VesselParams
 
@@ -347,21 +342,3 @@ class TestBuildEnvelope:
         )
         with pytest.raises(ValueError, match="oversupplies even at full speed"):
             build_envelope(flooding, params, grid, mode="periodic-day")
-
-
-# ======================================================================
-# CSV export
-# ======================================================================
-
-
-class TestWriteEnvelopeCsv:
-    def test_roundtrip(self, tmp_path, params, canonical_day):
-        grid = np.arange(0.0, 86400.0, 360.0)
-        env = build_envelope(canonical_day, params, grid, mode="periodic-day")
-        path = tmp_path / "envelope.csv"
-        write_envelope_csv(env, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "time_s,b_l_wh,b_u_wh"
-        assert len(rows) == grid.size + 1
-        t0, lo0, hi0 = (float(x) for x in rows[1].split(","))
-        assert (t0, lo0, hi0) == (0.0, env.lower[0], env.upper[0])

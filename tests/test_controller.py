@@ -209,11 +209,11 @@ class TestBufferedControl:
 
     def test_validate_buffer(self):
         env = _flat_env(b_l=1000.0, b_u=1100.0)  # gap 100
-        validate_buffer(env, 49.9)
+        validate_buffer(env.lower, env.upper, 49.9)
         with pytest.raises(ValueError, match="would overlap"):
-            validate_buffer(env, 50.0)
+            validate_buffer(env.lower, env.upper, 50.0)
         with pytest.raises(ValueError, match="delta must be > 0"):
-            validate_buffer(env, 0.0)
+            validate_buffer(env.lower, env.upper, 0.0)
 
 
 @st.composite

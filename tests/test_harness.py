@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solarasv.benchmark import MpcConfig
 from solarasv.config import ConfigError, IlcSettings, SimConfig
@@ -23,13 +25,14 @@ from solarasv.harness import (
     compare_strategies,
     daily_cumulative_distance,
     export_comparison,
+    export_envelope,
     export_traces,
     run_mission,
     simulate,
     tabulate_mission,
 )
 from solarasv import _fork, harness
-from solarasv.barrier import build_envelope, write_envelope_csv
+from solarasv.barrier import build_envelope
 from solarasv.solar import (
     DAY_S, FileSource, IdealizedSource, load_profile, sample_array, whole_steps,
 )
@@ -60,6 +63,51 @@ def _energy_audit(result, params: VesselParams) -> float:
     draws = params.k_h + params.k_m * result.velocity_trace**3
     net = float(np.sum((result.p_in_trace - draws) * dtf))
     return result.initial_soc + net + result.floor_added_wh - result.curtailed_wh
+
+
+@st.composite
+def _whole_run(draw) -> SimConfig:
+    """A 1-3 day horizon-mode mission of a drawn strategy and day table.
+
+    Every day peaks at d0 + d1 <= 1000 W, below the 1040 W full-speed draw,
+    so b_u stays at b_max and every envelope is feasible.
+    """
+    days = draw(st.integers(1, 3))
+    dt = draw(st.sampled_from([360.0, 720.0, 1800.0, 3600.0]))
+    watts = st.floats(0.0, 500.0)
+    horizon = 43200.0
+    return SimConfig(
+        mission_length=days * DAY,
+        dt=dt,
+        initial_soc=draw(st.floats(0.0, 6500.0)),
+        strategy=draw(st.sampled_from(
+            ["ilc", "mpc", "constant-constrained", "constant-unconstrained"]
+        )),
+        solar=IdealizedSource(
+            d0_by_day=tuple(draw(st.lists(watts, min_size=days, max_size=days))),
+            d1_by_day=tuple(draw(st.lists(watts, min_size=days, max_size=days))),
+        ),
+        barrier_mode="horizon",
+        mpc=MpcConfig(
+            horizon=horizon,
+            soc_grid=41,
+            u_grid=8,
+            replan_interval=draw(st.sampled_from([1, int(horizon / dt)])),
+        ),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_whole_run())
+def test_whole_runs_keep_the_ledgers(cfg):
+    """On the executed path: the audit closes, the failure flag is the floor
+    ledger, and the SOC stays inside the battery window."""
+    params = cfg.vessel
+    result = run_mission(cfg)
+    assert result.terminal_soc == pytest.approx(_energy_audit(result, params), abs=1e-6)
+    assert result.battery_failed == (result.floor_added_wh > 0)
+    assert np.all(result.soc_trace >= params.b_min)
+    assert np.all(result.soc_trace <= params.b_max)
 
 
 # ======================================================================
@@ -995,6 +1043,19 @@ class TestExports:
             export_comparison(results, tmp_path)
 
 
+class TestExportEnvelope:
+    def test_roundtrip(self, tmp_path, params, canonical_day):
+        grid = np.arange(0.0, 86400.0, 360.0)
+        env = build_envelope(canonical_day, params, grid, mode="periodic-day")
+        path = tmp_path / "envelope.csv"
+        assert export_envelope(env, tmp_path) == [path]
+        rows = path.read_text().strip().splitlines()
+        assert rows[0] == "time_s,b_l_wh,b_u_wh"
+        assert len(rows) == grid.size + 1
+        t0, lo0, hi0 = (float(x) for x in rows[1].split(","))
+        assert (t0, lo0, hi0) == (0.0, env.lower[0], env.upper[0])
+
+
 # ======================================================================
 # Simulated numbers pinned across refactors
 # ======================================================================
@@ -1179,10 +1240,7 @@ def test_exported_bytes_match_recorded_digests(tmp_path):
         ]
     )
     export_comparison(results, tmp_path / "compare")
-    write_envelope_csv(
-        build_mission_envelope(base, build_input_profile(base)),
-        tmp_path / "envelope.csv",
-    )
+    export_envelope(build_mission_envelope(base, build_input_profile(base)), tmp_path)
     got = {name: _digest_without_wall_time(tmp_path / name) for name in _EXPORT_DIGESTS}
     assert got == _EXPORT_DIGESTS
 
@@ -1226,7 +1284,7 @@ def test_periodic_day_bytes_match_recorded_digests(tmp_path, source):
     }[source]
     cfg = _cfg(mission_length=3 * DAY, solar=solar, vessel=VesselParams(u_max=1.8))
     tab = tabulate_mission(cfg)
-    write_envelope_csv(tab.env, tmp_path / "envelope.csv")
+    export_envelope(tab.env, tmp_path)
     got = (hashlib.sha256((tmp_path / "envelope.csv").read_bytes()).hexdigest(),) + tuple(
         hashlib.sha256(a.tobytes()).hexdigest() for a in (tab.lower, tab.upper, tab.p_in)
     )
