@@ -52,8 +52,8 @@ from .barrier import MODES as BARRIER_MODES
 from .benchmark import MpcConfig
 from .controller import IlcSettings
 from .solar import (
-    DAY_S, NOT_FINITE, FileSource, IdealizedSource, broken_rules, integer_rule,
-    read_rows, whole_steps,
+    DAY_S, NOT_FINITE, FileSource, IdealizedSource, broken_rules, data_lines,
+    integer_rule, read_rows, whole_steps,
 )
 from .vessel import VesselParams
 
@@ -230,28 +230,31 @@ _FILE_KEYS = ("solar.file", "solar.scale", "solar.interpolation", "solar.periodi
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
-    """Read the flat key=value format into a dict, validating key names."""
+    """Read the flat key=value format into a dict, validating key names.
+
+    The file is read by :func:`~solarasv.solar.data_lines`.
+    """
     p = Path(path)
     values: dict[str, str] = {}
     problems: list[str] = []
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                problems.append(f"line {lineno}: expected 'key = value'")
-                continue
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _KEYS:
-                problems.append(f"line {lineno}: unknown key {key!r}")
-                continue
-            if key in values:
-                problems.append(f"line {lineno}: duplicate key {key!r}")
-                continue
-            values[key] = value
+    try:
+        lines = list(data_lines(p))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    for lineno, stripped in lines:
+        if "=" not in stripped:
+            problems.append(f"line {lineno}: expected 'key = value'")
+            continue
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _KEYS:
+            problems.append(f"line {lineno}: unknown key {key!r}")
+            continue
+        if key in values:
+            problems.append(f"line {lineno}: duplicate key {key!r}")
+            continue
+        values[key] = value
     if problems:
         raise ConfigError(f"{p}:\n  " + "\n  ".join(problems))
     return values

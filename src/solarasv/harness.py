@@ -29,7 +29,11 @@ energy-balance constant, the bare constant, or the receding-horizon planner.
 
 Every CSV the package writes is written here: a run's traces
 (:func:`export_traces`), a comparison (:func:`export_comparison`) and an
-envelope (:func:`export_envelope`). The exports write each float as its
+envelope (:func:`export_envelope`). All three hand their tables, each a
+file name, a header and columns, to one writer that returns the written
+paths in order. A result's scalar columns are named once
+(``_RESULT_COLUMNS``): summary.csv writes all of them, comparison.csv the
+first five, one row per result. The exports write each float as its
 ``repr``, so a CSV reads back bit for bit; every table goes through
 :mod:`solarasv.csvout`, which streams the per-step and per-day ones to disk
 in fixed-size row chunks and formats the second half of a large table (a
@@ -431,108 +435,79 @@ def compare_strategies(cfgs: Sequence[SimConfig]) -> list[SimResult]:
 # exports
 # ---------------------------------------------------------------------------
 
+# a result's scalar columns, header name to value, in summary.csv order;
+# comparison.csv writes the first five
+_RESULT_COLUMNS: dict[str, Callable[[SimResult], object]] = {
+    "strategy": lambda r: r.strategy,
+    "distance_m": lambda r: r.distance,
+    "terminal_soc_wh": lambda r: r.terminal_soc,
+    "violation_wh2s": lambda r: r.violation,
+    "wall_time_s": lambda r: r.wall_time,
+    "curtailed_wh": lambda r: r.curtailed_wh,
+    "floor_added_wh": lambda r: r.floor_added_wh,
+    "battery_failed": lambda r: str(r.battery_failed).lower(),
+    "steps": lambda r: r.velocity_trace.size,
+    "dt_s": lambda r: r.dt,
+    "initial_soc_wh": lambda r: r.initial_soc,
+}
+
+
+def _result_table(name: str, results: Sequence[SimResult], ncols: int | None = None) -> tuple:
+    """The table of one row per result and its first ``ncols`` result columns."""
+    heads = list(_RESULT_COLUMNS)[:ncols]
+    return name, ",".join(heads), [[_RESULT_COLUMNS[h](r) for r in results] for h in heads]
+
+
+def _write_tables(out_dir: str | Path, *tables: tuple) -> list[Path]:
+    """Write each (file name, header, columns) table into out_dir, in order.
+
+    Returns the written paths in the same order.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, header, columns in tables:
+        write_columns(out / name, header, columns)
+    return [out / name for name, _, _ in tables]
+
+
 def export_traces(result: SimResult, out_dir: str | Path) -> list[Path]:
     """Write trace.csv, iterations.csv, summary.csv (and daily.csv) to a dir.
 
     Output is deterministic: identical results produce byte-identical files.
     trace.csv and daily.csv stream to disk in row chunks.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    n = result.velocity_trace.size
-
-    trace = out / "trace.csv"
-    write_columns(
-        trace,
-        "time_s,soc_wh,velocity_ms,p_in_w",
-        (
-            np.arange(n) * result.dt,
-            result.soc_trace,
-            result.velocity_trace,
-            result.p_in_trace,
-        ),
-    )
-    written.append(trace)
-
-    iters = out / "iterations.csv"
-    write_columns(
-        iters,
-        "iteration,u_hat,p1,terminal_soc_wh",
-        [[getattr(rec, f) for rec in result.per_iteration]
-         for f in IterationRecord._fields],
-    )
-    written.append(iters)
-
-    summary = out / "summary.csv"
-    row = {
-        "strategy": result.strategy,
-        "distance_m": result.distance,
-        "terminal_soc_wh": result.terminal_soc,
-        "violation_wh2s": result.violation,
-        "wall_time_s": result.wall_time,
-        "curtailed_wh": result.curtailed_wh,
-        "floor_added_wh": result.floor_added_wh,
-        "battery_failed": str(result.battery_failed).lower(),
-        "steps": n,
-        "dt_s": result.dt,
-        "initial_soc_wh": result.initial_soc,
-    }
-    write_columns(summary, ",".join(row), [[value] for value in row.values()])
-    written.append(summary)
-
     # one row per full day; none when the steps do not tile a day
-    daily = out / "daily.csv"
     series = daily_cumulative_distance(result)
     days, spd = series.size, _steps_per_day(result)
-
-    def day_means(trace: np.ndarray) -> np.ndarray:
-        return trace[: days * spd].reshape(days, spd).mean(axis=1)
-
-    write_columns(
-        daily,
-        "day,mean_velocity_ms,mean_soc_wh,distance_m",
-        (
-            np.arange(days),
-            day_means(result.velocity_trace),
-            day_means(result.soc_trace),
-            series,
-        ),
+    day_means = [trace[: days * spd].reshape(days, spd).mean(axis=1)
+                 for trace in (result.velocity_trace, result.soc_trace)]
+    times = np.arange(result.velocity_trace.size) * result.dt
+    return _write_tables(
+        out_dir,
+        ("trace.csv", "time_s,soc_wh,velocity_ms,p_in_w",
+         (times, result.soc_trace, result.velocity_trace, result.p_in_trace)),
+        ("iterations.csv", "iteration,u_hat,p1,terminal_soc_wh",
+         [[getattr(rec, f) for rec in result.per_iteration] for f in IterationRecord._fields]),
+        _result_table("summary.csv", [result]),
+        ("daily.csv", "day,mean_velocity_ms,mean_soc_wh,distance_m",
+         (np.arange(days), *day_means, series)),
     )
-    written.append(daily)
-    return written
 
 
 def export_comparison(results: Sequence[SimResult], out_dir: str | Path) -> list[Path]:
     """Write comparison.csv (one row per result) and distance_series.csv."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    comparison = out / "comparison.csv"
-    write_columns(
-        comparison,
-        "strategy,distance_m,terminal_soc_wh,violation_wh2s,wall_time_s",
-        [
-            [getattr(r, name) for r in results]
-            for name in ("strategy", "distance", "terminal_soc", "violation", "wall_time")
-        ],
-    )
-
     # one row per whole day of the mission, which every result shares
-    series = out / "distance_series.csv"
     daily = [daily_cumulative_distance(r) for r in results]
-    write_columns(
-        series,
-        "day," + ",".join(f"distance_m_{r.strategy}" for r in results),
-        (np.arange(daily[0].size if daily else 0), *daily),
+    return _write_tables(
+        out_dir,
+        _result_table("comparison.csv", results, 5),
+        ("distance_series.csv", "day," + ",".join(f"distance_m_{r.strategy}" for r in results),
+         (np.arange(daily[0].size if daily else 0), *daily)),
     )
-    return [comparison, series]
 
 
 def export_envelope(env: BarrierEnvelope, out_dir: str | Path) -> list[Path]:
     """Write envelope.csv: time_s, b_l_wh and b_u_wh at each grid point."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    envelope = out / "envelope.csv"
-    write_columns(envelope, "time_s,b_l_wh,b_u_wh", (env.times, env.lower, env.upper))
-    return [envelope]
+    return _write_tables(
+        out_dir, ("envelope.csv", "time_s,b_l_wh,b_u_wh", (env.times, env.lower, env.upper))
+    )

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, replace
 from numbers import Integral
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,32 +94,46 @@ class SolarProfile:
         return float(self.times[-1])
 
 
+def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each line that is not blank or a ``#`` comment.
+
+    The file is UTF-8, with or without a byte-order mark; one that is not
+    raises ValueError naming the file.
+    """
+    try:
+        with Path(path).open("r", encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if stripped and not stripped.startswith("#"):
+                    yield lineno, stripped
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+        ) from None
+
+
 def read_rows(path: str | Path, columns: str) -> np.ndarray:
     """The columns of a comma-delimited numeric file, one array row per column.
 
-    ``columns`` names a line's fields, e.g. ``"time_s,power"``; blank lines and
-    ``#`` comment lines are skipped. A wrong field count, a non-numeric or
+    ``columns`` names a line's fields, e.g. ``"time_s,power"``; the file is
+    read by :func:`data_lines`. A wrong field count, a non-numeric or
     non-finite field and a file without data rows raise ValueError naming the
     file and the line.
     """
     width = columns.count(",") + 1
     rows: list[list[float]] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            where = f"{path}: line {lineno}"
-            fields = stripped.split(",")
-            if len(fields) != width:
-                raise ValueError(f"{where}: expected {columns!r}, got {stripped!r}")
-            try:
-                row = [float(f) for f in fields]
-            except ValueError:
-                raise ValueError(f"{where}: non-numeric field in {stripped!r}") from None
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"{where}: non-finite value in {stripped!r}")
-            rows.append(row)
+    for lineno, stripped in data_lines(path):
+        where = f"{path}: line {lineno}"
+        fields = stripped.split(",")
+        if len(fields) != width:
+            raise ValueError(f"{where}: expected {columns!r}, got {stripped!r}")
+        try:
+            row = [float(f) for f in fields]
+        except ValueError:
+            raise ValueError(f"{where}: non-numeric field in {stripped!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{where}: non-finite value in {stripped!r}")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.array(rows).T.copy()

@@ -375,6 +375,47 @@ class TestErrorHandling:
             main([])
 
 
+class TestFileEncodings:
+    """Config, day table and power log are UTF-8 text, with or without a BOM."""
+
+    # per file kind: the keys that read data.csv, and data.csv's rows
+    SOURCES = {
+        "config": ("", ""),
+        "day-table": ("solar.table = data.csv\n", "0,300,500\n"),
+        "power-log": (
+            "solar.source = file\nsolar.file = data.csv\n", "0,300\n43200,600\n86400,300\n"
+        ),
+    }
+
+    def _write(self, tmp_path, kind: str, head: bytes) -> Path:
+        """A run config and its data.csv, with ``head`` before the text of ``kind``'s file."""
+        keys, rows = self.SOURCES[kind]
+        tmp_path.mkdir(exist_ok=True)
+        target = tmp_path / ("mission.cfg" if kind == "config" else "data.csv")
+        (tmp_path / "mission.cfg").write_text(FAST_RUN + "barrier.mode = horizon\n" + keys)
+        (tmp_path / "data.csv").write_text(rows)
+        target.write_bytes(head + target.read_bytes())
+        return target
+
+    @pytest.mark.parametrize("kind", SOURCES)
+    def test_byte_order_mark_is_read_past(self, tmp_path, capsys, kind):
+        traces = []
+        for name, head in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            self._write(tmp_path / name, kind, head)
+            assert main(["run", "--config", str(tmp_path / name / "mission.cfg")]) == 0
+            traces.append((tmp_path / name / "out" / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("kind", SOURCES)
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, capsys, kind):
+        # a Latin-1 e-acute in a comment line
+        target = self._write(tmp_path, kind, b"# caf\xe9\n")
+        assert main(["run", "--config", str(tmp_path / "mission.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {target}: not UTF-8 text (byte 0xe9: invalid continuation byte)\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestClosedStdout:
     """Without a stdout to print to, a command still writes its files and exits 0.
 

@@ -101,13 +101,19 @@ def _whole_run(draw) -> SimConfig:
 @given(_whole_run())
 def test_whole_runs_keep_the_ledgers(cfg):
     """On the executed path: the audit closes, the failure flag is the floor
-    ledger, and the SOC stays inside the battery window."""
+    ledger, and the SOC stays inside the battery window. A learner or planner
+    run that starts inside the envelope never reaches the battery floor
+    (constant-constrained still can: it drains the battery)."""
     params = cfg.vessel
-    result = run_mission(cfg)
+    tab = tabulate_mission(cfg)
+    result = run_mission(cfg, tab)
     assert result.terminal_soc == pytest.approx(_energy_audit(result, params), abs=1e-6)
     assert result.battery_failed == (result.floor_added_wh > 0)
     assert np.all(result.soc_trace >= params.b_min)
     assert np.all(result.soc_trace <= params.b_max)
+    if cfg.strategy in ("ilc", "mpc") and tab.lower[0] <= cfg.initial_soc:
+        assert result.floor_added_wh == 0.0
+        assert not result.battery_failed
 
 
 # ======================================================================
@@ -1028,6 +1034,26 @@ class TestExports:
         series = (tmp_path / "distance_series.csv").read_text().splitlines()
         assert series[0] == "day,distance_m_constant-unconstrained,distance_m_ilc"
         assert len(series) == 2 + 1  # header and two full days
+
+    def test_comparison_rows_are_the_summary_rows_first_five_fields(self, tmp_path):
+        """comparison.csv and summary.csv take their columns from one result table."""
+        results = compare_strategies(
+            [_cfg(strategy="constant-unconstrained"), _cfg()]
+        )
+        export_comparison(results, tmp_path)
+        comparison = [
+            line.split(",") for line in (tmp_path / "comparison.csv").read_text().splitlines()
+        ]
+        assert len(comparison) == 1 + len(results)
+        for row, result in zip(comparison[1:], results):
+            export_traces(result, tmp_path / result.strategy)
+            header, fields = (
+                line.split(",")
+                for line in (tmp_path / result.strategy / "summary.csv").read_text().splitlines()
+            )
+            assert comparison[0] == header[:5]
+            # wall_time_s included: both rows are the same result's
+            assert row == fields[:5]
 
     def test_comparison_of_different_day_counts_is_refused(self, tmp_path):
         """Results of missions with different day counts are not one table."""
