@@ -9,7 +9,11 @@ loaders nor the harness check one again.
 
 File format: one ``section.key = value`` assignment per line, ``#`` starts a
 comment line, blank lines are ignored. ``_KEYS`` lists every key with the
-function its text converts through; keys are namespaced by module:
+function its text converts through, and is built from the dataclasses and
+tables that define the keys: a ``sim.<field>`` key for each of SimConfig's
+own values (its float, int and str fields; barrier_mode is keyed
+barrier.mode) and the solar keys from ``_SOURCES``, which names the keys
+each source kind reads. Keys are namespaced by module:
 
     vessel.<field>                          every field of VesselParams
     solar.source (idealized | file)
@@ -32,10 +36,10 @@ Unknown and duplicate keys are reported together by line number. Then the
 file's value problems are reported together by key: every value its
 converter rejects, every solar key the selected source does not read, a
 missing solar.file and every rule the vessel.* and mpc.* keys break.
-solar.d0, solar.d1 and solar.table belong to the idealized source, which
-ignores solar.d0 and solar.d1 under a table;
-solar.file, solar.scale, solar.interpolation and solar.periodic belong to
-the file source.
+Each solar key belongs to the one source ``_SOURCES`` names it under: the
+idealized source, which ignores solar.d0 and solar.d1 under a table, or the
+file source. A key whose text its converter rejects is named once: no rule
+is judged on the default it leaves in its place.
 A compare file lists at least two known strategies in sim.strategies, none
 twice, and sets no sim.strategy; a single-run file sets no sim.strategies.
 Relative paths (solar.file, solar.table, sim.output_dir) resolve against the
@@ -164,9 +168,19 @@ class SimConfig:
         return errors + solar
 
 
+# a field keyed outside its own section
+_RENAMED = {"sim.barrier_mode": "barrier.mode"}
+
+
+def _key(prefix: str, name: str) -> str:
+    """The key that sets field ``name`` of section ``prefix``."""
+    return _RENAMED.get(f"{prefix}.{name}", f"{prefix}.{name}")
+
+
 def _field_keys(prefix: str, cls: type) -> dict[str, type]:
-    """A ``prefix.<field>`` key for each field of dataclass cls, with its type."""
-    return {f"{prefix}.{name}": kind for name, kind in get_type_hints(cls).items()}
+    """The key of each float, int or str field of dataclass cls, with its type."""
+    hints = get_type_hints(cls).items()
+    return {_key(prefix, name): kind for name, kind in hints if kind in (float, int, str)}
 
 
 _TRUE = ("true", "yes", "1")
@@ -185,9 +199,18 @@ def _b_des(text: str) -> float | None:
     return None if text == "cycle-start" else float(text)
 
 
+# the keys only each solar source reads, with the function each key's text
+# converts through; setting one under another source is an error
+_SOURCES: dict[str, dict[str, Callable[[str], object]]] = {
+    "idealized": {"solar.d0": float, "solar.d1": float, "solar.table": str},
+    "file": {"solar.file": str, "solar.scale": float, "solar.interpolation": str,
+             "solar.periodic": _flag},
+}
+
+
 def _source(text: str) -> str:
-    """The solar source kind: idealized or file."""
-    if text not in ("idealized", "file"):
+    """The solar source kind: one of _SOURCES."""
+    if text not in _SOURCES:
         raise ValueError(text)
     return text
 
@@ -196,25 +219,12 @@ def _source(text: str) -> str:
 _KEYS: dict[str, Callable[[str], object]] = {
     **_field_keys("vessel", VesselParams),
     "solar.source": _source,
-    "solar.d0": float,
-    "solar.d1": float,
-    "solar.table": str,
-    "solar.file": str,
-    "solar.scale": float,
-    "solar.interpolation": str,
-    "solar.periodic": _flag,
-    "barrier.mode": str,
+    **{key: convert for keys in _SOURCES.values() for key, convert in keys.items()},
     **_field_keys("controller", IlcSettings),
     "controller.b_des": _b_des,
     **_field_keys("mpc", MpcConfig),
-    "sim.dt": float,
-    "sim.mission_length": float,
-    "sim.initial_soc": float,
-    "sim.strategy": str,
+    **_field_keys("sim", SimConfig),
     "sim.strategies": str,
-    "sim.rng_seed": int,
-    "sim.noise_std": float,
-    "sim.output_dir": str,
 }
 # what each converter that can fail expects, for its error message
 _EXPECTED = {
@@ -222,11 +232,8 @@ _EXPECTED = {
     int: "an integer",
     _flag: f"one of {_TRUE + _FALSE}",
     _b_des: "a number or 'cycle-start'",
-    _source: "'idealized' or 'file'",
+    _source: " or ".join(map(repr, _SOURCES)),
 }
-# keys only one solar source reads; setting them under the other is an error
-_IDEALIZED_KEYS = ("solar.d0", "solar.d1", "solar.table")
-_FILE_KEYS = ("solar.file", "solar.scale", "solar.interpolation", "solar.periodic")
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
@@ -292,8 +299,8 @@ def _reject_keys(v: dict[str, object], keys: tuple[str, ...], condition: str) ->
 
 
 def _section(v: dict[str, object], prefix: str, *names: str) -> dict[str, object]:
-    """Keyword arguments for the ``prefix.name`` keys among ``names`` that v sets."""
-    return {name: v[f"{prefix}.{name}"] for name in names if f"{prefix}.{name}" in v}
+    """Keyword arguments for the fields ``names`` of section ``prefix`` that v sets."""
+    return {name: v[_key(prefix, name)] for name in names if _key(prefix, name) in v}
 
 
 def _unchecked(cls: type, v: dict[str, object], prefix: str):
@@ -317,25 +324,25 @@ def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
     """
     problems: list[str] = []
     v = _typed(values, problems)
-    file_source = v.get("solar.source") == "file"
-    if file_source:
-        unread = [(key, "solar.source = idealized") for key in _IDEALIZED_KEYS]
-        if "solar.file" not in v:
-            problems.append("solar.file: required when solar.source = file")
-    else:
-        unread = [(key, "solar.source = file") for key in _FILE_KEYS]
-        if "solar.table" in v:
-            unread += [(key, "there is no solar.table") for key in ("solar.d0", "solar.d1")]
+    kind = v.get("solar.source", "idealized")
+    if kind == "file" and "solar.file" not in v:
+        problems.append("solar.file: required when solar.source = file")
+    unread = [(key, f"solar.source = {other}") for other, keys in _SOURCES.items()
+              if other != kind for key in keys]
+    if kind == "idealized" and "solar.table" in v:
+        unread += [(key, "there is no solar.table") for key in ("solar.d0", "solar.d1")]
     problems += [f"{key}: only read when {when}" for key, when in unread if key in values]
     vessel = _unchecked(VesselParams, v, "vessel")
     ilc = _unchecked(IlcSettings, v, "controller")
     mpc = _unchecked(MpcConfig, v, "mpc")
-    if problems:  # no solar source to build; the vessel and mpc rules join these
-        _raise_problems(problems + _keyed("vessel", vessel.problems())
-                        + _keyed("mpc", mpc.problems()))
+    if problems:  # no solar source to build; the vessel and mpc rules join these,
+        # but none on a key whose text was rejected, judged on its default instead
+        rules = _keyed("vessel", vessel.problems()) + _keyed("mpc", mpc.problems())
+        rejected = values.keys() - v.keys()
+        _raise_problems(problems + [r for r in rules if r.split(":")[0] not in rejected])
 
     solar: IdealizedSource | FileSource
-    if file_source:
+    if kind == "file":
         solar = FileSource(
             path=str((base_dir / v["solar.file"]).resolve()),
             **_section(v, "solar", "scale", "interpolation", "periodic"),
@@ -353,8 +360,6 @@ def build_sim_config(values: dict[str, str], base_dir: Path) -> SimConfig:
 
     sim = _section(v, "sim", *(f.name for f in fields(SimConfig)))
     sim["output_dir"] = str(base_dir / sim.get("output_dir", SimConfig.output_dir))
-    if "barrier.mode" in v:
-        sim["barrier_mode"] = v["barrier.mode"]
     return SimConfig(solar=solar, vessel=vessel, ilc=ilc, mpc=mpc, **sim)
 
 

@@ -351,20 +351,23 @@ def _resample(
         raise ValueError("query times must be finite")
     if periodic:
         # xp[0] + (t - xp[0]) can round below t, and below a knot at t a hold
-        # reading takes the knot before
+        # reading takes the knot before; a time kept is on day 0
         in_day = (t >= xp[0]) & (t < xp[0] + DAY_S)
-        t, at = np.where(in_day, t, xp[0] + np.mod(t - xp[0], DAY_S)), t
+        day, rem = np.divmod(t - xp[0], DAY_S)
+        t, at, day = np.where(in_day, t, xp[0] + rem), t, np.where(in_day, 0.0, day)
     if np.array_equal(t, xp):
         return tuple(curves)
     if hold:
         idx = np.clip(np.searchsorted(xp, t, side="right") - 1, 0, xp.size - 1)
         if periodic:
-            # the wrapped time can also round below the next knot where that
-            # knot's image on the same day, knot + day * DAY_S, is at or before
-            # the time read; the reading then takes that knot
-            day = np.floor_divide(at - xp[0], DAY_S)
-            nxt = (idx + 1) % xp.size
-            idx = np.where(xp[nxt] + (day + (nxt == 0)) * DAY_S <= at, nxt, idx)
+            # the wrapped time can round past a knot either way, so the reading
+            # steps back from a knot whose image on t's day is after the time
+            # read, and on to the next knot where its image is at or before it;
+            # knot k's image is xp[k % n] + (day + k // n) * DAY_S
+            n = xp.size
+            idx = idx - (xp[idx] + day * DAY_S > at)
+            nxt = idx + 1
+            idx = (idx + (xp[nxt % n] + (day + nxt // n) * DAY_S <= at)) % n
         return tuple(c[idx] for c in curves)
     if periodic:
         xp = np.append(xp, xp[0] + DAY_S)

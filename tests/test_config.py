@@ -264,6 +264,33 @@ class TestLoadSimConfig:
             "mpc.soc_grid: must be an integer >= 2, got 1",
         ]
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            pytest.param(
+                "vessel.b_max = big\nvessel.b_min = 7000\n",
+                ["vessel.b_max: expected a number, got 'big'"],
+                id="b_max-rejected",
+            ),
+            pytest.param(
+                "vessel.u_max = fast\nvessel.u_min = 3\n",
+                ["vessel.u_max: expected a number, got 'fast'"],
+                id="u_max-rejected",
+            ),
+            pytest.param(
+                "vessel.b_min = 7000\nsim.dt = x\n",
+                ["sim.dt: expected a number, got 'x'", "vessel.b_max: must be above b_min"],
+                id="b_max-unset",
+            ),
+        ],
+    )
+    def test_a_rejected_value_is_named_once(self, tmp_path, text, expected):
+        """A key whose text is rejected is named once: no vessel rule is
+        judged on its default as well. A key left unset still is."""
+        with pytest.raises(ConfigError) as exc:
+            load_sim_config(_write(tmp_path, text))
+        assert [line.strip() for line in str(exc.value).splitlines()[1:]] == expected
+
     def test_every_section_reports_in_the_same_pass(self, tmp_path):
         """Bad vessel and mpc values hold back no sim.* or controller.* problem.
 

@@ -187,6 +187,37 @@ class TestSolarProfile:
         assert before == last
 
 
+@st.composite
+def _periodic_hold_knots(draw):
+    """1-6 knots at fractional times within +-5e4 s, spanning under a day.
+
+    Knots stay more than 1 ms apart, the last one from the first one's next
+    image too, so no two knot images 7 days out round together.
+    """
+    drawn = sorted(draw(st.lists(st.floats(-5e4, 5e4), min_size=1, max_size=6)))
+    times = [drawn[0]]
+    for t in drawn[1:]:
+        if t - times[-1] > 1e-3 and t < times[0] + DAY_S - 1e-3:
+            times.append(t)
+    return np.array(times)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_periodic_hold_knots(), st.integers(-4, 7))
+# one ulp below knot 0's image on day 2, the wrapped time rounds up onto knot 0
+@example(np.array([6920.387482221224, 40000.5]), 2)
+def test_periodic_hold_reads_every_knot_image(times, k):
+    """Read at a knot's image ``knot + k * DAY_S``, a periodic hold profile
+    takes that knot; one ulp below it, the knot before (the last knot of the
+    day before, for the first knot)."""
+    powers = np.arange(1.0, times.size + 1)
+    prof = SolarProfile(times, powers, "hold", periodic=True)
+    images = times + k * DAY_S
+    assert sample_array(prof, images).tolist() == powers.tolist()
+    below = np.nextafter(images, -np.inf)
+    assert sample_array(prof, below).tolist() == np.roll(powers, 1).tolist()
+
+
 # steep steps between unit-spaced knots: a value one ulp past a knot moves off
 # the knot's value under linear reading
 _KNOTS = np.array([0.0, 1.0, 2.0, 3.0])
